@@ -25,6 +25,10 @@ class RadialGrid:
         return self.M + 1
 
     @property
+    def shape(self):
+        return (self.npoints,)
+
+    @property
     def points(self):
         return self.r[:, None]
 
@@ -157,6 +161,34 @@ def box_grid(extents, nodes, center=None):
         normals=normals, dnu_rows=dnu_rows, dnu_cols=dnu_cols,
         dnu_vals=dnu_vals, dnu=dnu,
     )
+
+
+def _prolongation_1d(n):
+    """Linear interpolation from the (n + 1) / 2 even nodes to all n nodes."""
+    nc = (n - 1) // 2 + 1
+    fine = np.arange(n)
+    odd = fine[1::2]
+    rows = np.concatenate([fine[::2], odd, odd])
+    cols = np.concatenate([np.arange(nc), (odd - 1) // 2, (odd + 1) // 2])
+    vals = np.concatenate([np.ones(nc), np.full(2 * odd.size, 0.5)])
+    return sp.csr_matrix((vals, (rows, cols)), shape=(n, nc))
+
+
+def box_prolongation(shape):
+    """Tensor-product linear interpolation from the half-resolution lattice.
+
+    Returns (P, coarse_shape) with P of shape (prod(shape), prod(coarse_shape))
+    in the C-order node numbering of ``box_grid``, or None when some axis
+    cannot be halved exactly (odd n - 1, or n < 5). Meshes of 2^k + 1 nodes
+    per axis therefore coarsen down to 3 nodes per axis.
+    """
+    shape = tuple(int(nc) for nc in shape)
+    if any(nc < 5 or (nc - 1) % 2 for nc in shape):
+        return None
+    P = _prolongation_1d(shape[0])
+    for nc in shape[1:]:
+        P = sp.kron(P, _prolongation_1d(nc), format="csr")
+    return P, tuple((nc - 1) // 2 + 1 for nc in shape)
 
 
 def box_hessians(grid, values):

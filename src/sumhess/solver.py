@@ -62,9 +62,9 @@ class SolverConfig:
     dt_min: float = 1e-4
     dt_max: float = 0.25
     grow: float = 1.5
-    # direct LU fill-in is prohibitive for 3-D stencils well before 1e5
-    # unknowns; larger systems go to preconditioned Krylov
-    direct_limit: int = 12_000
+    # sparse LU and V-cycle-preconditioned lgmres break even near 9^3 box
+    # unknowns; LU fill-in then grows far faster than the multigrid cost
+    direct_limit: int = 1_000
     c0_slack: float = 50.0
 
     def tolerance(self, kind):
@@ -130,9 +130,7 @@ class RadialSystem:
         return 0.5 * self.grid.r * self.grid.r
 
     def validate(self):
-        vals = self.problem.eval_f(self.grid.points, self.initial_values())
-        if np.any(vals <= 0):
-            raise ConfigError("f must be positive on the closed domain")
+        _validate_fields(self)
 
     def boundary_target(self, t):
         return t * self.b_b + (1.0 - t) * (self.x_dot_nu + self.a_b * self.half_sq_b)
@@ -168,7 +166,7 @@ class RadialSystem:
 
     def residual(self, values, t, require_admissible=True):
         res, margins = self.residual_and_margin(values, t)
-        if require_admissible and margins.min() <= 0:
+        if require_admissible and not margins.min() > 0:
             node = int(margins.argmin())
             raise AdmissibilityError(
                 f"state not admissible at node {node} (margin {margins.min():.3e})",
@@ -257,9 +255,7 @@ class BoxSystem:
         return 0.5 * self.sqnorm
 
     def validate(self):
-        vals = self.problem.eval_f(self.grid.points, self.initial_values())
-        if np.any(vals <= 0):
-            raise ConfigError("f must be positive on the closed domain")
+        _validate_fields(self)
 
     def boundary_target(self, t):
         return t * self.b_b + (1.0 - t) * (self.x_dot_nu + self.a_b * self.half_sq_b)
@@ -296,7 +292,7 @@ class BoxSystem:
 
     def residual(self, values, t, require_admissible=True):
         res, margins = self.residual_and_margin(values, t)
-        if require_admissible and margins.min() <= 0:
+        if require_admissible and not margins.min() > 0:
             node = int(self.grid.interior_flat[margins.argmin()])
             raise AdmissibilityError(
                 f"state not admissible at node {node} (margin {margins.min():.3e})",
@@ -332,6 +328,17 @@ class BoxSystem:
         )
 
 
+def _validate_fields(system):
+    """Reject non-finite data and a nonpositive f; NaN fails every comparison,
+    so it must be caught here before it reaches the Newton loop."""
+    vals = system.problem.eval_f(system.grid.points, system.initial_values())
+    for name, field_vals in (("f", vals), ("a", system.a_b), ("b", system.b_b)):
+        if not np.all(np.isfinite(field_vals)):
+            raise ConfigError(f"{name} must be finite on the closed domain")
+    if np.any(vals <= 0):
+        raise ConfigError("f must be positive on the closed domain")
+
+
 def homotopy_data(system, t, values=None):
     """Interior right-hand side and boundary data of the path member at t."""
     if values is None:
@@ -339,21 +346,83 @@ def homotopy_data(system, t, values=None):
     return system.rhs(t, values), system.boundary_target(t)
 
 
-def _linear_solve(J, rhs, cfg):
+# V-cycle constants (Briggs, Henson & McCormick, A Multigrid Tutorial)
+_MG_OMEGA = 0.8  # damped Jacobi weight
+_MG_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
+
+
+class VCycle:
+    """Geometric multigrid V-cycle on a box lattice, applied as ``vcycle(b)``.
+
+    Levels halve every axis with ``grids.box_prolongation`` and carry the
+    Galerkin operators P^T A P. Every level smooths with damped Jacobi; the
+    coarsest is LU-factored once when it has at most ``direct_limit``
+    unknowns and is otherwise only smoothed, so a lattice that cannot be
+    halved gets a Jacobi-smoothing preconditioner. ``applications`` counts
+    the cycles run.
+    """
+
+    def __init__(self, A, shape, direct_limit):
+        # restriction P^T is stored as CSR: products with the transposed
+        # (CSC) view of P take about twice as long
+        self.ops, self.prolong, self.restrict = [A.tocsr()], [], []
+        while (coarse := grids.box_prolongation(shape)) is not None:
+            P, shape = coarse
+            R = P.T.tocsr()
+            self.prolong.append(P)
+            self.restrict.append(R)
+            self.ops.append((R @ self.ops[-1] @ P).tocsr())
+        self.inv_diag = []
+        for op in self.ops:
+            diag = op.diagonal()
+            diag[diag == 0] = 1.0
+            self.inv_diag.append(1.0 / diag)
+        coarsest = self.ops[-1]
+        self.lu = spla.splu(coarsest.tocsc()) if coarsest.shape[0] <= direct_limit else None
+        self.applications = 0
+
+    def _smooth(self, level, x, b, sweeps):
+        A, inv_diag = self.ops[level], self.inv_diag[level]
+        for _ in range(sweeps):
+            x = x + _MG_OMEGA * inv_diag * (b - A @ x)
+        return x
+
+    def _cycle(self, level, b):
+        if level == len(self.prolong):
+            if self.lu is not None:
+                return self.lu.solve(b)
+            return self._smooth(level, np.zeros_like(b), b, 2 * _MG_SWEEPS)
+        x = self._smooth(level, np.zeros_like(b), b, _MG_SWEEPS)
+        coarse_rhs = self.restrict[level] @ (b - self.ops[level] @ x)
+        x = x + self.prolong[level] @ self._cycle(level + 1, coarse_rhs)
+        return self._smooth(level, x, b, _MG_SWEEPS)
+
+    def __call__(self, b):
+        self.applications += 1
+        return self._cycle(0, np.ravel(b))
+
+
+def _linear_solve(J, rhs, shape, cfg):
+    """Solve J x = rhs on a grid of the given node shape.
+
+    Returns (x, Krylov iterations). Systems with at most ``cfg.direct_limit``
+    unknowns go to sparse LU (0 iterations). Larger ones are scaled to unit
+    diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres preconditioned with a
+    V-cycle; the count is the V-cycle applications, one per Krylov iteration.
+    """
     if J.shape[0] <= cfg.direct_limit:
-        return spla.spsolve(J.tocsc(), rhs)
-    # flip rows to a positive diagonal, then diagonally preconditioned lgmres
+        return spla.spsolve(J.tocsc(), rhs), 0
     diag = J.diagonal()
-    signs = np.where(diag < 0, -1.0, 1.0)
-    Js = J.multiply(signs[:, None]).tocsr()
-    rs = signs * rhs
-    dd = Js.diagonal()
-    dd[dd == 0] = 1.0
-    precond = spla.LinearOperator(J.shape, lambda x: x / dd)
-    sol, info = spla.lgmres(Js, rs, M=precond, rtol=1e-12, atol=0.0, maxiter=5000)
+    diag[diag == 0] = 1.0
+    A = sp.diags(1.0 / diag) @ J
+    vcycle = VCycle(A, shape, cfg.direct_limit)
+    precond = spla.LinearOperator(J.shape, matvec=vcycle, dtype=np.float64)
+    sol, info = spla.lgmres(
+        A, rhs / diag, M=precond, rtol=1e-12, atol=0.0, maxiter=5000
+    )
     if info != 0:
         raise NonconvergenceError(f"iterative linear solve failed (info={info})")
-    return sol
+    return sol, vcycle.applications
 
 
 def newton_solve(system, values, t, cfg=None):
@@ -365,13 +434,18 @@ def newton_solve(system, values, t, cfg=None):
     u = np.asarray(values, dtype=np.float64).copy()
     res, margins = system.residual_and_margin(u, t)
     margin = float(margins.min())
-    if margin <= 0:
+    norm = float(np.abs(res).max())
+    if not (math.isfinite(norm) and math.isfinite(margin)):
+        raise NonconvergenceError(
+            f"non-finite initial residual {norm:.3e} or margin {margin:.3e} at t={t:g}",
+            last_values=u, residual_norm=norm,
+        )
+    if not margin > 0:
         raise AdmissibilityError(
             f"initial state not admissible (margin {margin:.3e})", margin=margin
         )
-    norm = float(np.abs(res).max())
-    stats = {"iters": 0, "residual_norm": norm, "min_margin": margin,
-             "residual_history": [norm]}
+    stats = {"iters": 0, "linear_iters": 0, "residual_norm": norm,
+             "min_margin": margin, "residual_history": [norm]}
     while norm > tol:
         if stats["iters"] >= cfg.max_iter:
             raise NonconvergenceError(
@@ -379,7 +453,8 @@ def newton_solve(system, values, t, cfg=None):
                 last_values=u, residual_norm=norm,
             )
         J = system.jacobian(u, t)
-        delta = _linear_solve(J, -res, cfg)
+        delta, linear_iters = _linear_solve(J, -res, system.grid.shape, cfg)
+        stats["linear_iters"] += linear_iters
         step = 1.0
         while True:
             trial = u + step * delta
@@ -439,6 +514,7 @@ def continuation_solve(system, cfg=None):
 def _step_stats(stats):
     return {
         "newton_iters": stats["iters"],
+        "linear_iters": stats["linear_iters"],
         "residual_norm": stats["residual_norm"],
         "min_margin": stats["min_margin"],
     }

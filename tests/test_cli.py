@@ -106,6 +106,8 @@ amp = 0.05
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["report"]["t"] == 1.0
     assert manifest["report"]["diagnostics"]["bound_ok"]
+    # 9^3 unknowns are at or below direct_limit: LU, no Krylov iterations
+    assert all(s["linear_iters"] == 0 for s in manifest["report"]["steps"])
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "x1,x2,x3,u,margin"
     assert len(lines) == 9**3 + 1
@@ -139,6 +141,27 @@ b = 1
 """)
     rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
+
+
+def test_solve_rejects_non_finite_f(tmp_path, capsys):
+    # 0/0 is NaN at every node; NaN passes "vals <= 0" and "norm > tol", so
+    # it must be rejected explicitly rather than reported as a solve
+    cfg = write(tmp_path / "run.cfg", """
+mode = radial
+n = 3
+m = 2
+k = 2
+mesh = 16
+f = (x1 - x1) / (x1 - x1)
+a = 1
+b = 1
+""")
+    out = tmp_path / "o"
+    with np.errstate(invalid="ignore"):
+        rc = main(["solve", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 1
+    assert "f must be finite" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_unknown_key_rejected(tmp_path):

@@ -1,4 +1,6 @@
 import numpy as np
+import pytest
+import scipy.sparse.linalg as spla
 
 from sumhess import geometry, grids, solver
 from sumhess.lift import ConeSpec
@@ -123,3 +125,101 @@ def test_box_trivial_path():
     state, grid = solver.box_solve(problem, 9)
     assert state.t == 1.0
     assert sum(s["newton_iters"] for s in state.steps) == 0
+
+
+def manufactured_jacobian(spec, nodes, extents=None):
+    problem, exact = solver.box_cosine_problem(spec, extents=extents)
+    grid = grids.box_grid(problem.geom.extents, nodes)
+    J = BoxSystem(problem, grid).jacobian(exact(grid.points), 1.0)
+    return J, grid
+
+
+def test_box_prolongation_interpolates_linear_fields():
+    fine = grids.box_grid([2.0, 1.5, 2.5], (9, 5, 17))
+    P, coarse_shape = grids.box_prolongation(fine.shape)
+    assert coarse_shape == (5, 3, 9)
+    coarse_points = fine.points.reshape(fine.shape + (3,))[::2, ::2, ::2].reshape(-1, 3)
+
+    def field(x):
+        return 1.0 + x[:, 0] - 2.0 * x[:, 1] + 0.5 * x[:, 0] * x[:, 1] * x[:, 2]
+
+    # tensor-product linear interpolation is exact for multilinear fields
+    assert np.abs(P @ field(coarse_points) - field(fine.points)).max() < 1e-13
+    assert grids.box_prolongation((12, 12, 12)) is None
+    assert grids.box_prolongation((9, 7, 11)) is not None
+    assert grids.box_prolongation((3, 3, 3)) is None
+
+
+# direct_limit below the fine sizes but above the coarsest level's, so these
+# systems take the V-cycle route with an LU-factored coarsest level
+MG_CFG = solver.SolverConfig(direct_limit=300)
+
+
+@pytest.mark.parametrize(
+    "spec,nodes,extents",
+    [
+        (ConeSpec(3, 2, 2), 17, None),
+        (ConeSpec(3, 2, 2), (9, 7, 11), [2.0, 1.5, 2.5]),
+        (ConeSpec(4, 2, 2), 7, None),
+    ],
+)
+def test_multigrid_solve_matches_direct(spec, nodes, extents):
+    J, grid = manufactured_jacobian(spec, nodes, extents)
+    assert solver.VCycle(J, grid.shape, MG_CFG.direct_limit).lu is not None
+    rhs = np.random.default_rng(5).normal(size=J.shape[0])
+    x, iters = solver._linear_solve(J, rhs, grid.shape, MG_CFG)
+    assert iters > 0
+    ref = spla.spsolve(J.tocsc(), rhs)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_multigrid_iterations_do_not_grow_with_mesh():
+    cfg = solver.SolverConfig()
+    iters = {}
+    for nodes in (17, 33):
+        J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), nodes)
+        assert J.shape[0] > cfg.direct_limit
+        rhs = np.random.default_rng(7).normal(size=J.shape[0])
+        _, iters[nodes] = solver._linear_solve(J, rhs, grid.shape, cfg)
+    assert 0 < iters[33] <= 1.5 * iters[17], iters
+
+
+def test_unhalvable_box_converges_on_smoothing_only():
+    cfg = solver.SolverConfig()
+    J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), 12)
+    assert J.shape[0] > cfg.direct_limit
+    assert grids.box_prolongation(grid.shape) is None
+    assert solver.VCycle(J, grid.shape, cfg.direct_limit).lu is None
+    rhs = np.random.default_rng(9).normal(size=J.shape[0])
+    x, iters = solver._linear_solve(J, rhs, grid.shape, cfg)
+    assert iters > 0
+    ref = spla.spsolve(J.tocsc(), rhs)
+    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+
+
+def test_radial_jacobian_goes_to_direct_solve(monkeypatch):
+    routes = []
+    direct = spla.spsolve
+
+    def spsolve(*args, **kwargs):
+        routes.append("spsolve")
+        return direct(*args, **kwargs)
+
+    def lgmres(*args, **kwargs):
+        raise AssertionError("radial system sent to lgmres")
+
+    monkeypatch.setattr(spla, "spsolve", spsolve)
+    monkeypatch.setattr(spla, "lgmres", lgmres)
+    problem, _ = solver.radial_quartic_problem(ConeSpec(3, 2, 2))
+    state, _ = solver.radial_solve(problem, 256)
+    assert routes
+    assert all(s["linear_iters"] == 0 for s in state.steps)
+
+
+def test_box_steps_record_krylov_iterations():
+    problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    state, grid = solver.box_solve(problem, 13)
+    assert grid.npoints > solver.SolverConfig().direct_limit
+    assert np.abs(state.values - exact(grid.points)).max() < 5e-3
+    for step in state.steps:
+        assert (step["linear_iters"] > 0) == (step["newton_iters"] > 0), step

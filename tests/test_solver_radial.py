@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from sumhess import grids, solver
-from sumhess.errors import AdmissibilityError, ConfigError
+from sumhess.errors import AdmissibilityError, ConfigError, NonconvergenceError
 from sumhess.lift import ConeSpec
 from sumhess.solver import ProblemSpec, RadialSystem
 
@@ -147,6 +147,23 @@ def test_newton_rejects_inadmissible_start():
         solver.newton_solve(system, -system.initial_values(), 0.0)
     with pytest.raises(AdmissibilityError):
         system.residual(-system.initial_values(), 0.0)
+
+
+def test_non_finite_state_and_data_rejected():
+    spec = ConeSpec(3, 2, 2)
+    problem = trivial_problem(spec)
+    grid = grids.radial_grid(1.0, 32, 3)
+    system = RadialSystem(problem, grid)
+    u = system.initial_values()
+    u[5] = np.nan
+    with pytest.raises(NonconvergenceError):
+        solver.newton_solve(system, u, 0.0)
+    # a NaN margin counts as inadmissible
+    with pytest.raises(AdmissibilityError):
+        system.residual(u, 0.0)
+    problem.a = lambda points: np.full(points.shape[0], np.inf)
+    with pytest.raises(ConfigError, match="a must be finite"):
+        solver.continuation_solve(RadialSystem(problem, grid))
 
 
 def test_trivial_continuation_path_is_constant():
