@@ -7,7 +7,6 @@ machinery, and a continuation Newton solver for the associated Neumann
 problem.
 """
 
-from ._kernels import BACKEND
 from .errors import (
     AdmissibilityError,
     CollarError,
@@ -20,7 +19,6 @@ from .errors import (
 from .lift import ConeSpec, subset_table
 
 __all__ = [
-    "BACKEND",
     "ConeSpec",
     "subset_table",
     "SumhessError",

@@ -1,244 +1,75 @@
 """Hot numeric kernels, batched over sample/node axes.
 
-Every kernel has a numba @njit fast path and a pure-numpy fallback. The
-fallback is selected automatically when numba is missing, or forced with
-
-    SUMHESS_NUMBA=0
-
-in the environment. ``BACKEND`` records which path is active; both
-implementations are importable for the benchmark script.
+Every kernel works on the last axis of its first argument and treats any
+leading axes as the batch: a ``(N, C)`` input gives ``N`` rows back, a 1-D
+input gives one row.
 """
-
-import os
 
 import numpy as np
 
-_flag = os.environ.get("SUMHESS_NUMBA", "1").strip().lower()
-_want_numba = _flag not in ("0", "false", "off", "no")
 
-if _want_numba:
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:  # pragma: no cover - depends on environment
-        HAVE_NUMBA = False
-else:
-    HAVE_NUMBA = False
-
-BACKEND = "numba" if HAVE_NUMBA else "numpy"
-
-
-# ---------------------------------------------------------------------------
-# numpy implementations
-
-
-def elem_sym_all_np(lams, kmax):
+def elem_sym_all(lams, kmax):
     """All elementary symmetric values S_0..S_kmax of each row of ``lams``.
 
     Uses the coefficient recurrence of prod_i (x + lam_i); O(C*kmax) per row,
     never subset enumeration.
     """
-    lams = np.atleast_2d(np.asarray(lams, dtype=np.float64))
-    nbatch, size = lams.shape
-    e = np.zeros((nbatch, kmax + 1))
-    e[:, 0] = 1.0
-    for i in range(size):
-        top = min(i + 1, kmax)
-        col = lams[:, i]
-        for j in range(top, 0, -1):
-            e[:, j] += col * e[:, j - 1]
+    lams = np.asarray(lams, dtype=np.float64)
+    e = np.zeros(lams.shape[:-1] + (kmax + 1,))
+    e[..., 0] = 1.0
+    for i in range(lams.shape[-1]):
+        col = lams[..., i]
+        for j in range(min(i + 1, kmax), 0, -1):
+            e[..., j] += col * e[..., j - 1]
     return e
 
 
-def deleted_sym_np(lams, degree):
-    """S_degree(lam | i) for every entry i of every row, via prefix/suffix
-    coefficient tables (no subtraction of the deleted entry)."""
-    lams = np.atleast_2d(np.asarray(lams, dtype=np.float64))
-    nbatch, size = lams.shape
-    kk = degree + 1
-    pre = np.zeros((size + 1, nbatch, kk))
-    suf = np.zeros((size + 2, nbatch, kk))
-    pre[0, :, 0] = 1.0
-    suf[size + 1, :, 0] = 1.0
-    for i in range(1, size + 1):
-        col = lams[:, i - 1]
-        pre[i] = pre[i - 1]
-        pre[i, :, 1:] += col[:, None] * pre[i - 1, :, :-1]
-    for i in range(size, 0, -1):
-        col = lams[:, i - 1]
-        suf[i] = suf[i + 1]
-        suf[i, :, 1:] += col[:, None] * suf[i + 1, :, :-1]
-    out = np.zeros((nbatch, size))
-    for i in range(1, size + 1):
-        acc = np.zeros(nbatch)
-        for p in range(kk):
-            acc += pre[i - 1, :, p] * suf[i + 1, :, degree - p]
-        out[:, i - 1] = acc
-    return out
+def cone_margin(s, k):
+    """Cone margin min(S_1..S_k) of each row of an ``elem_sym_all`` table.
 
-
-def subset_sums_np(mu, idx):
-    """Row-wise sums mu[tuple] over the index table ``idx`` of shape (C, m)."""
-    mu = np.atleast_2d(np.asarray(mu, dtype=np.float64))
-    return mu[:, idx].sum(axis=2)
-
-
-def fold_tuple_gradient_np(grads, idx, n):
-    """out[:, i] = sum of grads[:, A] over tuples A containing position i."""
-    grads = np.atleast_2d(np.asarray(grads, dtype=np.float64))
-    nbatch = grads.shape[0]
-    out = np.zeros((nbatch, n))
-    for a in range(idx.shape[0]):
-        out[:, idx[a]] += grads[:, a, None]
-    return out
-
-
-# ---------------------------------------------------------------------------
-# numba implementations
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _elem_sym_all_nb(lams, kmax):
-        nbatch, size = lams.shape
-        e = np.zeros((nbatch, kmax + 1))
-        for s in range(nbatch):
-            e[s, 0] = 1.0
-            for i in range(size):
-                top = min(i + 1, kmax)
-                x = lams[s, i]
-                for j in range(top, 0, -1):
-                    e[s, j] += x * e[s, j - 1]
-        return e
-
-    @njit(cache=True)
-    def _deleted_sym_nb(lams, degree):
-        nbatch, size = lams.shape
-        kk = degree + 1
-        out = np.zeros((nbatch, size))
-        pre = np.zeros((size + 1, kk))
-        suf = np.zeros((size + 2, kk))
-        for s in range(nbatch):
-            pre[:] = 0.0
-            suf[:] = 0.0
-            pre[0, 0] = 1.0
-            suf[size + 1, 0] = 1.0
-            for i in range(1, size + 1):
-                x = lams[s, i - 1]
-                pre[i, 0] = 1.0
-                for j in range(1, kk):
-                    pre[i, j] = pre[i - 1, j] + x * pre[i - 1, j - 1]
-            for i in range(size, 0, -1):
-                x = lams[s, i - 1]
-                suf[i, 0] = 1.0
-                for j in range(1, kk):
-                    suf[i, j] = suf[i + 1, j] + x * suf[i + 1, j - 1]
-            for i in range(1, size + 1):
-                acc = 0.0
-                for p in range(kk):
-                    acc += pre[i - 1, p] * suf[i + 1, degree - p]
-                out[s, i - 1] = acc
-        return out
-
-    @njit(cache=True)
-    def _subset_sums_nb(mu, idx):
-        nbatch = mu.shape[0]
-        ntuples, width = idx.shape
-        out = np.empty((nbatch, ntuples))
-        for s in range(nbatch):
-            for a in range(ntuples):
-                acc = 0.0
-                for j in range(width):
-                    acc += mu[s, idx[a, j]]
-                out[s, a] = acc
-        return out
-
-    @njit(cache=True)
-    def _fold_tuple_gradient_nb(grads, idx, n):
-        nbatch = grads.shape[0]
-        ntuples, width = idx.shape
-        out = np.zeros((nbatch, n))
-        for s in range(nbatch):
-            for a in range(ntuples):
-                g = grads[s, a]
-                for j in range(width):
-                    out[s, idx[a, j]] += g
-        return out
-
-
-# ---------------------------------------------------------------------------
-# dispatching wrappers
-
-
-def _prep2d(arr):
-    arr = np.asarray(arr, dtype=np.float64)
-    squeezed = arr.ndim == 1
-    if squeezed:
-        arr = arr[None, :]
-    return np.ascontiguousarray(arr), squeezed
-
-
-def elem_sym_all(lams, kmax):
-    arr, squeezed = _prep2d(lams)
-    if HAVE_NUMBA:
-        out = _elem_sym_all_nb(arr, kmax)
-    else:
-        out = elem_sym_all_np(arr, kmax)
-    return out[0] if squeezed else out
+    A row is k-admissible when its margin is > 0; a NaN entry gives a NaN
+    margin, which fails that test.
+    """
+    return s[..., 1 : k + 1].min(axis=-1)
 
 
 def deleted_sym(lams, degree):
-    arr, squeezed = _prep2d(lams)
-    if HAVE_NUMBA:
-        out = _deleted_sym_nb(arr, degree)
-    else:
-        out = deleted_sym_np(arr, degree)
-    return out[0] if squeezed else out
+    """S_degree(lam | i) for every entry i of every row, via prefix/suffix
+    coefficient tables (no subtraction of the deleted entry)."""
+    lams = np.asarray(lams, dtype=np.float64)
+    batch, size = lams.shape[:-1], lams.shape[-1]
+    kk = degree + 1
+    pre = np.zeros((size + 1,) + batch + (kk,))
+    suf = np.zeros((size + 2,) + batch + (kk,))
+    pre[0, ..., 0] = 1.0
+    suf[size + 1, ..., 0] = 1.0
+    for i in range(1, size + 1):
+        col = lams[..., i - 1, None]
+        pre[i] = pre[i - 1]
+        pre[i, ..., 1:] += col * pre[i - 1, ..., :-1]
+    for i in range(size, 0, -1):
+        col = lams[..., i - 1, None]
+        suf[i] = suf[i + 1]
+        suf[i, ..., 1:] += col * suf[i + 1, ..., :-1]
+    out = np.zeros(batch + (size,))
+    for i in range(1, size + 1):
+        acc = np.zeros(batch)
+        for p in range(kk):
+            acc += pre[i - 1, ..., p] * suf[i + 1, ..., degree - p]
+        out[..., i - 1] = acc
+    return out
 
 
 def subset_sums(mu, idx):
-    arr, squeezed = _prep2d(mu)
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    if HAVE_NUMBA:
-        out = _subset_sums_nb(arr, idx)
-    else:
-        out = subset_sums_np(arr, idx)
-    return out[0] if squeezed else out
+    """Row-wise sums mu[tuple] over the index table ``idx`` of shape (C, m)."""
+    mu = np.asarray(mu, dtype=np.float64)
+    return mu[..., idx].sum(axis=-1)
 
 
 def fold_tuple_gradient(grads, idx, n):
-    arr, squeezed = _prep2d(grads)
-    idx = np.ascontiguousarray(idx, dtype=np.int64)
-    if HAVE_NUMBA:
-        out = _fold_tuple_gradient_nb(arr, idx, n)
-    else:
-        out = fold_tuple_gradient_np(arr, idx, n)
-    return out[0] if squeezed else out
-
-
-def warmup():
-    """Trigger JIT compilation of every kernel on toy inputs."""
-    lam = np.array([[1.0, 2.0, 3.0]])
-    idx = np.array([[0, 1], [0, 2], [1, 2]], dtype=np.int64)
-    elem_sym_all(lam, 2)
-    deleted_sym(lam, 1)
-    subset_sums(lam, idx)
-    fold_tuple_gradient(lam, idx, 3)
-
-
-IMPLEMENTATIONS = {
-    "numpy": {
-        "elem_sym_all": elem_sym_all_np,
-        "deleted_sym": deleted_sym_np,
-        "subset_sums": subset_sums_np,
-        "fold_tuple_gradient": fold_tuple_gradient_np,
-    }
-}
-if HAVE_NUMBA:
-    IMPLEMENTATIONS["numba"] = {
-        "elem_sym_all": _elem_sym_all_nb,
-        "deleted_sym": _deleted_sym_nb,
-        "subset_sums": _subset_sums_nb,
-        "fold_tuple_gradient": _fold_tuple_gradient_nb,
-    }
+    """out[..., i] = sum of grads[..., A] over tuples A containing position i."""
+    grads = np.asarray(grads, dtype=np.float64)
+    out = np.zeros(grads.shape[:-1] + (n,))
+    for a in range(idx.shape[0]):
+        out[..., idx[a]] += grads[..., a, None]
+    return out

@@ -75,16 +75,31 @@ class _Config:
         return self.get(key, cast=cast)
 
     def int_list(self, key):
-        value = self.raw.get(key)
-        if value is None:
-            return None
-        return [int(v) for v in value.split(",")]
+        return self._list(key, int)
 
     def float_list(self, key):
+        return self._list(key, float)
+
+    def _list(self, key, cast):
         value = self.raw.get(key)
         if value is None:
             return None
-        return [float(v) for v in value.split(",")]
+        try:
+            return [cast(v) for v in value.split(",")]
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+
+
+def _cone_spec(cfg, defaults=None):
+    """ConeSpec from the n, m, k keys; ``defaults`` (n, m, k) makes them optional."""
+    if defaults is None:
+        n, m, k = (cfg.require(key, int) for key in ("n", "m", "k"))
+    else:
+        n, m, k = (cfg.get(key, d, int) for key, d in zip(("n", "m", "k"), defaults))
+    try:
+        return ConeSpec(n, m, k)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _write_manifest(out_dir, command, raw_config, seed, report, fmt="json"):
@@ -94,7 +109,6 @@ def _write_manifest(out_dir, command, raw_config, seed, report, fmt="json"):
         "command": command,
         "config": raw_config,
         "seed": seed,
-        "backend": _kernels.BACKEND,
         "report": report,
     }
     path = out_dir / "manifest.json"
@@ -143,7 +157,7 @@ def cmd_solve(cfg, seed, out_dir, fmt):
     mode = cfg.require("mode")
     if mode not in ("radial", "box"):
         raise ConfigError("mode must be radial or box")
-    spec = ConeSpec(cfg.require("n", int), cfg.require("m", int), cfg.require("k", int))
+    spec = _cone_spec(cfg)
     scfg = _solver_config(cfg)
     manufactured = cfg.get("manufactured")
     exact = None
@@ -237,14 +251,14 @@ def cmd_verify(cfg, seed, out_dir, fmt):
         raise ConfigError(f"which must be one of {_VERIFY_SUITES}")
     trials = cfg.get("trials", 10_000, int)
     if which == "jacobian":
-        spec = ConeSpec(cfg.get("n", 3, int), cfg.get("m", 2, int), cfg.get("k", 2, int))
+        spec = _cone_spec(cfg, defaults=(3, 2, 2))
         report = solver.verify_jacobian_suite(
             [spec], states=cfg.get("states", 10, int), seed=seed
         )
     elif which in ("prop21", "mixed"):
         report = cones.run_suite(which, n=cfg.get("n", 5, int), trials=trials, seed=seed)
     else:
-        spec = ConeSpec(cfg.require("n", int), cfg.require("m", int), cfg.require("k", int))
+        spec = _cone_spec(cfg)
         report = cones.run_suite(
             which, spec=spec, trials=trials, seed=seed,
             l=cfg.get("l", cast=int),
@@ -272,7 +286,12 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
     path = Path(cfg.require("input"))
     if not path.exists():
         raise ConfigError(f"input file {path} not found")
-    table = subset_table(n, m)
+    try:
+        table = subset_table(n, m)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    if k_conf is not None and not 1 <= k_conf <= table.size:
+        raise ConfigError(f"need 1 <= k <= {table.size}, got k={k_conf}")
     rows_out = []
     with open(path, newline="") as fh:
         for rowno, row in enumerate(csv.reader(fh), 1):
@@ -282,6 +301,8 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
             try:
                 values = np.array([float(c) for c in cells])
             except ValueError:
+                values = None
+            if values is None or not np.isfinite(values).all():
                 print(f"cone-check: malformed row {rowno}", file=sys.stderr)
                 return 1
             if values.size == n:
@@ -300,13 +321,14 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
                 )
                 return 1
             lam = mu[table.tuples].sum(axis=1)
-            s = _kernels.elem_sym_all(lam, lam.size)[1:]
-            positive = s > 0
+            s = _kernels.elem_sym_all(lam, lam.size)
+            positive = s[1:] > 0
             largest = int(np.argmax(~positive)) if not positive.all() else lam.size
             entry = {"row": rowno, "largest_admissible_k": largest}
-            if k_conf:
-                entry["margin_at_k"] = float(s[:k_conf].min())
-                entry["admissible_at_k"] = bool(s[:k_conf].min() > 0)
+            if k_conf is not None:
+                margin = float(_kernels.cone_margin(s, k_conf))
+                entry["margin_at_k"] = margin
+                entry["admissible_at_k"] = margin > 0
             rows_out.append(entry)
     report = {"rows": rows_out, "n": n, "m": m}
     _write_manifest(out_dir, "cone-check", cfg.raw, seed, report, fmt)
@@ -321,7 +343,7 @@ _BARRIER_KEYS = {
 
 
 def cmd_barrier_check(cfg, seed, out_dir, fmt):
-    spec = ConeSpec(cfg.require("n", int), cfg.require("m", int), cfg.require("k", int))
+    spec = _cone_spec(cfg)
     geom = geometry.ball(cfg.get("radius", 1.0, float), dim=spec.n)
     which = cfg.get("which", "lemma53")
     points = cfg.get("points", 1000, int)

@@ -290,8 +290,7 @@ def _rejection(rng, propose, accept, count, batch=4096):
 
 
 def _cone_mask(block, k):
-    s = _kernels.elem_sym_all(block, k)
-    return s[:, 1 : k + 1].min(axis=1) > 0.0
+    return _kernels.cone_margin(_kernels.elem_sym_all(block, k), k) > 0.0
 
 
 def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, shift=None):

@@ -174,18 +174,6 @@ def sk_of_hessian(hess, spec):
     return symfun.elem_sym(sum_spectrum(hess, spec.m), spec.k)
 
 
-def sk_batch(hessians, spec):
-    lam = sum_spectrum_batch(hessians, spec.m)
-    return _kernels.elem_sym_all(lam, spec.k)[:, spec.k]
-
-
-def margin_batch(hessians, spec):
-    """Admissibility margin min(S_1..S_k) of the m-sum spectrum per Hessian."""
-    lam = sum_spectrum_batch(hessians, spec.m)
-    s = _kernels.elem_sym_all(lam, spec.k)
-    return s[:, 1 : spec.k + 1].min(axis=1)
-
-
 def gradient(hess, spec):
     """Gradient of H -> S_k(lift(H)) as a symmetric n x n matrix, plus trace.
 
@@ -209,20 +197,3 @@ def gradient_batch(hessians, spec):
     F = np.einsum("sip,sp,sjp->sij", Q, fii, Q)
     F = (F + F.transpose(0, 2, 1)) / 2.0
     return F, fii, fii.sum(axis=1)
-
-
-def gradient_via_lift(hess, spec):
-    """Cross-check route for the gradient: chain the S_k gradient in lifted
-    space back through the sparse lift entries."""
-    H = symfun.as_symmetric(hess)
-    table = subset_table(spec.n, spec.m)
-    op = lift_operator(spec.n, spec.m)
-    W = lift_hessian(H, table)
-    G = symfun.newton_transform(W, spec.k)
-    F = np.zeros((spec.n, spec.n))
-    gdiag = np.diag(G)
-    for a_idx in range(table.size):
-        F[table.tuples[a_idx], table.tuples[a_idx]] += gdiag[a_idx]
-    np.add.at(F, (op.src_a, op.src_b), op.sign * G[op.rows, op.cols])
-    np.add.at(F, (op.src_b, op.src_a), op.sign * G[op.rows, op.cols])
-    return symfun.symmetrize(F), float(np.trace(F))

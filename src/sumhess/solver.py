@@ -145,7 +145,7 @@ class RadialSystem:
     def margins(self, values):
         lam = _kernels.subset_sums(self._spectra(values), self.table.tuples)
         s = _kernels.elem_sym_all(lam, self.spec.k)
-        return s[:, 1 : self.spec.k + 1].min(axis=1)
+        return _kernels.cone_margin(s, self.spec.k)
 
     def min_margin(self, values):
         return float(self.margins(values).min())
@@ -154,7 +154,7 @@ class RadialSystem:
         spectra = self._spectra(values)
         lam = _kernels.subset_sums(spectra, self.table.tuples)
         s = _kernels.elem_sym_all(lam, self.spec.k)
-        margins = s[:, 1 : self.spec.k + 1].min(axis=1)
+        margins = _kernels.cone_margin(s, self.spec.k)
         res = np.empty(self.npoints)
         res[: self.grid.M] = s[:, self.spec.k] - self.rhs(t, values)
         res[-1] = (
@@ -272,7 +272,7 @@ class BoxSystem:
 
     def margins(self, values):
         s = _kernels.elem_sym_all(self._spectra(values), self.spec.k)
-        return s[:, 1 : self.spec.k + 1].min(axis=1)
+        return _kernels.cone_margin(s, self.spec.k)
 
     def min_margin(self, values):
         return float(self.margins(values).min())
@@ -280,7 +280,7 @@ class BoxSystem:
     def residual_and_margin(self, values, t):
         lam = self._spectra(values)
         s = _kernels.elem_sym_all(lam, self.spec.k)
-        margins = s[:, 1 : self.spec.k + 1].min(axis=1)
+        margins = _kernels.cone_margin(s, self.spec.k)
         res = np.empty(self.npoints)
         res[self.grid.interior_flat] = s[:, self.spec.k] - self.rhs(t, values)
         res[self.grid.boundary_flat] = (

@@ -141,6 +141,5 @@ def in_cone(values, k, slack=0.0):
     lam = as_spectrum(values)
     if not 1 <= k <= lam.size:
         raise ValueError(f"degree k={k} out of range 1..{lam.size}")
-    s = _kernels.elem_sym_all(lam, k)
-    margin = float(np.min(s[1 : k + 1]))
+    margin = float(_kernels.cone_margin(_kernels.elem_sym_all(lam, k), k))
     return margin > slack, margin

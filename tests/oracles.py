@@ -1,13 +1,16 @@
 """Brute-force reference implementations used only by the test suite.
 
-Everything here enumerates subsets or permutations directly, independent of
-the production code paths it cross-checks.
+Everything here enumerates subsets or permutations directly, or (for the
+lifted gradient) goes through the dense lifted matrix, independent of the
+production code paths it cross-checks.
 """
 
 import itertools
 import math
 
 import numpy as np
+
+from sumhess import lift, symfun
 
 
 def elem_sym_enum(values, k):
@@ -88,3 +91,21 @@ def gradient_fd(sk_fn, H, step=1e-6):
                 grad[i, j] = d / 2.0
                 grad[j, i] = d / 2.0
     return grad
+
+
+def gradient_via_lift(hess, spec):
+    """Gradient of H -> S_k(lift(H)) by the chain rule through the dense
+    lifted matrix: the S_k gradient in lifted space (Newton transform),
+    pulled back through the sparse lift entries."""
+    H = symfun.as_symmetric(hess)
+    table = lift.subset_table(spec.n, spec.m)
+    op = lift.lift_operator(spec.n, spec.m)
+    W = lift.lift_hessian(H, table)
+    G = symfun.newton_transform(W, spec.k)
+    F = np.zeros((spec.n, spec.n))
+    gdiag = np.diag(G)
+    for a_idx in range(table.size):
+        F[table.tuples[a_idx], table.tuples[a_idx]] += gdiag[a_idx]
+    np.add.at(F, (op.src_a, op.src_b), op.sign * G[op.rows, op.cols])
+    np.add.at(F, (op.src_b, op.src_a), op.sign * G[op.rows, op.cols])
+    return symfun.symmetrize(F), float(np.trace(F))

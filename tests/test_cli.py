@@ -266,6 +266,58 @@ def test_cone_check(tmp_path):
     assert rc == 1
 
 
+@pytest.mark.parametrize("k", [-1, 0, 7, 40])
+def test_cone_check_rejects_k_outside_1_to_c(tmp_path, capsys, k):
+    # n = 4, m = 2 gives C = 6 lifted eigenvalues, so k must lie in 1..6
+    rows = tmp_path / "rows.csv"
+    rows.write_text("1,2,3,4\n")
+    cfg = write(tmp_path / "c.cfg", f"input = {rows}\nn = 4\nm = 2\nk = {k}\n")
+    out = tmp_path / "out"
+    rc = main(["cone-check", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 1
+    assert "config error" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+def test_cone_check_k_equal_to_c_is_accepted(tmp_path):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("1,2,3,4\n")
+    cfg = write(tmp_path / "c.cfg", f"input = {rows}\nn = 4\nm = 2\nk = 6\n")
+    out = tmp_path / "out"
+    assert main(["cone-check", "--config", cfg, "--out-dir", str(out)]) == 0
+    entry = json.loads((out / "manifest.json").read_text())["report"]["rows"][0]
+    assert entry["admissible_at_k"] and entry["margin_at_k"] > 0
+
+
+@pytest.mark.parametrize("bad_row", ["nan,1,1,1", "1,inf,1,1"])
+def test_cone_check_rejects_non_finite_row(tmp_path, capsys, bad_row):
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"1,2,3,4\n{bad_row}\n")
+    cfg = write(tmp_path / "c.cfg", f"input = {rows}\nn = 4\nm = 2\nk = 2\n")
+    out = tmp_path / "out"
+    rc = main(["cone-check", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 1
+    assert "row 2" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "command, body",
+    [
+        ("solve", "mode = radial\nn = 2\nm = 1\nk = 1\nmanufactured = radial\n"),
+        ("cone-check", "input = {rows}\nn = 4\nm = 5\n"),
+        ("solve", "mode = box\nn = 3\nm = 2\nk = 2\nmanufactured = box\nmesh = 9,x,9\n"),
+    ],
+)
+def test_bad_config_value_is_a_config_error(tmp_path, capsys, command, body):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("1,2,3,4\n")
+    cfg = write(tmp_path / "c.cfg", body.format(rows=rows))
+    rc = main([command, "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+
+
 def test_barrier_check(tmp_path):
     cfg = write(tmp_path / "b.cfg", """
 n = 4
