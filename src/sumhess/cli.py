@@ -206,34 +206,21 @@ def cmd_solve(cfg, seed, out_dir, fmt):
 
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    _write_solution_csv(out / "solution.csv", grid, state, problem)
+    _write_solution_csv(out / "solution.csv", grid, state)
     _write_manifest(out_dir, "solve", cfg.raw, seed, report, fmt)
     print(f"solve: reached t={state.t:g} with min margin {state.min_margin:.3e}")
     return 0
 
 
-def _write_solution_csv(path, grid, state, problem):
+def _write_solution_csv(path, grid, state):
     pts = grid.points
-    dim_cols = pts.shape[1]
-    if grid.__class__.__name__ == "RadialGrid":
-        from .solver import RadialSystem
-
-        sys_ = RadialSystem(problem, grid)
-        margins = np.full(grid.npoints, np.nan)
-        margins[: grid.M] = sys_.margins(state.values)
-    else:
-        from .solver import BoxSystem
-
-        sys_ = BoxSystem(problem, grid)
-        margins = np.full(grid.npoints, np.nan)
-        margins[grid.interior_flat] = sys_.margins(state.values)
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(dim_cols)] + ["u", "margin"])
+        writer.writerow([f"x{i + 1}" for i in range(pts.shape[1])] + ["u", "margin"])
         for row in range(pts.shape[0]):
             writer.writerow(
                 [f"{v:.17g}" for v in pts[row]]
-                + [f"{state.values[row]:.17g}", f"{margins[row]:.17g}"]
+                + [f"{state.values[row]:.17g}", f"{state.margins[row]:.17g}"]
             )
 
 
@@ -250,11 +237,13 @@ def cmd_verify(cfg, seed, out_dir, fmt):
     if which not in _VERIFY_SUITES:
         raise ConfigError(f"which must be one of {_VERIFY_SUITES}")
     trials = cfg.get("trials", 10_000, int)
+    states = cfg.get("states", 10, int)
+    for key, count in (("trials", trials), ("states", states)):
+        if count < 1:
+            raise ConfigError(f"need {key} >= 1, got {key}={count}")
     if which == "jacobian":
         spec = _cone_spec(cfg, defaults=(3, 2, 2))
-        report = solver.verify_jacobian_suite(
-            [spec], states=cfg.get("states", 10, int), seed=seed
-        )
+        report = solver.verify_jacobian_suite([spec], states=states, seed=seed)
     elif which in ("prop21", "mixed"):
         report = cones.run_suite(which, n=cfg.get("n", 5, int), trials=trials, seed=seed)
     else:

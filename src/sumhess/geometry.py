@@ -339,17 +339,17 @@ def search_barrier_constant(u_hess, geom, spec, sample_points=400,
     return 2.0**exponent
 
 
-def c0_diagnostic(u_values, boundary_mask, a_boundary, b_boundary, h, slack_const=50.0):
+def c0_diagnostic(u_values, boundary_flat, a_boundary, b_boundary, h, slack_const=50.0):
     """Post-solve checks: the solution stays below sup(b)/inf(a) up to the
-    scheme's consistency slack, and its maximum sits on the boundary."""
+    scheme's consistency slack, and its maximum sits on the boundary nodes
+    ``boundary_flat``."""
     u_values = np.asarray(u_values, dtype=np.float64)
-    boundary_mask = np.asarray(boundary_mask, dtype=bool)
     a_boundary = np.asarray(a_boundary, dtype=np.float64)
     b_boundary = np.asarray(b_boundary, dtype=np.float64)
     bound = float(b_boundary.max() / a_boundary.min())
     max_u = float(u_values.max())
     tol = slack_const * h * h
-    boundary_max = float(u_values[boundary_mask].max())
+    boundary_max = float(u_values[boundary_flat].max())
     return {
         "bound": bound,
         "max_u": max_u,

@@ -4,12 +4,19 @@ Two layouts: a 1-D radial mesh on a ball (profiles u(r), Hessian eigenvalues
 u'' and u'/r), and a uniform n-D lattice on a box. Interior second derivatives
 are centered; the boundary normal derivative uses the documented 3-point
 one-sided closure (3 u0 - 4 u1 + u2) / (2 h) along the inward grid line.
+
+Both grids expose one boundary interface: ``interior_flat`` and
+``boundary_flat`` node indices, unit outward ``normals`` (zero rows inside),
+``normal_derivative(values)`` at the boundary nodes, and its Jacobian rows as
+``dnu_rows``/``dnu_cols``/``dnu_vals`` triplets.
 """
 
 from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
+
+from .errors import ConfigError
 
 
 @dataclass(frozen=True)
@@ -18,7 +25,13 @@ class RadialGrid:
     R: float
     M: int  # intervals; M + 1 nodes
     r: np.ndarray = field(repr=False)
-    h: float = 0.0
+    h: float
+    interior_flat: np.ndarray = field(repr=False)  # the M equation nodes
+    boundary_flat: np.ndarray = field(repr=False)  # [M], the rim
+    normals: np.ndarray = field(repr=False)  # (M + 1, 1), +1 at the rim
+    dnu_rows: np.ndarray = field(repr=False)
+    dnu_cols: np.ndarray = field(repr=False)
+    dnu_vals: np.ndarray = field(repr=False)
 
     @property
     def npoints(self):
@@ -32,18 +45,24 @@ class RadialGrid:
     def points(self):
         return self.r[:, None]
 
-    @property
-    def boundary_mask(self):
-        mask = np.zeros(self.npoints, dtype=bool)
-        mask[-1] = True
-        return mask
+    def normal_derivative(self, values):
+        # the explicit formula, not dnu @ u: a sparse product rounds differently
+        u = np.asarray(values, dtype=np.float64)
+        return (3.0 * u[-1:] - 4.0 * u[-2:-1] + u[-3:-2]) / (2.0 * self.h)
 
 
 def radial_grid(R, M, dim):
     if M < 4:
-        raise ValueError("need at least 4 intervals")
-    r = np.linspace(0.0, R, M + 1)
-    return RadialGrid(dim=dim, R=float(R), M=int(M), r=r, h=float(R) / M)
+        raise ConfigError(f"radial mesh needs at least 4 intervals, got {M}")
+    M, h = int(M), float(R) / M
+    normals = np.zeros((M + 1, 1))
+    normals[-1] = 1.0
+    return RadialGrid(
+        dim=dim, R=float(R), M=M, r=np.linspace(0.0, R, M + 1), h=h,
+        interior_flat=np.arange(M), boundary_flat=np.array([M]), normals=normals,
+        dnu_rows=np.full(3, M), dnu_cols=M - np.arange(3),
+        dnu_vals=np.array([3.0, -4.0, 1.0]) / (2.0 * h),
+    )
 
 
 def radial_spectra(grid, values):
@@ -63,11 +82,6 @@ def radial_spectra(grid, values):
     out[1:, 0] = upp
     out[1:, 1:] = ratio[:, None]
     return out
-
-
-def radial_boundary_derivative(grid, values):
-    u = np.asarray(values, dtype=np.float64)
-    return (3.0 * u[-1] - 4.0 * u[-2] + u[-3]) / (2.0 * grid.h)
 
 
 @dataclass(frozen=True)
@@ -93,11 +107,8 @@ class BoxGrid:
     def h(self):
         return float(self.spacings.max())
 
-    @property
-    def boundary_mask(self):
-        mask = np.zeros(self.npoints, dtype=bool)
-        mask[self.boundary_flat] = True
-        return mask
+    def normal_derivative(self, values):
+        return (self.dnu @ values)[self.boundary_flat]
 
 
 def box_grid(extents, nodes, center=None):
@@ -107,8 +118,10 @@ def box_grid(extents, nodes, center=None):
     if np.isscalar(nodes):
         nodes = (int(nodes),) * dim
     shape = tuple(int(nc) for nc in nodes)
-    if len(shape) != dim or min(shape) < 5:
-        raise ValueError("need at least 5 nodes per axis")
+    if len(shape) != dim:
+        raise ConfigError(f"extents has {dim} axes but mesh has {len(shape)}")
+    if min(shape) < 5:
+        raise ConfigError(f"box mesh needs at least 5 nodes per axis, got {shape}")
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=np.float64)
     lo = center - extents / 2.0
     spacings = extents / (np.array(shape) - 1.0)
@@ -254,7 +267,7 @@ def box_interior_stencil(grid):
     return np.stack(cols, axis=1), roles
 
 
-def box_interior_values(grid, F, roles, extra_diag=None):
+def box_interior_values(grid, F, roles):
     """Stencil weights for the linearized interior rows given the per-node
     gradient matrices F (Pi, n, n)."""
     Pi = F.shape[0]
@@ -264,11 +277,8 @@ def box_interior_values(grid, F, roles, extra_diag=None):
         hc = grid.spacings[c]
         hd = grid.spacings[d]
         if kind == "center":
-            diag = -2.0 * (F[:, range(grid.dim), range(grid.dim)]
-                           / grid.spacings[None, :] ** 2).sum(axis=1)
-            if extra_diag is not None:
-                diag = diag + extra_diag
-            vals[:, slot] = diag
+            vals[:, slot] = -2.0 * (F[:, range(grid.dim), range(grid.dim)]
+                                    / grid.spacings[None, :] ** 2).sum(axis=1)
         elif kind in ("axis+", "axis-"):
             vals[:, slot] = F[:, c, c] / (hc * hc)
         elif kind in ("mixed++", "mixed--"):

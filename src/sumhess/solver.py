@@ -79,6 +79,7 @@ class ContinuationState:
     values: np.ndarray
     steps: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
+    margins: np.ndarray = field(default=None, repr=False)  # t = 1, NaN on boundary
 
     @property
     def min_margin(self):
@@ -99,163 +100,60 @@ def homotopy_constant(spec):
     return math.comb(spec.size, spec.k) * float(spec.m) ** spec.k
 
 
-class RadialSystem:
-    """Discrete operator on a 1-D radial mesh over a ball."""
+class DiscreteSystem:
+    """Discrete Neumann problem on a grid.
 
-    kind = "radial"
+    Interior rows at ``grid.interior_flat`` set S_k of the lifted Hessian
+    spectrum to the homotopy right-hand side; boundary rows at
+    ``grid.boundary_flat`` impose u_nu + a u = target with the grid's
+    ``normal_derivative`` and its ``dnu_*`` triplets. A grid kind supplies
+    ``_spectra`` (Hessian eigenvalues at the equation nodes) and
+    ``_interior_stencil`` (COO triplets of the linearized interior rows).
+    """
+
+    kind = None
+    geometry_kinds = ()
 
     def __init__(self, problem, grid):
-        if problem.geom.kind not in ("ball", "radial"):
-            raise ConfigError("radial system needs a ball/radial domain")
-        self.problem = problem
-        self.grid = grid
-        self.spec = problem.spec
-        self.table = lift.subset_table(self.spec.n, self.spec.m)
-        self.K0 = homotopy_constant(self.spec)
-        pts_b = grid.points[-1:]
-        nu_b = np.ones((1, 1))
-        self.a_b = float(np.asarray(problem.a(pts_b), dtype=np.float64).reshape(()))
-        self.b_b = float(np.asarray(problem.b(pts_b, nu_b), dtype=np.float64).reshape(()))
-        if self.a_b <= 0:
-            raise ConfigError("boundary field a must be positive")
-        self.x_dot_nu = grid.R
-        self.half_sq_b = 0.5 * grid.R * grid.R
-        self.interior_points = grid.points[: grid.M]
-
-    @property
-    def npoints(self):
-        return self.grid.npoints
-
-    def initial_values(self):
-        return 0.5 * self.grid.r * self.grid.r
-
-    def validate(self):
-        _validate_fields(self)
-
-    def boundary_target(self, t):
-        return t * self.b_b + (1.0 - t) * (self.x_dot_nu + self.a_b * self.half_sq_b)
-
-    def rhs(self, t, values):
-        fvals = self.problem.eval_f(self.interior_points, values[: self.grid.M])
-        return t * fvals + (1.0 - t) * self.K0
-
-    def _spectra(self, values):
-        return grids.radial_spectra(self.grid, values)
-
-    def margins(self, values):
-        lam = _kernels.subset_sums(self._spectra(values), self.table.tuples)
-        s = _kernels.elem_sym_all(lam, self.spec.k)
-        return _kernels.cone_margin(s, self.spec.k)
-
-    def min_margin(self, values):
-        return float(self.margins(values).min())
-
-    def residual_and_margin(self, values, t):
-        spectra = self._spectra(values)
-        lam = _kernels.subset_sums(spectra, self.table.tuples)
-        s = _kernels.elem_sym_all(lam, self.spec.k)
-        margins = _kernels.cone_margin(s, self.spec.k)
-        res = np.empty(self.npoints)
-        res[: self.grid.M] = s[:, self.spec.k] - self.rhs(t, values)
-        res[-1] = (
-            grids.radial_boundary_derivative(self.grid, values)
-            + self.a_b * values[-1]
-            - self.boundary_target(t)
-        )
-        return res, margins
-
-    def residual(self, values, t, require_admissible=True):
-        res, margins = self.residual_and_margin(values, t)
-        if require_admissible and not margins.min() > 0:
-            node = int(margins.argmin())
-            raise AdmissibilityError(
-                f"state not admissible at node {node} (margin {margins.min():.3e})",
-                node=node, margin=float(margins.min()),
+        if problem.geom.kind not in self.geometry_kinds:
+            raise ConfigError(
+                f"{self.kind} system needs a {'/'.join(self.geometry_kinds)} domain"
             )
-        return res
-
-    def jacobian(self, values, t):
-        grid = self.grid
-        M, h = grid.M, grid.h
-        spectra = self._spectra(values)
-        lam = _kernels.subset_sums(spectra, self.table.tuples)
-        deleted = _kernels.deleted_sym(lam, self.spec.k - 1)
-        fii = _kernels.fold_tuple_gradient(deleted, self.table.tuples, self.spec.n)
-        rows, cols, vals = [], [], []
-
-        # center row: Hessian is u''(0) * identity, so the weight is the trace
-        trace0 = fii[0].sum()
-        rows += [0, 0]
-        cols += [0, 1]
-        vals += [trace0 * (-2.0 / (h * h)), trace0 * (2.0 / (h * h))]
-
-        i = np.arange(1, M)
-        Frr = fii[1:, 0]
-        Ftt = fii[1:, 1:].sum(axis=1)  # total tangential weight (dim-1 slots)
-        inv_h2 = 1.0 / (h * h)
-        inv_2hr = 1.0 / (2.0 * h * grid.r[i])
-        rows += list(i) * 3
-        cols += list(i - 1) + list(i) + list(i + 1)
-        vals += list(Frr * inv_h2 - Ftt * inv_2hr)
-        vals += list(-2.0 * Frr * inv_h2)
-        vals += list(Frr * inv_h2 + Ftt * inv_2hr)
-
-        if self.problem.f_u is not None:
-            fu = self.problem.eval_f_u(self.interior_points, values[:M])
-            rows += list(range(M))
-            cols += list(range(M))
-            vals += list(-t * fu)
-
-        rows += [M, M, M]
-        cols += [M, M - 1, M - 2]
-        vals += [3.0 / (2.0 * h) + self.a_b, -4.0 / (2.0 * h), 1.0 / (2.0 * h)]
-        return sp.csr_matrix((vals, (rows, cols)), shape=(self.npoints, self.npoints))
-
-    def c0_report(self, values, cfg):
-        a_b = np.array([self.a_b])
-        b_b = np.array([self.b_b])
-        return geometry.c0_diagnostic(
-            values, self.grid.boundary_mask, a_b, b_b, self.grid.h, cfg.c0_slack
-        )
-
-
-class BoxSystem:
-    """Discrete operator on a uniform box lattice."""
-
-    kind = "box"
-
-    def __init__(self, problem, grid):
-        if problem.geom.kind != "box":
-            raise ConfigError("box system needs a box domain")
+        if grid.dim != problem.spec.n:
+            raise ConfigError(
+                f"grid dimension {grid.dim} does not match n = {problem.spec.n}"
+            )
         self.problem = problem
         self.grid = grid
         self.spec = problem.spec
         self.table = lift.subset_table(self.spec.n, self.spec.m)
         self.K0 = homotopy_constant(self.spec)
         bidx = grid.boundary_flat
-        self.points_b = grid.points[bidx]
-        self.normals_b = grid.normals[bidx]
-        self.a_b = np.asarray(problem.a(self.points_b), dtype=np.float64)
-        self.b_b = np.asarray(
-            problem.b(self.points_b, self.normals_b), dtype=np.float64
-        )
+        points_b, normals_b = grid.points[bidx], grid.normals[bidx]
+        self.a_b = np.asarray(problem.a(points_b), dtype=np.float64)
+        self.b_b = np.asarray(problem.b(points_b, normals_b), dtype=np.float64)
         if np.any(self.a_b <= 0):
             raise ConfigError("boundary field a must be positive")
-        self.x_dot_nu = (self.points_b * self.normals_b).sum(axis=1)
-        self.sqnorm = (grid.points**2).sum(axis=1)
-        self.half_sq_b = 0.5 * self.sqnorm[bidx]
+        self.x_dot_nu = (points_b * normals_b).sum(axis=1)
+        self.half_sq_b = 0.5 * (points_b**2).sum(axis=1)
         self.interior_points = grid.points[grid.interior_flat]
-        self.stencil_cols, self.stencil_roles = grids.box_interior_stencil(grid)
 
     @property
     def npoints(self):
         return self.grid.npoints
 
     def initial_values(self):
-        return 0.5 * self.sqnorm
+        return 0.5 * (self.grid.points**2).sum(axis=1)
 
     def validate(self):
-        _validate_fields(self)
+        """Reject non-finite data and a nonpositive f; NaN fails every
+        comparison, so it must be caught here before it reaches Newton."""
+        vals = self.problem.eval_f(self.grid.points, self.initial_values())
+        for name, field_vals in (("f", vals), ("a", self.a_b), ("b", self.b_b)):
+            if not np.all(np.isfinite(field_vals)):
+                raise ConfigError(f"{name} must be finite on the closed domain")
+        if np.any(vals <= 0):
+            raise ConfigError("f must be positive on the closed domain")
 
     def boundary_target(self, t):
         return t * self.b_b + (1.0 - t) * (self.x_dot_nu + self.a_b * self.half_sq_b)
@@ -266,77 +164,118 @@ class BoxSystem:
         )
         return t * fvals + (1.0 - t) * self.K0
 
-    def _spectra(self, values):
-        H = grids.box_hessians(self.grid, values)
-        return _kernels.subset_sums(np.linalg.eigvalsh(H), self.table.tuples)
+    def _sym(self, values):
+        """S_0..S_k of the lifted spectra at the equation nodes."""
+        lam = _kernels.subset_sums(self._spectra(values), self.table.tuples)
+        return _kernels.elem_sym_all(lam, self.spec.k)
 
     def margins(self, values):
-        s = _kernels.elem_sym_all(self._spectra(values), self.spec.k)
-        return _kernels.cone_margin(s, self.spec.k)
+        return _kernels.cone_margin(self._sym(values), self.spec.k)
 
     def min_margin(self, values):
         return float(self.margins(values).min())
 
     def residual_and_margin(self, values, t):
-        lam = self._spectra(values)
-        s = _kernels.elem_sym_all(lam, self.spec.k)
+        grid = self.grid
+        s = self._sym(values)
         margins = _kernels.cone_margin(s, self.spec.k)
         res = np.empty(self.npoints)
-        res[self.grid.interior_flat] = s[:, self.spec.k] - self.rhs(t, values)
-        res[self.grid.boundary_flat] = (
-            (self.grid.dnu @ values)[self.grid.boundary_flat]
-            + self.a_b * values[self.grid.boundary_flat]
+        res[grid.interior_flat] = s[:, self.spec.k] - self.rhs(t, values)
+        res[grid.boundary_flat] = (
+            grid.normal_derivative(values)
+            + self.a_b * values[grid.boundary_flat]
             - self.boundary_target(t)
         )
         return res, margins
 
-    def residual(self, values, t, require_admissible=True):
-        res, margins = self.residual_and_margin(values, t)
-        if require_admissible and not margins.min() > 0:
+    def check_admissible(self, margins):
+        if not margins.min() > 0:
             node = int(self.grid.interior_flat[margins.argmin()])
             raise AdmissibilityError(
                 f"state not admissible at node {node} (margin {margins.min():.3e})",
                 node=node, margin=float(margins.min()),
             )
+
+    def residual(self, values, t, require_admissible=True):
+        res, margins = self.residual_and_margin(values, t)
+        if require_admissible:
+            self.check_admissible(margins)
         return res
 
     def jacobian(self, values, t):
         grid = self.grid
-        H = grids.box_hessians(grid, values)
-        F, _, _ = lift.gradient_batch(H, self.spec)
-        extra = None
+        parts = [self._interior_stencil(values)]
         if self.problem.f_u is not None:
             fu = self.problem.eval_f_u(
                 self.interior_points, values[grid.interior_flat]
             )
-            extra = -t * fu
-        vals = grids.box_interior_values(grid, F, self.stencil_roles, extra)
-        Pi, nslots = vals.shape
-        rows_i = np.repeat(grid.interior_flat, nslots)
-        cols_i = self.stencil_cols.ravel()
-        rows = np.concatenate([rows_i, grid.dnu_rows, grid.boundary_flat])
-        cols = np.concatenate([cols_i, grid.dnu_cols, grid.boundary_flat])
-        data = np.concatenate([vals.ravel(), grid.dnu_vals, self.a_b])
+            parts.append((grid.interior_flat, grid.interior_flat, -t * fu))
+        parts.append((grid.dnu_rows, grid.dnu_cols, grid.dnu_vals))
+        parts.append((grid.boundary_flat, grid.boundary_flat, self.a_b))
+        rows, cols, data = (np.concatenate(p) for p in zip(*parts))
         return sp.csr_matrix(
             (data, (rows, cols)), shape=(self.npoints, self.npoints)
         )
 
     def c0_report(self, values, cfg):
         return geometry.c0_diagnostic(
-            values, self.grid.boundary_mask, self.a_b, self.b_b,
+            values, self.grid.boundary_flat, self.a_b, self.b_b,
             self.grid.h, cfg.c0_slack,
         )
 
 
-def _validate_fields(system):
-    """Reject non-finite data and a nonpositive f; NaN fails every comparison,
-    so it must be caught here before it reaches the Newton loop."""
-    vals = system.problem.eval_f(system.grid.points, system.initial_values())
-    for name, field_vals in (("f", vals), ("a", system.a_b), ("b", system.b_b)):
-        if not np.all(np.isfinite(field_vals)):
-            raise ConfigError(f"{name} must be finite on the closed domain")
-    if np.any(vals <= 0):
-        raise ConfigError("f must be positive on the closed domain")
+class RadialSystem(DiscreteSystem):
+    """Discrete operator on a 1-D radial mesh over a ball."""
+
+    kind = "radial"
+    geometry_kinds = ("ball", "radial")
+
+    def _spectra(self, values):
+        return grids.radial_spectra(self.grid, values)
+
+    def _interior_stencil(self, values):
+        grid = self.grid
+        M, h = grid.M, grid.h
+        lam = _kernels.subset_sums(self._spectra(values), self.table.tuples)
+        deleted = _kernels.deleted_sym(lam, self.spec.k - 1)
+        fii = _kernels.fold_tuple_gradient(deleted, self.table.tuples, self.spec.n)
+        # center row: Hessian is u''(0) * identity, so the weight is the trace
+        trace0 = fii[0].sum()
+        i = np.arange(1, M)
+        Frr = fii[1:, 0]
+        Ftt = fii[1:, 1:].sum(axis=1)  # total tangential weight (dim-1 slots)
+        inv_h2 = 1.0 / (h * h)
+        inv_2hr = 1.0 / (2.0 * h * grid.r[i])
+        rows = np.concatenate([[0, 0], i, i, i])
+        cols = np.concatenate([[0, 1], i - 1, i, i + 1])
+        vals = np.concatenate([
+            [trace0 * (-2.0 / (h * h)), trace0 * (2.0 / (h * h))],
+            Frr * inv_h2 - Ftt * inv_2hr,
+            -2.0 * Frr * inv_h2,
+            Frr * inv_h2 + Ftt * inv_2hr,
+        ])
+        return rows, cols, vals
+
+
+class BoxSystem(DiscreteSystem):
+    """Discrete operator on a uniform box lattice."""
+
+    kind = "box"
+    geometry_kinds = ("box",)
+
+    def __init__(self, problem, grid):
+        super().__init__(problem, grid)
+        self.stencil_cols, self.stencil_roles = grids.box_interior_stencil(grid)
+
+    def _spectra(self, values):
+        return np.linalg.eigvalsh(grids.box_hessians(self.grid, values))
+
+    def _interior_stencil(self, values):
+        H = grids.box_hessians(self.grid, values)
+        F, _, _ = lift.gradient_batch(H, self.spec)
+        vals = grids.box_interior_values(self.grid, F, self.stencil_roles)
+        rows = np.repeat(self.grid.interior_flat, vals.shape[1])
+        return rows, self.stencil_cols.ravel(), vals.ravel()
 
 
 def homotopy_data(system, t, values=None):
@@ -521,10 +460,14 @@ def _step_stats(stats):
 
 
 def final_diagnostics(system, state, cfg):
+    """C0 report and residual at t = 1; keeps the per-node margins on
+    ``state.margins`` (NaN on boundary nodes)."""
+    res, margins = system.residual_and_margin(state.values, 1.0)
+    system.check_admissible(margins)
+    state.margins = np.full(system.npoints, np.nan)
+    state.margins[system.grid.interior_flat] = margins
     report = system.c0_report(state.values, cfg)
-    report["final_residual_norm"] = float(
-        np.abs(system.residual(state.values, 1.0)).max()
-    )
+    report["final_residual_norm"] = float(np.abs(res).max())
     report["min_margin_on_path"] = state.min_margin
     report["admissible_everywhere"] = bool(state.min_margin > 0)
     return report
@@ -641,18 +584,16 @@ def manufactured_suite(kind, spec, meshes, cfg=None, **kwargs):
     """Solve a manufactured problem on a mesh family and report the observed
     convergence order (least-squares slope of log error against log h)."""
     cfg = cfg or SolverConfig()
-    if kind == "radial":
-        problem, exact = radial_quartic_problem(spec, **kwargs)
-    elif kind == "box":
-        problem, exact = box_cosine_problem(spec, **kwargs)
-    else:
+    if kind not in ("radial", "box"):
         raise ConfigError(f"unknown manufactured template {kind!r}")
+    template, solve = (
+        (radial_quartic_problem, radial_solve) if kind == "radial"
+        else (box_cosine_problem, box_solve)
+    )
+    problem, exact = template(spec, **kwargs)
     rows = []
     for mesh in meshes:
-        if kind == "radial":
-            state, grid = radial_solve(problem, mesh, cfg)
-        else:
-            state, grid = box_solve(problem, mesh, cfg)
+        state, grid = solve(problem, mesh, cfg)
         err = state.values - exact(grid.points)
         rows.append({
             "mesh": int(mesh),

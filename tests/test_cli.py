@@ -318,6 +318,69 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, command, body):
     assert capsys.readouterr().err.startswith("config error: ")
 
 
+@pytest.mark.parametrize(
+    "body, message",
+    [
+        ("mode = radial\nmanufactured = radial\nmesh = 1\n", "at least 4 intervals"),
+        ("mode = box\nmanufactured = box\nmesh = 2,2,2\n", "at least 5 nodes per axis"),
+        ("mode = box\nmanufactured = box\nextents = 2,2\n", "extents has 2 axes but mesh has 3"),
+    ],
+    ids=["radial-mesh-1", "box-mesh-2", "box-extents-2"],
+)
+def test_solve_grid_too_small_is_a_config_error(tmp_path, capsys, body, message):
+    cfg = write(tmp_path / "c.cfg", "n = 3\nm = 2\nk = 2\n" + body)
+    out = tmp_path / "out"
+    rc = main(["solve", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "body, key",
+    [
+        ("which = prop24\nn = 5\nm = 2\nk = 3\ntrials = -5\n", "trials"),
+        ("which = prop24\nn = 5\nm = 2\nk = 3\ntrials = 0\n", "trials"),
+        ("which = jacobian\nstates = 0\n", "states"),
+    ],
+    ids=["trials-negative", "trials-zero", "states-zero"],
+)
+def test_verify_rejects_counts_below_one(tmp_path, capsys, body, key):
+    # a count of 0 would otherwise pass vacuously with no samples
+    cfg = write(tmp_path / "v.cfg", body)
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(f"config error: need {key} >= 1")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
+    "body, nodes, boundary",
+    [
+        ("mode = radial\nmanufactured = radial\nmesh = 16\n", 17, [16]),
+        ("mode = box\nmanufactured = box\nmesh = 5,6,7\n", 5 * 6 * 7, None),
+    ],
+    ids=["radial", "box"],
+)
+def test_solution_csv_margin_is_nan_exactly_on_boundary(tmp_path, body, nodes, boundary):
+    cfg = write(tmp_path / "c.cfg", "n = 3\nm = 2\nk = 2\n" + body)
+    out = tmp_path / "out"
+    assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 0
+    table = np.genfromtxt(out / "solution.csv", delimiter=",", names=True)
+    assert table.size == nodes
+    x = np.stack([table[name] for name in table.dtype.names[:-2]], axis=1)
+    if boundary is None:  # box: a node is on the boundary when some x_c is extreme
+        lo, hi = x.min(axis=0), x.max(axis=0)
+        on_boundary = ((x == lo) | (x == hi)).any(axis=1)
+    else:
+        on_boundary = np.isin(np.arange(nodes), boundary)
+    margin = table["margin"]
+    assert np.all(np.isnan(margin[on_boundary]))
+    assert np.all(np.isfinite(margin[~on_boundary]) & (margin[~on_boundary] > 0))
+
+
 def test_barrier_check(tmp_path):
     cfg = write(tmp_path / "b.cfg", """
 n = 4

@@ -3,6 +3,7 @@ import pytest
 import scipy.sparse.linalg as spla
 
 from sumhess import geometry, grids, solver
+from sumhess.errors import ConfigError
 from sumhess.lift import ConeSpec
 from sumhess.solver import BoxSystem, ProblemSpec
 
@@ -49,9 +50,17 @@ def test_t0_anchor_residual_zero_box():
     assert np.abs(res).max() <= 1e-12
 
 
-def test_box_jacobian_matches_finite_differences():
+@pytest.mark.parametrize("f_of_u", [False, True], ids=["f_x", "f_xu"])
+def test_box_jacobian_matches_finite_differences(f_of_u):
     spec = ConeSpec(3, 2, 2)
     problem = arbitrary_fields_problem(spec)
+    if f_of_u:
+        # f(x, u) = f(x) - (1 + |x|^2) (u - |x|^2 / 2): f_u = -(1 + |x|^2) <= 0
+        base_f = problem.f
+        problem.f_u = lambda points, u: -(1.0 + (points**2).sum(axis=1))
+        problem.f = lambda points, u: (
+            base_f(points) + problem.f_u(points, u) * (u - 0.5 * (points**2).sum(axis=1))
+        )
     grid = grids.box_grid(problem.geom.extents, 7)
     system = BoxSystem(problem, grid)
     rng = np.random.default_rng(11)
@@ -223,3 +232,30 @@ def test_box_steps_record_krylov_iterations():
     assert np.abs(state.values - exact(grid.points)).max() < 5e-3
     for step in state.steps:
         assert (step["linear_iters"] > 0) == (step["newton_iters"] > 0), step
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [grids.radial_grid(1.0, 16, 3), grids.box_grid([2.0, 1.6, 2.4], (9, 7, 11))],
+    ids=["radial", "box"],
+)
+def test_grids_share_one_boundary_interface(grid):
+    # both grid kinds: u = |x|^2 / 2 has u_nu = x . nu on the boundary nodes,
+    # and the dnu triplets apply the same one-sided closure
+    u = 0.5 * (grid.points**2).sum(axis=1)
+    bidx = grid.boundary_flat
+    x_dot_nu = (grid.points[bidx] * grid.normals[bidx]).sum(axis=1)
+    assert np.abs(grid.normal_derivative(u) - x_dot_nu).max() < 1e-13
+    dnu = np.zeros(grid.npoints)
+    np.add.at(dnu, grid.dnu_rows, grid.dnu_vals * u[grid.dnu_cols])
+    assert np.abs(dnu[bidx] - grid.normal_derivative(u)).max() < 1e-13
+    assert np.array_equal(np.sort(np.concatenate([grid.interior_flat, bidx])),
+                          np.arange(grid.npoints))
+    assert np.all(grid.normals[grid.interior_flat] == 0.0)
+
+
+def test_system_rejects_grid_of_other_dimension():
+    spec = ConeSpec(3, 2, 2)
+    problem = arbitrary_fields_problem(spec)
+    with pytest.raises(ConfigError, match="grid dimension 2 does not match n = 3"):
+        BoxSystem(problem, grids.box_grid([2.0, 2.0], 9))

@@ -91,9 +91,17 @@ def test_manufactured_residual_consistency():
     assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.25)
 
 
-def test_jacobian_matches_finite_differences():
+@pytest.mark.parametrize("f_of_u", [False, True], ids=["f_x", "f_xu"])
+def test_jacobian_matches_finite_differences(f_of_u):
     spec = ConeSpec(3, 2, 2)
     problem, exact = solver.radial_quartic_problem(spec)
+    if f_of_u:
+        # f(x, u) = f(x) - (1 + r^2) (u - exact(x)): f_u = -(1 + r^2) <= 0
+        base_f = problem.f
+        problem.f_u = lambda points, u: -(1.0 + points[:, 0] ** 2)
+        problem.f = lambda points, u: (
+            base_f(points) + problem.f_u(points, u) * (u - exact(points))
+        )
     grid = grids.radial_grid(1.0, 40, 3)
     system = RadialSystem(problem, grid)
     rng = np.random.default_rng(5)
