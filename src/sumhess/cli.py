@@ -14,6 +14,7 @@ import argparse
 import csv
 import json
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -102,7 +103,9 @@ def _cone_spec(cfg, defaults=None):
         raise ConfigError(str(exc)) from exc
 
 
-def _write_manifest(out_dir, command, raw_config, seed, report, fmt="json"):
+def _write_manifest(out_dir, command, raw_config, seed, report, fmt="json", profile=None):
+    """Write manifest.json. ``report`` replays bit-identically from the config
+    and seed; wall-clock figures go to the separate ``profile`` section."""
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     manifest = {
@@ -111,6 +114,8 @@ def _write_manifest(out_dir, command, raw_config, seed, report, fmt="json"):
         "seed": seed,
         "report": report,
     }
+    if profile is not None:
+        manifest["profile"] = profile
     path = out_dir / "manifest.json"
     path.write_text(json.dumps(manifest, sort_keys=True, indent=2))
     if fmt == "csv":
@@ -241,6 +246,7 @@ def cmd_verify(cfg, seed, out_dir, fmt):
     for key, count in (("trials", trials), ("states", states)):
         if count < 1:
             raise ConfigError(f"need {key} >= 1, got {key}={count}")
+    start = time.perf_counter()
     if which == "jacobian":
         spec = _cone_spec(cfg, defaults=(3, 2, 2))
         report = solver.verify_jacobian_suite([spec], states=states, seed=seed)
@@ -255,8 +261,9 @@ def cmd_verify(cfg, seed, out_dir, fmt):
             eps=cfg.get("eps", 0.15, float),
             L=cfg.get("L", 1.0, float),
         )
+    profile = {"elapsed_s": time.perf_counter() - start}
     payload = report.as_dict()
-    _write_manifest(out_dir, "verify", cfg.raw, seed, payload, fmt)
+    _write_manifest(out_dir, "verify", cfg.raw, seed, payload, fmt, profile)
     status = "pass" if report.passed else "FAIL"
     print(
         f"verify {which}: {status} ({report.hypothesis_hits} hypothesis hits, "
@@ -348,18 +355,21 @@ def cmd_barrier_check(cfg, seed, out_dir, fmt):
         raise ConfigError("field must be quadratic or quartic")
     k3 = cfg.get("k3", 0.01, float)
     K3_raw = cfg.get("K3", "auto")
+    start = time.perf_counter()
     if K3_raw == "auto":
-        K3 = geometry.search_barrier_constant(
-            u_hess, geom, spec, sample_points=min(points, 400), which=which, k3=k3
+        # the search's passing check is the check at every one of the points
+        K3, report = geometry.search_barrier_constant(
+            u_hess, geom, spec, sample_points=points, which=which, k3=k3
         )
     else:
         K3 = float(K3_raw)
-    params = geometry.BarrierParams(K3=K3, k3=k3)
-    report = geometry.verify_barrier_bound(
-        u_hess, geom, params, spec, sample_points=points, which=which
-    )
+        params = geometry.BarrierParams(K3=K3, k3=k3)
+        report = geometry.verify_barrier_bound(
+            u_hess, geom, params, spec, sample_points=points, which=which
+        )
+    profile = {"elapsed_s": time.perf_counter() - start}
     payload = report.as_dict()
-    _write_manifest(out_dir, "barrier-check", cfg.raw, seed, payload, fmt)
+    _write_manifest(out_dir, "barrier-check", cfg.raw, seed, payload, fmt, profile)
     status = "pass" if report.passed else "FAIL"
     print(
         f"barrier-check {which}: {status} (K3={K3:g}, min margin "

@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.stats import norm, qmc
 
-from . import lift, symfun
+from . import _kernels, lift, symfun
 from .errors import CollarError, ConfigError
 
 
@@ -70,59 +70,57 @@ def _is_ball(geom):
 
 
 def distance(geom, x):
-    """Signed-inward distance to the boundary (positive inside)."""
+    """Signed-inward distance to the boundary (positive inside) of one point,
+    or of each row of an (N, dim) block."""
     x = np.asarray(x, dtype=np.float64)
     if _is_ball(geom):
-        return geom.radius - float(np.linalg.norm(x - geom.center))
-    lo = geom.center - geom.extents / 2.0
-    hi = geom.center + geom.extents / 2.0
-    return float(min((x - lo).min(), (hi - x).min()))
+        d = geom.radius - np.linalg.norm(x - geom.center, axis=-1)
+    else:
+        lo = geom.center - geom.extents / 2.0
+        hi = geom.center + geom.extents / 2.0
+        d = np.minimum((x - lo).min(axis=-1), (hi - x).min(axis=-1))
+    return float(d) if x.ndim == 1 else d
 
 
 def distance_pack(geom, x, edge_tol=0.0):
-    """Distance, its gradient, and its Hessian at a collar point.
+    """Distance, its gradient, and its Hessian at a collar point, or at each
+    row of an (N, dim) block of them.
 
     Raises CollarError outside the smooth collar. For a box the Hessian is
     zero on face zones; a tie between faces within ``edge_tol`` triggers a
     non-smoothness warning.
     """
     x = np.asarray(x, dtype=np.float64)
-    d = distance(geom, x)
-    if d <= 0 or d >= geom.mu0:
-        raise CollarError(f"point at distance {d:g} outside collar (0, {geom.mu0:g})")
+    pts = np.atleast_2d(x)
+    d = distance(geom, pts)
+    outside = (d <= 0) | (d >= geom.mu0)
+    if outside.any():
+        bad = d[np.argmax(outside)]
+        raise CollarError(f"point at distance {bad:g} outside collar (0, {geom.mu0:g})")
+    count, dim = pts.shape
     if _is_ball(geom):
-        rel = x - geom.center
-        r = np.linalg.norm(rel)
+        rel = pts - geom.center
+        r = np.linalg.norm(rel, axis=1)[:, None]
         u = rel / r
         grad = -u
-        hess = -(np.eye(geom.dim) - np.outer(u, u)) / r
-        return d, grad, hess
-    lo = geom.center - geom.extents / 2.0
-    hi = geom.center + geom.extents / 2.0
-    dists = np.concatenate([x - lo, hi - x])
-    order = np.argsort(dists)
-    if edge_tol > 0 and dists[order[1]] - dists[order[0]] < edge_tol:
-        warnings.warn("distance not smooth: near a box edge", stacklevel=2)
-    face = int(order[0])
-    grad = np.zeros(geom.dim)
-    if face < geom.dim:
-        grad[face] = 1.0  # low face, inward is +axis
+        outer = u[:, :, None] * u[:, None, :]
+        hess = -(np.eye(dim) - outer) / r[:, :, None]
     else:
-        grad[face - geom.dim] = -1.0
-    return d, grad, np.zeros((geom.dim, geom.dim))
-
-
-def boundary_data(geom, x):
-    """Outward unit normal and principal curvatures at the boundary point
-    nearest to ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if _is_ball(geom):
-        rel = x - geom.center
-        nu = rel / np.linalg.norm(rel)
-        kappa = np.full(geom.dim - 1, 1.0 / geom.radius)
-        return nu, kappa
-    _, grad, _ = distance_pack(geom, x)
-    return -grad, np.zeros(geom.dim - 1)
+        lo = geom.center - geom.extents / 2.0
+        hi = geom.center + geom.extents / 2.0
+        dists = np.concatenate([pts - lo, hi - pts], axis=1)
+        if edge_tol > 0:
+            two = np.sort(dists, axis=1)[:, :2]
+            if np.any(two[:, 1] - two[:, 0] < edge_tol):
+                warnings.warn("distance not smooth: near a box edge", stacklevel=2)
+        face = np.argmin(dists, axis=1)
+        grad = np.zeros((count, dim))
+        # a low face points inward along +axis, a high face along -axis
+        grad[np.arange(count), face % dim] = np.where(face < dim, 1.0, -1.0)
+        hess = np.zeros((count, dim, dim))
+    if x.ndim == 1:
+        return float(d[0]), grad[0], hess[0]
+    return d, grad, hess
 
 
 @dataclass(frozen=True)
@@ -140,17 +138,15 @@ class BarrierParams:
         return min(1.0 / (4.0 * self.K3), geom.mu0)
 
 
-def barrier_value(geom, params, x):
-    d = distance(geom, x)
-    return -d + params.K3 * d * d
-
-
 def barrier_hessian(geom, params, x):
-    """Hessian of the barrier; in the principal frame its eigenvalues are
+    """Hessian of the barrier -d + K3 d^2 at one point, or at each row of an
+    (N, dim) block; in the principal frame its eigenvalues are
     (1 - 2 K3 d) kappa_i / (1 - kappa_i d) tangentially and 2 K3 along the
     normal. Valid on the smoothness collar (0, mu0)."""
     d, grad, hess_d = distance_pack(geom, x)
-    H = 2.0 * params.K3 * np.outer(grad, grad) + (2.0 * params.K3 * d - 1.0) * hess_d
+    d = np.asarray(d)[..., None, None]
+    outer = grad[..., :, None] * grad[..., None, :]
+    H = 2.0 * params.K3 * outer + (2.0 * params.K3 * d - 1.0) * hess_d
     return symfun.symmetrize(H)
 
 
@@ -209,6 +205,7 @@ class BarrierReport:
     min_h_margin: float = math.inf
     min_sl_ratio: float = math.inf
     min_lambda_k: float = math.inf
+    search_passes: int = 0  # checks run by search_barrier_constant, 0 if K3 was given
 
     @property
     def passed(self):
@@ -233,6 +230,7 @@ class BarrierReport:
             "min_h_margin": fin(self.min_h_margin),
             "min_sl_ratio": fin(self.min_sl_ratio),
             "min_lambda_k": fin(self.min_lambda_k),
+            "search_passes": self.search_passes,
             "passed": self.passed,
         }
 
@@ -257,14 +255,26 @@ def _check_lemma_range(geom, spec, which):
     raise ConfigError(f"unknown bound id {which!r}")
 
 
+def _field_table(u_hess, pts, spec):
+    """The caller's Hessians at ``pts``, symmetrized and stacked, with the
+    elementary symmetric table S_0..S_k of their m-sum spectra."""
+    Hs = symfun.as_symmetric(
+        symfun.symmetrize(np.array([u_hess(x) for x in pts], dtype=np.float64))
+    )
+    lam = lift.sum_spectrum_batch(Hs, spec.m)
+    return Hs, _kernels.elem_sym_all(lam, spec.k)
+
+
 def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
                          which="lemma53", edge_exclusion=None):
     """Check that contracting the operator gradient against the barrier
     Hessian dominates the required multiple of (1 + trace) at collar points.
 
-    ``u_hess`` maps a point to the n x n Hessian of the field under test.
-    Also verifies that the barrier itself is admissible at each point and
-    records the spectral slack of its m-sum spectrum.
+    ``u_hess`` maps a point to the n x n Hessian of the field under test; it
+    is called once per point, and every other step runs on the stacked block
+    of points. Also verifies that the barrier itself is admissible at each
+    point and records the spectral slack of its m-sum spectrum. A NaN at any
+    point makes the corresponding minimum NaN, which fails the check.
     """
     _check_lemma_range(geom, spec, which)
     mu = params.collar(geom)
@@ -274,29 +284,29 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
     else:
         pts = np.asarray(sample_points, dtype=np.float64)
     report = BarrierReport(which=which, K3=params.K3, k3=params.k3)
-    for idx, x in enumerate(pts):
-        H = symfun.symmetrize(u_hess(x))
-        ok, margin = lift.admissible(H, spec)
-        if not ok:
-            report.skips.append({"index": idx, "margin": float(margin)})
-            continue
-        F, trace = lift.gradient(H, spec)
-        Dh = barrier_hessian(geom, params, x)
-        value = float((F * Dh).sum())
-        if which == "lemma53":
-            bound = math.sqrt(params.K3) * (1.0 + trace)
-        else:
-            bound = params.k3 * (1.0 + trace)
-        report.count += 1
-        report.min_margin = min(report.min_margin, value - bound)
-        report.empirical_k3 = min(report.empirical_k3, value / (1.0 + trace))
-        lam = np.sort(lift.sum_spectrum(Dh, spec.m))[::-1]
-        _, h_margin = symfun.in_cone(lam, spec.k)
-        report.min_h_margin = min(report.min_h_margin, float(h_margin))
-        report.min_lambda_k = min(report.min_lambda_k, float(lam[spec.k - 1]))
-        s = symfun.elem_sym_all(lam, spec.k)
-        ratios = [s[l] / params.K3**l for l in range(1, spec.k + 1)]
-        report.min_sl_ratio = min(report.min_sl_ratio, float(min(ratios)))
+    if len(pts) == 0:
+        return report
+    k = spec.k
+    Hs, s = _field_table(u_hess, pts, spec)
+    margin = _kernels.cone_margin(s, k)
+    ok = margin > 0
+    report.skips = [{"index": int(i), "margin": float(margin[i])} for i in np.flatnonzero(~ok)]
+    report.count = int(ok.sum())
+    if not report.count:
+        return report
+    F, _, trace = lift.gradient_batch(Hs[ok], spec)
+    Dh = barrier_hessian(geom, params, pts[ok])
+    value = (F * Dh).sum(axis=(1, 2))
+    scale = math.sqrt(params.K3) if which == "lemma53" else params.k3
+    bound = scale * (1.0 + trace)
+    lam = np.sort(lift.sum_spectrum_batch(Dh, spec.m), axis=1)[:, ::-1]
+    s_h = _kernels.elem_sym_all(lam, k)
+    powers = np.array([params.K3**l for l in range(1, k + 1)])
+    report.min_margin = float((value - bound).min())
+    report.empirical_k3 = float((value / (1.0 + trace)).min())
+    report.min_h_margin = float(_kernels.cone_margin(s_h, k).min())
+    report.min_lambda_k = float(lam[:, k - 1].min())
+    report.min_sl_ratio = float((s_h[:, 1:] / powers).min())
     return report
 
 
@@ -305,28 +315,27 @@ def search_barrier_constant(u_hess, geom, spec, sample_points=400,
     """Smallest power-of-two barrier constant whose bound check passes.
 
     The starting guess follows the square of (4 n max(S_k)^(1/k)) over
-    (k min(S_k)) evaluated on collar samples of the field itself.
+    (k min(S_k)) evaluated on collar samples of the field itself. Returns
+    (K3, report): the report is the passing check at ``sample_points``, and
+    its ``search_passes`` counts the checks the search ran.
     """
     _check_lemma_range(geom, spec, which)
     probe = collar_points(geom, min(sample_points, 128), geom.mu0 * 0.999)
-    vals = []
-    for x in probe:
-        H = symfun.symmetrize(u_hess(x))
-        ok, _ = lift.admissible(H, spec)
-        if ok:
-            vals.append(lift.sk_of_hessian(H, spec))
-    if not vals:
+    _, s = _field_table(u_hess, probe, spec)
+    vals = s[_kernels.cone_margin(s, spec.k) > 0, spec.k]
+    if not vals.size:
         raise ConfigError("field is nowhere admissible on the collar")
-    vals = np.asarray(vals)
     guess = (4.0 * spec.n * vals.max() ** (1.0 / spec.k) / (spec.k * vals.min())) ** 2
     exponent = max(0, math.ceil(math.log2(max(guess, 1.0))))
+    reports = {}
 
     def passes(e):
-        params = BarrierParams(K3=2.0**e, k3=k3)
-        rep = verify_barrier_bound(
-            u_hess, geom, params, spec, sample_points=sample_points, which=which
-        )
-        return rep.passed
+        if e not in reports:
+            params = BarrierParams(K3=2.0**e, k3=k3)
+            reports[e] = verify_barrier_bound(
+                u_hess, geom, params, spec, sample_points=sample_points, which=which
+            )
+        return reports[e].passed
 
     if passes(exponent):
         while exponent > 0 and passes(exponent - 1):
@@ -336,7 +345,9 @@ def search_barrier_constant(u_hess, geom, spec, sample_points=400,
             exponent += 1
             if exponent - math.ceil(math.log2(max(guess, 1.0))) > max_doublings:
                 raise ConfigError("no passing barrier constant found")
-    return 2.0**exponent
+    report = reports[exponent]
+    report.search_passes = len(reports)
+    return 2.0**exponent, report
 
 
 def c0_diagnostic(u_values, boundary_flat, a_boundary, b_boundary, h, slack_const=50.0):

@@ -57,9 +57,6 @@ class SubsetTable:
     def size(self):
         return self.tuples.shape[0]
 
-    def index_of(self, tup):
-        return self.position[tuple(int(i) for i in tup)]
-
 
 @lru_cache(maxsize=None)
 def subset_table(n, m):
@@ -123,14 +120,6 @@ def lift_operator(n, m):
         src_b=np.array(src_b, dtype=np.int64),
         sign=np.array(sign, dtype=np.float64),
     )
-
-
-def lift_hessian(hess, table):
-    """Dense lifted matrix of one symmetric n x n Hessian."""
-    H = symfun.as_symmetric(hess)
-    if H.shape[0] != table.n:
-        raise ValueError(f"Hessian size {H.shape[0]} does not match table n={table.n}")
-    return lift_hessian_batch(H[None], table)[0]
 
 
 def lift_hessian_batch(hessians, table):

@@ -278,13 +278,6 @@ class BoxSystem(DiscreteSystem):
         return rows, self.stencil_cols.ravel(), vals.ravel()
 
 
-def homotopy_data(system, t, values=None):
-    """Interior right-hand side and boundary data of the path member at t."""
-    if values is None:
-        values = system.initial_values()
-    return system.rhs(t, values), system.boundary_target(t)
-
-
 # V-cycle constants (Briggs, Henson & McCormick, A Multigrid Tutorial)
 _MG_OMEGA = 0.8  # damped Jacobi weight
 _MG_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
@@ -643,6 +636,7 @@ def verify_jacobian_suite(spec_list=None, states=10, seed=0, M=40, rtol=1e-5):
         system = RadialSystem(problem, grid)
         base = system.initial_values()
         count = 0
+        states_u, margins = [], []
         while count < states:
             u = base + 1e-3 * _smooth_field(rng, grid.r)
             if system.min_margin(u) <= 0:
@@ -660,11 +654,13 @@ def verify_jacobian_suite(spec_list=None, states=10, seed=0, M=40, rtol=1e-5):
             Jv = J @ v
             scale = float(np.abs(Jv).max())
             rel = float(np.abs(Jv - fd).max()) / max(scale, 1e-30)
-            report.record(
-                {
-                    "hypothesis": True,
-                    "margins": {f"jacobian_{spec.n}_{spec.m}_{spec.k}": rtol - rel},
-                },
-                u,
-            )
+            states_u.append(u)
+            margins.append(rtol - rel)
+        report.record_block(
+            {
+                "hypothesis": np.ones(states, dtype=bool),
+                "margins": {f"jacobian_{spec.n}_{spec.m}_{spec.k}": np.array(margins)},
+            },
+            np.array(states_u),
+        )
     return report

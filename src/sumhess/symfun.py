@@ -23,11 +23,12 @@ def as_spectrum(values):
 
 
 def as_symmetric(mat):
-    """Validate a square matrix that is symmetric exactly as stored."""
+    """Validate a square matrix, or a stack of them along leading axes, that
+    is symmetric exactly as stored."""
     arr = np.asarray(mat, dtype=np.float64)
-    if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
+    if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(arr, arr.T):
+    if not np.array_equal(arr, np.swapaxes(arr, -1, -2)):
         raise ValueError("matrix must be symmetric exactly as stored")
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
@@ -35,8 +36,9 @@ def as_symmetric(mat):
 
 
 def symmetrize(mat):
+    """Symmetric part of a matrix, or of each matrix in a stack."""
     arr = np.asarray(mat, dtype=np.float64)
-    return (arr + arr.T) / 2.0
+    return (arr + np.swapaxes(arr, -1, -2)) / 2.0
 
 
 def elem_sym(values, k):
@@ -119,16 +121,18 @@ def newton_transform(w_mat, k):
     """Gradient matrix of S_k with respect to a symmetric matrix argument.
 
     T_0 = I and T_j = S_j * I - W @ T_{j-1}; the result T_{k-1} has diagonal
-    entries equal to single-deletion values when W is diagonal.
+    entries equal to single-deletion values when W is diagonal. ``w_mat`` may
+    be a stack of matrices along leading axes.
     """
     W = as_symmetric(w_mat)
-    size = W.shape[0]
+    size = W.shape[-1]
     if not 1 <= k <= size:
         raise ValueError(f"degree k={k} out of range 1..{size}")
     s = _kernels.elem_sym_all(np.linalg.eigvalsh(W), k - 1)
-    T = np.eye(size)
+    eye = np.eye(size)
+    T = np.broadcast_to(eye, W.shape)
     for j in range(1, k):
-        T = s[j] * np.eye(size) - W @ T
+        T = s[..., j, None, None] * eye - W @ T
     return symmetrize(T)
 
 

@@ -2,7 +2,10 @@
 
 Everything here enumerates subsets or permutations directly, or (for the
 lifted gradient) goes through the dense lifted matrix, independent of the
-production code paths it cross-checks.
+production code paths it cross-checks. The one-at-a-time helpers at the end
+(one lifted matrix, one subset position, one homotopy member, one boundary
+point, one barrier value, one sample into a report) are the scalar forms the
+batch code is checked against.
 """
 
 import itertools
@@ -10,7 +13,8 @@ import math
 
 import numpy as np
 
-from sumhess import lift, symfun
+from sumhess import geometry, lift, symfun
+from sumhess.cones import MARGIN_FLOOR
 
 
 def elem_sym_enum(values, k):
@@ -100,7 +104,7 @@ def gradient_via_lift(hess, spec):
     H = symfun.as_symmetric(hess)
     table = lift.subset_table(spec.n, spec.m)
     op = lift.lift_operator(spec.n, spec.m)
-    W = lift.lift_hessian(H, table)
+    W = lift_hessian(H, table)
     G = symfun.newton_transform(W, spec.k)
     F = np.zeros((spec.n, spec.n))
     gdiag = np.diag(G)
@@ -109,3 +113,114 @@ def gradient_via_lift(hess, spec):
     np.add.at(F, (op.src_a, op.src_b), op.sign * G[op.rows, op.cols])
     np.add.at(F, (op.src_b, op.src_a), op.sign * G[op.rows, op.cols])
     return symfun.symmetrize(F), float(np.trace(F))
+
+
+def lift_hessian(hess, table):
+    """Dense lifted matrix of one symmetric n x n Hessian."""
+    H = symfun.as_symmetric(hess)
+    if H.shape[0] != table.n:
+        raise ValueError(f"Hessian size {H.shape[0]} does not match table n={table.n}")
+    return lift.lift_hessian_batch(H[None], table)[0]
+
+
+def index_of(table, tup):
+    """0-based lexicographic position of the subset ``tup`` in ``table``."""
+    return table.position[tuple(int(i) for i in tup)]
+
+
+def homotopy_data(system, t, values=None):
+    """Interior right-hand side and boundary data of the path member at t."""
+    if values is None:
+        values = system.initial_values()
+    return system.rhs(t, values), system.boundary_target(t)
+
+
+def boundary_data(geom, x):
+    """Outward unit normal and principal curvatures at the boundary point
+    nearest to ``x``."""
+    x = np.asarray(x, dtype=np.float64)
+    if geom.kind in ("ball", "radial"):
+        rel = x - geom.center
+        nu = rel / np.linalg.norm(rel)
+        kappa = np.full(geom.dim - 1, 1.0 / geom.radius)
+        return nu, kappa
+    _, grad, _ = geometry.distance_pack(geom, x)
+    return -grad, np.zeros(geom.dim - 1)
+
+
+def barrier_value(geom, params, x):
+    """The collar barrier -d + K3 d^2 at one point."""
+    d = geometry.distance(geom, x)
+    return -d + params.K3 * d * d
+
+
+def record_sample(report, result, sample):
+    """Add one scalar check result to ``report``, one sample at a time: the
+    reference for what ``SampleReport.record_block`` keeps. NaN margins are
+    passed over here (NaN compares false), where the block path counts them."""
+    report.trials += 1
+    if not result["hypothesis"]:
+        return
+    report.hypothesis_hits += 1
+    for name, margin in result["margins"].items():
+        prev = report.checks.get(name, math.inf)
+        report.checks[name] = min(prev, margin)
+        if margin < report.worst_margin:
+            report.worst_margin = margin
+            if margin < MARGIN_FLOOR:
+                report.witness = np.asarray(sample).tolist()
+    if any(m < MARGIN_FLOOR for m in result["margins"].values()):
+        report.violations += 1
+
+
+def barrier_hessian_point(geom, params, x):
+    """Hessian of the collar barrier at one point, from the distance, its
+    gradient and its Hessian written out for that point alone."""
+    x = np.asarray(x, dtype=np.float64)
+    if geom.kind in ("ball", "radial"):
+        rel = x - geom.center
+        r = np.linalg.norm(rel)
+        d = geom.radius - r
+        u = rel / r
+        grad = -u
+        hess_d = -(np.eye(geom.dim) - np.outer(u, u)) / r
+    else:
+        lo = geom.center - geom.extents / 2.0
+        hi = geom.center + geom.extents / 2.0
+        dists = np.concatenate([x - lo, hi - x])
+        face = int(np.argsort(dists)[0])
+        d = dists[face]
+        grad = np.zeros(geom.dim)
+        grad[face % geom.dim] = 1.0 if face < geom.dim else -1.0
+        hess_d = np.zeros((geom.dim, geom.dim))
+    H = 2.0 * params.K3 * np.outer(grad, grad) + (2.0 * params.K3 * d - 1.0) * hess_d
+    return (H + H.T) / 2.0
+
+
+def verify_barrier_points(u_hess, geom, params, spec, pts, which="lemma53"):
+    """The collar check one point at a time: the reference for
+    ``geometry.verify_barrier_bound`` on the same points. NaN values drop
+    out of these minima (NaN compares false), where the block path keeps them."""
+    out = {"count": 0, "skips": [], "min_margin": math.inf, "empirical_k3": math.inf,
+           "min_h_margin": math.inf, "min_lambda_k": math.inf, "min_sl_ratio": math.inf}
+    for idx, x in enumerate(pts):
+        H = symfun.symmetrize(u_hess(x))
+        ok, margin = lift.admissible(H, spec)
+        if not ok:
+            out["skips"].append({"index": idx, "margin": float(margin)})
+            continue
+        F, trace = lift.gradient(H, spec)
+        Dh = barrier_hessian_point(geom, params, x)
+        value = float((F * Dh).sum())
+        scale = math.sqrt(params.K3) if which == "lemma53" else params.k3
+        out["count"] += 1
+        out["min_margin"] = min(out["min_margin"], value - scale * (1.0 + trace))
+        out["empirical_k3"] = min(out["empirical_k3"], value / (1.0 + trace))
+        lam = np.sort(lift.sum_spectrum(Dh, spec.m))[::-1]
+        _, h_margin = symfun.in_cone(lam, spec.k)
+        out["min_h_margin"] = min(out["min_h_margin"], h_margin)
+        out["min_lambda_k"] = min(out["min_lambda_k"], float(lam[spec.k - 1]))
+        s = symfun.elem_sym_all(lam, spec.k)
+        ratios = [s[l] / params.K3**l for l in range(1, spec.k + 1)]
+        out["min_sl_ratio"] = min(out["min_sl_ratio"], float(min(ratios)))
+    return out

@@ -312,7 +312,7 @@ def test_acceptance_8_barrier_bounds():
     u_hess = lambda x: np.eye(4)
 
     spec53 = ConeSpec(4, 2, 2)  # within k <= binom(n-1, m-1) = 3
-    K3 = geometry.search_barrier_constant(
+    K3, _ = geometry.search_barrier_constant(
         u_hess, geom, spec53, sample_points=1000, which="lemma53"
     )
     rep53 = geometry.verify_barrier_bound(
@@ -323,7 +323,7 @@ def test_acceptance_8_barrier_bounds():
     assert rep53.min_margin > 0 and not rep53.skips
 
     spec55 = ConeSpec(4, 2, 4)  # k = binom(3, 1) + 1, convexity order k0 = 1
-    K3b = geometry.search_barrier_constant(
+    K3b, _ = geometry.search_barrier_constant(
         u_hess, geom, spec55, sample_points=1000, which="lemma55"
     )
     rep55 = geometry.verify_barrier_bound(

@@ -395,3 +395,79 @@ K3 = 1024
     assert rc == 0
     report = json.loads((out / "manifest.json").read_text())["report"]
     assert report["passed"] and report["min_margin"] > 0
+
+
+def test_barrier_check_searches_k3_on_the_verified_points(tmp_path):
+    # K3 = 1 passes on the first 400 collar points but fails at 1000
+    # (margin -0.0915); the search now runs on all 1000 and finds K3 = 2
+    cfg = write(tmp_path / "b.cfg", """
+n = 4
+m = 2
+k = 2
+which = lemma53
+field = quadratic
+points = 1000
+K3 = auto
+""")
+    out = tmp_path / "out"
+    rc = main(["barrier-check", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    report = manifest["report"]
+    assert report["K3"] == 2.0 and report["passed"] and report["count"] == 1000
+    assert report["search_passes"] >= 2
+    assert manifest["profile"]["elapsed_s"] > 0
+
+
+def test_barrier_check_nan_margin_exits_2(tmp_path):
+    # a quartic coefficient this large overflows the lifted gradient; the NaN
+    # margins must fail the check (they used to drop out and exit 0)
+    cfg = write(tmp_path / "b.cfg", """
+n = 4
+m = 2
+k = 2
+which = lemma53
+field = quartic
+coef = 2.5e305
+points = 20
+K3 = 64
+""")
+    out = tmp_path / "out"
+    with np.errstate(all="ignore"):
+        rc = main(["barrier-check", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 2
+    report = json.loads((out / "manifest.json").read_text())["report"]
+    assert math.isnan(report["min_margin"]) and not report["passed"]
+    assert report["search_passes"] == 0
+
+
+def test_verify_manifest_records_proposals_and_time(tmp_path):
+    cfg = write(tmp_path / "v.cfg", "which = prop24\nn = 5\nm = 2\nk = 3\ntrials = 500\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    report = manifest["report"]
+    # gamma_k proposals come in blocks of 4096
+    assert report["proposals"] % 4096 == 0
+    assert report["acceptance_rate"] == pytest.approx(500 / report["proposals"])
+    assert manifest["profile"]["elapsed_s"] > 0
+
+
+def test_verify_nan_margin_exits_2(tmp_path, monkeypatch):
+    from sumhess import cones
+
+    check = cones.check_maclaurin
+
+    def nan_in_row_3(lam, k, l):
+        res = check(lam, k, l)
+        res["margins"]["ratio_order"][3] = math.nan
+        return res
+
+    monkeypatch.setattr(cones, "check_maclaurin", nan_in_row_3)
+    cfg = write(tmp_path / "v.cfg", "which = prop24\nn = 5\nm = 2\nk = 3\ntrials = 50\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 2
+    report = json.loads((out / "manifest.json").read_text())["report"]
+    assert report["violations"] == 1 and math.isnan(report["worst_margin"])
+    assert math.isnan(report["checks"]["ratio_order"])
+    assert len(report["witness"]) == 5

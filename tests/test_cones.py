@@ -7,7 +7,7 @@ from sumhess import cones, symfun
 from sumhess.cones import InequalityConstants, MARGIN_FLOOR
 from sumhess.errors import ConfigError
 from sumhess.lift import ConeSpec
-from oracles import deleted_sym_enum
+from oracles import deleted_sym_enum, record_sample
 
 
 def test_constants_examples():
@@ -243,17 +243,17 @@ def test_report_flags_violations_with_witness():
     # the aggregation itself must have teeth: a below-floor margin counts as
     # a violation and captures the offending sample
     report = cones.SampleReport(suite="synthetic")
-    report.record({"hypothesis": True, "margins": {"good": 1.0}}, [1.0, 2.0])
+    report.record_block({"hypothesis": [True], "margins": {"good": [1.0]}}, [[1.0, 2.0]])
     assert report.passed and report.violations == 0
-    report.record({"hypothesis": False, "margins": {}}, [9.0])
+    report.record_block({"hypothesis": [False], "margins": {}}, [[9.0]])
     assert report.hypothesis_hits == 1
-    report.record({"hypothesis": True, "margins": {"bad": -1e-9}}, [3.0, 4.0])
+    report.record_block({"hypothesis": [True], "margins": {"bad": [-1e-9]}}, [[3.0, 4.0]])
     assert not report.passed and report.violations == 1
     assert report.worst_margin == -1e-9
     assert report.witness == [3.0, 4.0]
     # margins within the roundoff floor are not violations
     report2 = cones.SampleReport(suite="synthetic")
-    report2.record({"hypothesis": True, "margins": {"tight": -1e-13}}, [0.0])
+    report2.record_block({"hypothesis": [True], "margins": {"tight": [-1e-13]}}, [[0.0]])
     assert report2.passed
 
 
@@ -265,3 +265,174 @@ def test_report_serializes():
     import json
 
     json.dumps(d)
+
+
+# ---------------------------------------------------------------------------
+# block checks against their one-row calls
+
+
+def _mixed_block(spec, mode, seed, extra_rows, **kwargs):
+    samples, _ = cones.sample_cone(spec, 12, mode, seed=seed, **kwargs)
+    return np.vstack([samples, np.asarray(extra_rows, dtype=np.float64)])
+
+
+def _block_cases():
+    s3 = ConeSpec(4, 2, 2)
+    ordered = _mixed_block(s3, "gamma_k", 1, [
+        [0.5, 1.0, 0.2, 0.1],      # unsorted
+        [-0.1, -0.2, -0.3, -0.4],  # outside the cone
+        [1.0, 1.0, 1.0, 1.0],
+        [2.0, 1.0, 0.5, -0.3],
+    ])
+    ordered = -np.sort(-ordered, axis=1)
+    ordered[12] = [0.5, 1.0, 0.2, 0.1]
+    partner = np.roll(ordered, 1, axis=0)
+    partner[3] = [-1.0, -1.0, -1.0, -1.0]  # partner outside the cone
+    partner[14] = ordered[14]
+
+    s5 = ConeSpec(5, 2, 3)
+    macl = _mixed_block(s5, "gamma_k", 2, [
+        [1.0, -2.0, 0.5, 0.3, 0.2],       # outside the cone
+        [0.2, 0.9, 0.4, 0.7, 0.1],        # unsorted is fine here
+    ])
+    neg = _mixed_block(s5, "prop25_hypotheses", 3, [
+        [1.0, 0.9, 0.8, 0.7, 0.6],        # designated entry not negative
+        [-1.0, -1.0, 0.1, 0.2, 0.3],      # outside the cone
+    ])
+    neg_index = np.argmin(neg, axis=1)
+    neg_index[-2] = 2
+
+    s26 = ConeSpec(4, 2, 2)
+    mu = _mixed_block(s26, "prop26_hypotheses", 4, [
+        [0.5, 0.6, 0.55, -0.45],          # unsorted
+        [0.1, 0.0, -0.9, -1.0],           # outside the lifted cone
+        [0.7, 0.6, 0.5, -0.3],            # smallest entry not below -delta
+        [1.5, 1.5, 1.2, -0.45],           # outside the band: no partial_vs_sum
+    ], delta=0.4)
+
+    s27 = ConeSpec(6, 2, 3)
+    big = _mixed_block(s27, "prop27_hypotheses", 5, [
+        [1.0, 0.5, 0.6, 0.4, 0.3, -0.2],  # tail unsorted
+        [1.0, 0.9, 0.3, 0.2, 0.1, 0.05],  # dominance fails: tail not negative
+        [1.0, -0.5, -0.6, -0.7, -0.8, -0.9],  # outside the cone
+    ], delta=0.5, eps=0.15)
+    big /= np.abs(big).max(axis=1, keepdims=True)
+
+    return {
+        "ordered": (lambda b, i=None: cones.check_ordered_cone_inequalities(
+            b, 2, partner=partner if i is None else partner[i]), ordered),
+        "maclaurin": (lambda b, i=None: cones.check_maclaurin(b, 3, 1), macl),
+        "negative_entry": (lambda b, i=None: cones.check_negative_entry(
+            b, 3, neg_index if i is None else int(neg_index[i])), neg),
+        "sum_lift": (lambda b, i=None: cones.check_sum_lift_gradient_bounds(
+            b, s26, 0.4, 1.0), mu),
+        "large_entry": (lambda b, i=None: cones.check_large_entry_deletion(
+            b, 3, 0.5, 0.15), big),
+    }
+
+
+@pytest.mark.parametrize("name", ["ordered", "maclaurin", "negative_entry", "sum_lift",
+                                  "large_entry"])
+def test_block_check_matches_one_row_calls(name):
+    check, block = _block_cases()[name]
+    res = check(block)
+    rows = [check(row, i) for i, row in enumerate(block)]
+    hyp = np.array([r["hypothesis"] for r in rows])
+    assert np.array_equal(res["hypothesis"], hyp)
+    assert 0 < hyp.sum() < len(rows)  # the block mixes kept and skipped rows
+    assert list(res["skip"]) == [r["skip"] for r in rows]
+    for key, col in res["margins"].items():
+        stacked = np.array([r["margins"].get(key, math.inf) for r in rows])
+        assert np.array_equal(col, stacked), key  # bitwise, row for row
+    keys = set().union(*(r["margins"] for r in rows))
+    assert keys <= set(res["margins"])
+    if name == "ordered":
+        # a partner outside the cone drops only the midpoint margin
+        assert res["hypothesis"][3] and res["margins"]["midpoint_concavity"][3] == math.inf
+    if name == "sum_lift":
+        assert res["hypothesis"][-1] and res["margins"]["partial_vs_sum"][-1] == math.inf
+        alt = np.array([r.get("alt_band_only", False) for r in rows])
+        assert np.array_equal(res["alt_band_only"], alt)
+
+
+def _synthetic_block(seed, rows=60):
+    rng = np.random.default_rng(seed)
+    hyp = rng.uniform(size=rows) < 0.8
+    margins = {
+        "a": rng.normal(1e-9, 2e-9, size=rows),
+        "b": rng.normal(1e-9, 2e-9, size=rows),
+        "c": np.full(rows, math.inf),  # a margin no row has
+    }
+    margins["b"][rng.uniform(size=rows) < 0.3] = math.inf  # absent on some rows
+    samples = rng.normal(size=(rows, 3))
+    return {"hypothesis": hyp, "margins": margins}, samples
+
+
+def _oracle_report(blocks):
+    report = cones.SampleReport(suite="oracle")
+    for result, samples in blocks:
+        for i, sample in enumerate(samples):
+            margins = {k: float(v[i]) for k, v in result["margins"].items()
+                       if v[i] != math.inf}
+            record_sample(report, {"hypothesis": bool(result["hypothesis"][i]),
+                                   "margins": margins}, sample)
+    return report
+
+
+def _block_report(blocks):
+    report = cones.SampleReport(suite="oracle")
+    for result, samples in blocks:
+        report.record_block(result, samples)
+    return report
+
+
+def test_record_block_matches_oracle_loop():
+    blocks = [_synthetic_block(seed) for seed in (1, 2, 3)]
+    # forced ties at the worst margin: within a block (rows 7 and 30 of the
+    # second block, margin keys a and b) and across blocks (the third block
+    # reaches it too); the witness is the first sample that reaches it
+    result, _ = blocks[1]
+    hyp = result["hypothesis"]
+    hyp[[7, 30]] = True
+    result["margins"]["b"][7] = -5e-8
+    result["margins"]["a"][30] = -5e-8
+    blocks[2][0]["hypothesis"][4] = True
+    blocks[2][0]["margins"]["a"][4] = -5e-8
+    ref, got = _oracle_report(blocks), _block_report(blocks)
+    for attr in ("trials", "hypothesis_hits", "violations", "worst_margin", "checks",
+                 "witness"):
+        assert getattr(got, attr) == getattr(ref, attr), attr
+    assert got.worst_margin == -5e-8
+    assert got.witness == blocks[1][1][7].tolist()
+    assert "c" not in got.checks and got.violations > 0
+
+
+def test_record_block_matches_oracle_loop_on_a_suite():
+    spec = ConeSpec(5, 2, 3)
+    samples, _ = cones.sample_cone(spec, 300, "gamma_k", seed=9)
+    samples = np.vstack([-np.sort(-samples, axis=1), [[1.0, -2.0, 0.5, 0.3, 0.2]]])
+    block = cones.check_maclaurin(samples, 3, 1)
+    ref = cones.SampleReport(suite="prop24")
+    for lam in samples:
+        record_sample(ref, cones.check_maclaurin(lam, 3, 1), lam)
+    got = cones.SampleReport(suite="prop24")
+    got.record_block(block, samples)
+    assert got.as_dict() == ref.as_dict()
+    assert got.hypothesis_hits == 300 and got.trials == 301
+
+
+def test_nan_margin_is_a_violation():
+    report = cones.SampleReport(suite="synthetic")
+    report.record_block(
+        {"hypothesis": [True, True, True],
+         "margins": {"a": [1.0, math.nan, -1.0], "b": [2.0, 3.0, 4.0]}},
+        [[1.0], [2.0], [3.0]],
+    )
+    assert report.violations == 2 and not report.passed
+    assert math.isnan(report.worst_margin)
+    assert math.isnan(report.checks["a"]) and report.checks["b"] == 2.0
+    assert report.witness == [2.0]
+    # a later finite block keeps the NaN
+    report.record_block({"hypothesis": [True], "margins": {"a": [-5.0]}}, [[4.0]])
+    assert math.isnan(report.worst_margin) and math.isnan(report.checks["a"])
+    assert report.witness == [2.0] and report.violations == 3

