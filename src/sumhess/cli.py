@@ -354,19 +354,24 @@ def cmd_barrier_check(cfg, seed, out_dir, fmt):
     else:
         raise ConfigError("field must be quadratic or quartic")
     k3 = cfg.get("k3", 0.01, float)
-    K3_raw = cfg.get("K3", "auto")
+    auto = cfg.get("K3", "auto") == "auto"
     start = time.perf_counter()
-    if K3_raw == "auto":
-        # the search's passing check is the check at every one of the points
-        K3, report = geometry.search_barrier_constant(
-            u_hess, geom, spec, sample_points=points, which=which, k3=k3
-        )
-    else:
-        K3 = float(K3_raw)
-        params = geometry.BarrierParams(K3=K3, k3=k3)
-        report = geometry.verify_barrier_bound(
-            u_hess, geom, params, spec, sample_points=points, which=which
-        )
+    # ValueError here is bad input: barrier constants out of range, or a
+    # field whose Hessians are not finite (e.g. coef = nan)
+    try:
+        if auto:
+            # the search's passing check is the check at every one of the points
+            K3, report = geometry.search_barrier_constant(
+                u_hess, geom, spec, sample_points=points, which=which, k3=k3
+            )
+        else:
+            K3 = cfg.get("K3", cast=float)
+            params = geometry.BarrierParams(K3=K3, k3=k3)
+            report = geometry.verify_barrier_bound(
+                u_hess, geom, params, spec, sample_points=points, which=which
+            )
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     profile = {"elapsed_s": time.perf_counter() - start}
     payload = report.as_dict()
     _write_manifest(out_dir, "barrier-check", cfg.raw, seed, payload, fmt, profile)

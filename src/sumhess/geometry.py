@@ -131,8 +131,8 @@ class BarrierParams:
     k3: float = 0.01
 
     def __post_init__(self):
-        if self.K3 <= 0 or self.k3 <= 0:
-            raise ValueError("barrier constants must be positive")
+        if not (0 < self.K3 < math.inf and 0 < self.k3 < math.inf):
+            raise ValueError("barrier constants must be positive and finite")
 
     def collar(self, geom):
         return min(1.0 / (4.0 * self.K3), geom.mu0)

@@ -60,12 +60,34 @@ class SolverConfig:
     step_min: float = 1e-6
     dt0: float = 0.1
     dt_min: float = 1e-4
-    dt_max: float = 0.25
-    grow: float = 1.5
+    dt_max: float = 1.0
+    # dt factor after an accepted step that took <= 2, 3 or >= 4 Newton
+    # iterations: a fast contraction says the step could have been longer
+    # (Deuflhard, Newton Methods for Nonlinear Problems, 2004)
+    grow: tuple = (4.0, 2.0, 1.0)
     # sparse LU and V-cycle-preconditioned lgmres break even near 9^3 box
     # unknowns; LU fill-in then grows far faster than the multigrid cost
     direct_limit: int = 1_000
     c0_slack: float = 50.0
+
+    def __post_init__(self):
+        # a NaN or zero step never advances t and never underflows dt_min;
+        # every comparison with NaN is false, so the chains reject it
+        if not 0 < self.dt_min <= self.dt0 <= self.dt_max < math.inf:
+            raise ConfigError(
+                f"need finite 0 < dt_min <= dt0 <= dt_max, got "
+                f"dt_min={self.dt_min}, dt0={self.dt0}, dt_max={self.dt_max}"
+            )
+        if len(self.grow) != 3 or not all(1.0 <= g < math.inf for g in self.grow):
+            raise ConfigError(f"need three finite growth factors >= 1, got {self.grow}")
+        if not 0 <= self.margin_floor < math.inf:
+            raise ConfigError(f"need finite margin_floor >= 0, got {self.margin_floor}")
+        if self.tol_abs is not None and not 0 < self.tol_abs < math.inf:
+            raise ConfigError(f"need finite tol_abs > 0, got {self.tol_abs}")
+
+    def growth(self, newton_iters):
+        """dt factor after an accepted step that took ``newton_iters``."""
+        return self.grow[min(max(newton_iters - 2, 0), 2)]
 
     def tolerance(self, kind):
         if self.tol_abs is not None:
@@ -80,6 +102,7 @@ class ContinuationState:
     steps: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     margins: np.ndarray = field(default=None, repr=False)  # t = 1, NaN on boundary
+    rejected_steps: list = field(default_factory=list)  # t, dt, error per failed attempt
 
     @property
     def min_margin(self):
@@ -89,6 +112,7 @@ class ContinuationState:
         return {
             "t": self.t,
             "steps": self.steps,
+            "rejected_steps": self.rejected_steps,
             "diagnostics": self.diagnostics,
             "min_margin": self.min_margin,
         }
@@ -357,14 +381,15 @@ def _linear_solve(J, rhs, shape, cfg):
     return sol, vcycle.applications
 
 
-def newton_solve(system, values, t, cfg=None):
+def newton_solve(system, values, t, cfg=None, start=None):
     """Damped Newton with backtracking: a step is accepted only when the
     residual norm satisfies the Armijo decrease and every node stays inside
-    the admissibility cone by at least the margin floor."""
+    the admissibility cone by at least the margin floor. ``start`` is
+    ``system.residual_and_margin(values, t)`` when the caller already has it."""
     cfg = cfg or SolverConfig()
     tol = cfg.tolerance(system.kind)
     u = np.asarray(values, dtype=np.float64).copy()
-    res, margins = system.residual_and_margin(u, t)
+    res, margins = start if start is not None else system.residual_and_margin(u, t)
     margin = float(margins.min())
     norm = float(np.abs(res).max())
     if not (math.isfinite(norm) and math.isfinite(margin)):
@@ -412,22 +437,35 @@ def newton_solve(system, values, t, cfg=None):
 def continuation_solve(system, cfg=None):
     """Follow the homotopy path from the exact t = 0 quadratic to t = 1.
 
-    The step size halves on Newton failure and grows by the configured factor
-    on success; failure below dt_min aborts with the last good state.
+    Predictor-corrector (Allgower & Georg, Introduction to Numerical
+    Continuation Methods): once two states are accepted, each step's Newton
+    starts from the secant prediction u_k + dt / dt_prev (u_k - u_{k-1}) when
+    that state is finite and admissible, and from u_k otherwise. An accepted
+    step multiplies dt by ``cfg.growth`` of its Newton iterations, up to
+    dt_max; a failed one is recorded in ``rejected_steps`` and halves dt, and
+    failure below dt_min aborts with the last good state.
     """
     cfg = cfg or SolverConfig()
     system.validate()
-    u = system.initial_values()
+    u, stats = newton_solve(system, system.initial_values(), 0.0, cfg)
     state = ContinuationState(t=0.0, values=u)
-    u, stats = newton_solve(system, u, 0.0, cfg)
-    state.values = u
-    state.steps.append({"t": 0.0, "dt": 0.0, **_step_stats(stats)})
+    state.steps.append({"t": 0.0, "dt": 0.0, "predicted": False, **_step_stats(stats)})
+    u_prev = dt_prev = None
     dt = cfg.dt0
     while state.t < 1.0:
         dt = min(dt, 1.0 - state.t)
+        t_new = state.t + dt
+        start_values, start = state.values, None
+        if u_prev is not None:
+            start_values, start = _secant_start(
+                system, state.values, u_prev, dt / dt_prev, t_new, cfg
+            )
         try:
-            u_new, stats = newton_solve(system, state.values, state.t + dt, cfg)
-        except (NonconvergenceError, AdmissibilityError):
+            u_new, stats = newton_solve(system, start_values, t_new, cfg, start)
+        except (NonconvergenceError, AdmissibilityError) as exc:
+            state.rejected_steps.append(
+                {"t": state.t, "dt": dt, "error": type(exc).__name__}
+            )
             dt *= 0.5
             if dt < cfg.dt_min:
                 raise ContinuationError(
@@ -435,12 +473,28 @@ def continuation_solve(system, cfg=None):
                     last_t=state.t, last_values=state.values,
                 )
             continue
-        state.t = state.t + dt
-        state.values = u_new
-        state.steps.append({"t": state.t, "dt": dt, **_step_stats(stats)})
-        dt = min(dt * cfg.grow, cfg.dt_max)
+        u_prev, dt_prev = state.values, dt
+        state.t, state.values = t_new, u_new
+        state.steps.append(
+            {"t": t_new, "dt": dt, "predicted": start is not None, **_step_stats(stats)}
+        )
+        dt = min(dt * cfg.growth(stats["iters"]), cfg.dt_max)
     state.diagnostics = final_diagnostics(system, state, cfg)
     return state
+
+
+def _secant_start(system, u, u_prev, ratio, t, cfg):
+    """Newton's start at t: the secant prediction u + ratio (u - u_prev) with
+    its ``residual_and_margin``, or ``(u, None)`` when the prediction is not
+    finite or not admissible by the margin floor."""
+    predicted = u + ratio * (u - u_prev)
+    if not np.all(np.isfinite(predicted)):
+        return u, None
+    res, margins = system.residual_and_margin(predicted, t)
+    margin = float(margins.min())
+    if not (np.all(np.isfinite(res)) and margin > 0 and margin >= cfg.margin_floor):
+        return u, None
+    return predicted, (res, margins)
 
 
 def _step_stats(stats):

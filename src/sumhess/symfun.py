@@ -28,10 +28,11 @@ def as_symmetric(mat):
     arr = np.asarray(mat, dtype=np.float64)
     if arr.ndim < 2 or arr.shape[-1] != arr.shape[-2]:
         raise ValueError("matrix must be square")
-    if not np.array_equal(arr, np.swapaxes(arr, -1, -2)):
-        raise ValueError("matrix must be symmetric exactly as stored")
+    # NaN != NaN, so a NaN entry would otherwise be reported as asymmetry
     if not np.all(np.isfinite(arr)):
         raise ValueError("matrix entries must be finite")
+    if not np.array_equal(arr, np.swapaxes(arr, -1, -2)):
+        raise ValueError("matrix must be symmetric exactly as stored")
     return arr
 
 

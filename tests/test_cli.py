@@ -108,6 +108,8 @@ amp = 0.05
     assert manifest["report"]["diagnostics"]["bound_ok"]
     # 9^3 unknowns are at or below direct_limit: LU, no Krylov iterations
     assert all(s["linear_iters"] == 0 for s in manifest["report"]["steps"])
+    assert manifest["report"]["rejected_steps"] == []
+    assert [s["predicted"] for s in manifest["report"]["steps"]][-1]
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "x1,x2,x3,u,margin"
     assert len(lines) == 9**3 + 1
@@ -316,6 +318,35 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, command, body):
     rc = main([command, "--config", cfg, "--out-dir", str(tmp_path / "out")])
     assert rc == 1
     assert capsys.readouterr().err.startswith("config error: ")
+
+
+_RADIAL_SOLVE = "mode = radial\nn = 3\nm = 2\nk = 2\nmanufactured = radial\nmesh = 16\n"
+_BARRIER = "n = 4\nm = 2\nk = 2\nwhich = lemma53\npoints = 20\n"
+
+
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        # a NaN dt0 survived dt *= 0.5 and never fell below dt_min: the
+        # solve looped forever; dt0 = 0 looped without advancing t
+        ("solve", _RADIAL_SOLVE + "dt0 = nan\n", "0 < dt_min <= dt0 <= dt_max"),
+        ("solve", _RADIAL_SOLVE + "dt0 = 0\n", "0 < dt_min <= dt0 <= dt_max"),
+        ("barrier-check", _BARRIER + "K3 = -4\n", "barrier constants must be positive"),
+        ("barrier-check", _BARRIER + "K3 = abc\n", "bad value for 'K3'"),
+        ("barrier-check", _BARRIER + "field = quartic\ncoef = nan\n",
+         "matrix entries must be finite"),
+    ],
+    ids=["solve-dt0-nan", "solve-dt0-zero", "barrier-K3-negative", "barrier-K3-text",
+         "barrier-quartic-coef-nan"],
+)
+def test_out_of_range_value_is_a_config_error(tmp_path, capsys, command, body, message):
+    cfg = write(tmp_path / "c.cfg", body)
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize(

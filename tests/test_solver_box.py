@@ -259,3 +259,13 @@ def test_system_rejects_grid_of_other_dimension():
     problem = arbitrary_fields_problem(spec)
     with pytest.raises(ConfigError, match="grid dimension 2 does not match n = 3"):
         BoxSystem(problem, grids.box_grid([2.0, 2.0], 9))
+
+
+def test_box_manufactured_17_takes_three_predicted_steps():
+    problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    state, grid = solver.box_solve(problem, 17)
+    steps = state.steps[1:]
+    assert len(steps) == 3 and not state.rejected_steps
+    assert sum(s["newton_iters"] for s in steps) <= 8
+    assert [s["predicted"] for s in steps] == [False, True, True]
+    assert np.abs(state.values - exact(grid.points)).max() < 8e-4

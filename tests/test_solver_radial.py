@@ -285,3 +285,78 @@ def test_f_u_positive_rejected():
     system = RadialSystem(problem, grid)
     with pytest.raises(ConfigError):
         system.jacobian(system.initial_values(), 1.0)
+
+
+def test_growth_table():
+    cfg = solver.SolverConfig()
+    assert cfg.dt_max == 1.0
+    assert [cfg.growth(iters) for iters in range(7)] == [4, 4, 4, 2, 1, 1, 1]
+    assert solver.SolverConfig(grow=(3.0, 1.5, 1.0)).growth(3) == 1.5
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [
+        {"dt0": np.nan}, {"dt0": 0.0}, {"dt_min": 0.2}, {"dt_max": np.inf},
+        {"dt0": 2.0}, {"grow": (4.0, 0.5, 1.0)}, {"grow": (2.0, 1.0)},
+        {"grow": (np.nan, 2.0, 1.0)}, {"margin_floor": -1e-12},
+        {"margin_floor": np.nan}, {"tol_abs": 0.0},
+    ],
+    ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
+)
+def test_solver_config_rejects_bad_values(kwargs):
+    with pytest.raises(ConfigError):
+        solver.SolverConfig(**kwargs)
+
+
+def test_rejected_steps_are_recorded():
+    # three Newton iterations cannot reach t = 1, 1/2 or 1/4 in one step, so
+    # those attempts fail and dt halves until a step converges
+    problem, _ = solver.radial_quartic_problem(ConeSpec(3, 2, 2))
+    grid = grids.radial_grid(1.0, 64, 3)
+    cfg = solver.SolverConfig(dt0=1.0, max_iter=3)
+    state = solver.continuation_solve(RadialSystem(problem, grid), cfg)
+    assert state.t == 1.0
+    assert state.rejected_steps == [
+        {"t": 0.0, "dt": 2.0**-i, "error": "NonconvergenceError"} for i in range(3)
+    ]
+    assert state.steps[1]["dt"] == 0.125
+    assert state.as_dict()["rejected_steps"] == state.rejected_steps
+
+
+@pytest.mark.parametrize("poison", [False, True], ids=["admissible", "inadmissible"])
+def test_secant_prediction_and_its_fallback(monkeypatch, poison):
+    # the test's own secant oracle finds the predicted state among the
+    # residual evaluations; poisoning its margins must send Newton back to
+    # the last accepted state and record predicted = false
+    accepted = []
+    newton = solver.newton_solve
+
+    def recording_newton(system, values, t, cfg=None, start=None):
+        u, stats = newton(system, values, t, cfg, start)
+        accepted.append((t, u))
+        return u, stats
+
+    monkeypatch.setattr(solver, "newton_solve", recording_newton)
+    hits = []
+
+    class Fenced(RadialSystem):
+        def residual_and_margin(self, values, t):
+            res, margins = super().residual_and_margin(values, t)
+            if len(accepted) >= 2:
+                (t0, u0), (t1, u1) = accepted[-2:]
+                secant = u1 + (t - t1) / (t1 - t0) * (u1 - u0)
+                if t > t1 and np.allclose(values, secant, rtol=0.0, atol=1e-12):
+                    hits.append(t)
+                    if poison:
+                        margins = margins - 1e3
+            return res, margins
+
+    spec = ConeSpec(3, 2, 2)
+    problem, exact = solver.radial_quartic_problem(spec)
+    grid = grids.radial_grid(1.0, 64, 3)
+    state = solver.continuation_solve(Fenced(problem, grid))
+    assert state.t == 1.0 and not state.rejected_steps
+    assert hits == [s["t"] for s in state.steps[2:]]
+    assert [s["predicted"] for s in state.steps] == [False, False] + [not poison] * len(hits)
+    assert np.abs(state.values - exact(grid.points)).max() < 2e-4

@@ -175,5 +175,8 @@ def test_in_cone():
 
 def test_symmetry_validation():
     M = np.array([[1.0, 2.0], [2.0000001, 1.0]])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="symmetric"):
         symfun.as_symmetric(M)
+    # NaN != NaN: a symmetric NaN matrix is reported as non-finite
+    with pytest.raises(ValueError, match="entries must be finite"):
+        symfun.as_symmetric(np.full((2, 2), np.nan))
