@@ -158,15 +158,9 @@ _SOLVE_KEYS = {
 }
 
 
-def cmd_solve(cfg, seed, out_dir, fmt):
-    mode = cfg.require("mode")
-    if mode not in ("radial", "box"):
-        raise ConfigError("mode must be radial or box")
-    spec = _cone_spec(cfg)
-    scfg = _solver_config(cfg)
+def _solve_problem(cfg, mode, spec):
+    """The ProblemSpec of a solve config and the exact solution (or None)."""
     manufactured = cfg.get("manufactured")
-    exact = None
-
     if manufactured:
         if manufactured != mode:
             raise ConfigError("manufactured template must match mode")
@@ -175,33 +169,48 @@ def cmd_solve(cfg, seed, out_dir, fmt):
             kwargs["coef"] = cfg.get("coef", cast=float)
         if mode == "radial":
             kwargs["R"] = cfg.get("radius", 1.0, float)
-            problem, exact = solver.radial_quartic_problem(spec, **kwargs)
-        else:
-            extents = cfg.float_list("extents") or [2.0] * spec.n
-            if cfg.get("amp", cast=float) is not None:
-                kwargs["amp"] = cfg.get("amp", cast=float)
-            problem, exact = solver.box_cosine_problem(spec, extents=extents, **kwargs)
+            return solver.radial_quartic_problem(spec, **kwargs)
+        extents = cfg.float_list("extents") or [2.0] * spec.n
+        if cfg.get("amp", cast=float) is not None:
+            kwargs["amp"] = cfg.get("amp", cast=float)
+        return solver.box_cosine_problem(spec, extents=extents, **kwargs)
+
+    f_expr = parse_expression(cfg.require("f"))
+    a_expr = parse_expression(cfg.require("a"))
+    b_expr = parse_expression(cfg.require("b"))
+
+    def b_field(points, normals):
+        return b_expr(points)
+
+    if mode == "radial":
+        geom = geometry.radial(cfg.get("radius", 1.0, float), dim=spec.n)
     else:
-        f_expr = parse_expression(cfg.require("f"))
-        a_expr = parse_expression(cfg.require("a"))
-        b_expr = parse_expression(cfg.require("b"))
+        extents = cfg.float_list("extents") or [2.0] * spec.n
+        geom = geometry.box(extents)
+    return ProblemSpec(spec=spec, geom=geom, f=f_expr, a=a_expr, b=b_field), None
 
-        def b_field(points, normals):
-            return b_expr(points)
 
-        if mode == "radial":
-            geom = geometry.radial(cfg.get("radius", 1.0, float), dim=spec.n)
-        else:
-            extents = cfg.float_list("extents") or [2.0] * spec.n
-            geom = geometry.box(extents)
-        problem = ProblemSpec(spec=spec, geom=geom, f=f_expr, a=a_expr, b=b_field)
+def cmd_solve(cfg, seed, out_dir, fmt):
+    mode = cfg.require("mode")
+    if mode not in ("radial", "box"):
+        raise ConfigError("mode must be radial or box")
+    spec = _cone_spec(cfg)
+    scfg = _solver_config(cfg)
+    # ValueError here is bad domain or template input: a nonpositive or
+    # non-finite radius or extent, or a non-finite amplitude
+    try:
+        problem, exact = _solve_problem(cfg, mode, spec)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
 
+    start = time.perf_counter()
     if mode == "radial":
         mesh = cfg.get("mesh", 64, int)
         state, grid = solver.radial_solve(problem, mesh, scfg)
     else:
         mesh = cfg.int_list("mesh") or [17] * spec.n
         state, grid = solver.box_solve(problem, mesh, scfg)
+    profile = {"elapsed_s": time.perf_counter() - start}
 
     report = state.as_dict()
     if exact is not None:
@@ -212,21 +221,29 @@ def cmd_solve(cfg, seed, out_dir, fmt):
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     _write_solution_csv(out / "solution.csv", grid, state)
-    _write_manifest(out_dir, "solve", cfg.raw, seed, report, fmt)
+    _write_manifest(out_dir, "solve", cfg.raw, seed, report, fmt, profile)
     print(f"solve: reached t={state.t:g} with min margin {state.min_margin:.3e}")
     return 0
 
 
+# rows formatted per write: one full-table string would cost megabytes of
+# peak memory on a 33^3 box
+_CSV_BLOCK_ROWS = 1024
+
+
 def _write_solution_csv(path, grid, state):
+    """Write the [points | u | margin] table: every value ``%.17g``, comma
+    separated, CRLF line ends, margin ``nan`` on boundary nodes."""
     pts = grid.points
+    ncols = pts.shape[1] + 2
+    row_fmt = ",".join(["%.17g"] * ncols) + "\r\n"
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([f"x{i + 1}" for i in range(pts.shape[1])] + ["u", "margin"])
-        for row in range(pts.shape[0]):
-            writer.writerow(
-                [f"{v:.17g}" for v in pts[row]]
-                + [f"{state.values[row]:.17g}", f"{state.margins[row]:.17g}"]
-            )
+        header = [f"x{i + 1}" for i in range(pts.shape[1])] + ["u", "margin"]
+        fh.write(",".join(header) + "\r\n")
+        for start in range(0, pts.shape[0], _CSV_BLOCK_ROWS):
+            rows = slice(start, start + _CSV_BLOCK_ROWS)
+            block = np.column_stack([pts[rows], state.values[rows], state.margins[rows]])
+            fh.write(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
 
 
 _VERIFY_KEYS = {"which", "n", "m", "k", "l", "trials", "delta", "eps", "L", "seed", "states"}
@@ -340,7 +357,7 @@ _BARRIER_KEYS = {
 
 def cmd_barrier_check(cfg, seed, out_dir, fmt):
     spec = _cone_spec(cfg)
-    geom = geometry.ball(cfg.get("radius", 1.0, float), dim=spec.n)
+    radius = cfg.get("radius", 1.0, float)
     which = cfg.get("which", "lemma53")
     points = cfg.get("points", 1000, int)
     coef = cfg.get("coef", 0.0, float)
@@ -356,9 +373,11 @@ def cmd_barrier_check(cfg, seed, out_dir, fmt):
     k3 = cfg.get("k3", 0.01, float)
     auto = cfg.get("K3", "auto") == "auto"
     start = time.perf_counter()
-    # ValueError here is bad input: barrier constants out of range, or a
-    # field whose Hessians are not finite (e.g. coef = nan)
+    # ValueError here is bad input: a nonpositive or non-finite radius,
+    # barrier constants out of range, or a field whose Hessians are not
+    # finite (e.g. coef = nan)
     try:
+        geom = geometry.ball(radius, dim=spec.n)
         if auto:
             # the search's passing check is the check at every one of the points
             K3, report = geometry.search_barrier_constant(

@@ -32,12 +32,24 @@ class DomainGeometry:
     mu0: float = 0.0
 
 
-def ball(radius, dim=3, center=None, mu0=None):
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+def _check_radius(radius):
+    # NaN fails every comparison, so the chain rejects it too
+    if not 0 < radius < math.inf:
+        raise ValueError(f"radius must be positive and finite, got {radius}")
+
+
+def _check_center(center, dim):
     center = np.zeros(dim) if center is None else np.asarray(center, dtype=np.float64)
     if center.shape != (dim,):
         raise ValueError("center must have length dim")
+    if not np.all(np.isfinite(center)):
+        raise ValueError(f"center must be finite, got {center.tolist()}")
+    return center
+
+
+def ball(radius, dim=3, center=None, mu0=None):
+    _check_radius(radius)
+    center = _check_center(center, dim)
     return DomainGeometry(
         kind="ball", dim=dim, radius=float(radius), center=center,
         mu0=float(mu0) if mu0 is not None else radius / 2.0,
@@ -45,8 +57,7 @@ def ball(radius, dim=3, center=None, mu0=None):
 
 
 def radial(radius, dim=3, mu0=None):
-    if radius <= 0:
-        raise ValueError("radius must be positive")
+    _check_radius(radius)
     return DomainGeometry(
         kind="radial", dim=dim, radius=float(radius), center=np.zeros(dim),
         mu0=float(mu0) if mu0 is not None else radius / 2.0,
@@ -55,10 +66,10 @@ def radial(radius, dim=3, mu0=None):
 
 def box(extents, center=None, mu0=None):
     extents = np.asarray(extents, dtype=np.float64)
-    if extents.ndim != 1 or np.any(extents <= 0):
-        raise ValueError("extents must be positive")
+    if extents.ndim != 1 or not np.all((extents > 0) & (extents < math.inf)):
+        raise ValueError(f"extents must be positive and finite, got {extents.tolist()}")
     dim = extents.size
-    center = np.zeros(dim) if center is None else np.asarray(center, dtype=np.float64)
+    center = _check_center(center, dim)
     return DomainGeometry(
         kind="box", dim=dim, extents=extents, center=center,
         mu0=float(mu0) if mu0 is not None else float(extents.min()) / 4.0,

@@ -25,8 +25,9 @@ class ProblemSpec:
 
     ``f`` maps interior points (P, d) to positive values; optionally it may
     depend on the solution through ``f(points, u)`` with the monotone
-    derivative ``f_u <= 0`` supplied separately. ``a`` (positive) and ``b``
-    are boundary fields; ``b`` receives (points, normals).
+    derivative ``f_u <= 0`` supplied separately. Without ``f_u``, ``f`` is
+    fixed data and a discrete system evaluates it once. ``a`` (positive) and
+    ``b`` are boundary fields; ``b`` receives (points, normals).
     """
 
     spec: lift.ConeSpec
@@ -161,6 +162,10 @@ class DiscreteSystem:
         self.x_dot_nu = (points_b * normals_b).sum(axis=1)
         self.half_sq_b = 0.5 * (points_b**2).sum(axis=1)
         self.interior_points = grid.points[grid.interior_flat]
+        # without f_u the field cannot depend on u: evaluate it once here
+        self.f_interior = (
+            problem.eval_f(self.interior_points, None) if problem.f_u is None else None
+        )
 
     @property
     def npoints(self):
@@ -183,9 +188,11 @@ class DiscreteSystem:
         return t * self.b_b + (1.0 - t) * (self.x_dot_nu + self.a_b * self.half_sq_b)
 
     def rhs(self, t, values):
-        fvals = self.problem.eval_f(
-            self.interior_points, values[self.grid.interior_flat]
-        )
+        fvals = self.f_interior
+        if fvals is None:
+            fvals = self.problem.eval_f(
+                self.interior_points, values[self.grid.interior_flat]
+            )
         return t * fvals + (1.0 - t) * self.K0
 
     def _sym(self, values):
@@ -571,6 +578,9 @@ def radial_quartic_problem(spec, R=1.0, coef=0.05, a_const=1.0):
 
 def box_cosine_problem(spec, extents=None, amp=0.05, a_const=1.0):
     """Box field |x|^2/2 + amp * prod cos(pi x_c / 2), data derived exactly."""
+    if not math.isfinite(amp):
+        # NaN Hessians would stop eigvalsh inside f before validate sees them
+        raise ValueError(f"amp must be finite, got {amp}")
     extents = np.full(spec.n, 2.0) if extents is None else np.asarray(extents, float)
     geom = geometry.box(extents)
 

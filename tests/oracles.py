@@ -4,10 +4,11 @@ Everything here enumerates subsets or permutations directly, or (for the
 lifted gradient) goes through the dense lifted matrix, independent of the
 production code paths it cross-checks. The one-at-a-time helpers at the end
 (one lifted matrix, one subset position, one homotopy member, one boundary
-point, one barrier value, one sample into a report) are the scalar forms the
-batch code is checked against.
+point, one barrier value, one sample into a report, one CSV row) are the
+scalar forms the batch code is checked against.
 """
 
+import csv
 import itertools
 import math
 
@@ -224,3 +225,17 @@ def verify_barrier_points(u_hess, geom, params, spec, pts, which="lemma53"):
         ratios = [s[l] / params.K3**l for l in range(1, spec.k + 1)]
         out["min_sl_ratio"] = min(out["min_sl_ratio"], float(min(ratios)))
     return out
+
+
+def write_solution_csv_rows(path, grid, state):
+    """``solution.csv`` through ``csv.writer``, one row at a time: the
+    reference for the block-formatted ``cli._write_solution_csv``."""
+    pts = grid.points
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow([f"x{i + 1}" for i in range(pts.shape[1])] + ["u", "margin"])
+        for row in range(pts.shape[0]):
+            writer.writerow(
+                [f"{v:.17g}" for v in pts[row]]
+                + [f"{state.values[row]:.17g}", f"{state.margins[row]:.17g}"]
+            )

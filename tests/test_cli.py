@@ -1,10 +1,13 @@
 import json
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from sumhess.cli import main
+from oracles import write_solution_csv_rows
+from sumhess import grids
+from sumhess.cli import _write_solution_csv, main
 from sumhess.expressions import parse_expression
 from sumhess.errors import ConfigError
 
@@ -235,8 +238,33 @@ mesh = 32
     out2 = tmp_path / "o2"
     assert main(["solve", "--config", str(out1 / "manifest.json"), "--out-dir", str(out2)]) == 0
     m2 = json.loads((out2 / "manifest.json").read_text())
+    # wall time sits outside the replayed report
     assert m1["report"] == m2["report"]
+    assert m1["profile"]["elapsed_s"] > 0 and m2["profile"]["elapsed_s"] > 0
     assert (out1 / "solution.csv").read_text() == (out2 / "solution.csv").read_text()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    # both grids span more than one 1024-row formatting block
+    [grids.box_grid([2.0, 1.5, 3.0], (11, 11, 11)), grids.radial_grid(1.0, 2500, 3)],
+    ids=["box", "radial"],
+)
+def test_solution_csv_bytes_match_row_writer(tmp_path, grid):
+    rng = np.random.default_rng(5)
+    values = rng.normal(size=grid.npoints) * 10.0 ** rng.integers(-300, 300, grid.npoints)
+    margins = rng.uniform(0.0, 50.0, grid.npoints)
+    specials = [-0.0, 1e-300, 1e300, 0.1]
+    values[:4] = values[-4:] = specials  # the last radial node is the boundary
+    margins[grid.interior_flat[:4]] = specials
+    margins[grid.boundary_flat] = np.nan
+    state = SimpleNamespace(values=values, margins=margins)
+    _write_solution_csv(tmp_path / "block.csv", grid, state)
+    write_solution_csv_rows(tmp_path / "rows.csv", grid, state)
+    written = (tmp_path / "block.csv").read_bytes()
+    assert written == (tmp_path / "rows.csv").read_bytes()
+    assert written.count(b"\r\n") == grid.npoints + 1
+    assert written.count(b",nan\r\n") == grid.boundary_flat.size
 
 
 def test_cone_check(tmp_path):
@@ -322,6 +350,8 @@ def test_bad_config_value_is_a_config_error(tmp_path, capsys, command, body):
 
 _RADIAL_SOLVE = "mode = radial\nn = 3\nm = 2\nk = 2\nmanufactured = radial\nmesh = 16\n"
 _BARRIER = "n = 4\nm = 2\nk = 2\nwhich = lemma53\npoints = 20\n"
+_BOX_SOLVE = "mode = box\nn = 3\nm = 2\nk = 2\nmesh = 5,5,5\n"
+_EXPR_FIELDS = "f = 12\na = 1\nb = 1\n"
 
 
 @pytest.mark.parametrize(
@@ -335,9 +365,23 @@ _BARRIER = "n = 4\nm = 2\nk = 2\nwhich = lemma53\npoints = 20\n"
         ("barrier-check", _BARRIER + "K3 = abc\n", "bad value for 'K3'"),
         ("barrier-check", _BARRIER + "field = quartic\ncoef = nan\n",
          "matrix entries must be finite"),
+        # NaN extents or amp made the manufactured f call eigvalsh on NaN
+        # Hessians ("Eigenvalues did not converge"); negative sizes raised a
+        # bare ValueError
+        ("solve", _BOX_SOLVE + "manufactured = box\nextents = 2,nan,2\n",
+         "extents must be positive and finite"),
+        ("solve", _BOX_SOLVE + "manufactured = box\namp = inf\n", "amp must be finite"),
+        ("solve", _BOX_SOLVE + _EXPR_FIELDS + "extents = 2,inf,2\n",
+         "extents must be positive and finite"),
+        ("solve", _BOX_SOLVE + "manufactured = box\nextents = 2,-2,2\n",
+         "extents must be positive and finite"),
+        ("solve", _RADIAL_SOLVE + "radius = -1\n", "radius must be positive and finite"),
+        ("barrier-check", _BARRIER + "radius = nan\n", "radius must be positive and finite"),
     ],
     ids=["solve-dt0-nan", "solve-dt0-zero", "barrier-K3-negative", "barrier-K3-text",
-         "barrier-quartic-coef-nan"],
+         "barrier-quartic-coef-nan", "solve-box-extents-nan", "solve-box-amp-inf",
+         "solve-expr-extents-inf", "solve-box-extents-negative",
+         "solve-radial-radius-negative", "barrier-radius-nan"],
 )
 def test_out_of_range_value_is_a_config_error(tmp_path, capsys, command, body, message):
     cfg = write(tmp_path / "c.cfg", body)

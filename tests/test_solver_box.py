@@ -269,3 +269,51 @@ def test_box_manufactured_17_takes_three_predicted_steps():
     assert sum(s["newton_iters"] for s in steps) <= 8
     assert [s["predicted"] for s in steps] == [False, True, True]
     assert np.abs(state.values - exact(grid.points)).max() < 8e-4
+
+
+def _counting(field):
+    """``field`` wrapped to record the number of points of every call."""
+    calls = []
+
+    def counted(points, *u):
+        calls.append(points.shape[0])
+        return field(points, *u)
+
+    return counted, calls
+
+
+@pytest.mark.parametrize("kind, mesh", [("radial", 32), ("box", 9)])
+def test_fixed_f_is_evaluated_at_most_twice_per_solve(kind, mesh):
+    # validate checks f on the whole grid; the system evaluates the interior
+    # once, however many residuals the path takes
+    template, solve = {
+        "radial": (solver.radial_quartic_problem, solver.radial_solve),
+        "box": (solver.box_cosine_problem, solver.box_solve),
+    }[kind]
+    problem, _ = template(ConeSpec(3, 2, 2))
+    problem.f, calls = _counting(problem.f)
+    state, _ = solve(problem, mesh)
+    assert state.t == 1.0 and sum(s["newton_iters"] for s in state.steps) > 0
+    assert len(calls) <= 2
+
+
+@pytest.mark.parametrize("f_of_u", [False, True], ids=["f_x", "f_xu"])
+def test_rhs_blends_f_and_the_t0_constant(f_of_u):
+    spec = ConeSpec(3, 2, 2)
+    problem = arbitrary_fields_problem(spec)
+    if f_of_u:
+        base_f = problem.f
+        problem.f_u = lambda points, u: -np.ones(points.shape[0])
+        problem.f = lambda points, u: base_f(points) + 0.5 * (points**2).sum(axis=1) - u
+    field = problem.f
+    problem.f, calls = _counting(field)
+    grid = grids.box_grid(problem.geom.extents, 7)
+    system = BoxSystem(problem, grid)
+    u = 1.01 * system.initial_values()
+    interior_u = (u[grid.interior_flat],) if f_of_u else ()
+    fvals = field(system.interior_points, *interior_u)
+    for t in (0.0, 0.3, 1.0):
+        np.testing.assert_array_equal(system.rhs(t, u), t * fvals + (1.0 - t) * system.K0)
+        system.residual(u, t)
+    # f(x): once, when the system is built; f(x, u): on every rhs
+    assert len(calls) == (6 if f_of_u else 1)
