@@ -210,7 +210,7 @@ def cmd_solve(cfg, seed, out_dir, fmt):
     else:
         mesh = cfg.int_list("mesh") or [17] * spec.n
         state, grid = solver.box_solve(problem, mesh, scfg)
-    profile = {"elapsed_s": time.perf_counter() - start}
+    profile = {"elapsed_s": time.perf_counter() - start, **state.profile}
 
     report = state.as_dict()
     if exact is not None:

@@ -594,7 +594,7 @@ def _suite_diagonal_gradient(n, m, trials, seed, report):
         lam = _kernels.subset_sums(diags[sel], table.tuples)
         del_lift = _kernels.deleted_sym(lam, kk - 1)
         expected = _kernels.fold_tuple_gradient(del_lift, table.tuples, n)
-        F, _, _ = lift.gradient_batch(mats[sel], lift.ConeSpec(n, m, int(kk)))
+        F, _ = lift.gradient_batch(mats[sel], lift.ConeSpec(n, m, int(kk)))
         scale2 = np.abs(expected).sum(axis=1) + 1.0
         margins["lifted_diag_gradient"][sel] = IDENTITY_RTOL - np.abs(
             np.diagonal(F, axis1=1, axis2=2) - expected
@@ -641,7 +641,7 @@ def _suite_euler(spec, trials, seed, report, rtol=1e-9):
         accepted.append((Hs[take], s[take, k]))
     Hs = np.concatenate([H for H, _ in accepted])
     sk = np.concatenate([v for _, v in accepted])
-    F, _, _ = lift.gradient_batch(Hs, spec)
+    F, _ = lift.gradient_batch(Hs, spec)
     lhs = (F * Hs).sum(axis=(1, 2))
     rhs = k * sk
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)

@@ -305,7 +305,7 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
     report.count = int(ok.sum())
     if not report.count:
         return report
-    F, _, trace = lift.gradient_batch(Hs[ok], spec)
+    F, trace = lift.gradient_batch(Hs[ok], spec)
     Dh = barrier_hessian(geom, params, pts[ok])
     value = (F * Dh).sum(axis=(1, 2))
     scale = math.sqrt(params.K3) if which == "lemma53" else params.k3

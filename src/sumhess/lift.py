@@ -4,7 +4,9 @@ An n x n symmetric matrix H induces a C x C symmetric matrix (C = binom(n, m))
 acting on the m-th exterior power; its eigenvalues are exactly the sums of m
 distinct eigenvalues of H. This module builds the lifted matrix explicitly,
 computes its spectrum the fast way (diagonalize H once, form subset sums),
-tests cone admissibility, and maps gradients of S_k back down to n x n space.
+and tests cone admissibility. Batches of S_0..S_k and of the gradient of S_k,
+mapped back down to n x n space, come from the lifted matrix entries by a
+matrix recurrence, without an eigendecomposition.
 """
 
 import itertools
@@ -122,18 +124,63 @@ def lift_operator(n, m):
     )
 
 
+@lru_cache(maxsize=None)
+def lift_map(n, m):
+    """Dense lift map L of shape (C*C, n*n): vec(lift(H)) = L @ vec(H).
+
+    Each off-diagonal weight of ``lift_operator`` is split 1/2 and 1/2
+    between H[a, b] and H[b, a], so the pullback L^T vec(G) of any matrix G is
+    symmetric in exact arithmetic. The map holds 8 C^2 n^2 bytes: 648 B at
+    (n, m) = (3, 2), about 51 MB at the C = 252 cap. The cached array is
+    read-only.
+    """
+    op = lift_operator(n, m)
+    table = op.table
+    size = table.size
+    L = np.zeros((size, size, n, n))
+    diag = np.arange(size)
+    for slot in range(m):
+        L[diag, diag, table.tuples[:, slot], table.tuples[:, slot]] = 1.0
+    half = 0.5 * op.sign
+    for rows, cols in ((op.rows, op.cols), (op.cols, op.rows)):
+        L[rows, cols, op.src_a, op.src_b] = half
+        L[rows, cols, op.src_b, op.src_a] = half
+    L = L.reshape(size * size, n * n)
+    L.flags.writeable = False
+    return L
+
+
 def lift_hessian_batch(hessians, table):
     """Lifted matrices for a batch (N, n, n) of symmetric Hessians."""
     Hs = np.asarray(hessians, dtype=np.float64)
-    op = lift_operator(table.n, table.m)
-    size = table.size
-    W = np.zeros((Hs.shape[0], size, size))
-    diag = Hs[:, np.arange(table.n), np.arange(table.n)]
-    W[:, np.arange(size), np.arange(size)] = diag[:, table.tuples].sum(axis=2)
-    vals = op.sign * Hs[:, op.src_a, op.src_b]
-    W[:, op.rows, op.cols] = vals
-    W[:, op.cols, op.rows] = vals
-    return W
+    N, n = Hs.shape[0], table.n
+    W = Hs.reshape(N, n * n) @ lift_map(n, table.m).T
+    return W.reshape(N, table.size, table.size)
+
+
+def _sym_recurrence(W, k):
+    """Faddeev-LeVerrier recurrence on a batch of C x C matrices.
+
+    B_0 = I; for j = 1..k: T_j = W B_{j-1}, S_j = tr(T_j) / j and
+    B_j = S_j I - T_j. Returns the (N, k+1) table S_0..S_k, the elementary
+    symmetric values of each matrix's eigenvalues, and B_{k-1} = dS_k/dW.
+    The last step needs only the trace tr(W B_{k-1}). O(k C^3) per matrix.
+
+    The traces cancel more as k nears C. Relative to S_k(|lam|), at C = 15
+    (n = 6, m = 2) the error is below 1 eps at k = 7, then about 2e2, 3e3,
+    1e5 and 2e8 eps at k = 12..15; the eigenvalue route stays below 3e2 eps.
+    """
+    N, size = W.shape[0], W.shape[1]
+    eye = np.eye(size)
+    s = np.empty((N, k + 1))
+    s[:, 0] = 1.0
+    B = np.broadcast_to(eye, W.shape)
+    for j in range(1, k):
+        T = W if j == 1 else W @ B
+        s[:, j] = np.trace(T, axis1=1, axis2=2) / j
+        B = s[:, j, None, None] * eye - T
+    s[:, k] = np.einsum("npq,nqp->n", W, B) / k
+    return s, B
 
 
 def sum_spectrum(hess, m):
@@ -163,26 +210,37 @@ def sk_of_hessian(hess, spec):
     return symfun.elem_sym(sum_spectrum(hess, spec.m), spec.k)
 
 
-def gradient(hess, spec):
-    """Gradient of H -> S_k(lift(H)) as a symmetric n x n matrix, plus trace.
+def sym_batch(hessians, spec):
+    """S_0..S_k of the lifted matrices of a batch (N, n, n) of Hessians.
 
-    Works in the eigenbasis of H: the diagonal gradient entries are sums of
-    single-deletion symmetric values of the m-sum spectrum over the subsets
-    containing each eigen-direction, rotated back to ambient coordinates.
+    The same (N, k+1) table that ``_kernels.elem_sym_all`` gives for the
+    m-sum spectra, computed from the lifted matrix entries without an
+    eigendecomposition.
     """
+    W = lift_hessian_batch(hessians, subset_table(spec.n, spec.m))
+    s, _ = _sym_recurrence(W, spec.k)
+    return s
+
+
+def gradient(hess, spec):
+    """Gradient of H -> S_k(lift(H)) as a symmetric n x n matrix, plus trace."""
     H = symfun.as_symmetric(hess)
-    F, fii, trace = gradient_batch(H[None], spec)
+    F, trace = gradient_batch(H[None], spec)
     return F[0], float(trace[0])
 
 
 def gradient_batch(hessians, spec):
-    """Batched gradient: returns (F (N,n,n), eigenbasis diagonals (N,n), trace (N,))."""
+    """Batched gradient of H -> S_k(lift(H)): returns (F (N, n, n), trace (N,)).
+
+    F = L^T vec(dS_k/dW) pulls the recurrence's B_{k-1} back through the
+    lift map; no eigendecomposition is needed.
+    """
     Hs = np.asarray(hessians, dtype=np.float64)
-    table = subset_table(spec.n, spec.m)
-    w, Q = np.linalg.eigh(Hs)
-    lam = _kernels.subset_sums(w, table.tuples)
-    deleted = _kernels.deleted_sym(lam, spec.k - 1)
-    fii = _kernels.fold_tuple_gradient(deleted, table.tuples, spec.n)
-    F = np.einsum("sip,sp,sjp->sij", Q, fii, Q)
+    N, n = Hs.shape[0], spec.n
+    table = subset_table(n, spec.m)
+    _, B = _sym_recurrence(lift_hessian_batch(Hs, table), spec.k)
+    F = (B.reshape(N, table.size**2) @ lift_map(n, spec.m)).reshape(N, n, n)
+    # L's columns for H[a, b] and H[b, a] are equal, but BLAS may round the
+    # two products differently
     F = (F + F.transpose(0, 2, 1)) / 2.0
-    return F, fii, fii.sum(axis=1)
+    return F, np.trace(F, axis1=1, axis2=2)

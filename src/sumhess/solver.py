@@ -8,6 +8,7 @@ damped, admissibility-guarded Newton steps.
 """
 
 import math
+import time
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -104,6 +105,8 @@ class ContinuationState:
     diagnostics: dict = field(default_factory=dict)
     margins: np.ndarray = field(default=None, repr=False)  # t = 1, NaN on boundary
     rejected_steps: list = field(default_factory=list)  # t, dt, error per failed attempt
+    # wall seconds per Newton phase; kept out of as_dict, which must replay
+    profile: dict = field(default_factory=dict)
 
     @property
     def min_margin(self):
@@ -132,8 +135,9 @@ class DiscreteSystem:
     spectrum to the homotopy right-hand side; boundary rows at
     ``grid.boundary_flat`` impose u_nu + a u = target with the grid's
     ``normal_derivative`` and its ``dnu_*`` triplets. A grid kind supplies
-    ``_spectra`` (Hessian eigenvalues at the equation nodes) and
-    ``_interior_stencil`` (COO triplets of the linearized interior rows).
+    ``_sym`` (the S_0..S_k table of the lifted Hessians at the equation
+    nodes) and ``_interior_stencil`` (COO triplets of the linearized interior
+    rows).
     """
 
     kind = None
@@ -194,11 +198,6 @@ class DiscreteSystem:
                 self.interior_points, values[self.grid.interior_flat]
             )
         return t * fvals + (1.0 - t) * self.K0
-
-    def _sym(self, values):
-        """S_0..S_k of the lifted spectra at the equation nodes."""
-        lam = _kernels.subset_sums(self._spectra(values), self.table.tuples)
-        return _kernels.elem_sym_all(lam, self.spec.k)
 
     def margins(self, values):
         return _kernels.cone_margin(self._sym(values), self.spec.k)
@@ -261,13 +260,17 @@ class RadialSystem(DiscreteSystem):
     kind = "radial"
     geometry_kinds = ("ball", "radial")
 
-    def _spectra(self, values):
-        return grids.radial_spectra(self.grid, values)
+    def _lifted_spectra(self, values):
+        """m-sum spectra at the equation nodes, from the analytic profiles."""
+        return _kernels.subset_sums(grids.radial_spectra(self.grid, values), self.table.tuples)
+
+    def _sym(self, values):
+        return _kernels.elem_sym_all(self._lifted_spectra(values), self.spec.k)
 
     def _interior_stencil(self, values):
         grid = self.grid
         M, h = grid.M, grid.h
-        lam = _kernels.subset_sums(self._spectra(values), self.table.tuples)
+        lam = self._lifted_spectra(values)
         deleted = _kernels.deleted_sym(lam, self.spec.k - 1)
         fii = _kernels.fold_tuple_gradient(deleted, self.table.tuples, self.spec.n)
         # center row: Hessian is u''(0) * identity, so the weight is the trace
@@ -298,12 +301,12 @@ class BoxSystem(DiscreteSystem):
         super().__init__(problem, grid)
         self.stencil_cols, self.stencil_roles = grids.box_interior_stencil(grid)
 
-    def _spectra(self, values):
-        return np.linalg.eigvalsh(grids.box_hessians(self.grid, values))
+    def _sym(self, values):
+        return lift.sym_batch(grids.box_hessians(self.grid, values), self.spec)
 
     def _interior_stencil(self, values):
         H = grids.box_hessians(self.grid, values)
-        F, _, _ = lift.gradient_batch(H, self.spec)
+        F, _ = lift.gradient_batch(H, self.spec)
         vals = grids.box_interior_values(self.grid, F, self.stencil_roles)
         rows = np.repeat(self.grid.interior_flat, vals.shape[1])
         return rows, self.stencil_cols.ravel(), vals.ravel()
@@ -388,15 +391,30 @@ def _linear_solve(J, rhs, shape, cfg):
     return sol, vcycle.applications
 
 
-def newton_solve(system, values, t, cfg=None, start=None):
+def _timed(timing, key, fn, *args):
+    """``fn(*args)``, adding its wall time to ``timing[key]``."""
+    begin = time.perf_counter()
+    try:
+        return fn(*args)
+    finally:
+        timing[key] = timing.get(key, 0.0) + time.perf_counter() - begin
+
+
+def newton_solve(system, values, t, cfg=None, start=None, timing=None):
     """Damped Newton with backtracking: a step is accepted only when the
     residual norm satisfies the Armijo decrease and every node stays inside
     the admissibility cone by at least the margin floor. ``start`` is
-    ``system.residual_and_margin(values, t)`` when the caller already has it."""
+    ``system.residual_and_margin(values, t)`` when the caller already has it.
+    ``timing``, when given, accumulates the wall seconds spent in residuals,
+    Jacobian assembly and linear solves as ``residual_s``, ``jacobian_s``
+    and ``linear_solve_s``, also when the solve fails."""
     cfg = cfg or SolverConfig()
+    timing = {} if timing is None else timing
     tol = cfg.tolerance(system.kind)
     u = np.asarray(values, dtype=np.float64).copy()
-    res, margins = start if start is not None else system.residual_and_margin(u, t)
+    res, margins = start if start is not None else _timed(
+        timing, "residual_s", system.residual_and_margin, u, t
+    )
     margin = float(margins.min())
     norm = float(np.abs(res).max())
     if not (math.isfinite(norm) and math.isfinite(margin)):
@@ -416,13 +434,17 @@ def newton_solve(system, values, t, cfg=None, start=None):
                 f"no convergence in {cfg.max_iter} iterations (|res|={norm:.3e})",
                 last_values=u, residual_norm=norm,
             )
-        J = system.jacobian(u, t)
-        delta, linear_iters = _linear_solve(J, -res, system.grid.shape, cfg)
+        J = _timed(timing, "jacobian_s", system.jacobian, u, t)
+        delta, linear_iters = _timed(
+            timing, "linear_solve_s", _linear_solve, J, -res, system.grid.shape, cfg
+        )
         stats["linear_iters"] += linear_iters
         step = 1.0
         while True:
             trial = u + step * delta
-            t_res, t_margins = system.residual_and_margin(trial, t)
+            t_res, t_margins = _timed(
+                timing, "residual_s", system.residual_and_margin, trial, t
+            )
             t_margin = float(t_margins.min())
             t_norm = float(np.abs(t_res).max())
             if t_margin >= cfg.margin_floor and t_norm <= (1.0 - cfg.armijo * step) * norm:
@@ -450,12 +472,14 @@ def continuation_solve(system, cfg=None):
     that state is finite and admissible, and from u_k otherwise. An accepted
     step multiplies dt by ``cfg.growth`` of its Newton iterations, up to
     dt_max; a failed one is recorded in ``rejected_steps`` and halves dt, and
-    failure below dt_min aborts with the last good state.
+    failure below dt_min aborts with the last good state. ``state.profile``
+    totals Newton's phase times over every attempt.
     """
     cfg = cfg or SolverConfig()
     system.validate()
-    u, stats = newton_solve(system, system.initial_values(), 0.0, cfg)
-    state = ContinuationState(t=0.0, values=u)
+    profile = dict.fromkeys(("residual_s", "jacobian_s", "linear_solve_s"), 0.0)
+    u, stats = newton_solve(system, system.initial_values(), 0.0, cfg, timing=profile)
+    state = ContinuationState(t=0.0, values=u, profile=profile)
     state.steps.append({"t": 0.0, "dt": 0.0, "predicted": False, **_step_stats(stats)})
     u_prev = dt_prev = None
     dt = cfg.dt0
@@ -468,7 +492,9 @@ def continuation_solve(system, cfg=None):
                 system, state.values, u_prev, dt / dt_prev, t_new, cfg
             )
         try:
-            u_new, stats = newton_solve(system, start_values, t_new, cfg, start)
+            u_new, stats = newton_solve(
+                system, start_values, t_new, cfg, start, timing=profile
+            )
         except (NonconvergenceError, AdmissibilityError) as exc:
             state.rejected_steps.append(
                 {"t": state.t, "dt": dt, "error": type(exc).__name__}
@@ -579,7 +605,8 @@ def radial_quartic_problem(spec, R=1.0, coef=0.05, a_const=1.0):
 def box_cosine_problem(spec, extents=None, amp=0.05, a_const=1.0):
     """Box field |x|^2/2 + amp * prod cos(pi x_c / 2), data derived exactly."""
     if not math.isfinite(amp):
-        # NaN Hessians would stop eigvalsh inside f before validate sees them
+        # a NaN f would reach validate as "f must be finite"; reject the
+        # amplitude here so the error names it
         raise ValueError(f"amp must be finite, got {amp}")
     extents = np.full(spec.n, 2.0) if extents is None else np.asarray(extents, float)
     geom = geometry.box(extents)
@@ -624,8 +651,7 @@ def box_cosine_problem(spec, extents=None, amp=0.05, a_const=1.0):
         return g
 
     def f(points):
-        lam = lift.sum_spectrum_batch(hessians(points), spec.m)
-        return _kernels.elem_sym_all(lam, spec.k)[:, spec.k]
+        return lift.sym_batch(hessians(points), spec)[:, spec.k]
 
     def a(points):
         return np.full(points.shape[0], a_const)

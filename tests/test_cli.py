@@ -113,6 +113,9 @@ amp = 0.05
     assert all(s["linear_iters"] == 0 for s in manifest["report"]["steps"])
     assert manifest["report"]["rejected_steps"] == []
     assert [s["predicted"] for s in manifest["report"]["steps"]][-1]
+    profile = manifest["profile"]
+    phases = [profile[key] for key in ("residual_s", "jacobian_s", "linear_solve_s")]
+    assert min(phases) > 0 and sum(phases) <= profile["elapsed_s"]
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "x1,x2,x3,u,margin"
     assert len(lines) == 9**3 + 1

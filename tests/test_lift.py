@@ -3,9 +3,19 @@ import math
 import numpy as np
 import pytest
 
-from sumhess import lift, symfun
+from sumhess import _kernels, lift, symfun
 from sumhess.lift import ConeSpec
-from oracles import gradient_fd, gradient_via_lift, index_of, lift_hessian, subset_sums_enum
+from oracles import (
+    gradient_eigen_batch,
+    gradient_fd,
+    gradient_via_lift,
+    index_of,
+    lift_hessian,
+    subset_sums_enum,
+    sym_eigen_batch,
+)
+
+EPS = np.finfo(np.float64).eps
 
 
 def rand_sym(rng, n, scale=1.0):
@@ -54,6 +64,54 @@ def test_lift_linearity():
     # off-diagonal entries are single products and match bit-for-bit; the
     # diagonal sums differ only by accumulation order
     assert np.abs(left - right).max() < 1e-14
+
+
+def test_lift_map_matches_entrywise_lift():
+    rng = np.random.default_rng(37)
+    for n, m in [(3, 2), (4, 2), (5, 3), (6, 3)]:
+        table = lift.subset_table(n, m)
+        Hs = np.stack([rand_sym(rng, n) for _ in range(10)])
+        W = lift.lift_hessian_batch(Hs, table)
+        for H, Wi in zip(Hs, W):
+            # off-diagonal entries are single weighted terms and match
+            # bit-for-bit; the diagonal sums differ only by accumulation order
+            assert np.abs(Wi - lift_hessian(H, table)).max() < 1e-14
+    assert lift.lift_map(3, 2).nbytes == 8 * 3**2 * 3**2
+
+
+@pytest.mark.parametrize("n, m, k", [(3, 2, 2), (4, 2, 3), (6, 3, 5), (10, 5, 7)])
+def test_recurrence_matches_eigen_route(n, m, k):
+    # both routes err by about 10 eps times S_j(|lam|) here; the bound is
+    # 256 eps of that scale. |F_ab| <= binom(n-1, m-1) S_{k-1}(|lam|): each
+    # eigenbasis diagonal entry of F sums that many deleted values
+    rng = np.random.default_rng(43)
+    spec = ConeSpec(n, m, k)
+    Hs = np.stack([rand_sym(rng, n) for _ in range(20)])
+    tol = 256 * EPS
+    scale = _kernels.elem_sym_all(np.abs(lift.sum_spectrum_batch(Hs, m)), k)
+    s = lift.sym_batch(Hs, spec)
+    assert s.shape == (20, k + 1)
+    assert np.all(np.abs(s - sym_eigen_batch(Hs, spec)) <= tol * scale)
+    F, trace = lift.gradient_batch(Hs, spec)
+    F_eig, trace_eig = gradient_eigen_batch(Hs, spec)
+    f_scale = math.comb(n - 1, m - 1) * scale[:, k - 1]
+    assert np.all(np.abs(F - F_eig).max(axis=(1, 2)) <= tol * f_scale)
+    assert np.all(np.abs(trace - trace_eig) <= n * tol * f_scale)
+    assert np.array_equal(F, F.transpose(0, 2, 1))
+    # Euler's identity for the degree-k homogeneous S_k: F : H = k S_k,
+    # to rounding of the contraction's own terms
+    lhs = (F * Hs).sum(axis=(1, 2))
+    dot_scale = (np.abs(F) * np.abs(Hs)).sum(axis=(1, 2)) + k * scale[:, k]
+    assert np.all(np.abs(lhs - k * s[:, k]) <= tol * dot_scale)
+
+
+def test_empty_batch_shapes():
+    spec = ConeSpec(4, 2, 3)
+    H = np.zeros((0, 4, 4))
+    assert lift.lift_hessian_batch(H, lift.subset_table(4, 2)).shape == (0, 6, 6)
+    assert lift.sym_batch(H, spec).shape == (0, 4)
+    F, trace = lift.gradient_batch(H, spec)
+    assert F.shape == (0, 4, 4) and trace.shape == (0,)
 
 
 def test_spectral_lift_small_sample():
@@ -214,7 +272,7 @@ def test_gradient_batch_consistency():
     rng = np.random.default_rng(29)
     spec = ConeSpec(4, 2, 3)
     Hs = np.stack([rand_sym(rng, 4) for _ in range(8)])
-    Fb, _, tb = lift.gradient_batch(Hs, spec)
+    Fb, tb = lift.gradient_batch(Hs, spec)
     for H, F, t in zip(Hs, Fb, tb):
         F1, t1 = lift.gradient(H, spec)
         assert np.allclose(F, F1, atol=1e-12)

@@ -88,6 +88,19 @@ def test_box_manufactured_small():
         assert row["diagnostics"]["admissible_everywhere"]
 
 
+def test_box_solve_makes_no_eigendecomposition(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("box solve called an eigendecomposition")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", refuse)
+    monkeypatch.setattr(np.linalg, "eigh", refuse)
+    spec = ConeSpec(3, 2, 2)
+    problem, exact = solver.box_cosine_problem(spec)
+    state, grid = solver.box_solve(problem, 9)
+    assert state.t == 1.0
+    assert np.abs(state.values - exact(grid.points)).max() < 5e-3
+
+
 def test_box_four_dimensional():
     spec = ConeSpec(4, 2, 2)
     problem, exact = solver.box_cosine_problem(spec)

@@ -332,8 +332,8 @@ def test_secant_prediction_and_its_fallback(monkeypatch, poison):
     accepted = []
     newton = solver.newton_solve
 
-    def recording_newton(system, values, t, cfg=None, start=None):
-        u, stats = newton(system, values, t, cfg, start)
+    def recording_newton(system, values, t, cfg=None, start=None, **kwargs):
+        u, stats = newton(system, values, t, cfg, start, **kwargs)
         accepted.append((t, u))
         return u, stats
 
