@@ -4,9 +4,9 @@ An n x n symmetric matrix H induces a C x C symmetric matrix (C = binom(n, m))
 acting on the m-th exterior power; its eigenvalues are exactly the sums of m
 distinct eigenvalues of H. This module builds the lifted matrix explicitly,
 computes its spectrum the fast way (diagonalize H once, form subset sums),
-and tests cone admissibility. Batches of S_0..S_k and of the gradient of S_k,
-mapped back down to n x n space, come from the lifted matrix entries by a
-matrix recurrence, without an eigendecomposition.
+tests cone admissibility, and maps gradients of S_k back down to n x n space.
+For k <= 2, batches of S_0..S_k and of the gradient come from the entries of H,
+without an eigendecomposition.
 """
 
 import itertools
@@ -124,63 +124,18 @@ def lift_operator(n, m):
     )
 
 
-@lru_cache(maxsize=None)
-def lift_map(n, m):
-    """Dense lift map L of shape (C*C, n*n): vec(lift(H)) = L @ vec(H).
-
-    Each off-diagonal weight of ``lift_operator`` is split 1/2 and 1/2
-    between H[a, b] and H[b, a], so the pullback L^T vec(G) of any matrix G is
-    symmetric in exact arithmetic. The map holds 8 C^2 n^2 bytes: 648 B at
-    (n, m) = (3, 2), about 51 MB at the C = 252 cap. The cached array is
-    read-only.
-    """
-    op = lift_operator(n, m)
-    table = op.table
-    size = table.size
-    L = np.zeros((size, size, n, n))
-    diag = np.arange(size)
-    for slot in range(m):
-        L[diag, diag, table.tuples[:, slot], table.tuples[:, slot]] = 1.0
-    half = 0.5 * op.sign
-    for rows, cols in ((op.rows, op.cols), (op.cols, op.rows)):
-        L[rows, cols, op.src_a, op.src_b] = half
-        L[rows, cols, op.src_b, op.src_a] = half
-    L = L.reshape(size * size, n * n)
-    L.flags.writeable = False
-    return L
-
-
 def lift_hessian_batch(hessians, table):
     """Lifted matrices for a batch (N, n, n) of symmetric Hessians."""
     Hs = np.asarray(hessians, dtype=np.float64)
-    N, n = Hs.shape[0], table.n
-    W = Hs.reshape(N, n * n) @ lift_map(n, table.m).T
-    return W.reshape(N, table.size, table.size)
-
-
-def _sym_recurrence(W, k):
-    """Faddeev-LeVerrier recurrence on a batch of C x C matrices.
-
-    B_0 = I; for j = 1..k: T_j = W B_{j-1}, S_j = tr(T_j) / j and
-    B_j = S_j I - T_j. Returns the (N, k+1) table S_0..S_k, the elementary
-    symmetric values of each matrix's eigenvalues, and B_{k-1} = dS_k/dW.
-    The last step needs only the trace tr(W B_{k-1}). O(k C^3) per matrix.
-
-    The traces cancel more as k nears C. Relative to S_k(|lam|), at C = 15
-    (n = 6, m = 2) the error is below 1 eps at k = 7, then about 2e2, 3e3,
-    1e5 and 2e8 eps at k = 12..15; the eigenvalue route stays below 3e2 eps.
-    """
-    N, size = W.shape[0], W.shape[1]
-    eye = np.eye(size)
-    s = np.empty((N, k + 1))
-    s[:, 0] = 1.0
-    B = np.broadcast_to(eye, W.shape)
-    for j in range(1, k):
-        T = W if j == 1 else W @ B
-        s[:, j] = np.trace(T, axis1=1, axis2=2) / j
-        B = s[:, j, None, None] * eye - T
-    s[:, k] = np.einsum("npq,nqp->n", W, B) / k
-    return s, B
+    op = lift_operator(table.n, table.m)
+    size = table.size
+    W = np.zeros((Hs.shape[0], size, size))
+    diag = Hs[:, np.arange(table.n), np.arange(table.n)]
+    W[:, np.arange(size), np.arange(size)] = diag[:, table.tuples].sum(axis=2)
+    vals = op.sign * Hs[:, op.src_a, op.src_b]
+    W[:, op.rows, op.cols] = vals
+    W[:, op.cols, op.rows] = vals
+    return W
 
 
 def sum_spectrum(hess, m):
@@ -210,15 +165,44 @@ def sk_of_hessian(hess, spec):
     return symfun.elem_sym(sum_spectrum(hess, spec.m), spec.k)
 
 
-def sym_batch(hessians, spec):
-    """S_0..S_k of the lifted matrices of a batch (N, n, n) of Hessians.
+def _subset_counts(spec):
+    """(c1, c2): how many m-subsets of {0..n-1} hold a given index, and a
+    given pair of indices."""
+    return math.comb(spec.n - 1, spec.m - 1), math.comb(spec.n - 2, spec.m - 2)
 
-    The same (N, k+1) table that ``_kernels.elem_sym_all`` gives for the
-    m-sum spectra, computed from the lifted matrix entries without an
-    eigendecomposition.
+
+def sym_batch(hessians, spec):
+    """S_0..S_k of the m-sum spectra of a batch (N, n, n) of symmetric
+    Hessians: the (N, k+1) table ``_kernels.elem_sym_all`` gives for
+    ``sum_spectrum_batch``.
+
+    For k <= 2 no eigendecomposition is needed: S_j of the lifted matrix W is
+    the sum of its principal j-minors. The lifted diagonal holds the m-subset
+    sums of diag(H), and each off-diagonal H[i, j] fills c1 - c2 =
+    binom(n-2, m-1) entries above W's diagonal (``_subset_counts``), so
+    S_1 = e_1(diagonal sums) and
+    S_2 = e_2(diagonal sums) - (c1 - c2) sum_{i<j} H[i, j]^2.
+    That is O(C + n^2) per matrix. Against a 50-digit reference, for (n, m)
+    from (3, 2) to (10, 5) on rotated spectra spread over e^-7..e^7, its
+    error relative to S_j(|lam|) stayed within 6 eps, and it was below the
+    eigenvalue route's wherever that one lost digits (one lifted eigenvalue
+    1e6 times the others: 2e5 against 5e6 eps). Past k = 2 the minors would
+    need the Faddeev-LeVerrier recurrence, whose traces cancel: at
+    (n, m, k) = (3, 2, 3), on a diagonal H whose lifted sums cancel to O(1)
+    beside one of 1e6, it was 1e11 eps off against 1 eps for the eigenvalue
+    route, which larger k therefore take.
     """
-    W = lift_hessian_batch(hessians, subset_table(spec.n, spec.m))
-    s, _ = _sym_recurrence(W, spec.k)
+    Hs = np.asarray(hessians, dtype=np.float64)
+    if spec.k > 2:
+        return _kernels.elem_sym_all(sum_spectrum_batch(Hs, spec.m), spec.k)
+    table = subset_table(spec.n, spec.m)
+    diag = np.diagonal(Hs, axis1=1, axis2=2)
+    s = _kernels.elem_sym_all(_kernels.subset_sums(diag, table.tuples), spec.k)
+    if spec.k == 2:
+        c1, c2 = _subset_counts(spec)
+        rows, cols = np.triu_indices(spec.n, 1)
+        off = (Hs[:, rows, cols] * Hs[:, cols, rows]).sum(axis=1)
+        s[:, 2] -= (c1 - c2) * off
     return s
 
 
@@ -232,15 +216,32 @@ def gradient(hess, spec):
 def gradient_batch(hessians, spec):
     """Batched gradient of H -> S_k(lift(H)): returns (F (N, n, n), trace (N,)).
 
-    F = L^T vec(dS_k/dW) pulls the recurrence's B_{k-1} back through the
-    lift map; no eigendecomposition is needed.
+    For k <= 2 it differentiates the minor sums of ``sym_batch``:
+    dS_1/dH = c1 I and dS_2/dH = (c1^2 - c2) tr H I - (c1 - c2) H. Larger k
+    work in the eigenbasis of H: the diagonal gradient entries are sums of
+    single-deletion symmetric values of the m-sum spectrum over the subsets
+    containing each eigen-direction, rotated back to ambient coordinates.
     """
     Hs = np.asarray(hessians, dtype=np.float64)
-    N, n = Hs.shape[0], spec.n
-    table = subset_table(n, spec.m)
-    _, B = _sym_recurrence(lift_hessian_batch(Hs, table), spec.k)
-    F = (B.reshape(N, table.size**2) @ lift_map(n, spec.m)).reshape(N, n, n)
-    # L's columns for H[a, b] and H[b, a] are equal, but BLAS may round the
-    # two products differently
-    F = (F + F.transpose(0, 2, 1)) / 2.0
+    if spec.k > 2:
+        return _gradient_eigen(Hs, spec)
+    c1, c2 = _subset_counts(spec)
+    if spec.k == 1:
+        F = np.broadcast_to(c1 * np.eye(spec.n), Hs.shape).copy()
+    else:
+        tr = np.trace(Hs, axis1=1, axis2=2)
+        F = (c1 * c1 - c2) * tr[:, None, None] * np.eye(spec.n)
+        F -= (c1 - c2) / 2.0 * (Hs + Hs.transpose(0, 2, 1))
     return F, np.trace(F, axis1=1, axis2=2)
+
+
+def _gradient_eigen(Hs, spec):
+    """``gradient_batch`` through one eigendecomposition of each H."""
+    table = subset_table(spec.n, spec.m)
+    w, Q = np.linalg.eigh(Hs)
+    lam = _kernels.subset_sums(w, table.tuples)
+    deleted = _kernels.deleted_sym(lam, spec.k - 1)
+    fii = _kernels.fold_tuple_gradient(deleted, table.tuples, spec.n)
+    F = np.einsum("sip,sp,sjp->sij", Q, fii, Q)
+    F = (F + F.transpose(0, 2, 1)) / 2.0
+    return F, fii.sum(axis=1)

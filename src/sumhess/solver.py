@@ -400,16 +400,15 @@ def _timed(timing, key, fn, *args):
         timing[key] = timing.get(key, 0.0) + time.perf_counter() - begin
 
 
-def newton_solve(system, values, t, cfg=None, start=None, timing=None):
+def newton_solve(system, values, t, cfg=None, start=None, *, timing):
     """Damped Newton with backtracking: a step is accepted only when the
     residual norm satisfies the Armijo decrease and every node stays inside
     the admissibility cone by at least the margin floor. ``start`` is
     ``system.residual_and_margin(values, t)`` when the caller already has it.
-    ``timing``, when given, accumulates the wall seconds spent in residuals,
-    Jacobian assembly and linear solves as ``residual_s``, ``jacobian_s``
-    and ``linear_solve_s``, also when the solve fails."""
+    The caller's ``timing`` dict accumulates the wall seconds spent in
+    residuals, Jacobian assembly and linear solves as ``residual_s``,
+    ``jacobian_s`` and ``linear_solve_s``, also when the solve fails."""
     cfg = cfg or SolverConfig()
-    timing = {} if timing is None else timing
     tol = cfg.tolerance(system.kind)
     u = np.asarray(values, dtype=np.float64).copy()
     res, margins = start if start is not None else _timed(
@@ -605,8 +604,9 @@ def radial_quartic_problem(spec, R=1.0, coef=0.05, a_const=1.0):
 def box_cosine_problem(spec, extents=None, amp=0.05, a_const=1.0):
     """Box field |x|^2/2 + amp * prod cos(pi x_c / 2), data derived exactly."""
     if not math.isfinite(amp):
-        # a NaN f would reach validate as "f must be finite"; reject the
-        # amplitude here so the error names it
+        # for k >= 3, f's eigvalsh would stop on NaN Hessians before
+        # validate sees them; for k <= 2 the NaN would reach validate as
+        # "f must be finite"; reject the amplitude here so the error names it
         raise ValueError(f"amp must be finite, got {amp}")
     extents = np.full(spec.n, 2.0) if extents is None else np.asarray(extents, float)
     geom = geometry.box(extents)

@@ -14,7 +14,7 @@ import math
 
 import numpy as np
 
-from sumhess import _kernels, geometry, lift, symfun
+from sumhess import geometry, lift, symfun
 from sumhess.cones import MARGIN_FLOOR
 
 
@@ -116,40 +116,12 @@ def gradient_via_lift(hess, spec):
     return symfun.symmetrize(F), float(np.trace(F))
 
 
-def sym_eigen_batch(hessians, spec):
-    """S_0..S_k of the lifted matrices through one eigendecomposition of
-    each Hessian and its m-sum spectrum: the reference for ``lift.sym_batch``."""
-    lam = lift.sum_spectrum_batch(hessians, spec.m)
-    return _kernels.elem_sym_all(lam, spec.k)
-
-
-def gradient_eigen_batch(hessians, spec):
-    """Gradient of H -> S_k(lift(H)) in the eigenbasis of each H: the
-    diagonal entries are sums of single-deletion values of the m-sum
-    spectrum over the subsets holding each eigen-direction, rotated back.
-    The reference for ``lift.gradient_batch``; returns (F, trace)."""
-    Hs = np.asarray(hessians, dtype=np.float64)
-    table = lift.subset_table(spec.n, spec.m)
-    w, Q = np.linalg.eigh(Hs)
-    lam = _kernels.subset_sums(w, table.tuples)
-    deleted = _kernels.deleted_sym(lam, spec.k - 1)
-    fii = _kernels.fold_tuple_gradient(deleted, table.tuples, spec.n)
-    F = np.einsum("sip,sp,sjp->sij", Q, fii, Q)
-    return (F + F.transpose(0, 2, 1)) / 2.0, fii.sum(axis=1)
-
-
 def lift_hessian(hess, table):
-    """Dense lifted matrix of one symmetric n x n Hessian, scattered entry by
-    entry from the sparse ``lift_operator``: the reference for the lift map."""
+    """Dense lifted matrix of one symmetric n x n Hessian."""
     H = symfun.as_symmetric(hess)
     if H.shape[0] != table.n:
         raise ValueError(f"Hessian size {H.shape[0]} does not match table n={table.n}")
-    op = lift.lift_operator(table.n, table.m)
-    W = np.diag(np.diag(H)[table.tuples].sum(axis=1))
-    vals = op.sign * H[op.src_a, op.src_b]
-    W[op.rows, op.cols] = vals
-    W[op.cols, op.rows] = vals
-    return W
+    return lift.lift_hessian_batch(H[None], table)[0]
 
 
 def index_of(table, tup):

@@ -1,19 +1,14 @@
+import itertools
 import math
+import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from sumhess import _kernels, lift, symfun
 from sumhess.lift import ConeSpec
-from oracles import (
-    gradient_eigen_batch,
-    gradient_fd,
-    gradient_via_lift,
-    index_of,
-    lift_hessian,
-    subset_sums_enum,
-    sym_eigen_batch,
-)
+from oracles import gradient_fd, gradient_via_lift, index_of, lift_hessian, subset_sums_enum
 
 EPS = np.finfo(np.float64).eps
 
@@ -66,34 +61,22 @@ def test_lift_linearity():
     assert np.abs(left - right).max() < 1e-14
 
 
-def test_lift_map_matches_entrywise_lift():
-    rng = np.random.default_rng(37)
-    for n, m in [(3, 2), (4, 2), (5, 3), (6, 3)]:
-        table = lift.subset_table(n, m)
-        Hs = np.stack([rand_sym(rng, n) for _ in range(10)])
-        W = lift.lift_hessian_batch(Hs, table)
-        for H, Wi in zip(Hs, W):
-            # off-diagonal entries are single weighted terms and match
-            # bit-for-bit; the diagonal sums differ only by accumulation order
-            assert np.abs(Wi - lift_hessian(H, table)).max() < 1e-14
-    assert lift.lift_map(3, 2).nbytes == 8 * 3**2 * 3**2
-
-
-@pytest.mark.parametrize("n, m, k", [(3, 2, 2), (4, 2, 3), (6, 3, 5), (10, 5, 7)])
-def test_recurrence_matches_eigen_route(n, m, k):
-    # both routes err by about 10 eps times S_j(|lam|) here; the bound is
-    # 256 eps of that scale. |F_ab| <= binom(n-1, m-1) S_{k-1}(|lam|): each
+@pytest.mark.parametrize("n, m, k", [(3, 2, 1), (3, 2, 2), (4, 2, 2), (6, 3, 2), (10, 5, 2)])
+def test_minor_sums_match_eigen_route(n, m, k):
+    # both routes err by a few eps times S_j(|lam|) here; the bound is 256 eps
+    # of that scale. |F_ab| <= binom(n-1, m-1) S_{k-1}(|lam|): each
     # eigenbasis diagonal entry of F sums that many deleted values
     rng = np.random.default_rng(43)
     spec = ConeSpec(n, m, k)
     Hs = np.stack([rand_sym(rng, n) for _ in range(20)])
     tol = 256 * EPS
-    scale = _kernels.elem_sym_all(np.abs(lift.sum_spectrum_batch(Hs, m)), k)
+    lam = lift.sum_spectrum_batch(Hs, m)
+    scale = _kernels.elem_sym_all(np.abs(lam), k)
     s = lift.sym_batch(Hs, spec)
     assert s.shape == (20, k + 1)
-    assert np.all(np.abs(s - sym_eigen_batch(Hs, spec)) <= tol * scale)
+    assert np.all(np.abs(s - _kernels.elem_sym_all(lam, k)) <= tol * scale)
     F, trace = lift.gradient_batch(Hs, spec)
-    F_eig, trace_eig = gradient_eigen_batch(Hs, spec)
+    F_eig, trace_eig = lift._gradient_eigen(Hs, spec)
     f_scale = math.comb(n - 1, m - 1) * scale[:, k - 1]
     assert np.all(np.abs(F - F_eig).max(axis=(1, 2)) <= tol * f_scale)
     assert np.all(np.abs(trace - trace_eig) <= n * tol * f_scale)
@@ -105,13 +88,66 @@ def test_recurrence_matches_eigen_route(n, m, k):
     assert np.all(np.abs(lhs - k * s[:, k]) <= tol * dot_scale)
 
 
-def test_empty_batch_shapes():
-    spec = ConeSpec(4, 2, 3)
+@pytest.mark.parametrize("n, m, k", [(3, 2, 2), (3, 2, 3), (5, 2, 10), (6, 2, 15)])
+def test_cancelling_lifted_sums_stay_accurate(n, m, k):
+    # diagonal H with m entries near +2^19 and the rest near -2^19: most
+    # lifted sums cancel to O(1) beside a few of order 1e6. Power-sum
+    # (Faddeev-LeVerrier) forms lose 1e5 to 1e51 eps of S_j(|lam|) here;
+    # the result must stay within 256 eps of the exact rational values
+    rng = np.random.default_rng(53)
+    spec = ConeSpec(n, m, k)
+    subsets = list(itertools.combinations(range(n), m))
+    ws = np.where(np.arange(n) < m, 2.0**19, -(2.0**19)) + rng.uniform(-1, 1, (4, n))
+    Hs = np.stack([np.diag(w) for w in ws])
+    s = lift.sym_batch(Hs, spec)
+    F, _ = lift.gradient_batch(Hs, spec)
+    for w, s_row, F_row in zip(ws, s, F):
+        lam = [sum(Fraction(w[i]) for i in sub) for sub in subsets]
+        exact = [float(x) for x in _fraction_sym(lam, k)]
+        scale = _kernels.elem_sym_all(np.abs(np.array(lam, dtype=float))[None], k)[0]
+        assert np.all(np.abs(s_row - exact) <= 256 * EPS * scale)
+        fii = [0] * n
+        for a, sub in enumerate(subsets):
+            deleted = _fraction_sym(lam[:a] + lam[a + 1:], k - 1)[k - 1]
+            for i in sub:
+                fii[i] += deleted
+        f_scale = math.comb(n - 1, m - 1) * scale[k - 1]
+        assert np.abs(F_row - np.diag([float(x) for x in fii])).max() <= 256 * EPS * f_scale
+
+
+def _fraction_sym(values, k):
+    """Exact e_0..e_k of a list of Fractions."""
+    e = [Fraction(1)] + [Fraction(0)] * k
+    for x in values:
+        for j in range(k, 0, -1):
+            e[j] += x * e[j - 1]
+    return e
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_empty_batch_shapes(k):
+    spec = ConeSpec(4, 2, k)
     H = np.zeros((0, 4, 4))
-    assert lift.lift_hessian_batch(H, lift.subset_table(4, 2)).shape == (0, 6, 6)
-    assert lift.sym_batch(H, spec).shape == (0, 4)
+    assert lift.sym_batch(H, spec).shape == (0, k + 1)
     F, trace = lift.gradient_batch(H, spec)
     assert F.shape == (0, 4, 4) and trace.shape == (0,)
+
+
+@pytest.mark.parametrize("k", [2, 7])
+def test_batches_at_the_size_cap_build_no_lifted_matrices(k):
+    # C = 252: one (N, C, C) array of lifted matrices would take 97 MB here;
+    # both routes need about 6 MB
+    rng = np.random.default_rng(59)
+    spec = ConeSpec(10, 5, k)
+    Hs = np.stack([rand_sym(rng, 10) for _ in range(200)])
+    tracemalloc.start()
+    try:
+        lift.sym_batch(Hs, spec)
+        lift.gradient_batch(Hs, spec)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 def test_spectral_lift_small_sample():

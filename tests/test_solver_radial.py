@@ -129,7 +129,7 @@ def test_newton_zero_iterations_at_exact_solution():
     problem = trivial_problem(spec)
     grid = grids.radial_grid(1.0, 64, 3)
     system = RadialSystem(problem, grid)
-    u, stats = solver.newton_solve(system, system.initial_values(), 0.0)
+    u, stats = solver.newton_solve(system, system.initial_values(), 0.0, timing={})
     assert stats["iters"] == 0
 
 
@@ -139,7 +139,7 @@ def test_newton_quadratic_convergence_from_perturbation():
     grid = grids.radial_grid(1.0, 64, 3)
     system = RadialSystem(problem, grid)
     u0 = system.initial_values() + 1e-3 * np.sin(2.0 * grid.r)
-    u, stats = solver.newton_solve(system, u0, 0.0)
+    u, stats = solver.newton_solve(system, u0, 0.0, timing={})
     assert stats["iters"] <= 5
     assert stats["residual_norm"] <= 1e-10
     hist = stats["residual_history"]
@@ -153,7 +153,7 @@ def test_newton_rejects_inadmissible_start():
     grid = grids.radial_grid(1.0, 32, 3)
     system = RadialSystem(problem, grid)
     with pytest.raises(AdmissibilityError):
-        solver.newton_solve(system, -system.initial_values(), 0.0)
+        solver.newton_solve(system, -system.initial_values(), 0.0, timing={})
     with pytest.raises(AdmissibilityError):
         system.residual(-system.initial_values(), 0.0)
 
@@ -166,7 +166,7 @@ def test_non_finite_state_and_data_rejected():
     u = system.initial_values()
     u[5] = np.nan
     with pytest.raises(NonconvergenceError):
-        solver.newton_solve(system, u, 0.0)
+        solver.newton_solve(system, u, 0.0, timing={})
     # a NaN margin counts as inadmissible
     with pytest.raises(AdmissibilityError):
         system.residual(u, 0.0)
@@ -332,8 +332,8 @@ def test_secant_prediction_and_its_fallback(monkeypatch, poison):
     accepted = []
     newton = solver.newton_solve
 
-    def recording_newton(system, values, t, cfg=None, start=None, **kwargs):
-        u, stats = newton(system, values, t, cfg, start, **kwargs)
+    def recording_newton(system, values, t, cfg=None, start=None, *, timing):
+        u, stats = newton(system, values, t, cfg, start, timing=timing)
         accepted.append((t, u))
         return u, stats
 
