@@ -12,6 +12,7 @@ Exit codes: 0 success / zero violations, 1 configuration or input error,
 
 import argparse
 import csv
+import dataclasses
 import json
 import sys
 import time
@@ -59,8 +60,6 @@ class _Config:
 
     def get(self, key, default=None, cast=str):
         if key not in self.raw:
-            if default is None:
-                return None
             return default
         value = self.raw[key]
         try:
@@ -144,18 +143,17 @@ def _write_report_csv(path, report):
 
 def _solver_config(cfg):
     kwargs = {}
-    for key in ("tol_abs", "dt0", "dt_min", "dt_max", "margin_floor"):
-        value = cfg.get(key, cast=float)
+    for f in dataclasses.fields(SolverConfig):
+        value = cfg.get(f.name, cast=float)
         if value is not None:
-            kwargs[key] = value
+            kwargs[f.name] = value
     return SolverConfig(**kwargs)
 
 
 _SOLVE_KEYS = {
     "mode", "n", "m", "k", "radius", "extents", "mesh", "f", "a", "b",
-    "manufactured", "coef", "amp", "tol_abs", "dt0", "dt_min", "dt_max",
-    "margin_floor", "seed",
-}
+    "manufactured", "coef", "amp", "seed",
+} | {f.name for f in dataclasses.fields(SolverConfig)}
 
 
 def _solve_problem(cfg, mode, spec):
@@ -322,7 +320,7 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
                 mu = values
             elif values.size == n * n:
                 M = values.reshape(n, n)
-                if not np.allclose(M, M.T, atol=1e-12):
+                if not np.allclose(M, M.T, rtol=0.0, atol=1e-12):
                     print(f"cone-check: row {rowno} matrix not symmetric", file=sys.stderr)
                     return 1
                 mu = np.linalg.eigvalsh((M + M.T) / 2.0)
@@ -333,7 +331,7 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
                     file=sys.stderr,
                 )
                 return 1
-            lam = mu[table.tuples].sum(axis=1)
+            lam = _kernels.subset_sums(mu, table.tuples)
             s = _kernels.elem_sym_all(lam, lam.size)
             positive = s[1:] > 0
             largest = int(np.argmax(~positive)) if not positive.all() else lam.size
@@ -360,6 +358,8 @@ def cmd_barrier_check(cfg, seed, out_dir, fmt):
     radius = cfg.get("radius", 1.0, float)
     which = cfg.get("which", "lemma53")
     points = cfg.get("points", 1000, int)
+    if points < 1:
+        raise ConfigError(f"need points >= 1, got points={points}")
     coef = cfg.get("coef", 0.0, float)
     field = cfg.get("field", "quadratic")
     if field == "quadratic":

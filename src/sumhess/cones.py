@@ -359,13 +359,13 @@ def check_large_entry_deletion(lam, k, delta, eps):
 # samplers
 
 
-def _rejection(rng, propose, accept, count, stats, batch=4096):
+def _rejection(rng, propose, accept, count, stats):
     """Collect ``count`` accepted samples; error out on starvation."""
     out = []
     kept = 0
     proposals = 0
     while kept < count:
-        block = propose(rng, batch)
+        block = propose(rng, 4096)
         mask = accept(block)
         proposals += block.shape[0]
         sel = block[mask]
@@ -619,7 +619,7 @@ def _suite_mixed_decomposition(n, trials, seed, report):
     report.record_block(_all_rows({"binomial_sum": np.array(margins)}), np.array(samples))
 
 
-def _suite_euler(spec, trials, seed, report, rtol=1e-9):
+def _suite_euler(spec, trials, seed, report):
     rng = np.random.default_rng(seed)
     n, k = spec.n, spec.k
     kept = 0
@@ -646,13 +646,13 @@ def _suite_euler(spec, trials, seed, report, rtol=1e-9):
     rhs = k * sk
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
     report.record_block(
-        _all_rows({"euler": rtol - np.abs(lhs - rhs) / scale}), Hs.reshape(trials, -1)
+        _all_rows({"euler": 1e-9 - np.abs(lhs - rhs) / scale}), Hs.reshape(trials, -1)
     )
     report.acceptance_rate = kept / proposals
     report.proposals = proposals
 
 
-def _suite_spectral_lift(spec, trials, seed, report, atol=1e-9):
+def _suite_spectral_lift(spec, trials, seed, report):
     rng = np.random.default_rng(seed)
     table = lift.subset_table(spec.n, spec.m)
     batch = rng.normal(0.0, 1.0, size=(trials, spec.n, spec.n))
@@ -662,7 +662,7 @@ def _suite_spectral_lift(spec, trials, seed, report, atol=1e-9):
     fast = np.sort(lift.sum_spectrum_batch(batch, spec.m), axis=1)
     devs = np.abs(direct - fast).max(axis=1)
     report.record_block(
-        _all_rows({"spectral_lift": atol - devs}), batch.reshape(trials, -1)
+        _all_rows({"spectral_lift": 1e-9 - devs}), batch.reshape(trials, -1)
     )
 
 

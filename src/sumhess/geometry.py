@@ -47,24 +47,24 @@ def _check_center(center, dim):
     return center
 
 
-def ball(radius, dim=3, center=None, mu0=None):
+def ball(radius, dim=3, center=None):
     _check_radius(radius)
     center = _check_center(center, dim)
     return DomainGeometry(
         kind="ball", dim=dim, radius=float(radius), center=center,
-        mu0=float(mu0) if mu0 is not None else radius / 2.0,
+        mu0=radius / 2.0,
     )
 
 
-def radial(radius, dim=3, mu0=None):
+def radial(radius, dim=3):
     _check_radius(radius)
     return DomainGeometry(
         kind="radial", dim=dim, radius=float(radius), center=np.zeros(dim),
-        mu0=float(mu0) if mu0 is not None else radius / 2.0,
+        mu0=radius / 2.0,
     )
 
 
-def box(extents, center=None, mu0=None):
+def box(extents, center=None):
     extents = np.asarray(extents, dtype=np.float64)
     if extents.ndim != 1 or not np.all((extents > 0) & (extents < math.inf)):
         raise ValueError(f"extents must be positive and finite, got {extents.tolist()}")
@@ -72,7 +72,7 @@ def box(extents, center=None, mu0=None):
     center = _check_center(center, dim)
     return DomainGeometry(
         kind="box", dim=dim, extents=extents, center=center,
-        mu0=float(mu0) if mu0 is not None else float(extents.min()) / 4.0,
+        mu0=float(extents.min()) / 4.0,
     )
 
 
@@ -167,8 +167,7 @@ def mk0_convex_check(kappa, m, k0):
     kappa = symfun.as_spectrum(kappa)
     if m > kappa.size:
         raise ValueError(f"need m <= {kappa.size}, got m={m}")
-    table = lift.subset_table(kappa.size, m)
-    sums = kappa[table.tuples].sum(axis=1)
+    sums = _kernels.subset_sums(kappa, lift.subset_table(kappa.size, m).tuples)
     if not 1 <= k0 <= sums.size:
         raise ValueError(f"need 1 <= k0 <= {sums.size}, got k0={k0}")
     return symfun.in_cone(sums, k0)
@@ -322,7 +321,7 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
 
 
 def search_barrier_constant(u_hess, geom, spec, sample_points=400,
-                            which="lemma53", k3=0.01, max_doublings=40):
+                            which="lemma53", k3=0.01):
     """Smallest power-of-two barrier constant whose bound check passes.
 
     The starting guess follows the square of (4 n max(S_k)^(1/k)) over
@@ -354,23 +353,23 @@ def search_barrier_constant(u_hess, geom, spec, sample_points=400,
     else:
         while not passes(exponent):
             exponent += 1
-            if exponent - math.ceil(math.log2(max(guess, 1.0))) > max_doublings:
+            if exponent - math.ceil(math.log2(max(guess, 1.0))) > 40:
                 raise ConfigError("no passing barrier constant found")
     report = reports[exponent]
     report.search_passes = len(reports)
     return 2.0**exponent, report
 
 
-def c0_diagnostic(u_values, boundary_flat, a_boundary, b_boundary, h, slack_const=50.0):
+def c0_diagnostic(u_values, boundary_flat, a_boundary, b_boundary, h):
     """Post-solve checks: the solution stays below sup(b)/inf(a) up to the
-    scheme's consistency slack, and its maximum sits on the boundary nodes
-    ``boundary_flat``."""
+    scheme's consistency slack 50 h^2, and its maximum sits on the boundary
+    nodes ``boundary_flat``."""
     u_values = np.asarray(u_values, dtype=np.float64)
     a_boundary = np.asarray(a_boundary, dtype=np.float64)
     b_boundary = np.asarray(b_boundary, dtype=np.float64)
     bound = float(b_boundary.max() / a_boundary.min())
     max_u = float(u_values.max())
-    tol = slack_const * h * h
+    tol = 50.0 * h * h
     boundary_max = float(u_values[boundary_flat].max())
     return {
         "bound": bound,

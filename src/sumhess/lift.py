@@ -155,9 +155,9 @@ def sum_spectrum_batch(hessians, m):
     return _kernels.subset_sums(np.linalg.eigvalsh(Hs), table.tuples)
 
 
-def admissible(hess, spec, slack=0.0):
+def admissible(hess, spec):
     """Strict cone membership of the m-sum spectrum; returns (ok, margin)."""
-    return symfun.in_cone(sum_spectrum(hess, spec.m), spec.k, slack=slack)
+    return symfun.in_cone(sum_spectrum(hess, spec.m), spec.k)
 
 
 def sk_of_hessian(hess, spec):

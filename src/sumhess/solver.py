@@ -52,25 +52,36 @@ class ProblemSpec:
         return vals
 
 
+# Newton: iterations per continuation step; the line search's Armijo
+# factor, backtracking factor and smallest step
+MAX_ITER = 30
+ARMIJO = 1e-4
+BACKTRACK = 0.5
+STEP_MIN = 1e-6
+# dt factor after an accepted step that took <= 2, 3 or >= 4 Newton
+# iterations: a fast contraction says the step could have been longer
+# (Deuflhard, Newton Methods for Nonlinear Problems, 2004)
+GROW = (4.0, 2.0, 1.0)
+# largest system sent to sparse LU: LU and V-cycle-preconditioned lgmres
+# break even near 9^3 box unknowns; LU fill-in then grows far faster than
+# the multigrid cost
+DIRECT_LIMIT = 1_000
+
+
+def growth(newton_iters):
+    """dt factor after an accepted step that took ``newton_iters``."""
+    return GROW[min(max(newton_iters - 2, 0), 2)]
+
+
 @dataclass
 class SolverConfig:
+    """The settings a ``solve`` config may set: the CLI reads its fields."""
+
     tol_abs: float = None  # auto per grid kind when None
     margin_floor: float = 1e-12
-    max_iter: int = 30
-    armijo: float = 1e-4
-    backtrack: float = 0.5
-    step_min: float = 1e-6
     dt0: float = 0.1
     dt_min: float = 1e-4
     dt_max: float = 1.0
-    # dt factor after an accepted step that took <= 2, 3 or >= 4 Newton
-    # iterations: a fast contraction says the step could have been longer
-    # (Deuflhard, Newton Methods for Nonlinear Problems, 2004)
-    grow: tuple = (4.0, 2.0, 1.0)
-    # sparse LU and V-cycle-preconditioned lgmres break even near 9^3 box
-    # unknowns; LU fill-in then grows far faster than the multigrid cost
-    direct_limit: int = 1_000
-    c0_slack: float = 50.0
 
     def __post_init__(self):
         # a NaN or zero step never advances t and never underflows dt_min;
@@ -80,16 +91,10 @@ class SolverConfig:
                 f"need finite 0 < dt_min <= dt0 <= dt_max, got "
                 f"dt_min={self.dt_min}, dt0={self.dt0}, dt_max={self.dt_max}"
             )
-        if len(self.grow) != 3 or not all(1.0 <= g < math.inf for g in self.grow):
-            raise ConfigError(f"need three finite growth factors >= 1, got {self.grow}")
         if not 0 <= self.margin_floor < math.inf:
             raise ConfigError(f"need finite margin_floor >= 0, got {self.margin_floor}")
         if self.tol_abs is not None and not 0 < self.tol_abs < math.inf:
             raise ConfigError(f"need finite tol_abs > 0, got {self.tol_abs}")
-
-    def growth(self, newton_iters):
-        """dt factor after an accepted step that took ``newton_iters``."""
-        return self.grow[min(max(newton_iters - 2, 0), 2)]
 
     def tolerance(self, kind):
         if self.tol_abs is not None:
@@ -247,12 +252,6 @@ class DiscreteSystem:
             (data, (rows, cols)), shape=(self.npoints, self.npoints)
         )
 
-    def c0_report(self, values, cfg):
-        return geometry.c0_diagnostic(
-            values, self.grid.boundary_flat, self.a_b, self.b_b,
-            self.grid.h, cfg.c0_slack,
-        )
-
 
 class RadialSystem(DiscreteSystem):
     """Discrete operator on a 1-D radial mesh over a ball."""
@@ -322,13 +321,13 @@ class VCycle:
 
     Levels halve every axis with ``grids.box_prolongation`` and carry the
     Galerkin operators P^T A P. Every level smooths with damped Jacobi; the
-    coarsest is LU-factored once when it has at most ``direct_limit``
+    coarsest is LU-factored once when it has at most ``DIRECT_LIMIT``
     unknowns and is otherwise only smoothed, so a lattice that cannot be
     halved gets a Jacobi-smoothing preconditioner. ``applications`` counts
     the cycles run.
     """
 
-    def __init__(self, A, shape, direct_limit):
+    def __init__(self, A, shape):
         # restriction P^T is stored as CSR: products with the transposed
         # (CSC) view of P take about twice as long
         self.ops, self.prolong, self.restrict = [A.tocsr()], [], []
@@ -344,7 +343,7 @@ class VCycle:
             diag[diag == 0] = 1.0
             self.inv_diag.append(1.0 / diag)
         coarsest = self.ops[-1]
-        self.lu = spla.splu(coarsest.tocsc()) if coarsest.shape[0] <= direct_limit else None
+        self.lu = spla.splu(coarsest.tocsc()) if coarsest.shape[0] <= DIRECT_LIMIT else None
         self.applications = 0
 
     def _smooth(self, level, x, b, sweeps):
@@ -368,20 +367,20 @@ class VCycle:
         return self._cycle(0, np.ravel(b))
 
 
-def _linear_solve(J, rhs, shape, cfg):
+def _linear_solve(J, rhs, shape):
     """Solve J x = rhs on a grid of the given node shape.
 
-    Returns (x, Krylov iterations). Systems with at most ``cfg.direct_limit``
+    Returns (x, Krylov iterations). Systems with at most ``DIRECT_LIMIT``
     unknowns go to sparse LU (0 iterations). Larger ones are scaled to unit
     diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres preconditioned with a
     V-cycle; the count is the V-cycle applications, one per Krylov iteration.
     """
-    if J.shape[0] <= cfg.direct_limit:
+    if J.shape[0] <= DIRECT_LIMIT:
         return spla.spsolve(J.tocsc(), rhs), 0
     diag = J.diagonal()
     diag[diag == 0] = 1.0
     A = sp.diags(1.0 / diag) @ J
-    vcycle = VCycle(A, shape, cfg.direct_limit)
+    vcycle = VCycle(A, shape)
     precond = spla.LinearOperator(J.shape, matvec=vcycle, dtype=np.float64)
     sol, info = spla.lgmres(
         A, rhs / diag, M=precond, rtol=1e-12, atol=0.0, maxiter=5000
@@ -428,14 +427,14 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
     stats = {"iters": 0, "linear_iters": 0, "residual_norm": norm,
              "min_margin": margin, "residual_history": [norm]}
     while norm > tol:
-        if stats["iters"] >= cfg.max_iter:
+        if stats["iters"] >= MAX_ITER:
             raise NonconvergenceError(
-                f"no convergence in {cfg.max_iter} iterations (|res|={norm:.3e})",
+                f"no convergence in {MAX_ITER} iterations (|res|={norm:.3e})",
                 last_values=u, residual_norm=norm,
             )
         J = _timed(timing, "jacobian_s", system.jacobian, u, t)
         delta, linear_iters = _timed(
-            timing, "linear_solve_s", _linear_solve, J, -res, system.grid.shape, cfg
+            timing, "linear_solve_s", _linear_solve, J, -res, system.grid.shape
         )
         stats["linear_iters"] += linear_iters
         step = 1.0
@@ -446,10 +445,10 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
             )
             t_margin = float(t_margins.min())
             t_norm = float(np.abs(t_res).max())
-            if t_margin >= cfg.margin_floor and t_norm <= (1.0 - cfg.armijo * step) * norm:
+            if t_margin >= cfg.margin_floor and t_norm <= (1.0 - ARMIJO * step) * norm:
                 break
-            step *= cfg.backtrack
-            if step < cfg.step_min:
+            step *= BACKTRACK
+            if step < STEP_MIN:
                 raise NonconvergenceError(
                     f"line search stalled at t={t:g} (|res|={norm:.3e})",
                     last_values=u, residual_norm=norm,
@@ -469,10 +468,10 @@ def continuation_solve(system, cfg=None):
     Continuation Methods): once two states are accepted, each step's Newton
     starts from the secant prediction u_k + dt / dt_prev (u_k - u_{k-1}) when
     that state is finite and admissible, and from u_k otherwise. An accepted
-    step multiplies dt by ``cfg.growth`` of its Newton iterations, up to
-    dt_max; a failed one is recorded in ``rejected_steps`` and halves dt, and
-    failure below dt_min aborts with the last good state. ``state.profile``
-    totals Newton's phase times over every attempt.
+    step multiplies dt by ``growth`` of its Newton iterations, up to dt_max;
+    a failed one is recorded in ``rejected_steps`` and halves dt, and failure
+    below dt_min aborts with the last good state and the last attempt's
+    error. ``state.profile`` totals Newton's phase times over every attempt.
     """
     cfg = cfg or SolverConfig()
     system.validate()
@@ -501,7 +500,8 @@ def continuation_solve(system, cfg=None):
             dt *= 0.5
             if dt < cfg.dt_min:
                 raise ContinuationError(
-                    f"step size underflow at t={state.t:g}",
+                    f"step size underflow at t={state.t:g}; the last attempt, "
+                    f"to t={t_new:g}, failed: {exc}",
                     last_t=state.t, last_values=state.values,
                 )
             continue
@@ -510,8 +510,8 @@ def continuation_solve(system, cfg=None):
         state.steps.append(
             {"t": t_new, "dt": dt, "predicted": start is not None, **_step_stats(stats)}
         )
-        dt = min(dt * cfg.growth(stats["iters"]), cfg.dt_max)
-    state.diagnostics = final_diagnostics(system, state, cfg)
+        dt = min(dt * growth(stats["iters"]), cfg.dt_max)
+    state.diagnostics = final_diagnostics(system, state)
     return state
 
 
@@ -538,14 +538,16 @@ def _step_stats(stats):
     }
 
 
-def final_diagnostics(system, state, cfg):
+def final_diagnostics(system, state):
     """C0 report and residual at t = 1; keeps the per-node margins on
     ``state.margins`` (NaN on boundary nodes)."""
     res, margins = system.residual_and_margin(state.values, 1.0)
     system.check_admissible(margins)
     state.margins = np.full(system.npoints, np.nan)
     state.margins[system.grid.interior_flat] = margins
-    report = system.c0_report(state.values, cfg)
+    report = geometry.c0_diagnostic(
+        state.values, system.grid.boundary_flat, system.a_b, system.b_b, system.grid.h
+    )
     report["final_residual_norm"] = float(np.abs(res).max())
     report["min_margin_on_path"] = state.min_margin
     report["admissible_everywhere"] = bool(state.min_margin > 0)
@@ -568,7 +570,7 @@ def box_solve(problem, nodes, cfg=None):
 # manufactured problems
 
 
-def radial_quartic_problem(spec, R=1.0, coef=0.05, a_const=1.0):
+def radial_quartic_problem(spec, R=1.0, coef=0.05):
     """Radial field r^2/2 + coef r^4 with data derived exactly from it."""
     table = lift.subset_table(spec.n, spec.m)
 
@@ -588,12 +590,12 @@ def radial_quartic_problem(spec, R=1.0, coef=0.05, a_const=1.0):
         return _kernels.elem_sym_all(lam, spec.k)[:, spec.k]
 
     def a(points):
-        return np.full(points.shape[0], a_const)
+        return np.ones(points.shape[0])
 
     def b(points, normals):
         r = points[:, 0]
         du = r + 4.0 * coef * r**3
-        return du * normals[:, 0] + a_const * exact(r)
+        return du * normals[:, 0] + exact(r)
 
     problem = ProblemSpec(
         spec=spec, geom=geometry.radial(R, dim=spec.n), f=f, a=a, b=b
@@ -601,7 +603,7 @@ def radial_quartic_problem(spec, R=1.0, coef=0.05, a_const=1.0):
     return problem, lambda pts: exact(np.asarray(pts)[:, 0])
 
 
-def box_cosine_problem(spec, extents=None, amp=0.05, a_const=1.0):
+def box_cosine_problem(spec, extents=None, amp=0.05):
     """Box field |x|^2/2 + amp * prod cos(pi x_c / 2), data derived exactly."""
     if not math.isfinite(amp):
         # for k >= 3, f's eigvalsh would stop on NaN Hessians before
@@ -654,10 +656,10 @@ def box_cosine_problem(spec, extents=None, amp=0.05, a_const=1.0):
         return lift.sym_batch(hessians(points), spec)[:, spec.k]
 
     def a(points):
-        return np.full(points.shape[0], a_const)
+        return np.ones(points.shape[0])
 
     def b(points, normals):
-        return (gradient(points) * normals).sum(axis=1) + a_const * exact(points)
+        return (gradient(points) * normals).sum(axis=1) + exact(points)
 
     problem = ProblemSpec(spec=spec, geom=geom, f=f, a=a, b=b)
     return problem, exact
@@ -666,7 +668,6 @@ def box_cosine_problem(spec, extents=None, amp=0.05, a_const=1.0):
 def manufactured_suite(kind, spec, meshes, cfg=None, **kwargs):
     """Solve a manufactured problem on a mesh family and report the observed
     convergence order (least-squares slope of log error against log h)."""
-    cfg = cfg or SolverConfig()
     if kind not in ("radial", "box"):
         raise ConfigError(f"unknown manufactured template {kind!r}")
     template, solve = (
@@ -708,7 +709,7 @@ def _smooth_field(rng, r):
     )
 
 
-def verify_jacobian_suite(spec_list=None, states=10, seed=0, M=40, rtol=1e-5):
+def verify_jacobian_suite(spec_list=None, states=10, seed=0):
     """Directional finite-difference check of the assembled Jacobian at
     randomly perturbed admissible states on radial meshes.
 
@@ -722,7 +723,7 @@ def verify_jacobian_suite(spec_list=None, states=10, seed=0, M=40, rtol=1e-5):
     report = SampleReport(suite="jacobian")
     for spec in spec_list:
         problem, _ = radial_quartic_problem(spec, coef=0.05)
-        grid = grids.radial_grid(1.0, M, spec.n)
+        grid = grids.radial_grid(1.0, 40, spec.n)
         system = RadialSystem(problem, grid)
         base = system.initial_values()
         count = 0
@@ -745,7 +746,7 @@ def verify_jacobian_suite(spec_list=None, states=10, seed=0, M=40, rtol=1e-5):
             scale = float(np.abs(Jv).max())
             rel = float(np.abs(Jv - fd).max()) / max(scale, 1e-30)
             states_u.append(u)
-            margins.append(rtol - rel)
+            margins.append(1e-5 - rel)
         report.record_block(
             {
                 "hypothesis": np.ones(states, dtype=bool),

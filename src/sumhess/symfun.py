@@ -137,14 +137,13 @@ def newton_transform(w_mat, k):
     return symmetrize(T)
 
 
-def in_cone(values, k, slack=0.0):
+def in_cone(values, k):
     """Strict cone membership: S_1..S_k all positive.
 
-    Returns (ok, margin) where margin = min_i S_i (signed). ``slack`` lets a
-    caller loosen or tighten the strict comparison against zero.
+    Returns (ok, margin) where margin = min_i S_i (signed).
     """
     lam = as_spectrum(values)
     if not 1 <= k <= lam.size:
         raise ValueError(f"degree k={k} out of range 1..{lam.size}")
     margin = float(_kernels.cone_margin(_kernels.elem_sym_all(lam, k), k))
-    return margin > slack, margin
+    return margin > 0.0, margin

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 from types import SimpleNamespace
@@ -7,9 +8,10 @@ import pytest
 
 from oracles import write_solution_csv_rows
 from sumhess import grids
-from sumhess.cli import _write_solution_csv, main
+from sumhess.cli import _SOLVE_KEYS, _write_solution_csv, main
 from sumhess.expressions import parse_expression
 from sumhess.errors import ConfigError
+from sumhess.solver import SolverConfig
 
 
 def write(path, text):
@@ -121,8 +123,9 @@ amp = 0.05
     assert len(lines) == 9**3 + 1
 
 
-def test_solve_nonconvergence_exit_code(tmp_path):
-    # an unreachable tolerance forces step-size underflow: exit code 2
+def test_solve_nonconvergence_exit_code(tmp_path, capsys):
+    # an unreachable tolerance forces step-size underflow: exit code 2, and
+    # the message names the Newton failure behind it
     cfg = write(tmp_path / "run.cfg", """
 mode = radial
 n = 3
@@ -135,6 +138,15 @@ dt_min = 0.01
 """)
     rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failed: step size underflow at t=0; the last attempt, to t=")
+    assert "failed: line search stalled at t=" in err
+
+
+def test_every_solver_setting_is_a_solve_key():
+    fields = {f.name for f in dataclasses.fields(SolverConfig)}
+    assert fields == {"tol_abs", "margin_floor", "dt0", "dt_min", "dt_max"}
+    assert fields <= _SOLVE_KEYS
 
 
 def test_solve_rejects_nonpositive_f(tmp_path):
@@ -297,6 +309,19 @@ def test_cone_check(tmp_path):
     cfg = write(tmp_path / "c3.cfg", f"input = {bad}\nn = 3\nm = 2\n")
     rc = main(["cone-check", "--config", cfg, "--out-dir", str(tmp_path / "o3")])
     assert rc == 1
+
+
+def test_cone_check_rejects_matrix_asymmetric_beyond_atol(tmp_path, capsys):
+    # entries 1 and 1.000009 agree within numpy's default rtol of 1e-5, but
+    # the check is absolute: |M - M^T| <= 1e-12
+    rows = tmp_path / "rows.csv"
+    rows.write_text("1,1,0,1.000009,1,0,0,0,1\n")
+    cfg = write(tmp_path / "c.cfg", f"input = {rows}\nn = 3\nm = 2\nk = 2\n")
+    out = tmp_path / "out"
+    rc = main(["cone-check", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 1
+    assert "row 1 matrix not symmetric" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("k", [-1, 0, 7, 40])
@@ -473,6 +498,23 @@ K3 = 1024
     assert rc == 0
     report = json.loads((out / "manifest.json").read_text())["report"]
     assert report["passed"] and report["min_margin"] > 0
+
+
+@pytest.mark.parametrize(
+    "points, K3",
+    [(0, "auto"), (0, "4"), (-3, "auto")],
+    ids=["zero-auto", "zero-fixed", "negative-auto"],
+)
+def test_barrier_check_rejects_points_below_one(tmp_path, capsys, points, K3):
+    # with no points the check would pass or fail vacuously
+    cfg = write(tmp_path / "b.cfg", f"n = 4\nm = 2\nk = 2\npoints = {points}\nK3 = {K3}\n")
+    out = tmp_path / "out"
+    rc = main(["barrier-check", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith(
+        f"config error: need points >= 1, got points={points}"
+    )
+    assert not (out / "manifest.json").exists()
 
 
 def test_barrier_check_searches_k3_on_the_verified_points(tmp_path):

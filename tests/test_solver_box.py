@@ -172,11 +172,6 @@ def test_box_prolongation_interpolates_linear_fields():
     assert grids.box_prolongation((3, 3, 3)) is None
 
 
-# direct_limit below the fine sizes but above the coarsest level's, so these
-# systems take the V-cycle route with an LU-factored coarsest level
-MG_CFG = solver.SolverConfig(direct_limit=300)
-
-
 @pytest.mark.parametrize(
     "spec,nodes,extents",
     [
@@ -185,35 +180,36 @@ MG_CFG = solver.SolverConfig(direct_limit=300)
         (ConeSpec(4, 2, 2), 7, None),
     ],
 )
-def test_multigrid_solve_matches_direct(spec, nodes, extents):
+def test_multigrid_solve_matches_direct(monkeypatch, spec, nodes, extents):
+    # a direct limit below the fine sizes but above the coarsest level's, so
+    # these systems take the V-cycle route with an LU-factored coarsest level
+    monkeypatch.setattr(solver, "DIRECT_LIMIT", 300)
     J, grid = manufactured_jacobian(spec, nodes, extents)
-    assert solver.VCycle(J, grid.shape, MG_CFG.direct_limit).lu is not None
+    assert solver.VCycle(J, grid.shape).lu is not None
     rhs = np.random.default_rng(5).normal(size=J.shape[0])
-    x, iters = solver._linear_solve(J, rhs, grid.shape, MG_CFG)
+    x, iters = solver._linear_solve(J, rhs, grid.shape)
     assert iters > 0
     ref = spla.spsolve(J.tocsc(), rhs)
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
 
 def test_multigrid_iterations_do_not_grow_with_mesh():
-    cfg = solver.SolverConfig()
     iters = {}
     for nodes in (17, 33):
         J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), nodes)
-        assert J.shape[0] > cfg.direct_limit
+        assert J.shape[0] > solver.DIRECT_LIMIT
         rhs = np.random.default_rng(7).normal(size=J.shape[0])
-        _, iters[nodes] = solver._linear_solve(J, rhs, grid.shape, cfg)
+        _, iters[nodes] = solver._linear_solve(J, rhs, grid.shape)
     assert 0 < iters[33] <= 1.5 * iters[17], iters
 
 
 def test_unhalvable_box_converges_on_smoothing_only():
-    cfg = solver.SolverConfig()
     J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), 12)
-    assert J.shape[0] > cfg.direct_limit
+    assert J.shape[0] > solver.DIRECT_LIMIT
     assert grids.box_prolongation(grid.shape) is None
-    assert solver.VCycle(J, grid.shape, cfg.direct_limit).lu is None
+    assert solver.VCycle(J, grid.shape).lu is None
     rhs = np.random.default_rng(9).normal(size=J.shape[0])
-    x, iters = solver._linear_solve(J, rhs, grid.shape, cfg)
+    x, iters = solver._linear_solve(J, rhs, grid.shape)
     assert iters > 0
     ref = spla.spsolve(J.tocsc(), rhs)
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
@@ -241,7 +237,7 @@ def test_radial_jacobian_goes_to_direct_solve(monkeypatch):
 def test_box_steps_record_krylov_iterations():
     problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
     state, grid = solver.box_solve(problem, 13)
-    assert grid.npoints > solver.SolverConfig().direct_limit
+    assert grid.npoints > solver.DIRECT_LIMIT
     assert np.abs(state.values - exact(grid.points)).max() < 5e-3
     for step in state.steps:
         assert (step["linear_iters"] > 0) == (step["newton_iters"] > 0), step

@@ -288,18 +288,15 @@ def test_f_u_positive_rejected():
 
 
 def test_growth_table():
-    cfg = solver.SolverConfig()
-    assert cfg.dt_max == 1.0
-    assert [cfg.growth(iters) for iters in range(7)] == [4, 4, 4, 2, 1, 1, 1]
-    assert solver.SolverConfig(grow=(3.0, 1.5, 1.0)).growth(3) == 1.5
+    assert solver.SolverConfig().dt_max == 1.0
+    assert [solver.growth(iters) for iters in range(7)] == [4, 4, 4, 2, 1, 1, 1]
 
 
 @pytest.mark.parametrize(
     "kwargs",
     [
         {"dt0": np.nan}, {"dt0": 0.0}, {"dt_min": 0.2}, {"dt_max": np.inf},
-        {"dt0": 2.0}, {"grow": (4.0, 0.5, 1.0)}, {"grow": (2.0, 1.0)},
-        {"grow": (np.nan, 2.0, 1.0)}, {"margin_floor": -1e-12},
+        {"dt0": 2.0}, {"margin_floor": -1e-12},
         {"margin_floor": np.nan}, {"tol_abs": 0.0},
     ],
     ids=lambda kwargs: "-".join(f"{k}={v}" for k, v in kwargs.items()),
@@ -309,12 +306,13 @@ def test_solver_config_rejects_bad_values(kwargs):
         solver.SolverConfig(**kwargs)
 
 
-def test_rejected_steps_are_recorded():
+def test_rejected_steps_are_recorded(monkeypatch):
     # three Newton iterations cannot reach t = 1, 1/2 or 1/4 in one step, so
     # those attempts fail and dt halves until a step converges
+    monkeypatch.setattr(solver, "MAX_ITER", 3)
     problem, _ = solver.radial_quartic_problem(ConeSpec(3, 2, 2))
     grid = grids.radial_grid(1.0, 64, 3)
-    cfg = solver.SolverConfig(dt0=1.0, max_iter=3)
+    cfg = solver.SolverConfig(dt0=1.0)
     state = solver.continuation_solve(RadialSystem(problem, grid), cfg)
     assert state.t == 1.0
     assert state.rejected_steps == [
