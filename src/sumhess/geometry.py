@@ -5,11 +5,12 @@ linearized operator dominates the barrier.
 """
 
 import math
+import numbers
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.stats import norm, qmc
+from scipy.special import ndtri
 
 from . import _kernels, lift, symfun
 from .errors import CollarError, ConfigError
@@ -173,23 +174,47 @@ def mk0_convex_check(kappa, m, k0):
     return symfun.in_cone(sums, k0)
 
 
+def _halton(count, d):
+    """Points 1..count of the unscrambled Halton sequence in [0, 1)^d:
+    column j is the radical inverse of the index in the j-th prime base
+    (Halton, Numer. Math. 2, 1960). Digits are added from the least
+    significant up with the scale divided by the base each step, the order
+    ``scipy.stats.qmc.Halton(scramble=False)`` uses, so the values agree bit
+    for bit."""
+    primes = []
+    candidate = 2
+    while len(primes) < d:
+        if all(candidate % p for p in primes if p * p <= candidate):
+            primes.append(candidate)
+        candidate += 1
+    index = np.arange(1, count + 1)
+    out = np.zeros((count, d))
+    for j, base in enumerate(primes):
+        q, scale = index, 1.0 / base
+        while q.any():
+            q, digit = np.divmod(q, base)
+            out[:, j] += digit * scale
+            scale /= base
+    return out
+
+
 def collar_points(geom, count, depth_max, edge_exclusion=0.0):
     """Deterministic low-discrepancy points in the collar 0 < d < depth_max."""
-    if depth_max <= 0 or depth_max > geom.mu0:
+    if count < 0:
+        raise ValueError(f"count must be nonnegative, got {count}")
+    # NaN fails every comparison, so the chains reject it too
+    if not 0 < depth_max <= geom.mu0:
         raise CollarError(f"collar depth {depth_max:g} outside (0, {geom.mu0:g}]")
-    if count == 0:
-        return np.empty((0, geom.dim))
-    sampler = qmc.Halton(d=geom.dim + 1, scramble=False)
-    raw = sampler.random(count + 1)[1:]  # drop the origin sample
+    if not _is_ball(geom) and not 0 <= 2 * edge_exclusion < float(geom.extents.min()):
+        raise ValueError("edge_exclusion must be nonnegative and below half the extent")
+    raw = _halton(count, geom.dim + 1)
     depth = (0.02 + 0.96 * raw[:, -1]) * depth_max
     if _is_ball(geom):
-        gauss = norm.ppf(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
+        gauss = ndtri(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
         dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
         return geom.center + (geom.radius - depth)[:, None] * dirs
     lo = geom.center - geom.extents / 2.0
     hi = geom.center + geom.extents / 2.0
-    if edge_exclusion < 0 or 2 * edge_exclusion >= float(geom.extents.min()):
-        raise ValueError("edge_exclusion must be nonnegative and below half the extent")
     pts = np.empty((count, geom.dim))
     for i in range(count):
         face = i % (2 * geom.dim)
@@ -288,7 +313,7 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
     """
     _check_lemma_range(geom, spec, which)
     mu = params.collar(geom)
-    if isinstance(sample_points, int):
+    if isinstance(sample_points, numbers.Integral) and not isinstance(sample_points, bool):
         excl = edge_exclusion if edge_exclusion is not None else 0.0
         pts = collar_points(geom, sample_points, mu, edge_exclusion=excl)
     else:

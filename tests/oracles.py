@@ -4,8 +4,8 @@ Everything here enumerates subsets or permutations directly, or (for the
 lifted gradient) goes through the dense lifted matrix, independent of the
 production code paths it cross-checks. The one-at-a-time helpers at the end
 (one lifted matrix, one subset position, one homotopy member, one boundary
-point, one barrier value, one sample into a report, one CSV row) are the
-scalar forms the batch code is checked against.
+point, one barrier value, one sample into a report, one collar point, one CSV
+row) are the scalar forms the batch code is checked against.
 """
 
 import csv
@@ -13,6 +13,7 @@ import itertools
 import math
 
 import numpy as np
+from scipy.stats import norm, qmc
 
 from sumhess import geometry, lift, symfun
 from sumhess.cones import MARGIN_FLOOR
@@ -225,6 +226,31 @@ def verify_barrier_points(u_hess, geom, params, spec, pts, which="lemma53"):
         ratios = [s[l] / params.K3**l for l in range(1, spec.k + 1)]
         out["min_sl_ratio"] = min(out["min_sl_ratio"], float(min(ratios)))
     return out
+
+
+def collar_points_scipy(geom, count, depth_max, edge_exclusion=0.0):
+    """Collar points from ``scipy.stats``: ``qmc.Halton(scramble=False)``
+    without its origin sample and ``norm.ppf``, a box filled one point and one
+    coordinate at a time: the reference for ``geometry.collar_points``."""
+    raw = qmc.Halton(d=geom.dim + 1, scramble=False).random(count + 1)[1:]
+    depth = (0.02 + 0.96 * raw[:, -1]) * depth_max
+    if geom.kind in ("ball", "radial"):
+        gauss = norm.ppf(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
+        dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+        return geom.center + (geom.radius - depth)[:, None] * dirs
+    lo = geom.center - geom.extents / 2.0
+    hi = geom.center + geom.extents / 2.0
+    pts = np.empty((count, geom.dim))
+    for i in range(count):
+        face = i % (2 * geom.dim)
+        axis, side = face % geom.dim, face // geom.dim
+        for j in range(geom.dim):
+            if j == axis:
+                pts[i, j] = (lo[j] + depth[i]) if side == 0 else (hi[j] - depth[i])
+            else:
+                span = hi[j] - lo[j] - 2 * edge_exclusion
+                pts[i, j] = lo[j] + edge_exclusion + raw[i, j] * span
+    return pts
 
 
 def write_solution_csv_rows(path, grid, state):

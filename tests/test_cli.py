@@ -1,11 +1,16 @@
 import dataclasses
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
+import sumhess
 from oracles import write_solution_csv_rows
 from sumhess import grids
 from sumhess.cli import _SOLVE_KEYS, _write_solution_csv, main
@@ -141,6 +146,24 @@ dt_min = 0.01
     err = capsys.readouterr().err
     assert err.startswith("solver failed: step size underflow at t=0; the last attempt, to t=")
     assert "failed: line search stalled at t=" in err
+
+
+def test_imports_load_no_scipy_stats():
+    # a bare `import sumhess` loads no scipy, and the CLI no scipy.stats; run in
+    # a fresh interpreter, since the test oracles load scipy.stats into this one
+    src = str(Path(sumhess.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = (
+        "import sys\n"
+        "import sumhess\n"
+        "bare = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        "import sumhess.cli\n"
+        "stats = sorted(m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.'))\n"
+        "print(bare, stats)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                         text=True, check=True)
+    assert out.stdout.strip() == "[] []"
 
 
 def test_every_solver_setting_is_a_solve_key():

@@ -8,7 +8,8 @@ from sumhess.errors import CollarError, ConfigError
 from sumhess.geometry import BarrierParams
 from sumhess.lift import ConeSpec
 from oracles import (
-    barrier_hessian_point, barrier_value, boundary_data, verify_barrier_points,
+    barrier_hessian_point, barrier_value, boundary_data, collar_points_scipy,
+    verify_barrier_points,
 )
 
 
@@ -144,6 +145,51 @@ def test_collar_points_deterministic_and_inside():
         d = geometry.distance(geom, x)
         assert 0 < d < 0.2
     assert geometry.collar_points(geom, 0, 0.2).shape == (0, 4)
+
+
+@pytest.mark.parametrize("dim", [3, 252])  # Halton dimension 4 and the largest, 253
+@pytest.mark.parametrize("count", [1, 1000])
+def test_collar_points_match_scipy_halton_on_a_ball(dim, count):
+    geom = geometry.ball(1.0, dim=dim, center=np.full(dim, 0.25))
+    pts = geometry.collar_points(geom, count, 0.3)
+    assert np.array_equal(pts, collar_points_scipy(geom, count, 0.3))
+
+
+@pytest.mark.parametrize("edge_exclusion", [0.0, 0.2])
+def test_collar_points_match_scipy_halton_on_a_box(edge_exclusion):
+    geom = geometry.box([2.0, 3.0, 1.5], center=[0.5, 0.0, -1.0])
+    pts = geometry.collar_points(geom, 1000, 0.3, edge_exclusion=edge_exclusion)
+    assert np.array_equal(pts, collar_points_scipy(geom, 1000, 0.3, edge_exclusion))
+
+
+@pytest.mark.parametrize("kind, count, depth_max, edge_exclusion, error", [
+    ("ball", 8, math.nan, 0.0, CollarError),
+    ("ball", -1, 0.2, 0.0, ValueError),
+    ("box", -1, 0.2, 0.0, ValueError),
+    ("box", 0, 0.2, 5.0, ValueError),
+    ("box", 0, 0.2, math.nan, ValueError),
+], ids=["nan-depth", "negative-count-ball", "negative-count-box", "wide-exclusion-no-points",
+        "nan-exclusion"])
+def test_collar_points_reject_bad_arguments(kind, count, depth_max, edge_exclusion, error):
+    geom = geometry.ball(1.0, dim=3) if kind == "ball" else geometry.box([2.0, 2.0, 2.0])
+    with pytest.raises(error):
+        geometry.collar_points(geom, count, depth_max, edge_exclusion=edge_exclusion)
+
+
+def test_barrier_checks_take_a_numpy_integer_count():
+    geom = geometry.ball(1.0, dim=3)
+    spec = ConeSpec(3, 2, 2)
+    params = BarrierParams(K3=1024.0)
+    rep = geometry.verify_barrier_bound(
+        quad_hessian(3), geom, params, spec, sample_points=np.int64(50)
+    )
+    ref = geometry.verify_barrier_bound(quad_hessian(3), geom, params, spec, sample_points=50)
+    assert rep.count == 50 and rep.as_dict() == ref.as_dict()
+    K3, rep = geometry.search_barrier_constant(
+        quad_hessian(3), geom, spec, sample_points=np.int64(50)
+    )
+    K3_ref, ref = geometry.search_barrier_constant(quad_hessian(3), geom, spec, sample_points=50)
+    assert K3 == K3_ref and rep.as_dict() == ref.as_dict()
 
 
 def test_verify_barrier_bound_ball():
