@@ -230,8 +230,10 @@ _CSV_BLOCK_ROWS = 1024
 
 
 def _write_solution_csv(path, grid, state):
-    """Write the [points | u | margin] table: every value ``%.17g``, comma
-    separated, CRLF line ends, margin ``nan`` on boundary nodes."""
+    """Write the [points | u | margin] table: every value a float64 as
+    ``%.17g``, so it reads back to the same double, comma separated, CRLF
+    line ends, margin ``nan`` on boundary nodes. An extended-precision state
+    is rounded to float64 here."""
     pts = grid.points
     ncols = pts.shape[1] + 2
     row_fmt = ",".join(["%.17g"] * ncols) + "\r\n"
@@ -240,7 +242,8 @@ def _write_solution_csv(path, grid, state):
         fh.write(",".join(header) + "\r\n")
         for start in range(0, pts.shape[0], _CSV_BLOCK_ROWS):
             rows = slice(start, start + _CSV_BLOCK_ROWS)
-            block = np.column_stack([pts[rows], state.values[rows], state.margins[rows]])
+            values = state.values[rows].astype(np.float64)
+            block = np.column_stack([pts[rows], values, state.margins[rows]])
             fh.write(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
 
 

@@ -303,7 +303,9 @@ def _field_table(u_hess, pts, spec):
 def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
                          which="lemma53", edge_exclusion=None):
     """Check that contracting the operator gradient against the barrier
-    Hessian dominates the required multiple of (1 + trace) at collar points.
+    Hessian dominates the required multiple of (1 + trace) at collar points:
+    ``sample_points`` is either a count of collar points to generate or an
+    explicit ``(N, geom.dim)`` array of points (ValueError otherwise).
 
     ``u_hess`` maps a point to the n x n Hessian of the field under test; it
     is called once per point, and every other step runs on the stacked block
@@ -318,6 +320,11 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
         pts = collar_points(geom, sample_points, mu, edge_exclusion=excl)
     else:
         pts = np.asarray(sample_points, dtype=np.float64)
+        if pts.ndim != 2 or pts.shape[1] != geom.dim:
+            raise ValueError(
+                f"sample_points must be a count or an (N, {geom.dim}) array of "
+                f"points, got shape {pts.shape}"
+            )
     report = BarrierReport(which=which, K3=params.K3, k3=params.k3)
     if len(pts) == 0:
         return report

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
+from ._kernels import as_float
 from .errors import ConfigError
 
 
@@ -47,7 +48,7 @@ class RadialGrid:
 
     def normal_derivative(self, values):
         # the explicit formula, not dnu @ u: a sparse product rounds differently
-        u = np.asarray(values, dtype=np.float64)
+        u = as_float(values)
         return (3.0 * u[-1:] - 4.0 * u[-2:-1] + u[-3:-2]) / (2.0 * self.h)
 
 
@@ -70,11 +71,11 @@ def radial_spectra(grid, values):
 
     Row i holds [u'', u'/r * (dim-1)]; at the center the mirror closure
     u(-r) = u(r) gives u'' = 2 (u1 - u0) / h^2 and the tangential ratio
-    tends to u''(0).
+    tends to u''(0). The profiles come back in the dtype of ``as_float(values)``.
     """
-    u = np.asarray(values, dtype=np.float64)
+    u = as_float(values)
     h = grid.h
-    out = np.empty((grid.M, grid.dim))
+    out = np.empty((grid.M, grid.dim), dtype=u.dtype)
     out[0, :] = 2.0 * (u[1] - u[0]) / (h * h)
     i = np.arange(1, grid.M)
     upp = (u[i + 1] - 2.0 * u[i] + u[i - 1]) / (h * h)

@@ -66,6 +66,15 @@ GROW = (4.0, 2.0, 1.0)
 # break even near 9^3 box unknowns; LU fill-in then grows far faster than
 # the multigrid cost
 DIRECT_LIMIT = 1_000
+# the radial Newton state's dtype. In float64 one ulp per node moves the
+# radial residual by up to 2.7e-8, above its 1e-10 tolerance; numpy's
+# longdouble (x87 80-bit, eps 1.1e-19, on x86-64 Linux) clears that floor
+# where the platform has it. The Jacobian and linear solve stay float64:
+# Newton needs only an approximate Jacobian (Kelley, "Newton's method in
+# mixed precision", SIAM Review 64, 2022)
+EXTENDED = np.dtype(
+    np.longdouble if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps else np.float64
+)
 
 
 def growth(newton_iters):
@@ -142,11 +151,13 @@ class DiscreteSystem:
     ``normal_derivative`` and its ``dnu_*`` triplets. A grid kind supplies
     ``_sym`` (the S_0..S_k table of the lifted Hessians at the equation
     nodes) and ``_interior_stencil`` (COO triplets of the linearized interior
-    rows).
+    rows). Newton keeps its state, and so the residual, in ``state_dtype``;
+    the Jacobian is float64.
     """
 
     kind = None
     geometry_kinds = ()
+    state_dtype = np.dtype(np.float64)
 
     def __init__(self, problem, grid):
         if problem.geom.kind not in self.geometry_kinds:
@@ -181,7 +192,7 @@ class DiscreteSystem:
         return self.grid.npoints
 
     def initial_values(self):
-        return 0.5 * (self.grid.points**2).sum(axis=1)
+        return 0.5 * (self.grid.points.astype(self.state_dtype) ** 2).sum(axis=1)
 
     def validate(self):
         """Reject non-finite data and a nonpositive f; NaN fails every
@@ -214,7 +225,7 @@ class DiscreteSystem:
         grid = self.grid
         s = self._sym(values)
         margins = _kernels.cone_margin(s, self.spec.k)
-        res = np.empty(self.npoints)
+        res = np.empty(self.npoints, dtype=s.dtype)
         res[grid.interior_flat] = s[:, self.spec.k] - self.rhs(t, values)
         res[grid.boundary_flat] = (
             grid.normal_derivative(values)
@@ -239,6 +250,7 @@ class DiscreteSystem:
 
     def jacobian(self, values, t):
         grid = self.grid
+        values = np.asarray(values, dtype=np.float64)
         parts = [self._interior_stencil(values)]
         if self.problem.f_u is not None:
             fu = self.problem.eval_f_u(
@@ -258,6 +270,7 @@ class RadialSystem(DiscreteSystem):
 
     kind = "radial"
     geometry_kinds = ("ball", "radial")
+    state_dtype = EXTENDED
 
     def _lifted_spectra(self, values):
         """m-sum spectra at the equation nodes, from the analytic profiles."""
@@ -406,10 +419,12 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
     ``system.residual_and_margin(values, t)`` when the caller already has it.
     The caller's ``timing`` dict accumulates the wall seconds spent in
     residuals, Jacobian assembly and linear solves as ``residual_s``,
-    ``jacobian_s`` and ``linear_solve_s``, also when the solve fails."""
+    ``jacobian_s`` and ``linear_solve_s``, also when the solve fails. The
+    state and residuals are in ``system.state_dtype``; the Jacobian, the
+    linear solve and its update are float64."""
     cfg = cfg or SolverConfig()
     tol = cfg.tolerance(system.kind)
-    u = np.asarray(values, dtype=np.float64).copy()
+    u = np.array(values, dtype=system.state_dtype)
     res, margins = start if start is not None else _timed(
         timing, "residual_s", system.residual_and_margin, u, t
     )
@@ -434,7 +449,8 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
             )
         J = _timed(timing, "jacobian_s", system.jacobian, u, t)
         delta, linear_iters = _timed(
-            timing, "linear_solve_s", _linear_solve, J, -res, system.grid.shape
+            timing, "linear_solve_s", _linear_solve, J,
+            -res.astype(np.float64), system.grid.shape
         )
         stats["linear_iters"] += linear_iters
         step = 1.0
@@ -539,7 +555,8 @@ def _step_stats(stats):
 
 
 def final_diagnostics(system, state):
-    """C0 report and residual at t = 1; keeps the per-node margins on
+    """C0 report, the residual at t = 1 of the state as Newton holds it, and
+    that state's dtype and machine epsilon; keeps the per-node margins on
     ``state.margins`` (NaN on boundary nodes)."""
     res, margins = system.residual_and_margin(state.values, 1.0)
     system.check_admissible(margins)
@@ -549,6 +566,8 @@ def final_diagnostics(system, state):
         state.values, system.grid.boundary_flat, system.a_b, system.b_b, system.grid.h
     )
     report["final_residual_norm"] = float(np.abs(res).max())
+    report["state_dtype"] = "float64" if system.state_dtype == np.float64 else "longdouble"
+    report["state_eps"] = float(np.finfo(system.state_dtype).eps)
     report["min_margin_on_path"] = state.min_margin
     report["admissible_everywhere"] = bool(state.min_margin > 0)
     return report

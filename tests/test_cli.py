@@ -12,7 +12,7 @@ import pytest
 
 import sumhess
 from oracles import write_solution_csv_rows
-from sumhess import grids
+from sumhess import grids, solver
 from sumhess.cli import _SOLVE_KEYS, _write_solution_csv, main
 from sumhess.expressions import parse_expression
 from sumhess.errors import ConfigError
@@ -55,6 +55,11 @@ mesh = 64
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["report"]["t"] == 1.0
     assert manifest["report"]["error_linf"] < 1e-3  # O(h^2) at mesh 64
+    diagnostics = manifest["report"]["diagnostics"]
+    assert diagnostics["state_dtype"] == (
+        "float64" if solver.EXTENDED == np.float64 else "longdouble"
+    )
+    assert diagnostics["state_eps"] == float(np.finfo(solver.EXTENDED).eps)
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "x1,u,margin"
     assert len(lines) == 66  # header + 65 nodes
@@ -116,6 +121,8 @@ amp = 0.05
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["report"]["t"] == 1.0
     assert manifest["report"]["diagnostics"]["bound_ok"]
+    assert manifest["report"]["diagnostics"]["state_dtype"] == "float64"
+    assert manifest["report"]["diagnostics"]["state_eps"] == float(np.finfo(np.float64).eps)
     # 9^3 unknowns are at or below direct_limit: LU, no Krylov iterations
     assert all(s["linear_iters"] == 0 for s in manifest["report"]["steps"])
     assert manifest["report"]["rejected_steps"] == []
@@ -303,6 +310,19 @@ def test_solution_csv_bytes_match_row_writer(tmp_path, grid):
     assert written == (tmp_path / "rows.csv").read_bytes()
     assert written.count(b"\r\n") == grid.npoints + 1
     assert written.count(b",nan\r\n") == grid.boundary_flat.size
+
+
+def test_solution_csv_rounds_an_extended_state_to_float64(tmp_path):
+    grid = grids.radial_grid(1.0, 8, 3)
+    values = np.arange(grid.npoints, dtype=np.longdouble) / 3 + np.longdouble(1e-18)
+    margins = np.full(grid.npoints, 0.5)
+    margins[grid.boundary_flat] = np.nan
+    _write_solution_csv(tmp_path / "ext.csv", grid, SimpleNamespace(values=values, margins=margins))
+    rounded = SimpleNamespace(values=values.astype(np.float64), margins=margins)
+    write_solution_csv_rows(tmp_path / "rows.csv", grid, rounded)
+    assert (tmp_path / "ext.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+    table = np.genfromtxt(tmp_path / "ext.csv", delimiter=",", names=True)
+    assert np.array_equal(table["u"], values.astype(np.float64))
 
 
 def test_cone_check(tmp_path):

@@ -228,6 +228,26 @@ def test_verify_barrier_explicit_points():
     assert rep.passed and rep.count == 32
 
 
+@pytest.mark.parametrize("points", [np.array([0.0, 0.0, 0.9]), True, np.zeros((4, 2))],
+                         ids=["one-point-1d", "bool", "wrong-dim"])
+def test_verify_barrier_rejects_points_of_the_wrong_shape(points):
+    geom = geometry.ball(1.0, dim=3)
+    with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+        geometry.verify_barrier_bound(
+            quad_hessian(3), geom, BarrierParams(K3=512.0), ConeSpec(3, 2, 2),
+            sample_points=points,
+        )
+
+
+def test_verify_barrier_empty_point_block():
+    geom = geometry.ball(1.0, dim=3)
+    rep = geometry.verify_barrier_bound(
+        quad_hessian(3), geom, BarrierParams(K3=512.0), ConeSpec(3, 2, 2),
+        sample_points=np.zeros((0, 3)),
+    )
+    assert rep.count == 0 and rep.skips == [] and not rep.passed
+
+
 def test_collar_edge_exclusion_validation():
     geom = geometry.box([2.0, 2.0, 2.0])
     with pytest.raises(ValueError):

@@ -1,7 +1,10 @@
+import json
+
 import numpy as np
 import pytest
 
-from sumhess import _kernels
+from sumhess import _kernels, solver
+from sumhess.lift import ConeSpec
 
 
 def test_deleted_sym_definition():
@@ -36,3 +39,34 @@ def test_cone_margin_nan_row_is_not_admissible():
     assert margins[0] == 6.0  # S_1 = 6, S_2 = 11
     assert np.isnan(margins[1])
     assert not margins[1] > 0
+
+
+@pytest.mark.parametrize(
+    "dtype,expected",
+    [(np.longdouble, np.longdouble), (np.float64, np.float64), (np.int64, np.float64)],
+    ids=["longdouble", "float64", "int64"],
+)
+def test_kernels_keep_a_wider_input_dtype_and_otherwise_give_float64(dtype, expected):
+    lams = np.arange(12).reshape(3, 4).astype(dtype)
+    idx = np.array([[0, 1], [0, 2], [1, 3]])
+    assert _kernels.elem_sym_all(lams, 3).dtype == expected
+    assert _kernels.subset_sums(lams, idx).dtype == expected
+    assert _kernels.deleted_sym(lams, 2).dtype == expected
+    assert _kernels.fold_tuple_gradient(lams[:, :3], idx, 4).dtype == expected
+    # a float64 input is used as it is, not copied
+    if dtype is np.float64:
+        assert _kernels.as_float(lams) is lams
+
+
+def test_box_solve_report_is_unchanged_by_the_kernel_dtype_rule(monkeypatch):
+    # the box path stays float64: forcing every kernel input to float64, as
+    # before the rule kept wider inputs, gives the same report byte for byte
+    def report():
+        problem, _ = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+        state, _ = solver.box_solve(problem, 17)
+        return json.dumps(state.as_dict(), sort_keys=True)
+
+    kept = report()
+    monkeypatch.setattr(_kernels, "as_float", lambda x: np.asarray(x, dtype=np.float64))
+    assert report() == kept
+    assert json.loads(kept)["diagnostics"]["state_dtype"] == "float64"

@@ -358,3 +358,49 @@ def test_secant_prediction_and_its_fallback(monkeypatch, poison):
     assert hits == [s["t"] for s in state.steps[2:]]
     assert [s["predicted"] for s in state.steps] == [False, False] + [not poison] * len(hits)
     assert np.abs(state.values - exact(grid.points)).max() < 2e-4
+
+
+needs_extended = pytest.mark.skipif(
+    solver.EXTENDED == np.float64,
+    reason="numpy's longdouble is float64 on this platform, so the radial "
+    "state is float64 and its roundoff floor is not cleared",
+)
+
+
+@needs_extended
+def test_extended_state_clears_the_radial_roundoff_floor():
+    # one ulp per node, alternating in sign (the worst case for the 1/h^2
+    # stencil), on the exact (5,2,3) quartic at M = 256: in float64 it moves
+    # the max-norm residual by 2.7e-8, far above the 1e-10 tolerance; in the
+    # extended state by 1.3e-11, so the tolerance sits 5x above that floor
+    spec = ConeSpec(5, 2, 3)
+    problem, exact = solver.radial_quartic_problem(spec)
+    grid = grids.radial_grid(1.0, 256, spec.n)
+    system = RadialSystem(problem, grid)
+    signs = (-1.0) ** np.arange(grid.npoints)
+    moved = {}
+    for dtype in (np.float64, solver.EXTENDED):
+        u = exact(grid.points).astype(dtype)
+        res, _ = system.residual_and_margin(u, 1.0)
+        assert res.dtype == dtype
+        bumped, _ = system.residual_and_margin(u + signs * np.spacing(u), 1.0)
+        moved[dtype] = float(np.abs(bumped - res).max())
+    assert moved[np.float64] > 1e-10
+    assert moved[solver.EXTENDED] <= 2e-11
+
+
+@needs_extended
+def test_formerly_floored_radial_meshes_converge():
+    # (4,2,2)-256, (4,2,3)-128/256 and (5,2,3)-64/128/256 stalled at t = 0
+    # with a float64 state
+    state, _ = solver.radial_solve(solver.radial_quartic_problem(ConeSpec(4, 2, 2))[0], 256)
+    assert state.t == 1.0
+    assert state.diagnostics["final_residual_norm"] <= 1e-10
+    assert state.values.dtype == solver.EXTENDED
+    assert state.diagnostics["state_dtype"] == "longdouble"
+    assert state.diagnostics["state_eps"] == float(np.finfo(np.longdouble).eps)
+    for nmk in ((4, 2, 3), (5, 2, 3)):
+        report = solver.manufactured_suite("radial", ConeSpec(*nmk), (64, 128, 256))
+        for row in report["rows"]:
+            assert row["diagnostics"]["final_residual_norm"] <= 1e-10, (nmk, row)
+        assert 1.9 <= report["observed_order"] <= 2.1, report
