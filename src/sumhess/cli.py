@@ -63,8 +63,6 @@ class _Config:
             return default
         value = self.raw[key]
         try:
-            if cast is bool:
-                return value.lower() in ("1", "true", "yes", "on")
             return cast(value)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc

@@ -33,14 +33,12 @@ class InequalityConstants:
     m: int
     k: int
     delta: float
-    eps: float | None
     theta1: float
     theta2: float
     delta1: float
-    c0: float | None
 
     @classmethod
-    def for_problem(cls, n, m, k, delta, eps=None):
+    def for_problem(cls, n, m, k, delta):
         if delta <= 0:
             raise ValueError("delta must be positive")
         size = math.comb(n, m)
@@ -52,11 +50,7 @@ class InequalityConstants:
             (k - 1) * math.log(delta)
             - (k * math.log(2.0) + (k - 1) * math.log(m) + 3 * math.log(size))
         )
-        c0 = None if eps is None else deletion_constant(n, delta, eps)
-        return cls(
-            n=n, m=m, k=k, delta=delta, eps=eps,
-            theta1=theta1, theta2=theta2, delta1=delta1, c0=c0,
-        )
+        return cls(n=n, m=m, k=k, delta=delta, theta1=theta1, theta2=theta2, delta1=delta1)
 
 
 def deletion_constant(n, delta, eps):
@@ -389,15 +383,14 @@ def _cone_mask(block, k):
     return _kernels.cone_margin(_kernels.elem_sym_all(block, k), k) > 0.0
 
 
-def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, shift=None,
-                stats=None):
+def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=None):
     """Rejection-sample spectra satisfying the requested hypothesis set.
 
-    Modes: ``gamma_k`` (length-n spectra in the degree-k cone), ``gamma_k_m``
-    (spectra whose m-sum lift is in the cone), ``prop25_hypotheses``,
-    ``prop26_hypotheses``, ``prop27_hypotheses``. Returns (samples,
-    acceptance_rate); every emitted sample re-verifies its hypotheses. When
-    ``stats`` is a dict, the exact proposal count goes to its ``proposals``.
+    Modes: ``gamma_k`` (length-n spectra in the degree-k cone),
+    ``prop25_hypotheses``, ``prop26_hypotheses``, ``prop27_hypotheses``.
+    Returns (samples, acceptance_rate); every emitted sample re-verifies its
+    hypotheses. When ``stats`` is a dict, the exact proposal count goes to its
+    ``proposals``.
     """
     rng = np.random.default_rng(seed)
     n, m, k = spec.n, spec.m, spec.k
@@ -409,24 +402,11 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, shift=Non
     if mode == "gamma_k":
         if k > n:
             raise ConfigError(f"gamma_k mode needs k <= n, got k={k}, n={n}")
-        mu = 0.55 if shift is None else shift
 
         def propose(rng, b):
-            return rng.normal(mu, 1.0, size=(b, n))
+            return rng.normal(0.55, 1.0, size=(b, n))
 
         return _rejection(rng, propose, lambda blk: _cone_mask(blk, k), count, stats)
-
-    if mode == "gamma_k_m":
-        tuples = lift.subset_table(n, m).tuples
-        mu = 0.55 if shift is None else shift
-
-        def propose(rng, b):
-            return rng.normal(mu, 1.0, size=(b, n))
-
-        def accept(blk):
-            return _cone_mask(_kernels.subset_sums(blk, tuples), k)
-
-        return _rejection(rng, propose, accept, count, stats)
 
     if mode == "prop25_hypotheses":
         if k > n - 1:
@@ -434,10 +414,9 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, shift=Non
                 "negative-entry hypotheses are empty for k = n "
                 "(the degree-n cone is the positive orthant)"
             )
-        mu = 0.35 if shift is None else shift
 
         def propose(rng, b):
-            return rng.normal(mu, 1.0, size=(b, n))
+            return rng.normal(0.35, 1.0, size=(b, n))
 
         def accept(blk):
             return _cone_mask(blk, k) & (blk.min(axis=1) < 0.0)
@@ -666,18 +645,27 @@ def _suite_spectral_lift(spec, trials, seed, report):
     )
 
 
+def _suite_dim(n, spec, default):
+    """Spectrum length of a plain-cone suite: ``n``, else spec.n, else ``default``."""
+    dim = n if n is not None else spec.n if spec else default
+    if dim < 1:
+        raise ConfigError(f"need n >= 1, got n={dim}")
+    return dim
+
+
 def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
               eps=0.15, L=1.0, n=None):
     """Run one named verification suite and return its SampleReport.
 
     ``spec`` supplies (n, m, k) where needed; plain-cone suites accept ``n``
     directly with spec.k as degree. Each suite checks its whole sample block
-    in a few block calls.
+    in a few block calls. An ``n`` below 1, an ``l`` outside 1..k-1, or a
+    ``delta``, ``eps`` or ``L`` that is not positive and finite raises
+    ConfigError before any sampling.
     """
     report = SampleReport(suite=which)
     if which == "prop21":
-        dim = n or (spec.n if spec else 5)
-        _suite_partition_identities(dim, trials, seed, report)
+        _suite_partition_identities(_suite_dim(n, spec, 5), trials, seed, report)
         return report
     if which == "prop22":
         if spec is None:
@@ -685,8 +673,7 @@ def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
         _suite_diagonal_gradient(spec.n, spec.m, trials, seed, report)
         return report
     if which == "mixed":
-        dim = n or (spec.n if spec else 4)
-        _suite_mixed_decomposition(dim, trials, seed, report)
+        _suite_mixed_decomposition(_suite_dim(n, spec, 4), trials, seed, report)
         return report
     if which == "euler":
         if spec is None:
@@ -702,6 +689,10 @@ def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
     if spec is None:
         raise ConfigError(f"suite {which!r} needs a ConeSpec")
     dim, k = spec.n, spec.k
+    for key, value in (("delta", delta), ("eps", eps), ("L", L)):
+        # NaN fails every comparison, so the chain rejects it too
+        if not 0 < value < math.inf:
+            raise ConfigError(f"need finite {key} > 0, got {key}={value}")
     stats = {}
 
     def sample(count, mode, **kwargs):
@@ -722,6 +713,8 @@ def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
     if which == "prop24":
         if l is None:
             l = max(1, k - 1)
+        if not 1 <= l < k:
+            raise ConfigError(f"prop24 needs 1 <= l < k, got l={l}, k={k}")
         samples = _normalized_desc(sample(trials, "gamma_k"))
         _record_blocks(report, samples, lambda rows: check_maclaurin(samples[rows], k, l))
         return report

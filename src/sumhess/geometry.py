@@ -6,7 +6,6 @@ linearized operator dominates the barrier.
 
 import math
 import numbers
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -22,7 +21,7 @@ class DomainGeometry:
 
     ``mu0`` is the collar width within which the distance function is smooth;
     for a ball any width below the radius works, for a box smoothness fails
-    near edges and the collar machinery flags tie zones.
+    near edges.
     """
 
     kind: str
@@ -94,13 +93,12 @@ def distance(geom, x):
     return float(d) if x.ndim == 1 else d
 
 
-def distance_pack(geom, x, edge_tol=0.0):
+def distance_pack(geom, x):
     """Distance, its gradient, and its Hessian at a collar point, or at each
     row of an (N, dim) block of them.
 
     Raises CollarError outside the smooth collar. For a box the Hessian is
-    zero on face zones; a tie between faces within ``edge_tol`` triggers a
-    non-smoothness warning.
+    zero on face zones.
     """
     x = np.asarray(x, dtype=np.float64)
     pts = np.atleast_2d(x)
@@ -121,10 +119,6 @@ def distance_pack(geom, x, edge_tol=0.0):
         lo = geom.center - geom.extents / 2.0
         hi = geom.center + geom.extents / 2.0
         dists = np.concatenate([pts - lo, hi - pts], axis=1)
-        if edge_tol > 0:
-            two = np.sort(dists, axis=1)[:, :2]
-            if np.any(two[:, 1] - two[:, 0] < edge_tol):
-                warnings.warn("distance not smooth: near a box edge", stacklevel=2)
         face = np.argmin(dists, axis=1)
         grad = np.zeros((count, dim))
         # a low face points inward along +axis, a high face along -axis
@@ -198,15 +192,13 @@ def _halton(count, d):
     return out
 
 
-def collar_points(geom, count, depth_max, edge_exclusion=0.0):
+def collar_points(geom, count, depth_max):
     """Deterministic low-discrepancy points in the collar 0 < d < depth_max."""
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     # NaN fails every comparison, so the chains reject it too
     if not 0 < depth_max <= geom.mu0:
         raise CollarError(f"collar depth {depth_max:g} outside (0, {geom.mu0:g}]")
-    if not _is_ball(geom) and not 0 <= 2 * edge_exclusion < float(geom.extents.min()):
-        raise ValueError("edge_exclusion must be nonnegative and below half the extent")
     raw = _halton(count, geom.dim + 1)
     depth = (0.02 + 0.96 * raw[:, -1]) * depth_max
     if _is_ball(geom):
@@ -223,8 +215,7 @@ def collar_points(geom, count, depth_max, edge_exclusion=0.0):
             if j == axis:
                 pts[i, j] = (lo[j] + depth[i]) if side == 0 else (hi[j] - depth[i])
             else:
-                span = hi[j] - lo[j] - 2 * edge_exclusion
-                pts[i, j] = lo[j] + edge_exclusion + raw[i, j] * span
+                pts[i, j] = lo[j] + raw[i, j] * (hi[j] - lo[j])
     return pts
 
 
@@ -301,7 +292,7 @@ def _field_table(u_hess, pts, spec):
 
 
 def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
-                         which="lemma53", edge_exclusion=None):
+                         which="lemma53"):
     """Check that contracting the operator gradient against the barrier
     Hessian dominates the required multiple of (1 + trace) at collar points:
     ``sample_points`` is either a count of collar points to generate or an
@@ -316,8 +307,7 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
     _check_lemma_range(geom, spec, which)
     mu = params.collar(geom)
     if isinstance(sample_points, numbers.Integral) and not isinstance(sample_points, bool):
-        excl = edge_exclusion if edge_exclusion is not None else 0.0
-        pts = collar_points(geom, sample_points, mu, edge_exclusion=excl)
+        pts = collar_points(geom, sample_points, mu)
     else:
         pts = np.asarray(sample_points, dtype=np.float64)
         if pts.ndim != 2 or pts.shape[1] != geom.dim:

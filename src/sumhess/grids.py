@@ -90,7 +90,6 @@ class BoxGrid:
     dim: int
     shape: tuple
     spacings: np.ndarray = field(repr=False)
-    lo: np.ndarray = field(repr=False)
     points: np.ndarray = field(repr=False)  # (P, dim)
     interior_flat: np.ndarray = field(repr=False)
     boundary_flat: np.ndarray = field(repr=False)
@@ -170,7 +169,7 @@ def box_grid(extents, nodes, center=None):
     dnu = sp.csr_matrix((dnu_vals, (dnu_rows, dnu_cols)), shape=(P, P))
 
     return BoxGrid(
-        dim=dim, shape=shape, spacings=spacings, lo=lo, points=points,
+        dim=dim, shape=shape, spacings=spacings, points=points,
         interior_flat=interior_flat, boundary_flat=boundary_flat,
         normals=normals, dnu_rows=dnu_rows, dnu_cols=dnu_cols,
         dnu_vals=dnu_vals, dnu=dnu,

@@ -160,11 +160,6 @@ def admissible(hess, spec):
     return symfun.in_cone(sum_spectrum(hess, spec.m), spec.k)
 
 
-def sk_of_hessian(hess, spec):
-    """S_k of the lifted matrix, evaluated through the fast spectrum."""
-    return symfun.elem_sym(sum_spectrum(hess, spec.m), spec.k)
-
-
 def _subset_counts(spec):
     """(c1, c2): how many m-subsets of {0..n-1} hold a given index, and a
     given pair of indices."""

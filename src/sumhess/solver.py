@@ -439,8 +439,7 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
         raise AdmissibilityError(
             f"initial state not admissible (margin {margin:.3e})", margin=margin
         )
-    stats = {"iters": 0, "linear_iters": 0, "residual_norm": norm,
-             "min_margin": margin, "residual_history": [norm]}
+    stats = {"iters": 0, "linear_iters": 0, "residual_norm": norm, "min_margin": margin}
     while norm > tol:
         if stats["iters"] >= MAX_ITER:
             raise NonconvergenceError(
@@ -472,7 +471,6 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
         u, res, norm = trial, t_res, t_norm
         stats["iters"] += 1
         stats["min_margin"] = min(stats["min_margin"], t_margin)
-        stats["residual_history"].append(norm)
         stats["residual_norm"] = norm
     return u, stats
 
@@ -682,43 +680,6 @@ def box_cosine_problem(spec, extents=None, amp=0.05):
 
     problem = ProblemSpec(spec=spec, geom=geom, f=f, a=a, b=b)
     return problem, exact
-
-
-def manufactured_suite(kind, spec, meshes, cfg=None, **kwargs):
-    """Solve a manufactured problem on a mesh family and report the observed
-    convergence order (least-squares slope of log error against log h)."""
-    if kind not in ("radial", "box"):
-        raise ConfigError(f"unknown manufactured template {kind!r}")
-    template, solve = (
-        (radial_quartic_problem, radial_solve) if kind == "radial"
-        else (box_cosine_problem, box_solve)
-    )
-    problem, exact = template(spec, **kwargs)
-    rows = []
-    for mesh in meshes:
-        state, grid = solve(problem, mesh, cfg)
-        err = state.values - exact(grid.points)
-        rows.append({
-            "mesh": int(mesh),
-            "h": grid.h,
-            "linf": float(np.abs(err).max()),
-            "l2": float(np.sqrt((err**2).mean())),
-            "diagnostics": state.diagnostics,
-        })
-    report = {"kind": kind, "rows": rows}
-    errs = np.array([r["linf"] for r in rows])
-    hs = np.array([r["h"] for r in rows])
-    if np.all(errs > 1e-12) and len(rows) >= 2:
-        slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
-        report["observed_order"] = float(slope)
-        report["pairwise_orders"] = [
-            float(np.log(errs[i] / errs[i + 1]) / np.log(hs[i] / hs[i + 1]))
-            for i in range(len(rows) - 1)
-        ]
-    else:
-        report["observed_order"] = None
-        report["order_undefined"] = True
-    return report
 
 
 def _smooth_field(rng, r):

@@ -50,37 +50,6 @@ def elem_sym(values, k):
     return float(_kernels.elem_sym_all(lam, k)[k])
 
 
-def elem_sym_all(values, kmax):
-    """Array [S_0, ..., S_kmax] of a spectrum."""
-    lam = as_spectrum(values)
-    if not 0 <= kmax <= lam.size:
-        raise ValueError(f"degree kmax={kmax} out of range 0..{lam.size}")
-    return _kernels.elem_sym_all(lam, kmax)
-
-
-def deleted_sym(values, k, drop):
-    """S_k with the entries at positions ``drop`` (one or two, 0-based) zeroed."""
-    lam = as_spectrum(values).copy()
-    if np.isscalar(drop):
-        drop = (int(drop),)
-    drop = tuple(int(i) for i in drop)
-    if len(drop) not in (1, 2) or len(set(drop)) != len(drop):
-        raise ValueError("drop must hold one or two distinct indices")
-    for i in drop:
-        if not 0 <= i < lam.size:
-            raise ValueError(f"drop index {i} out of range")
-        lam[i] = 0.0
-    return elem_sym(lam, k)
-
-
-def deleted_sym_table(values, degree):
-    """All single-deletion values S_degree(lam | i), i = 0..N-1."""
-    lam = as_spectrum(values)
-    if not 0 <= degree <= lam.size:
-        raise ValueError(f"degree {degree} out of range 0..{lam.size}")
-    return _kernels.deleted_sym(lam, degree)
-
-
 def matrix_sym(mat, k):
     """S_k of a symmetric matrix (sum of principal k-minors, via eigenvalues)."""
     arr = as_symmetric(mat)
@@ -92,8 +61,8 @@ def mixed_sym_all(a_mat, b_mat, k):
     of B.
 
     Computed by polarization: S_k(A + tB) is a degree-k polynomial in t whose
-    coefficient of t^l is binom(k, l) * mixed_sym(A, B, k, l). The polynomial
-    is sampled at k + 1 centered integer nodes and interpolated.
+    coefficient of t^l is binom(k, l) times entry l. The polynomial is sampled
+    at k + 1 centered integer nodes and interpolated.
     """
     A = as_symmetric(a_mat)
     B = as_symmetric(b_mat)
@@ -109,13 +78,6 @@ def mixed_sym_all(a_mat, b_mat, k):
     vander = np.vander(nodes, k + 1, increasing=True)
     coeffs = np.linalg.solve(vander, samples)
     return coeffs / np.array([math.comb(k, l) for l in range(k + 1)])
-
-
-def mixed_sym(a_mat, b_mat, k, l):
-    """Mixed symmetric value with k - l factors of A and l of B."""
-    if not 0 <= l <= k:
-        raise ValueError(f"need 0 <= l <= k, got k={k}, l={l}")
-    return float(mixed_sym_all(a_mat, b_mat, k)[l])
 
 
 def newton_transform(w_mat, k):

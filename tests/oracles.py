@@ -6,6 +6,8 @@ production code paths it cross-checks. The one-at-a-time helpers at the end
 (one lifted matrix, one subset position, one homotopy member, one boundary
 point, one barrier value, one sample into a report, one collar point, one CSV
 row) are the scalar forms the batch code is checked against.
+``manufactured_suite`` is the convergence study the solver tests run: solves
+on a mesh family and the observed order of the error.
 """
 
 import csv
@@ -15,8 +17,10 @@ import math
 import numpy as np
 from scipy.stats import norm, qmc
 
-from sumhess import geometry, lift, symfun
+from sumhess import _kernels, geometry, lift, symfun
 from sumhess.cones import MARGIN_FLOOR
+from sumhess.errors import ConfigError
+from sumhess.solver import box_cosine_problem, box_solve, radial_quartic_problem, radial_solve
 
 
 def elem_sym_enum(values, k):
@@ -76,6 +80,11 @@ def mixed_sym_enum(a_mat, b_mat, k, l):
                 M[pos, :] = B[np.ix_([rows[pos]], rows)]
             total += float(np.linalg.det(M))
     return total / math.comb(k, l)
+
+
+def sk_of_hessian(hess, spec):
+    """S_k of the lifted matrix, evaluated through the fast spectrum."""
+    return symfun.elem_sym(lift.sum_spectrum(hess, spec.m), spec.k)
 
 
 def gradient_fd(sk_fn, H, step=1e-6):
@@ -222,13 +231,13 @@ def verify_barrier_points(u_hess, geom, params, spec, pts, which="lemma53"):
         _, h_margin = symfun.in_cone(lam, spec.k)
         out["min_h_margin"] = min(out["min_h_margin"], h_margin)
         out["min_lambda_k"] = min(out["min_lambda_k"], float(lam[spec.k - 1]))
-        s = symfun.elem_sym_all(lam, spec.k)
+        s = _kernels.elem_sym_all(lam, spec.k)
         ratios = [s[l] / params.K3**l for l in range(1, spec.k + 1)]
         out["min_sl_ratio"] = min(out["min_sl_ratio"], float(min(ratios)))
     return out
 
 
-def collar_points_scipy(geom, count, depth_max, edge_exclusion=0.0):
+def collar_points_scipy(geom, count, depth_max):
     """Collar points from ``scipy.stats``: ``qmc.Halton(scramble=False)``
     without its origin sample and ``norm.ppf``, a box filled one point and one
     coordinate at a time: the reference for ``geometry.collar_points``."""
@@ -248,8 +257,7 @@ def collar_points_scipy(geom, count, depth_max, edge_exclusion=0.0):
             if j == axis:
                 pts[i, j] = (lo[j] + depth[i]) if side == 0 else (hi[j] - depth[i])
             else:
-                span = hi[j] - lo[j] - 2 * edge_exclusion
-                pts[i, j] = lo[j] + edge_exclusion + raw[i, j] * span
+                pts[i, j] = lo[j] + raw[i, j] * (hi[j] - lo[j])
     return pts
 
 
@@ -265,3 +273,40 @@ def write_solution_csv_rows(path, grid, state):
                 [f"{v:.17g}" for v in pts[row]]
                 + [f"{state.values[row]:.17g}", f"{state.margins[row]:.17g}"]
             )
+
+
+def manufactured_suite(kind, spec, meshes, cfg=None, **kwargs):
+    """Solve a manufactured problem on a mesh family and report the observed
+    convergence order (least-squares slope of log error against log h)."""
+    if kind not in ("radial", "box"):
+        raise ConfigError(f"unknown manufactured template {kind!r}")
+    template, solve = (
+        (radial_quartic_problem, radial_solve) if kind == "radial"
+        else (box_cosine_problem, box_solve)
+    )
+    problem, exact = template(spec, **kwargs)
+    rows = []
+    for mesh in meshes:
+        state, grid = solve(problem, mesh, cfg)
+        err = state.values - exact(grid.points)
+        rows.append({
+            "mesh": int(mesh),
+            "h": grid.h,
+            "linf": float(np.abs(err).max()),
+            "l2": float(np.sqrt((err**2).mean())),
+            "diagnostics": state.diagnostics,
+        })
+    report = {"kind": kind, "rows": rows}
+    errs = np.array([r["linf"] for r in rows])
+    hs = np.array([r["h"] for r in rows])
+    if np.all(errs > 1e-12) and len(rows) >= 2:
+        slope = np.polyfit(np.log(hs), np.log(errs), 1)[0]
+        report["observed_order"] = float(slope)
+        report["pairwise_orders"] = [
+            float(np.log(errs[i] / errs[i + 1]) / np.log(hs[i] / hs[i + 1]))
+            for i in range(len(rows) - 1)
+        ]
+    else:
+        report["observed_order"] = None
+        report["order_undefined"] = True
+    return report

@@ -503,6 +503,32 @@ def test_verify_rejects_counts_below_one(tmp_path, capsys, body, key):
 
 
 @pytest.mark.parametrize(
+    "body, message",
+    [
+        ("which = prop21\nn = 0\ntrials = 10\n", "need n >= 1, got n=0"),
+        ("which = mixed\nn = -2\ntrials = 10\n", "need n >= 1, got n=-2"),
+        ("which = prop24\nn = 5\nm = 2\nk = 3\nl = 0\ntrials = 10\n", "1 <= l < k, got l=0"),
+        ("which = prop24\nn = 5\nm = 2\nk = 3\nl = 3\ntrials = 10\n", "1 <= l < k, got l=3"),
+        ("which = prop26\nn = 4\nm = 2\nk = 2\ndelta = -0.4\ntrials = 10\n", "delta > 0"),
+        ("which = prop26\nn = 4\nm = 2\nk = 2\nL = 0\ntrials = 10\n", "L > 0"),
+        ("which = prop27\nn = 5\nm = 2\nk = 3\ndelta = nan\ntrials = 10\n", "delta > 0"),
+        ("which = prop27\nn = 5\nm = 2\nk = 3\neps = -0.1\ntrials = 10\n", "eps > 0"),
+    ],
+    ids=["prop21-n-zero", "mixed-n-negative", "prop24-l-zero", "prop24-l-equals-k",
+         "prop26-delta-negative", "prop26-L-zero", "prop27-delta-nan", "prop27-eps-negative"],
+)
+def test_verify_rejects_out_of_range_suite_parameters(tmp_path, capsys, body, message):
+    # each used to pass vacuously, end in a traceback, or starve the sampler
+    cfg = write(tmp_path / "v.cfg", body)
+    out = tmp_path / "out"
+    rc = main(["verify", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
     "body, nodes, boundary",
     [
         ("mode = radial\nmanufactured = radial\nmesh = 16\n", 17, [16]),

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from sumhess import cones, symfun
+from sumhess import _kernels, cones, symfun
 from sumhess.cones import InequalityConstants, MARGIN_FLOOR
 from sumhess.errors import ConfigError
 from sumhess.lift import ConeSpec
@@ -11,7 +11,7 @@ from oracles import deleted_sym_enum, record_sample
 
 
 def test_constants_examples():
-    c = InequalityConstants.for_problem(4, 2, 2, delta=0.4, eps=0.1)
+    c = InequalityConstants.for_problem(4, 2, 2, delta=0.4)
     fact = math.factorial(6)
     assert c.delta1 == pytest.approx(0.4**2 / (fact * 16), rel=1e-12)
     assert c.theta1 == pytest.approx(c.delta1, rel=1e-12)  # exponent k-1 = 1
@@ -23,7 +23,7 @@ def test_ordered_inequalities_examples():
     res = cones.check_ordered_cone_inequalities([3.0, 2.0, 1.0], 2)
     assert res["hypothesis"]
     assert res["margins"]["deleted_positive"] == pytest.approx(3.0)
-    deleted = symfun.deleted_sym_table(np.array([3.0, 2.0, 1.0]), 1)
+    deleted = _kernels.deleted_sym(np.array([3.0, 2.0, 1.0]), 1)
     assert deleted.tolist() == [3.0, 4.0, 5.0]
     # symmetric point: the weighted lower bound is tight
     res = cones.check_ordered_cone_inequalities([1.0, 1.0, 1.0], 2)
@@ -123,13 +123,6 @@ def test_samplers_satisfy_hypotheses():
     for lam in samples:
         ok, _ = symfun.in_cone(lam, 3)
         assert ok
-    samples, _ = cones.sample_cone(spec, 100, "gamma_k_m", seed=2)
-    from sumhess import lift
-
-    tuples = lift.subset_table(5, 2).tuples
-    for mu in samples:
-        ok, _ = symfun.in_cone(mu[tuples].sum(axis=1), 3)
-        assert ok
     samples, _ = cones.sample_cone(spec, 100, "prop25_hypotheses", seed=3)
     assert (samples.min(axis=1) < 0).all()
     samples, _ = cones.sample_cone(spec, 100, "prop26_hypotheses", seed=4, delta=0.4)
@@ -149,13 +142,16 @@ def test_sampler_positive_orthant_limit():
 
 
 def test_sampler_starvation():
-    # a proposal shifted deep into the rejected region must error out with
+    # a sampler whose proposals are all rejected must error out with
     # diagnostics instead of spinning forever
     from sumhess.errors import SamplerStarvationError
 
-    spec = ConeSpec(4, 2, 3)
+    rng = np.random.default_rng(0)
     with pytest.raises(SamplerStarvationError) as info:
-        cones.sample_cone(spec, 10, "gamma_k", seed=0, shift=-50.0)
+        cones._rejection(
+            rng, lambda rng, b: rng.normal(size=(b, 4)),
+            lambda blk: np.zeros(blk.shape[0], dtype=bool), 10, None,
+        )
     assert info.value.acceptance_rate < 1e-4
     assert info.value.proposals >= 200_000
 
@@ -176,7 +172,7 @@ def test_oracle_equivalence_inside_checks():
         for _ in range(20):
             lam = rng.normal(0.5, 1.0, size=n)
             k = int(rng.integers(1, n + 1))
-            table = symfun.deleted_sym_table(lam, k - 1)
+            table = _kernels.deleted_sym(lam, k - 1)
             for i in range(n):
                 ref = deleted_sym_enum(lam, k - 1, i)
                 scale = max(abs(ref), 1.0)

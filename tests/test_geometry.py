@@ -68,8 +68,6 @@ def test_box_face_and_edge():
     assert d == pytest.approx(0.1)
     assert np.allclose(grad, [0.0, 0.0, 1.0])
     assert np.allclose(hess, 0.0)
-    with pytest.warns(UserWarning):
-        geometry.distance_pack(geom, np.array([-0.92, 0.0, -0.9]), edge_tol=0.05)
 
 
 def test_barrier_hessian_at_boundary_limit():
@@ -155,25 +153,21 @@ def test_collar_points_match_scipy_halton_on_a_ball(dim, count):
     assert np.array_equal(pts, collar_points_scipy(geom, count, 0.3))
 
 
-@pytest.mark.parametrize("edge_exclusion", [0.0, 0.2])
-def test_collar_points_match_scipy_halton_on_a_box(edge_exclusion):
+def test_collar_points_match_scipy_halton_on_a_box():
     geom = geometry.box([2.0, 3.0, 1.5], center=[0.5, 0.0, -1.0])
-    pts = geometry.collar_points(geom, 1000, 0.3, edge_exclusion=edge_exclusion)
-    assert np.array_equal(pts, collar_points_scipy(geom, 1000, 0.3, edge_exclusion))
+    pts = geometry.collar_points(geom, 1000, 0.3)
+    assert np.array_equal(pts, collar_points_scipy(geom, 1000, 0.3))
 
 
-@pytest.mark.parametrize("kind, count, depth_max, edge_exclusion, error", [
-    ("ball", 8, math.nan, 0.0, CollarError),
-    ("ball", -1, 0.2, 0.0, ValueError),
-    ("box", -1, 0.2, 0.0, ValueError),
-    ("box", 0, 0.2, 5.0, ValueError),
-    ("box", 0, 0.2, math.nan, ValueError),
-], ids=["nan-depth", "negative-count-ball", "negative-count-box", "wide-exclusion-no-points",
-        "nan-exclusion"])
-def test_collar_points_reject_bad_arguments(kind, count, depth_max, edge_exclusion, error):
+@pytest.mark.parametrize("kind, count, depth_max, error", [
+    ("ball", 8, math.nan, CollarError),
+    ("ball", -1, 0.2, ValueError),
+    ("box", -1, 0.2, ValueError),
+], ids=["nan-depth", "negative-count-ball", "negative-count-box"])
+def test_collar_points_reject_bad_arguments(kind, count, depth_max, error):
     geom = geometry.ball(1.0, dim=3) if kind == "ball" else geometry.box([2.0, 2.0, 2.0])
     with pytest.raises(error):
-        geometry.collar_points(geom, count, depth_max, edge_exclusion=edge_exclusion)
+        geometry.collar_points(geom, count, depth_max)
 
 
 def test_barrier_checks_take_a_numpy_integer_count():
@@ -248,12 +242,6 @@ def test_verify_barrier_empty_point_block():
     assert rep.count == 0 and rep.skips == [] and not rep.passed
 
 
-def test_collar_edge_exclusion_validation():
-    geom = geometry.box([2.0, 2.0, 2.0])
-    with pytest.raises(ValueError):
-        geometry.collar_points(geom, 8, 0.2, edge_exclusion=1.5)
-
-
 def test_verify_barrier_quartic_field():
     geom = geometry.ball(1.0, dim=4)
     spec = ConeSpec(4, 2, 2)
@@ -266,13 +254,12 @@ def test_verify_barrier_quartic_field():
 
 
 def test_verify_barrier_box_faces():
-    # flat faces: zero curvature, the normal eigenvalue carries the bound;
-    # sampling keeps away from edges where the distance is not smooth
+    # flat faces: zero curvature, the normal eigenvalue carries the bound
     geom = geometry.box([2.0, 2.0, 2.0])
     spec = ConeSpec(3, 2, 2)
     rep = geometry.verify_barrier_bound(
         quad_hessian(3), geom, BarrierParams(K3=64.0), spec,
-        sample_points=200, which="lemma53", edge_exclusion=0.125,
+        sample_points=200, which="lemma53",
     )
     assert rep.passed, rep.as_dict()
     assert not rep.skips
@@ -349,7 +336,7 @@ def test_barrier_hessian_block_matches_points(kind):
         pts = geometry.collar_points(geom, 300, 0.3)
     else:
         geom = geometry.box([2.0, 1.5, 3.0])
-        pts = geometry.collar_points(geom, 300, 0.3, edge_exclusion=0.1)
+        pts = geometry.collar_points(geom, 300, 0.3)
     params = BarrierParams(K3=6.0)
     block = geometry.barrier_hessian(geom, params, pts)
     assert block.shape == (300, geom.dim, geom.dim)
@@ -403,7 +390,7 @@ def test_verify_barrier_bound_matches_point_loop(case):
     if case == "box-lemma53":
         geom, spec, which = geometry.box([2.0, 2.0, 2.0]), ConeSpec(3, 2, 2), "lemma53"
         field = quad_hessian(3)
-        pts = geometry.collar_points(geom, 200, 0.1, edge_exclusion=0.125)
+        pts = geometry.collar_points(geom, 200, 0.1)
     else:
         geom = geometry.ball(1.0, dim=4)
         which = "lemma55" if case == "ball-lemma55" else "lemma53"

@@ -8,7 +8,9 @@ import pytest
 
 from sumhess import _kernels, lift, symfun
 from sumhess.lift import ConeSpec
-from oracles import gradient_fd, gradient_via_lift, index_of, lift_hessian, subset_sums_enum
+from oracles import (
+    gradient_fd, gradient_via_lift, index_of, lift_hessian, sk_of_hessian, subset_sums_enum,
+)
 
 EPS = np.finfo(np.float64).eps
 
@@ -213,12 +215,12 @@ def test_cone_nesting():
 
 
 def test_sk_of_hessian_examples():
-    assert lift.sk_of_hessian(np.eye(3), ConeSpec(3, 2, 2)) == pytest.approx(12.0)
+    assert sk_of_hessian(np.eye(3), ConeSpec(3, 2, 2)) == pytest.approx(12.0)
     for n, m, k in [(3, 2, 2), (4, 2, 3), (5, 3, 4), (6, 2, 5)]:
-        val = lift.sk_of_hessian(np.eye(n), ConeSpec(n, m, k))
+        val = sk_of_hessian(np.eye(n), ConeSpec(n, m, k))
         expected = math.comb(math.comb(n, m), k) * float(m) ** k
         assert val == pytest.approx(expected, rel=1e-12)
-    assert lift.sk_of_hessian(np.zeros((4, 4)), ConeSpec(4, 2, 3)) == pytest.approx(0.0)
+    assert sk_of_hessian(np.zeros((4, 4)), ConeSpec(4, 2, 3)) == pytest.approx(0.0)
 
 
 def test_gradient_identity_hessian():
@@ -228,7 +230,7 @@ def test_gradient_identity_hessian():
     assert trace == pytest.approx(24.0)
     # homogeneity pairing at the same point
     assert float((F * np.eye(3)).sum()) == pytest.approx(
-        spec.k * lift.sk_of_hessian(np.eye(3), spec)
+        spec.k * sk_of_hessian(np.eye(3), spec)
     )
 
 
@@ -241,7 +243,7 @@ def test_gradient_matches_finite_differences():
             ok, _ = lift.admissible(H, spec)
             assert ok
             F, _ = lift.gradient(H, spec)
-            fd = gradient_fd(lambda M: lift.sk_of_hessian(symfun.symmetrize(M), spec), H)
+            fd = gradient_fd(lambda M: sk_of_hessian(symfun.symmetrize(M), spec), H)
             scale = np.abs(fd).max()
             assert np.abs(F - fd).max() / scale < 1e-6
 
@@ -272,7 +274,7 @@ def test_euler_identity_and_ellipticity():
             count += 1
             F, _ = lift.gradient(H, spec)
             lhs = float((F * H).sum())
-            rhs = k * lift.sk_of_hessian(H, spec)
+            rhs = k * sk_of_hessian(H, spec)
             assert abs(lhs - rhs) / max(abs(rhs), 1e-30) < 1e-9
             assert np.linalg.eigvalsh(F).min() > 0.0
 
@@ -286,7 +288,7 @@ def test_gradient_trace_is_m_times_deleted_sum():
         H = rand_sym(rng, n)
         _, trace = lift.gradient(H, spec)
         lam = lift.sum_spectrum(H, m)
-        expected = m * float(symfun.deleted_sym_table(lam, k - 1).sum())
+        expected = m * float(_kernels.deleted_sym(lam, k - 1).sum())
         assert trace == pytest.approx(expected, rel=1e-12)
 
 

@@ -5,7 +5,7 @@ from sumhess import grids, solver
 from sumhess.errors import AdmissibilityError, ConfigError, NonconvergenceError
 from sumhess.lift import ConeSpec
 from sumhess.solver import ProblemSpec, RadialSystem
-from oracles import homotopy_data
+from oracles import homotopy_data, manufactured_suite
 
 
 def trivial_problem(spec, R=1.0):
@@ -139,12 +139,12 @@ def test_newton_quadratic_convergence_from_perturbation():
     grid = grids.radial_grid(1.0, 64, 3)
     system = RadialSystem(problem, grid)
     u0 = system.initial_values() + 1e-3 * np.sin(2.0 * grid.r)
+    res0, _ = system.residual_and_margin(u0, 0.0)
     u, stats = solver.newton_solve(system, u0, 0.0, timing={})
     assert stats["iters"] <= 5
     assert stats["residual_norm"] <= 1e-10
-    hist = stats["residual_history"]
     # contraction should be superlinear once in the basin
-    assert hist[-1] <= 1e-6 * hist[0]
+    assert stats["residual_norm"] <= 1e-6 * float(np.abs(res0).max())
 
 
 def test_newton_rejects_inadmissible_start():
@@ -187,7 +187,7 @@ def test_trivial_continuation_path_is_constant():
 
 def test_manufactured_radial_convergence():
     spec = ConeSpec(3, 2, 2)
-    report = solver.manufactured_suite("radial", spec, (32, 64, 128))
+    report = manufactured_suite("radial", spec, (32, 64, 128))
     assert 1.8 <= report["observed_order"] <= 2.2, report
     for row in report["rows"]:
         assert row["diagnostics"]["bound_ok"]
@@ -198,7 +198,7 @@ def test_manufactured_radial_convergence():
 def test_manufactured_higher_degree():
     # a case inside the larger-degree existence range
     spec = ConeSpec(4, 2, 3)
-    report = solver.manufactured_suite("radial", spec, (32, 64))
+    report = manufactured_suite("radial", spec, (32, 64))
     assert 1.7 <= report["observed_order"] <= 2.2, report
 
 
@@ -208,13 +208,13 @@ def test_manufactured_wide_shapes(n, m, k):
     # tolerance must follow the problem's magnitude
     spec = ConeSpec(n, m, k)
     cfg = solver.SolverConfig(tol_abs=max(1e-8, solver.homotopy_constant(spec) * 1e-12))
-    report = solver.manufactured_suite("radial", spec, (32, 64), cfg=cfg)
+    report = manufactured_suite("radial", spec, (32, 64), cfg=cfg)
     assert 1.7 <= report["observed_order"] <= 2.2, report
 
 
 def test_machine_precision_flag():
     spec = ConeSpec(3, 2, 2)
-    report = solver.manufactured_suite("radial", spec, (16, 32), coef=0.0)
+    report = manufactured_suite("radial", spec, (16, 32), coef=0.0)
     assert report.get("order_undefined"), report
 
 
@@ -400,7 +400,7 @@ def test_formerly_floored_radial_meshes_converge():
     assert state.diagnostics["state_dtype"] == "longdouble"
     assert state.diagnostics["state_eps"] == float(np.finfo(np.longdouble).eps)
     for nmk in ((4, 2, 3), (5, 2, 3)):
-        report = solver.manufactured_suite("radial", ConeSpec(*nmk), (64, 128, 256))
+        report = manufactured_suite("radial", ConeSpec(*nmk), (64, 128, 256))
         for row in report["rows"]:
             assert row["diagnostics"]["final_residual_norm"] <= 1e-10, (nmk, row)
         assert 1.9 <= report["observed_order"] <= 2.1, report

@@ -1,0 +1,36 @@
+"""Guard against test-only surface in the package: every public module-level
+function in ``src/sumhess`` must be reached from the package itself or from
+the benchmark harness (``perfbench``), not only from the tests. A function
+only tests call belongs in ``tests/oracles.py``."""
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "sumhess"
+
+
+def _sources():
+    files = sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "perfbench").rglob("*.py"))
+    return {path: path.read_text().splitlines() for path in files}
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    sources = _sources()
+    unreached = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for node in ast.parse("\n".join(sources[path])).body:
+            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+                continue
+            word = re.compile(rf"\b{re.escape(node.name)}\b")
+            # every line of every file except the function's own definition
+            own = range(node.lineno - 1, node.end_lineno)
+            if not any(
+                word.search(line)
+                for other, lines in sources.items()
+                for i, line in enumerate(lines)
+                if not (other == path and i in own)
+            ):
+                unreached.append(f"{path.stem}.{node.name}")
+    assert unreached == []

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sumhess import symfun
-from oracles import elem_sym_enum, matrix_sym_minors, mixed_sym_enum
+from sumhess import _kernels, symfun
+from oracles import deleted_sym_enum, elem_sym_enum, matrix_sym_minors, mixed_sym_enum
 
 
 def test_elem_sym_basics():
@@ -34,12 +34,8 @@ def test_elem_sym_matches_enumeration():
 
 
 def test_deleted_sym_examples():
-    assert symfun.deleted_sym([1.0, 2.0, 3.0], 2, 0) == pytest.approx(6.0)
-    assert symfun.deleted_sym([5.0], 1, 0) == 0.0
-    with pytest.raises(ValueError):
-        symfun.deleted_sym([1.0, 2.0, 3.0], 2, (1, 1))
-    with pytest.raises(ValueError):
-        symfun.deleted_sym([1.0, 2.0, 3.0], 2, 5)
+    assert _kernels.deleted_sym(np.array([1.0, 2.0, 3.0]), 2)[0] == pytest.approx(6.0)
+    assert _kernels.deleted_sym(np.array([5.0]), 1)[0] == 0.0
 
 
 def test_split_identity():
@@ -50,10 +46,11 @@ def test_split_identity():
         lam = rng.normal(0.0, 1.5, size=n)
         k = int(rng.integers(1, n + 1))
         sk = symfun.elem_sym(lam, k)
+        dk = _kernels.deleted_sym(lam, k)
+        dkm1 = _kernels.deleted_sym(lam, k - 1)
         for i in range(n):
-            lhs = symfun.deleted_sym(lam, k, i) + lam[i] * symfun.deleted_sym(
-                lam, k - 1, i
-            )
+            assert dk[i] == pytest.approx(deleted_sym_enum(lam, k, i), rel=1e-12, abs=1e-12)
+            lhs = dk[i] + lam[i] * dkm1[i]
             assert lhs == pytest.approx(sk, rel=1e-12, abs=1e-12)
 
 
@@ -64,8 +61,8 @@ def test_weighted_and_plain_sums():
         lam = rng.normal(0.0, 1.5, size=n)
         k = int(rng.integers(1, n + 1))
         sk = symfun.elem_sym(lam, k)
-        dkm1 = symfun.deleted_sym_table(lam, k - 1)
-        dk = symfun.deleted_sym_table(lam, k)
+        dkm1 = _kernels.deleted_sym(lam, k - 1)
+        dk = _kernels.deleted_sym(lam, k)
         assert float((lam * dkm1).sum()) == pytest.approx(k * sk, rel=1e-11, abs=1e-11)
         assert float(dk.sum()) == pytest.approx((n - k) * sk, rel=1e-11, abs=1e-11)
 
@@ -114,13 +111,12 @@ def test_mixed_sym_edges():
     A = symfun.symmetrize(rng.normal(size=(4, 4)))
     Z = np.zeros((4, 4))
     for k in range(1, 5):
+        mixed = symfun.mixed_sym_all(A, Z, k)
         for l in range(1, k + 1):
-            assert symfun.mixed_sym(A, Z, k, l) == pytest.approx(0.0, abs=1e-10)
-        assert symfun.mixed_sym(A, Z, k, 0) == pytest.approx(
-            symfun.matrix_sym(A, k), rel=1e-10, abs=1e-10
-        )
+            assert mixed[l] == pytest.approx(0.0, abs=1e-10)
+        assert mixed[0] == pytest.approx(symfun.matrix_sym(A, k), rel=1e-10, abs=1e-10)
     with pytest.raises(ValueError):
-        symfun.mixed_sym(A, np.zeros((3, 3)), 2, 1)
+        symfun.mixed_sym_all(A, np.zeros((3, 3)), 2)
 
 
 def test_mixed_sym_against_direct_contraction():
@@ -130,11 +126,10 @@ def test_mixed_sym_against_direct_contraction():
             A = symfun.symmetrize(rng.normal(size=(n, n)))
             B = symfun.symmetrize(rng.normal(size=(n, n)))
             for k in range(1, n + 1):
+                mixed = symfun.mixed_sym_all(A, B, k)
                 for l in range(k + 1):
                     direct = mixed_sym_enum(A, B, k, l)
-                    assert symfun.mixed_sym(A, B, k, l) == pytest.approx(
-                        direct, rel=1e-12, abs=1e-12
-                    )
+                    assert mixed[l] == pytest.approx(direct, rel=1e-12, abs=1e-12)
 
 
 def test_mixed_sym_binomial_decomposition():
@@ -144,10 +139,8 @@ def test_mixed_sym_binomial_decomposition():
             A = symfun.symmetrize(rng.normal(size=(n, n)))
             B = symfun.symmetrize(rng.normal(size=(n, n)))
             for k in range(1, n + 1):
-                total = sum(
-                    math.comb(k, i) * symfun.mixed_sym(A, B, k, i)
-                    for i in range(k + 1)
-                )
+                mixed = symfun.mixed_sym_all(A, B, k)
+                total = sum(math.comb(k, i) * mixed[i] for i in range(k + 1))
                 assert total == pytest.approx(
                     symfun.matrix_sym(A + B, k), rel=1e-9, abs=1e-9
                 )
