@@ -515,29 +515,35 @@ def _all_rows(margins):
 def _suite_partition_identities(n, trials, seed, report):
     rng = np.random.default_rng(seed)
     lams = rng.normal(0.0, 1.0, size=(trials, n))
-    # one scalar draw per (sample, degree), in the order a per-sample loop draws
-    picks = np.array([[rng.integers(n) for _ in range(n)] for _ in range(trials)])
-    s = _kernels.elem_sym_all(lams, n)
-    deleted = [_kernels.deleted_sym(lams, degree) for degree in range(n + 1)]
-    rows = np.arange(trials)
-    margins = {}
-    for k in range(1, n + 1):
-        deleted_k, deleted_km1 = deleted[k], deleted[k - 1]
-        i = picks[:, k - 1]
-        sk = s[:, k]
-        lhs = deleted_k[rows, i] + lams[rows, i] * deleted_km1[rows, i]
-        scale = (np.abs(deleted_k[rows, i]) + np.abs(lams[rows, i] * deleted_km1[rows, i])
-                 + np.abs(sk))
-        margins[f"split_k{k}"] = _rel_margin(lhs, sk, scale)
-        weighted = lams * deleted_km1
-        margins[f"weighted_k{k}"] = _rel_margin(
-            weighted.sum(axis=1), k * sk, np.abs(weighted).sum(axis=1) + np.abs(k * sk)
-        )
-        margins[f"sum_k{k}"] = _rel_margin(
-            deleted_k.sum(axis=1), (n - k) * sk,
-            np.abs(deleted_k).sum(axis=1) + np.abs((n - k) * sk),
-        )
-    report.record_block(_all_rows(margins), lams)
+    # one index per (sample, degree); the array draw takes the same stream
+    # as one scalar rng.integers(n) per entry in row order
+    picks = rng.integers(n, size=(trials, n))
+
+    def check(rows):
+        lam, pick = lams[rows], picks[rows]
+        s = _kernels.elem_sym_all(lam, n)
+        deleted = [_kernels.deleted_sym(lam, degree) for degree in range(n + 1)]
+        idx = np.arange(len(lam))
+        margins = {}
+        for k in range(1, n + 1):
+            deleted_k, deleted_km1 = deleted[k], deleted[k - 1]
+            i = pick[:, k - 1]
+            sk = s[:, k]
+            lhs = deleted_k[idx, i] + lam[idx, i] * deleted_km1[idx, i]
+            scale = (np.abs(deleted_k[idx, i]) + np.abs(lam[idx, i] * deleted_km1[idx, i])
+                     + np.abs(sk))
+            margins[f"split_k{k}"] = _rel_margin(lhs, sk, scale)
+            weighted = lam * deleted_km1
+            margins[f"weighted_k{k}"] = _rel_margin(
+                weighted.sum(axis=1), k * sk, np.abs(weighted).sum(axis=1) + np.abs(k * sk)
+            )
+            margins[f"sum_k{k}"] = _rel_margin(
+                deleted_k.sum(axis=1), (n - k) * sk,
+                np.abs(deleted_k).sum(axis=1) + np.abs((n - k) * sk),
+            )
+        return _all_rows(margins)
+
+    _record_blocks(report, lams, check)
 
 
 def _suite_diagonal_gradient(n, m, trials, seed, report):

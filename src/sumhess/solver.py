@@ -7,6 +7,7 @@ exact quadratic solution of the t = 0 member and carries it to t = 1 with
 damped, admissibility-guarded Newton steps.
 """
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -62,6 +63,13 @@ STEP_MIN = 1e-6
 # iterations: a fast contraction says the step could have been longer
 # (Deuflhard, Newton Methods for Nonlinear Problems, 2004)
 GROW = (4.0, 2.0, 1.0)
+# inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
+# 1982): the Krylov solve's relative tolerance follows the nonlinear
+# progress, see ``forcing``; the largest, the factor on the squared residual
+# ratio, and the bound above which the previous tolerance keeps it up
+FORCING_MAX = 1e-2
+FORCING_GAMMA = 0.9
+FORCING_SAFEGUARD = 0.1
 # largest system sent to sparse LU: LU and V-cycle-preconditioned lgmres
 # break even near 9^3 box unknowns; LU fill-in then grows far faster than
 # the multigrid cost
@@ -330,77 +338,128 @@ _MG_SWEEPS = 2  # Jacobi sweeps before and after each coarse correction
 
 
 class VCycle:
-    """Geometric multigrid V-cycle on a box lattice, applied as ``vcycle(b)``.
+    """Coarse hierarchy of a geometric multigrid V-cycle on a box lattice.
 
-    Levels halve every axis with ``grids.box_prolongation`` and carry the
-    Galerkin operators P^T A P. Every level smooths with damped Jacobi; the
-    coarsest is LU-factored once when it has at most ``DIRECT_LIMIT``
-    unknowns and is otherwise only smoothed, so a lattice that cannot be
-    halved gets a Jacobi-smoothing preconditioner. ``applications`` counts
-    the cycles run.
+    Built from one fine operator A, it keeps only what lies below it: levels
+    that halve every axis with ``grids.box_prolongation``, their restrictions,
+    the Galerkin operators P^T A P, and the LU of the coarsest level when that
+    has at most ``DIRECT_LIMIT`` unknowns (only smoothed otherwise); every
+    level smooths with damped Jacobi. ``preconditioner(A)`` runs the cycle
+    under a current fine operator, so one hierarchy serves the later
+    Jacobians of a Newton solve and holds no reference to any of them. A
+    lattice that cannot be halved has no coarse level and gets a
+    Jacobi-smoothing preconditioner. ``applications`` counts the cycles run.
     """
 
     def __init__(self, A, shape):
         # restriction P^T is stored as CSR: products with the transposed
         # (CSC) view of P take about twice as long
-        self.ops, self.prolong, self.restrict = [A.tocsr()], [], []
+        self.ops, self.prolong, self.restrict = [], [], []
+        op = A.tocsr()
         while (coarse := grids.box_prolongation(shape)) is not None:
             P, shape = coarse
             R = P.T.tocsr()
+            op = (R @ op @ P).tocsr()
             self.prolong.append(P)
             self.restrict.append(R)
-            self.ops.append((R @ self.ops[-1] @ P).tocsr())
-        self.inv_diag = []
-        for op in self.ops:
-            diag = op.diagonal()
-            diag[diag == 0] = 1.0
-            self.inv_diag.append(1.0 / diag)
-        coarsest = self.ops[-1]
-        self.lu = spla.splu(coarsest.tocsc()) if coarsest.shape[0] <= DIRECT_LIMIT else None
+            self.ops.append(op)
+        self.inv_diag = [_inv_diagonal(op) for op in self.ops]
+        self.lu = (
+            spla.splu(self.ops[-1].tocsc())
+            if self.ops and self.ops[-1].shape[0] <= DIRECT_LIMIT else None
+        )
         self.applications = 0
 
-    def _smooth(self, level, x, b, sweeps):
-        A, inv_diag = self.ops[level], self.inv_diag[level]
-        for _ in range(sweeps):
-            x = x + _MG_OMEGA * inv_diag * (b - A @ x)
-        return x
+    def preconditioner(self, A):
+        """The V-cycle with fine operator ``A`` on top, as a LinearOperator."""
+        # a partial, not a recursive closure: a closure that calls itself is
+        # a reference cycle, and would keep A alive until the next collection
+        levels = ([A, *self.ops], [_inv_diagonal(A), *self.inv_diag])
+        return spla.LinearOperator(
+            A.shape, matvec=functools.partial(self._apply, *levels), dtype=np.float64
+        )
 
-    def _cycle(self, level, b):
+    def _apply(self, ops, inv_diag, b):
+        self.applications += 1
+        return self._cycle(ops, inv_diag, 0, np.ravel(b))
+
+    def _cycle(self, ops, inv_diag, level, b):
+        A, inv = ops[level], inv_diag[level]
         if level == len(self.prolong):
             if self.lu is not None:
                 return self.lu.solve(b)
-            return self._smooth(level, np.zeros_like(b), b, 2 * _MG_SWEEPS)
-        x = self._smooth(level, np.zeros_like(b), b, _MG_SWEEPS)
-        coarse_rhs = self.restrict[level] @ (b - self.ops[level] @ x)
-        x = x + self.prolong[level] @ self._cycle(level + 1, coarse_rhs)
-        return self._smooth(level, x, b, _MG_SWEEPS)
-
-    def __call__(self, b):
-        self.applications += 1
-        return self._cycle(0, np.ravel(b))
+            return _smooth(A, inv, np.zeros_like(b), b, 2 * _MG_SWEEPS)
+        x = _smooth(A, inv, np.zeros_like(b), b, _MG_SWEEPS)
+        coarse_rhs = self.restrict[level] @ (b - A @ x)
+        x = x + self.prolong[level] @ self._cycle(ops, inv_diag, level + 1, coarse_rhs)
+        return _smooth(A, inv, x, b, _MG_SWEEPS)
 
 
-def _linear_solve(J, rhs, shape):
+def _smooth(A, inv_diag, x, b, sweeps):
+    """``sweeps`` damped Jacobi sweeps on A x = b from x."""
+    for _ in range(sweeps):
+        x = x + _MG_OMEGA * inv_diag * (b - A @ x)
+    return x
+
+
+def _inv_diagonal(op):
+    """Inverse diagonal of ``op`` with zero entries taken as 1."""
+    diag = op.diagonal()
+    diag[diag == 0] = 1.0
+    return 1.0 / diag
+
+
+def forcing(norm, prev_norm, prev_eta, tol):
+    """Relative tolerance of Newton's next Krylov solve (Eisenstat & Walker,
+    SIAM J. Sci. Comput. 17, 1996, choice 2, as in Kelley, Solving Nonlinear
+    Equations with Newton's Method, 2003): ``FORCING_MAX`` on a Newton
+    solve's first step, then FORCING_GAMMA (|F_k| / |F_k-1|)^2, kept at
+    least FORCING_GAMMA eta_k-1^2 when that exceeds FORCING_SAFEGUARD, at
+    least half of tol / |F_k|, where a looser solve still reaches tol, and
+    at most ``FORCING_MAX``."""
+    if prev_norm is None:
+        return FORCING_MAX
+    eta = FORCING_GAMMA * (norm / prev_norm) ** 2
+    if (kept := FORCING_GAMMA * prev_eta**2) > FORCING_SAFEGUARD:
+        eta = max(eta, kept)
+    return min(FORCING_MAX, max(eta, 0.5 * tol / norm))
+
+
+def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     """Solve J x = rhs on a grid of the given node shape.
 
     Returns (x, Krylov iterations). Systems with at most ``DIRECT_LIMIT``
     unknowns go to sparse LU (0 iterations). Larger ones are scaled to unit
-    diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres preconditioned with a
-    V-cycle; the count is the V-cycle applications, one per Krylov iteration.
+    diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres to relative
+    tolerance ``rtol``, preconditioned with a V-cycle; the count is the
+    V-cycle applications, one per Krylov iteration. lgmres always runs on
+    the exact D^-1 J. The V-cycle's coarse hierarchy comes from the dict
+    ``cache`` under ``"vcycle"``; when it holds none, one is built from this
+    D^-1 J and stored there, and the build's wall seconds are added to
+    ``timing["hierarchy_s"]``.
     """
     if J.shape[0] <= DIRECT_LIMIT:
         return spla.spsolve(J.tocsc(), rhs), 0
     diag = J.diagonal()
     diag[diag == 0] = 1.0
     A = sp.diags(1.0 / diag) @ J
-    vcycle = VCycle(A, shape)
-    precond = spla.LinearOperator(J.shape, matvec=vcycle, dtype=np.float64)
+    cache = {} if cache is None else cache
+    if "vcycle" not in cache:
+        cache["vcycle"] = _timed(
+            {} if timing is None else timing, "hierarchy_s", VCycle, A, shape
+        )
+    vcycle = cache["vcycle"]
+    before = vcycle.applications
     sol, info = spla.lgmres(
-        A, rhs / diag, M=precond, rtol=1e-12, atol=0.0, maxiter=5000
+        A, rhs / diag, M=vcycle.preconditioner(A), rtol=rtol, atol=0.0, maxiter=5000
     )
+    cycles = vcycle.applications - before
     if info != 0:
-        raise NonconvergenceError(f"iterative linear solve failed (info={info})")
-    return sol, vcycle.applications
+        raise NonconvergenceError(
+            f"iterative linear solve failed (info={info}, rtol={rtol:.3g}, "
+            f"{cycles} V-cycles)"
+        )
+    return sol, cycles
 
 
 def _timed(timing, key, fn, *args):
@@ -417,11 +476,14 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
     residual norm satisfies the Armijo decrease and every node stays inside
     the admissibility cone by at least the margin floor. ``start`` is
     ``system.residual_and_margin(values, t)`` when the caller already has it.
-    The caller's ``timing`` dict accumulates the wall seconds spent in
-    residuals, Jacobian assembly and linear solves as ``residual_s``,
-    ``jacobian_s`` and ``linear_solve_s``, also when the solve fails. The
-    state and residuals are in ``system.state_dtype``; the Jacobian, the
-    linear solve and its update are float64."""
+    Each linear solve is inexact, to the relative tolerance ``forcing``
+    gives, and the Krylov solves of one call share the V-cycle hierarchy of
+    its first Jacobian. The caller's ``timing`` dict accumulates the wall
+    seconds spent in residuals, Jacobian assembly and linear solves as
+    ``residual_s``, ``jacobian_s`` and ``linear_solve_s``, and the part of
+    ``linear_solve_s`` that built hierarchies as ``hierarchy_s``, also when
+    the solve fails. The state and residuals are in ``system.state_dtype``;
+    the Jacobian, the linear solve and its update are float64."""
     cfg = cfg or SolverConfig()
     tol = cfg.tolerance(system.kind)
     u = np.array(values, dtype=system.state_dtype)
@@ -440,17 +502,21 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
             f"initial state not admissible (margin {margin:.3e})", margin=margin
         )
     stats = {"iters": 0, "linear_iters": 0, "residual_norm": norm, "min_margin": margin}
+    prev_norm = eta = None
+    cache = {}  # this solve's V-cycle hierarchy, built by its first Krylov solve
     while norm > tol:
         if stats["iters"] >= MAX_ITER:
             raise NonconvergenceError(
                 f"no convergence in {MAX_ITER} iterations (|res|={norm:.3e})",
                 last_values=u, residual_norm=norm,
             )
+        eta = forcing(norm, prev_norm, eta, tol)
         J = _timed(timing, "jacobian_s", system.jacobian, u, t)
         delta, linear_iters = _timed(
             timing, "linear_solve_s", _linear_solve, J,
-            -res.astype(np.float64), system.grid.shape
+            -res.astype(np.float64), system.grid.shape, eta, cache, timing
         )
+        del J  # the hierarchy keeps no fine operator; free it for the line search
         stats["linear_iters"] += linear_iters
         step = 1.0
         while True:
@@ -468,7 +534,7 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
                     f"line search stalled at t={t:g} (|res|={norm:.3e})",
                     last_values=u, residual_norm=norm,
                 )
-        u, res, norm = trial, t_res, t_norm
+        u, res, prev_norm, norm = trial, t_res, norm, t_norm
         stats["iters"] += 1
         stats["min_margin"] = min(stats["min_margin"], t_margin)
         stats["residual_norm"] = norm
@@ -489,7 +555,9 @@ def continuation_solve(system, cfg=None):
     """
     cfg = cfg or SolverConfig()
     system.validate()
-    profile = dict.fromkeys(("residual_s", "jacobian_s", "linear_solve_s"), 0.0)
+    profile = dict.fromkeys(
+        ("residual_s", "jacobian_s", "linear_solve_s", "hierarchy_s"), 0.0
+    )
     u, stats = newton_solve(system, system.initial_values(), 0.0, cfg, timing=profile)
     state = ContinuationState(t=0.0, values=u, profile=profile)
     state.steps.append({"t": 0.0, "dt": 0.0, "predicted": False, **_step_stats(stats)})

@@ -5,7 +5,8 @@ lifted gradient) goes through the dense lifted matrix, independent of the
 production code paths it cross-checks. The one-at-a-time helpers at the end
 (one lifted matrix, one subset position, one homotopy member, one boundary
 point, one barrier value, one sample into a report, one collar point, one CSV
-row) are the scalar forms the batch code is checked against.
+row, one whole-block prop21 suite) are the scalar or unchunked forms the batch
+code is checked against.
 ``manufactured_suite`` is the convergence study the solver tests run: solves
 on a mesh family and the observed order of the error.
 """
@@ -17,7 +18,7 @@ import math
 import numpy as np
 from scipy.stats import norm, qmc
 
-from sumhess import _kernels, geometry, lift, symfun
+from sumhess import _kernels, cones, geometry, lift, symfun
 from sumhess.cones import MARGIN_FLOOR
 from sumhess.errors import ConfigError
 from sumhess.solver import box_cosine_problem, box_solve, radial_quartic_problem, radial_solve
@@ -273,6 +274,37 @@ def write_solution_csv_rows(path, grid, state):
                 [f"{v:.17g}" for v in pts[row]]
                 + [f"{state.values[row]:.17g}", f"{state.margins[row]:.17g}"]
             )
+
+
+def partition_identities_whole(n, trials, seed):
+    """The prop21 suite as one block: every sample, deleted table and margin
+    column at once, with one scalar index draw per (sample, degree)."""
+    rng = np.random.default_rng(seed)
+    lams = rng.normal(0.0, 1.0, size=(trials, n))
+    picks = np.array([[rng.integers(n) for _ in range(n)] for _ in range(trials)])
+    s = _kernels.elem_sym_all(lams, n)
+    deleted = [_kernels.deleted_sym(lams, degree) for degree in range(n + 1)]
+    rows = np.arange(trials)
+    margins = {}
+    for k in range(1, n + 1):
+        deleted_k, deleted_km1 = deleted[k], deleted[k - 1]
+        i = picks[:, k - 1]
+        sk = s[:, k]
+        lhs = deleted_k[rows, i] + lams[rows, i] * deleted_km1[rows, i]
+        scale = (np.abs(deleted_k[rows, i]) + np.abs(lams[rows, i] * deleted_km1[rows, i])
+                 + np.abs(sk))
+        margins[f"split_k{k}"] = cones._rel_margin(lhs, sk, scale)
+        weighted = lams * deleted_km1
+        margins[f"weighted_k{k}"] = cones._rel_margin(
+            weighted.sum(axis=1), k * sk, np.abs(weighted).sum(axis=1) + np.abs(k * sk)
+        )
+        margins[f"sum_k{k}"] = cones._rel_margin(
+            deleted_k.sum(axis=1), (n - k) * sk,
+            np.abs(deleted_k).sum(axis=1) + np.abs((n - k) * sk),
+        )
+    report = cones.SampleReport(suite="prop21")
+    report.record_block(cones._all_rows(margins), lams)
+    return report
 
 
 def manufactured_suite(kind, spec, meshes, cfg=None, **kwargs):

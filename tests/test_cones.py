@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -7,7 +8,7 @@ from sumhess import _kernels, cones, symfun
 from sumhess.cones import InequalityConstants, MARGIN_FLOOR
 from sumhess.errors import ConfigError
 from sumhess.lift import ConeSpec
-from oracles import deleted_sym_enum, record_sample
+from oracles import deleted_sym_enum, partition_identities_whole, record_sample
 
 
 def test_constants_examples():
@@ -224,6 +225,16 @@ def test_identity_suites_small_runs():
     assert report.passed, report.as_dict()
     report = cones.run_suite("mixed", n=4, trials=50, seed=3)
     assert report.passed, report.as_dict()
+
+
+@pytest.mark.parametrize("seed", [0, 7])
+@pytest.mark.parametrize("n", [1, 5])
+def test_prop21_slices_report_as_one_block(monkeypatch, seed, n):
+    # slices of 7 rows: 60 trials take nine check calls, the last one short
+    monkeypatch.setattr(cones, "_CHECK_ROWS", 7)
+    report = cones.run_suite("prop21", n=n, trials=60, seed=seed)
+    whole = partition_identities_whole(n, 60, seed)
+    assert json.dumps(report.as_dict()) == json.dumps(whole.as_dict())
 
 
 def test_euler_and_spectral_lift_suites():

@@ -1,9 +1,11 @@
+import gc
+
 import numpy as np
 import pytest
 import scipy.sparse.linalg as spla
 
 from sumhess import geometry, grids, solver
-from sumhess.errors import ConfigError
+from sumhess.errors import ConfigError, NonconvergenceError
 from sumhess.lift import ConeSpec
 from sumhess.solver import BoxSystem, ProblemSpec
 from oracles import manufactured_suite
@@ -242,6 +244,96 @@ def test_box_steps_record_krylov_iterations():
     assert np.abs(state.values - exact(grid.points)).max() < 5e-3
     for step in state.steps:
         assert (step["linear_iters"] > 0) == (step["newton_iters"] > 0), step
+
+
+def test_one_vcycle_hierarchy_per_newton_solve(monkeypatch):
+    builds, solves = [], []
+    build, newton = solver.VCycle, solver.newton_solve
+
+    def counted_build(*args):
+        builds.append(args[1])
+        return build(*args)
+
+    def counted_newton(*args, **kwargs):
+        u, stats = newton(*args, **kwargs)
+        solves.append(stats["iters"])
+        return u, stats
+
+    monkeypatch.setattr(solver, "VCycle", counted_build)
+    monkeypatch.setattr(solver, "newton_solve", counted_newton)
+    problem, _ = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    state, grid = solver.box_solve(problem, 17)
+    assert not state.rejected_steps
+    iterating = sum(1 for iters in solves if iters > 0)
+    assert iterating > 0 and builds == [grid.shape] * iterating
+    assert sum(solves) > iterating  # later iterations reused their solve's hierarchy
+    assert 0 < state.profile["hierarchy_s"] <= state.profile["linear_solve_s"]
+
+
+def test_reused_hierarchy_keeps_no_fine_operator():
+    # the fine D^-1 J must go when _linear_solve returns: neither the cached
+    # hierarchy nor a reference cycle, which only a collection frees, holds it
+    J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), 13)
+    cache, timing = {}, {}
+    gc.collect()
+    gc.disable()
+    try:
+        for _ in range(2):
+            solver._linear_solve(J, np.ones(J.shape[0]), grid.shape, 1e-8, cache, timing)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+    assert all(op.shape[0] < J.shape[0] for op in cache["vcycle"].ops)
+    assert timing["hierarchy_s"] > 0
+
+
+def _box_17_solve():
+    problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    state, grid = solver.box_solve(problem, 17)
+    error = np.abs(state.values - exact(grid.points)).max()
+    return state, error, sum(s["linear_iters"] for s in state.steps)
+
+
+def test_inexact_newton_keeps_the_tight_solve(monkeypatch):
+    state, error, linear_iters = _box_17_solve()
+    assert state.diagnostics["final_residual_norm"] <= 1e-8
+    monkeypatch.setattr(solver, "forcing", lambda *args: 1e-12)
+    tight_state, tight_error, tight_iters = _box_17_solve()
+    assert tight_state.diagnostics["final_residual_norm"] <= 1e-8
+    assert abs(error - tight_error) <= 1e-6 * tight_error
+    assert linear_iters <= 0.6 * tight_iters, (linear_iters, tight_iters)
+
+
+def test_lgmres_failure_names_rtol_and_cycles(monkeypatch):
+    def failing(A, b, M, **kwargs):
+        M.matvec(b)
+        return np.zeros_like(b), 1
+
+    monkeypatch.setattr(spla, "lgmres", failing)
+    J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), 13)
+    assert J.shape[0] > solver.DIRECT_LIMIT
+    with pytest.raises(NonconvergenceError, match=r"info=1, rtol=1e-12, 1 V-cycles"):
+        solver._linear_solve(J, np.ones(J.shape[0]), grid.shape)
+
+
+def test_lgmres_failure_rejects_the_step_and_halves_dt(monkeypatch):
+    lgmres, calls = spla.lgmres, []
+
+    def fails_once(A, b, **kwargs):
+        calls.append(kwargs["rtol"])
+        if len(calls) == 1:
+            return np.zeros_like(b), 1
+        return lgmres(A, b, **kwargs)
+
+    monkeypatch.setattr(spla, "lgmres", fails_once)
+    problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    state, grid = solver.box_solve(problem, 13)
+    cfg = solver.SolverConfig()
+    assert calls[0] == solver.FORCING_MAX
+    assert state.rejected_steps == [{"t": 0.0, "dt": cfg.dt0, "error": "NonconvergenceError"}]
+    assert state.steps[1]["dt"] == 0.5 * cfg.dt0
+    assert state.t == 1.0
+    assert np.abs(state.values - exact(grid.points)).max() < 5e-3
 
 
 @pytest.mark.parametrize(
