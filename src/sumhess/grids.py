@@ -237,52 +237,40 @@ def box_hessians(grid, values):
 
 
 def box_interior_stencil(grid):
-    """Static column layout of the interior Jacobian rows.
+    """Static column layout of the interior Jacobian rows, slot-major.
 
-    Returns (cols, slots) where cols has shape (Pi, nstencil) and a map from
-    stencil slot to its role; values are filled per state from the operator
-    gradient at each node.
+    Returns cols of shape (nslots, Pi): cols[s, p] is the column of stencil
+    slot s in the row of interior node p. Slot order: the center, then
+    (+e_c, -e_c) for each axis c, then (++, --, +-, -+) for each axis pair
+    c < d; ``box_interior_values`` fills the same order.
     """
     n = grid.dim
-    strides = np.array([int(np.prod(grid.shape[c + 1 :])) for c in range(n)])
-    base = grid.interior_flat
-    cols = [base]  # slot 0: center
-    roles = [("center", 0, 0)]
+    strides = [int(np.prod(grid.shape[c + 1 :])) for c in range(n)]
+    offsets = [0]
     for c in range(n):
-        cols.append(base + strides[c])
-        roles.append(("axis+", c, c))
-        cols.append(base - strides[c])
-        roles.append(("axis-", c, c))
+        offsets += [strides[c], -strides[c]]
     for c in range(n):
         for d in range(c + 1, n):
             sc, sd = strides[c], strides[d]
-            cols.append(base + sc + sd)
-            roles.append(("mixed++", c, d))
-            cols.append(base - sc - sd)
-            roles.append(("mixed--", c, d))
-            cols.append(base + sc - sd)
-            roles.append(("mixed+-", c, d))
-            cols.append(base - sc + sd)
-            roles.append(("mixed-+", c, d))
-    return np.stack(cols, axis=1), roles
+            offsets += [sc + sd, -sc - sd, sc - sd, -sc + sd]
+    return grid.interior_flat[None, :] + np.array(offsets)[:, None]
 
 
-def box_interior_values(grid, F, roles):
-    """Stencil weights for the linearized interior rows given the per-node
-    gradient matrices F (Pi, n, n)."""
-    Pi = F.shape[0]
-    nslots = len(roles)
-    vals = np.empty((Pi, nslots))
-    for slot, (kind, c, d) in enumerate(roles):
-        hc = grid.spacings[c]
-        hd = grid.spacings[d]
-        if kind == "center":
-            vals[:, slot] = -2.0 * (F[:, range(grid.dim), range(grid.dim)]
-                                    / grid.spacings[None, :] ** 2).sum(axis=1)
-        elif kind in ("axis+", "axis-"):
-            vals[:, slot] = F[:, c, c] / (hc * hc)
-        elif kind in ("mixed++", "mixed--"):
-            vals[:, slot] = F[:, c, d] / (2.0 * hc * hd)
-        else:  # mixed+- / mixed-+
-            vals[:, slot] = -F[:, c, d] / (2.0 * hc * hd)
+def box_interior_values(grid, F):
+    """Stencil weights of the linearized interior rows from the per-node
+    gradient matrices F (Pi, n, n), slot-major (nslots, Pi) in the slot order
+    of ``box_interior_stencil``."""
+    n, h = grid.dim, grid.spacings
+    vals = np.empty((1 + 2 * n * n, F.shape[0]))
+    vals[0] = -2.0 * (F[:, range(n), range(n)] / h[None, :] ** 2).sum(axis=1)
+    slot = 1
+    for c in range(n):
+        vals[slot : slot + 2] = F[:, c, c] / (h[c] * h[c])
+        slot += 2
+    for c in range(n):
+        for d in range(c + 1, n):
+            mixed = F[:, c, d] / (2.0 * h[c] * h[d])
+            vals[slot : slot + 2] = mixed
+            vals[slot + 2 : slot + 4] = -mixed
+            slot += 4
     return vals

@@ -6,7 +6,8 @@ production code paths it cross-checks. The one-at-a-time helpers at the end
 (one lifted matrix, one subset position, one homotopy member, one boundary
 point, one barrier value, one sample into a report, one collar point, one CSV
 row, one whole-block prop21 suite) are the scalar or unchunked forms the batch
-code is checked against.
+code is checked against, and ``coo_jacobian`` assembles a Jacobian from
+concatenated COO triplets, the reference for its fixed CSR pattern.
 ``manufactured_suite`` is the convergence study the solver tests run: solves
 on a mesh family and the observed order of the error.
 """
@@ -16,6 +17,7 @@ import itertools
 import math
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.stats import norm, qmc
 
 from sumhess import _kernels, cones, geometry, lift, symfun
@@ -305,6 +307,23 @@ def partition_identities_whole(n, trials, seed):
     report = cones.SampleReport(suite="prop21")
     report.record_block(cones._all_rows(margins), lams)
     return report
+
+
+def coo_jacobian(system, values, t):
+    """``system.jacobian`` assembled from COO triplets: the interior stencil
+    at its layout, the ``-t f_u`` diagonal as duplicate entries, the grid's
+    ``dnu_*`` triplets and the ``a_b`` diagonal, summed by ``csr_matrix``."""
+    grid = system.grid
+    values = np.asarray(values, dtype=np.float64)
+    rows, cols = (np.ravel(a) for a in system._stencil_layout())
+    parts = [(rows, cols, system._interior_stencil(values))]
+    if system.problem.f_u is not None:
+        fu = system.problem.eval_f_u(system.interior_points, values[grid.interior_flat])
+        parts.append((grid.interior_flat, grid.interior_flat, -t * fu))
+    parts.append((grid.dnu_rows, grid.dnu_cols, grid.dnu_vals))
+    parts.append((grid.boundary_flat, grid.boundary_flat, system.a_b))
+    rows, cols, data = (np.concatenate(p) for p in zip(*parts))
+    return sp.csr_matrix((data, (rows, cols)), shape=(system.npoints, system.npoints))
 
 
 def manufactured_suite(kind, spec, meshes, cfg=None, **kwargs):

@@ -237,6 +237,34 @@ def test_prop21_slices_report_as_one_block(monkeypatch, seed, n):
     assert json.dumps(report.as_dict()) == json.dumps(whole.as_dict())
 
 
+@pytest.mark.parametrize("alt_band", [False, True], ids=["sampled", "marked-alt-band"])
+def test_prop26_slices_report_as_one_block(monkeypatch, alt_band):
+    if alt_band:
+        # the sampler does not land in the looser band alone, so mark rows
+        # by their own entries: the notes then count across blocks
+        check = cones.check_sum_lift_gradient_bounds
+
+        def marked(mu, spec, delta, L):
+            result = check(mu, spec, delta, L)
+            alt = mu[:, 1] > 0.6
+            result["alt_band_only"] = alt
+            result["alt_partial_vs_sum"] = np.where(alt, mu[:, 2] - 0.5, math.inf)
+            return result
+
+        monkeypatch.setattr(cones, "check_sum_lift_gradient_bounds", marked)
+    spec = ConeSpec(4, 2, 2)
+    whole = cones.run_suite("prop26", spec, trials=60, seed=3, delta=0.4)
+    # slices of 7 rows: nine check calls, the last one short
+    monkeypatch.setattr(cones, "_CHECK_ROWS", 7)
+    sliced = cones.run_suite("prop26", spec, trials=60, seed=3, delta=0.4)
+    assert json.dumps(sliced.as_dict()) == json.dumps(whole.as_dict())
+    notes = whole.notes
+    if alt_band:
+        assert 0 < notes["alt_band_violations"] < notes["alt_band_only_samples"] < 60
+    else:
+        assert notes == {"alt_band_only_samples": 0, "alt_band_violations": 0}
+
+
 def test_euler_and_spectral_lift_suites():
     report = cones.run_suite("euler", spec=ConeSpec(4, 2, 3), trials=100, seed=4)
     assert report.passed, report.as_dict()

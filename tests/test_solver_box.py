@@ -2,13 +2,14 @@ import gc
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from sumhess import geometry, grids, solver
 from sumhess.errors import ConfigError, NonconvergenceError
 from sumhess.lift import ConeSpec
-from sumhess.solver import BoxSystem, ProblemSpec
-from oracles import manufactured_suite
+from sumhess.solver import BoxSystem, ProblemSpec, RadialSystem
+from oracles import coo_jacobian, manufactured_suite
 
 
 def arbitrary_fields_problem(spec, extents=(2.0, 2.0, 2.0)):
@@ -159,6 +160,50 @@ def manufactured_jacobian(spec, nodes, extents=None):
     return J, grid
 
 
+def _with_f_of_u(problem, exact):
+    # f(x, u) = f(x) - (1 + |x|^2) (u - exact(x)): f_u = -(1 + |x|^2) <= 0
+    base_f = problem.f
+    problem.f_u = lambda points, u: -(1.0 + (points**2).sum(axis=1))
+    problem.f = lambda points, u: base_f(points) + problem.f_u(points, u) * (u - exact(points))
+    return problem
+
+
+@pytest.mark.parametrize(
+    "spec,nodes,extents,f_of_u",
+    [
+        (ConeSpec(3, 2, 2), 64, None, False),
+        (ConeSpec(3, 2, 2), 64, None, True),
+        (ConeSpec(3, 2, 2), 9, None, False),
+        (ConeSpec(3, 2, 2), 9, None, True),
+        (ConeSpec(3, 2, 2), (9, 7, 11), [2.0, 1.5, 2.5], False),
+        (ConeSpec(4, 2, 2), 7, None, False),
+        (ConeSpec(3, 2, 2), 17, None, False),
+    ],
+    ids=["radial-64", "radial-64-f_xu", "box-9", "box-9-f_xu", "box-9x7x11", "box-7^4",
+         "box-17"],
+)
+def test_pattern_jacobian_matches_coo_assembly(spec, nodes, extents, f_of_u):
+    if nodes == 64:
+        problem, exact = solver.radial_quartic_problem(spec)
+        system_cls, grid = RadialSystem, grids.radial_grid(1.0, nodes, spec.n)
+    else:
+        problem, exact = solver.box_cosine_problem(spec, extents=extents)
+        system_cls, grid = BoxSystem, grids.box_grid(problem.geom.extents, nodes)
+    if f_of_u:
+        problem = _with_f_of_u(problem, exact)
+    system = system_cls(problem, grid)
+    u = exact(grid.points) + 1e-3 * np.sin(np.arange(grid.npoints))
+    for t in (0.4, 1.0):
+        J = system.jacobian(u, t)
+        ref = coo_jacobian(system, u, t)
+        ref.sum_duplicates()
+        ref.sort_indices()
+        assert J.has_canonical_format
+        assert J.indices.dtype == J.indptr.dtype == np.int32
+        for name in ("indptr", "indices", "data"):
+            assert np.array_equal(getattr(J, name), getattr(ref, name)), name
+
+
 def test_box_prolongation_interpolates_linear_fields():
     fine = grids.box_grid([2.0, 1.5, 2.5], (9, 5, 17))
     P, coarse_shape = grids.box_prolongation(fine.shape)
@@ -302,6 +347,33 @@ def test_inexact_newton_keeps_the_tight_solve(monkeypatch):
     assert tight_state.diagnostics["final_residual_norm"] <= 1e-8
     assert abs(error - tight_error) <= 1e-6 * tight_error
     assert linear_iters <= 0.6 * tight_iters, (linear_iters, tight_iters)
+
+
+def test_krylov_route_scales_a_copy_of_the_jacobian(monkeypatch):
+    J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), 13)
+    assert J.shape[0] > solver.DIRECT_LIMIT
+    names = ("data", "indices", "indptr")
+    before = [getattr(J, name).copy() for name in names]
+    operators = []
+
+    def capturing(A, b, M, **kwargs):
+        operators.append(A)
+        return np.zeros_like(b), 0
+
+    monkeypatch.setattr(spla, "lgmres", capturing)
+    solver._linear_solve(J, np.ones(J.shape[0]), grid.shape)
+    for name, old in zip(names, before):
+        assert np.array_equal(getattr(J, name), old), name
+    diag = J.diagonal()
+    assert np.all(diag != 0)
+    # the product drops explicit zeros and leaves its columns unsorted
+    A, ref = operators[0].copy(), (sp.diags(1.0 / diag) @ J).tocsr()
+    for op in (A, ref):
+        op.eliminate_zeros()
+        op.sort_indices()
+    assert A.shape == ref.shape
+    for name in names:
+        assert np.array_equal(getattr(A, name), getattr(ref, name)), name
 
 
 def test_lgmres_failure_names_rtol_and_cycles(monkeypatch):

@@ -4,8 +4,11 @@ the benchmark harness (``perfbench``), not only from the tests. A function
 only tests call belongs in ``tests/oracles.py``."""
 
 import ast
+import inspect
 import re
 from pathlib import Path
+
+from sumhess import solver
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sumhess"
@@ -34,3 +37,19 @@ def test_every_public_function_has_a_caller_outside_the_tests():
             ):
                 unreached.append(f"{path.stem}.{node.name}")
     assert unreached == []
+
+
+def test_no_system_subclass_overrides_the_traced_methods():
+    # perfbench's tracer wraps every class in sumhess.solver that defines
+    # these methods; an override that calls super() would be counted twice
+    subclasses = [
+        cls for cls in vars(solver).values()
+        if inspect.isclass(cls) and issubclass(cls, solver.DiscreteSystem)
+        and cls is not solver.DiscreteSystem
+    ]
+    assert {cls.__name__ for cls in subclasses} >= {"RadialSystem", "BoxSystem"}
+    overrides = [
+        f"{cls.__name__}.{name}" for cls in subclasses
+        for name in ("jacobian", "residual_and_margin") if name in vars(cls)
+    ]
+    assert overrides == []
