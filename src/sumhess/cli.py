@@ -307,7 +307,10 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
     rows_out = []
     with open(path, newline="") as fh:
         for rowno, row in enumerate(csv.reader(fh), 1):
-            cells = [c for c in row if c.strip()]
+            # trailing empty cells are padding; one between values is malformed
+            cells = list(row)
+            while cells and not cells[-1].strip():
+                cells.pop()
             if not cells:
                 continue
             try:
@@ -364,11 +367,15 @@ def cmd_barrier_check(cfg, seed, out_dir, fmt):
     coef = cfg.get("coef", 0.0, float)
     field = cfg.get("field", "quadratic")
     if field == "quadratic":
-        u_hess = lambda x: np.eye(spec.n) * 1.0
+        u_hess = lambda x: np.broadcast_to(np.eye(spec.n), (len(x), spec.n, spec.n))
     elif field == "quartic":
+        # x.x as a batched matmul and the outer product formed before the 8c
+        # scaling round each row as the one-point x @ x and 8c * outer(x, x)
+        # do; einsum or a row sum of x * x differs in the last bit
         def u_hess(x, c=coef):
-            x = np.asarray(x)
-            return np.eye(spec.n) * (1.0 + 4.0 * c * float(x @ x)) + 8.0 * c * np.outer(x, x)
+            xx = (x[:, None, :] @ x[:, :, None])[:, 0, 0]
+            return (np.eye(spec.n) * (1.0 + 4.0 * c * xx)[:, None, None]
+                    + 8.0 * c * (x[:, :, None] * x[:, None, :]))
     else:
         raise ConfigError("field must be quadratic or quartic")
     k3 = cfg.get("k3", 0.01, float)

@@ -145,8 +145,8 @@ class SampleReport:
 # Every check_* takes an (N, n) block, one sample per row, and returns
 # {"hypothesis": (N,) bool, "margins": {name: (N,) float}, "skip": (N,)
 # reasons}; a margin a row does not have is +inf. Margins are computed only
-# on the rows that meet the hypotheses. A 1-D input is one sample and gets
-# the scalar form back: a bool, the margins that sample has, its skip reason.
+# on the rows that meet the hypotheses, and a row's margins do not depend on
+# the other rows: one sample is a (1, n) block.
 
 
 def _pow(x, e):
@@ -163,11 +163,9 @@ class _Block:
     """Hypothesis mask, skip reasons and margin columns of one check call."""
 
     def __init__(self, values):
-        arr = np.asarray(values, dtype=np.float64)
-        self.single = arr.ndim == 1
-        block = arr[None] if self.single else arr
+        block = np.asarray(values, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] < 1:
-            raise ValueError("samples must be a 1-D spectrum or an (N, n) block")
+            raise ValueError(f"samples must be an (N, n) block, got shape {block.shape}")
         if not np.all(np.isfinite(block)):
             raise ValueError("spectrum entries must be finite")
         self.values = block
@@ -189,18 +187,8 @@ class _Block:
         self.margins[name] = col
 
     def result(self):
-        if not self.single:
-            return {"hypothesis": self.hypothesis, "margins": self.margins,
-                    "skip": self.skip, **self.extra}
-        out = {
-            "hypothesis": bool(self.hypothesis[0]),
-            "margins": {k: float(v[0]) for k, v in self.margins.items() if v[0] != math.inf},
-            "skip": self.skip[0],
-        }
-        for key, col in self.extra.items():
-            if col[0] != math.inf:
-                out[key] = col[0].item()
-        return out
+        return {"hypothesis": self.hypothesis, "margins": self.margins,
+                "skip": self.skip, **self.extra}
 
 
 def _check_degree(k, n):

@@ -81,27 +81,24 @@ def _is_ball(geom):
 
 
 def distance(geom, x):
-    """Signed-inward distance to the boundary (positive inside) of one point,
-    or of each row of an (N, dim) block."""
+    """Signed-inward distance to the boundary (positive inside) of each row of
+    an (N, dim) block of points."""
     x = np.asarray(x, dtype=np.float64)
     if _is_ball(geom):
-        d = geom.radius - np.linalg.norm(x - geom.center, axis=-1)
-    else:
-        lo = geom.center - geom.extents / 2.0
-        hi = geom.center + geom.extents / 2.0
-        d = np.minimum((x - lo).min(axis=-1), (hi - x).min(axis=-1))
-    return float(d) if x.ndim == 1 else d
+        return geom.radius - np.linalg.norm(x - geom.center, axis=1)
+    lo = geom.center - geom.extents / 2.0
+    hi = geom.center + geom.extents / 2.0
+    return np.minimum((x - lo).min(axis=1), (hi - x).min(axis=1))
 
 
 def distance_pack(geom, x):
-    """Distance, its gradient, and its Hessian at a collar point, or at each
-    row of an (N, dim) block of them.
+    """Distance, its gradient and its Hessian at each row of an (N, dim)
+    block of collar points: arrays of shape (N,), (N, dim), (N, dim, dim).
 
     Raises CollarError outside the smooth collar. For a box the Hessian is
     zero on face zones.
     """
-    x = np.asarray(x, dtype=np.float64)
-    pts = np.atleast_2d(x)
+    pts = np.asarray(x, dtype=np.float64)
     d = distance(geom, pts)
     outside = (d <= 0) | (d >= geom.mu0)
     if outside.any():
@@ -124,8 +121,6 @@ def distance_pack(geom, x):
         # a low face points inward along +axis, a high face along -axis
         grad[np.arange(count), face % dim] = np.where(face < dim, 1.0, -1.0)
         hess = np.zeros((count, dim, dim))
-    if x.ndim == 1:
-        return float(d[0]), grad[0], hess[0]
     return d, grad, hess
 
 
@@ -145,13 +140,13 @@ class BarrierParams:
 
 
 def barrier_hessian(geom, params, x):
-    """Hessian of the barrier -d + K3 d^2 at one point, or at each row of an
-    (N, dim) block; in the principal frame its eigenvalues are
-    (1 - 2 K3 d) kappa_i / (1 - kappa_i d) tangentially and 2 K3 along the
-    normal. Valid on the smoothness collar (0, mu0)."""
+    """Hessians of the barrier -d + K3 d^2 at each row of an (N, dim) block
+    of points, shape (N, dim, dim); in the principal frame the eigenvalues
+    are (1 - 2 K3 d) kappa_i / (1 - kappa_i d) tangentially and 2 K3 along
+    the normal. Valid on the smoothness collar (0, mu0)."""
     d, grad, hess_d = distance_pack(geom, x)
-    d = np.asarray(d)[..., None, None]
-    outer = grad[..., :, None] * grad[..., None, :]
+    d = d[:, None, None]
+    outer = grad[:, :, None] * grad[:, None, :]
     H = 2.0 * params.K3 * outer + (2.0 * params.K3 * d - 1.0) * hess_d
     return symfun.symmetrize(H)
 
@@ -207,15 +202,13 @@ def collar_points(geom, count, depth_max):
         return geom.center + (geom.radius - depth)[:, None] * dirs
     lo = geom.center - geom.extents / 2.0
     hi = geom.center + geom.extents / 2.0
-    pts = np.empty((count, geom.dim))
-    for i in range(count):
-        face = i % (2 * geom.dim)
-        axis, side = face % geom.dim, face // geom.dim
-        for j in range(geom.dim):
-            if j == axis:
-                pts[i, j] = (lo[j] + depth[i]) if side == 0 else (hi[j] - depth[i])
-            else:
-                pts[i, j] = lo[j] + raw[i, j] * (hi[j] - lo[j])
+    # point i sits on face i mod 2 dim: the low faces, then the high ones
+    face = np.arange(count) % (2 * geom.dim)
+    axis = face % geom.dim
+    pts = lo + raw[:, : geom.dim] * (hi - lo)
+    pts[np.arange(count), axis] = np.where(
+        face < geom.dim, lo[axis] + depth, hi[axis] - depth
+    )
     return pts
 
 
@@ -282,11 +275,15 @@ def _check_lemma_range(geom, spec, which):
 
 
 def _field_table(u_hess, pts, spec):
-    """The caller's Hessians at ``pts``, symmetrized and stacked, with the
-    elementary symmetric table S_0..S_k of their m-sum spectra."""
-    Hs = symfun.as_symmetric(
-        symfun.symmetrize(np.array([u_hess(x) for x in pts], dtype=np.float64))
-    )
+    """The caller's Hessians at the (N, n) block ``pts``, from one call of
+    ``u_hess``, symmetrized, with the elementary symmetric table S_0..S_k of
+    their m-sum spectra. ValueError unless the call returns (N, n, n)."""
+    Hs = np.asarray(u_hess(pts), dtype=np.float64)
+    expected = (len(pts), spec.n, spec.n)
+    if Hs.shape != expected:
+        raise ValueError(f"u_hess must map the (N, {spec.n}) block of points to "
+                         f"Hessians of shape {expected}, got {Hs.shape}")
+    Hs = symfun.as_symmetric(symfun.symmetrize(Hs))
     lam = lift.sum_spectrum_batch(Hs, spec.m)
     return Hs, _kernels.elem_sym_all(lam, spec.k)
 
@@ -298,9 +295,9 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
     ``sample_points`` is either a count of collar points to generate or an
     explicit ``(N, geom.dim)`` array of points (ValueError otherwise).
 
-    ``u_hess`` maps a point to the n x n Hessian of the field under test; it
-    is called once per point, and every other step runs on the stacked block
-    of points. Also verifies that the barrier itself is admissible at each
+    ``u_hess`` maps an (N, n) block of points to the (N, n, n) Hessians of
+    the field under test; it is called once, on the whole block, as is every
+    other step. Also verifies that the barrier itself is admissible at each
     point and records the spectral slack of its m-sum spectrum. A NaN at any
     point makes the corresponding minimum NaN, which fails the check.
     """

@@ -158,13 +158,13 @@ def boundary_data(geom, x):
         nu = rel / np.linalg.norm(rel)
         kappa = np.full(geom.dim - 1, 1.0 / geom.radius)
         return nu, kappa
-    _, grad, _ = geometry.distance_pack(geom, x)
-    return -grad, np.zeros(geom.dim - 1)
+    _, grad, _ = geometry.distance_pack(geom, x[None])
+    return -grad[0], np.zeros(geom.dim - 1)
 
 
 def barrier_value(geom, params, x):
     """The collar barrier -d + K3 d^2 at one point."""
-    d = geometry.distance(geom, x)
+    d = geometry.distance(geom, x[None])[0]
     return -d + params.K3 * d * d
 
 
@@ -185,6 +185,12 @@ def record_sample(report, result, sample):
                 report.witness = np.asarray(sample).tolist()
     if any(m < MARGIN_FLOOR for m in result["margins"].values()):
         report.violations += 1
+
+
+def quartic_hessian_point(x, coef):
+    """Hessian of |x|^2 / 2 + coef |x|^4 at one point: the reference for the
+    block form of ``barrier-check``'s quartic field."""
+    return np.eye(x.size) * (1.0 + 4.0 * coef * float(x @ x)) + 8.0 * coef * np.outer(x, x)
 
 
 def barrier_hessian_point(geom, params, x):
@@ -218,7 +224,7 @@ def verify_barrier_points(u_hess, geom, params, spec, pts, which="lemma53"):
     out = {"count": 0, "skips": [], "min_margin": math.inf, "empirical_k3": math.inf,
            "min_h_margin": math.inf, "min_lambda_k": math.inf, "min_sl_ratio": math.inf}
     for idx, x in enumerate(pts):
-        H = symfun.symmetrize(u_hess(x))
+        H = symfun.symmetrize(u_hess(x[None])[0])
         ok, margin = lift.admissible(H, spec)
         if not ok:
             out["skips"].append({"index": idx, "margin": float(margin)})

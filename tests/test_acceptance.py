@@ -310,7 +310,7 @@ def test_acceptance_7_solution_diagnostics():
 def test_acceptance_8_barrier_bounds():
     t0 = time.perf_counter()
     geom = geometry.ball(1.0, dim=4)
-    u_hess = lambda x: np.eye(4)
+    u_hess = lambda x: np.broadcast_to(np.eye(4), (len(x), 4, 4))
 
     spec53 = ConeSpec(4, 2, 2)  # within k <= binom(n-1, m-1) = 3
     K3, _ = geometry.search_barrier_constant(

@@ -11,8 +11,8 @@ import numpy as np
 import pytest
 
 import sumhess
-from oracles import write_solution_csv_rows
-from sumhess import grids, solver
+from oracles import quartic_hessian_point, write_solution_csv_rows
+from sumhess import geometry, grids, solver
 from sumhess.cli import _SOLVE_KEYS, _write_solution_csv, main
 from sumhess.expressions import parse_expression
 from sumhess.errors import ConfigError
@@ -331,6 +331,8 @@ def test_cone_check(tmp_path):
     lines = [
         ",".join(str(v) for v in eye),
         "1,1,-1",
+        "",  # a blank line is skipped
+        "1,1,-1, ,",  # trailing empty cells are padding
     ]
     rows.write_text("\n".join(lines) + "\n")
     cfg = write(tmp_path / "c.cfg", f"input = {rows}\nn = 3\nm = 2\nk = 2\n")
@@ -340,6 +342,7 @@ def test_cone_check(tmp_path):
     report = json.loads((out / "manifest.json").read_text())["report"]
     assert report["rows"][0]["largest_admissible_k"] == 3
     assert report["rows"][1]["largest_admissible_k"] == 1
+    assert report["rows"][2] == dict(report["rows"][1], row=4)
 
     empty = tmp_path / "empty.csv"
     empty.write_text("")
@@ -390,7 +393,7 @@ def test_cone_check_k_equal_to_c_is_accepted(tmp_path):
     assert entry["admissible_at_k"] and entry["margin_at_k"] > 0
 
 
-@pytest.mark.parametrize("bad_row", ["nan,1,1,1", "1,inf,1,1"])
+@pytest.mark.parametrize("bad_row", ["nan,1,1,1", "1,inf,1,1", "1,,2,3,4", "1, ,2,3,4"])
 def test_cone_check_rejects_non_finite_row(tmp_path, capsys, bad_row):
     rows = tmp_path / "rows.csv"
     rows.write_text(f"1,2,3,4\n{bad_row}\n")
@@ -606,6 +609,27 @@ K3 = auto
     assert report["K3"] == 2.0 and report["passed"] and report["count"] == 1000
     assert report["search_passes"] >= 2
     assert manifest["profile"]["elapsed_s"] > 0
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_barrier_check_quartic_field_rounds_as_one_point(tmp_path, monkeypatch, n):
+    # the block quartic field must give the one-point formula's Hessians to
+    # the last bit, or the barrier reports would move with the block form
+    fields = []
+    verify = geometry.verify_barrier_bound
+
+    def capture(u_hess, *args, **kwargs):
+        fields.append(u_hess)
+        return verify(u_hess, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "verify_barrier_bound", capture)
+    cfg = write(tmp_path / "b.cfg",
+                f"n = {n}\nm = 2\nk = 2\nfield = quartic\ncoef = 0.05\npoints = 10\nK3 = 4\n")
+    main(["barrier-check", "--config", cfg, "--out-dir", str(tmp_path / "out")])
+    pts = np.vstack([geometry.collar_points(geometry.ball(1.0, dim=n), 1000, 0.5),
+                     np.random.default_rng(n).normal(size=(1000, n))])
+    ref = np.array([quartic_hessian_point(x, 0.05) for x in pts])
+    assert np.array_equal(fields[0](pts), ref)
 
 
 def test_barrier_check_nan_margin_exits_2(tmp_path):

@@ -21,99 +21,107 @@ def test_constants_examples():
 
 
 def test_ordered_inequalities_examples():
-    res = cones.check_ordered_cone_inequalities([3.0, 2.0, 1.0], 2)
-    assert res["hypothesis"]
-    assert res["margins"]["deleted_positive"] == pytest.approx(3.0)
+    # one sample is a (1, n) block; its margins are entry 0 of each column
+    res = cones.check_ordered_cone_inequalities([[3.0, 2.0, 1.0]], 2)
+    assert res["hypothesis"][0]
+    assert res["margins"]["deleted_positive"][0] == pytest.approx(3.0)
     deleted = _kernels.deleted_sym(np.array([3.0, 2.0, 1.0]), 1)
     assert deleted.tolist() == [3.0, 4.0, 5.0]
     # symmetric point: the weighted lower bound is tight
-    res = cones.check_ordered_cone_inequalities([1.0, 1.0, 1.0], 2)
-    assert res["margins"]["weighted_lower"] == pytest.approx(0.0, abs=1e-14)
+    res = cones.check_ordered_cone_inequalities([[1.0, 1.0, 1.0]], 2)
+    assert res["margins"]["weighted_lower"][0] == pytest.approx(0.0, abs=1e-14)
     # degenerate midpoint segment
     res = cones.check_ordered_cone_inequalities(
-        [1.0, 1.0, 1.0], 2, partner=[1.0, 1.0, 1.0]
+        [[1.0, 1.0, 1.0]], 2, partner=[[1.0, 1.0, 1.0]]
     )
-    assert res["margins"]["midpoint_concavity"] == pytest.approx(0.0, abs=1e-14)
+    assert res["margins"]["midpoint_concavity"][0] == pytest.approx(0.0, abs=1e-14)
     # unsorted input is a skip, not a failure
-    res = cones.check_ordered_cone_inequalities([1.0, 2.0, 3.0], 2)
-    assert not res["hypothesis"]
+    res = cones.check_ordered_cone_inequalities([[1.0, 2.0, 3.0]], 2)
+    assert not res["hypothesis"][0]
+
+
+@pytest.mark.parametrize("samples", [[1.0, 2.0, 3.0], [[[1.0, 2.0, 3.0]]], np.zeros((2, 0))],
+                         ids=["one-sample-1d", "3d", "no-entries"])
+def test_checks_take_only_sample_blocks(samples):
+    with pytest.raises(ValueError, match=r"\(N, n\) block"):
+        cones.check_maclaurin(samples, 2, 1)
 
 
 def test_maclaurin_examples():
-    res = cones.check_maclaurin([1.0, 1.0, 1.0], 2, 1)
-    assert res["margins"]["ratio_order"] == pytest.approx(0.0, abs=1e-14)
-    assert res["margins"]["gradient_sum"] == pytest.approx(0.0, abs=1e-12)
-    res = cones.check_maclaurin([3.0, 2.0, 1.0], 2, 1)
-    assert res["margins"]["ratio_order"] == pytest.approx(
+    res = cones.check_maclaurin([[1.0, 1.0, 1.0]], 2, 1)
+    assert res["margins"]["ratio_order"][0] == pytest.approx(0.0, abs=1e-14)
+    assert res["margins"]["gradient_sum"][0] == pytest.approx(0.0, abs=1e-12)
+    res = cones.check_maclaurin([[3.0, 2.0, 1.0]], 2, 1)
+    assert res["margins"]["ratio_order"][0] == pytest.approx(
         2.0 - math.sqrt(11.0 / 3.0), rel=1e-12
     )
     with pytest.raises(ValueError):
-        cones.check_maclaurin([1.0, 1.0, 1.0], 2, 0)
+        cones.check_maclaurin([[1.0, 1.0, 1.0]], 2, 0)
 
 
 def test_negative_entry_example():
-    lam = [3.0, 3.0, -1.0]
+    lam = [[3.0, 3.0, -1.0]]
     res = cones.check_negative_entry(lam, 2, 2)
-    assert res["hypothesis"]
-    assert res["margins"]["dominates_average"] == pytest.approx(6.0 - 10.0 / 2.0)
-    assert res["margins"]["power_lower"] == pytest.approx(10.0 - 1.0)
+    assert res["hypothesis"][0]
+    assert res["margins"]["dominates_average"][0] == pytest.approx(6.0 - 10.0 / 2.0)
+    assert res["margins"]["power_lower"][0] == pytest.approx(10.0 - 1.0)
     # degree one: every deleted value is 1, the average bound is tight
-    res = cones.check_negative_entry([3.0, -0.1, -0.2], 1, 1)
-    assert res["margins"]["dominates_average"] == pytest.approx(0.0, abs=1e-14)
-    assert res["margins"]["power_lower"] == pytest.approx(2.0)  # n - 1 = 2 >= 1
-    res = cones.check_negative_entry([1.0, 1.0, 1.0], 2, 0)
-    assert not res["hypothesis"]
+    res = cones.check_negative_entry([[3.0, -0.1, -0.2]], 1, 1)
+    assert res["margins"]["dominates_average"][0] == pytest.approx(0.0, abs=1e-14)
+    assert res["margins"]["power_lower"][0] == pytest.approx(2.0)  # n - 1 = 2 >= 1
+    res = cones.check_negative_entry([[1.0, 1.0, 1.0]], 2, 0)
+    assert not res["hypothesis"][0]
 
 
 def test_sum_lift_bounds_example():
     spec = ConeSpec(4, 2, 2)
     res = cones.check_sum_lift_gradient_bounds(
-        [1.0, 1.0, 1.0, -0.5], spec, delta=0.4, L=1.0
+        [[1.0, 1.0, 1.0, -0.5]], spec, delta=0.4, L=1.0
     )
-    assert res["hypothesis"]
-    assert res["margins"]["gradient_sum"] > 0
-    assert res["margins"]["partial_vs_sum"] > 0
+    assert res["hypothesis"][0]
+    assert res["margins"]["gradient_sum"][0] > 0
+    assert res["margins"]["partial_vs_sum"][0] > 0
 
 
 def test_sum_lift_bounds_range_error():
     spec = ConeSpec(3, 2, 2)
     with pytest.raises(ConfigError):
-        cones.check_sum_lift_gradient_bounds([1.0, 1.0, -0.5], spec, delta=0.4)
+        cones.check_sum_lift_gradient_bounds([[1.0, 1.0, -0.5]], spec, delta=0.4)
 
 
 def test_sum_lift_scaling():
     # both sides of the gradient-sum bound scale as L^(k-1)
     spec = ConeSpec(4, 2, 2)
-    mu = np.array([0.7, 0.7, 0.65, -0.45])
+    mu = np.array([[0.7, 0.7, 0.65, -0.45]])
     res1 = cones.check_sum_lift_gradient_bounds(mu, spec, delta=0.4, L=1.0)
     for c in (0.5, 2.0, 10.0):
         res = cones.check_sum_lift_gradient_bounds(c * mu, spec, delta=0.4, L=c)
-        ratio = res["margins"]["gradient_sum"] / res1["margins"]["gradient_sum"]
+        ratio = res["margins"]["gradient_sum"][0] / res1["margins"]["gradient_sum"][0]
         assert ratio == pytest.approx(c ** (spec.k - 1), rel=1e-9)
 
 
 def test_large_entry_deletion_example():
-    res = cones.check_large_entry_deletion([1.0, 1.0, -0.1], 2, delta=1.0, eps=0.1)
-    assert res["hypothesis"]
+    res = cones.check_large_entry_deletion([[1.0, 1.0, -0.1]], 2, delta=1.0, eps=0.1)
+    assert res["hypothesis"][0]
     c0 = cones.deletion_constant(3, 1.0, 0.1)
-    assert res["margins"]["deletion_factor"] == pytest.approx(
+    assert res["margins"]["deletion_factor"][0] == pytest.approx(
         min(1.0 - c0, 0.9 - c0 * 1.9), rel=1e-12
     )
-    res = cones.check_large_entry_deletion([1.0, 1.0, 1.0], 2, delta=1.0, eps=0.1)
-    assert not res["hypothesis"]
+    res = cones.check_large_entry_deletion([[1.0, 1.0, 1.0]], 2, delta=1.0, eps=0.1)
+    assert not res["hypothesis"][0]
 
 
 def test_homogeneity_of_margins():
-    lam = np.array([2.0, 1.0, 0.5, -0.3])
-    base = cones.check_ordered_cone_inequalities(lam, 2)
+    lam = np.array([[2.0, 1.0, 0.5, -0.3]])
+    base = cones.check_ordered_cone_inequalities(lam, 2)["margins"]
     for c in (0.5, 2.0, 10.0):
-        res = cones.check_ordered_cone_inequalities(c * lam, 2)
+        res = cones.check_ordered_cone_inequalities(c * lam, 2)["margins"]
         # S_{k-1}-type margins scale as c^(k-1), S_k-type as c^k
-        assert res["margins"]["deleted_positive"] == pytest.approx(
-            c * base["margins"]["deleted_positive"], rel=1e-12
+        assert res["deleted_positive"][0] == pytest.approx(
+            c * base["deleted_positive"][0], rel=1e-12
         )
-        assert res["margins"]["weighted_lower"] == pytest.approx(
-            c**2 * base["margins"]["weighted_lower"], rel=1e-9, abs=1e-12
+        assert res["weighted_lower"][0] == pytest.approx(
+            c**2 * base["weighted_lower"][0], rel=1e-9, abs=1e-12
         )
 
 
@@ -355,10 +363,10 @@ def _block_cases():
 
     return {
         "ordered": (lambda b, i=None: cones.check_ordered_cone_inequalities(
-            b, 2, partner=partner if i is None else partner[i]), ordered),
+            b, 2, partner=partner if i is None else partner[i:i + 1]), ordered),
         "maclaurin": (lambda b, i=None: cones.check_maclaurin(b, 3, 1), macl),
         "negative_entry": (lambda b, i=None: cones.check_negative_entry(
-            b, 3, neg_index if i is None else int(neg_index[i])), neg),
+            b, 3, neg_index if i is None else neg_index[i:i + 1]), neg),
         "sum_lift": (lambda b, i=None: cones.check_sum_lift_gradient_bounds(
             b, s26, 0.4, 1.0), mu),
         "large_entry": (lambda b, i=None: cones.check_large_entry_deletion(
@@ -369,25 +377,27 @@ def _block_cases():
 @pytest.mark.parametrize("name", ["ordered", "maclaurin", "negative_entry", "sum_lift",
                                   "large_entry"])
 def test_block_check_matches_one_row_calls(name):
+    # row i of the block against the one-row block block[i:i+1]: guards the
+    # independence of every margin (and of _pow) from the block size
     check, block = _block_cases()[name]
     res = check(block)
-    rows = [check(row, i) for i, row in enumerate(block)]
-    hyp = np.array([r["hypothesis"] for r in rows])
+    rows = [check(block[i:i + 1], i) for i in range(len(block))]
+    hyp = np.concatenate([r["hypothesis"] for r in rows])
     assert np.array_equal(res["hypothesis"], hyp)
     assert 0 < hyp.sum() < len(rows)  # the block mixes kept and skipped rows
-    assert list(res["skip"]) == [r["skip"] for r in rows]
+    assert list(res["skip"]) == [r["skip"][0] for r in rows]
+    for r in rows:
+        assert r.keys() == res.keys() and r["margins"].keys() == res["margins"].keys()
     for key, col in res["margins"].items():
-        stacked = np.array([r["margins"].get(key, math.inf) for r in rows])
+        stacked = np.concatenate([r["margins"][key] for r in rows])
         assert np.array_equal(col, stacked), key  # bitwise, row for row
-    keys = set().union(*(r["margins"] for r in rows))
-    assert keys <= set(res["margins"])
     if name == "ordered":
         # a partner outside the cone drops only the midpoint margin
         assert res["hypothesis"][3] and res["margins"]["midpoint_concavity"][3] == math.inf
     if name == "sum_lift":
         assert res["hypothesis"][-1] and res["margins"]["partial_vs_sum"][-1] == math.inf
-        alt = np.array([r.get("alt_band_only", False) for r in rows])
-        assert np.array_equal(res["alt_band_only"], alt)
+        for key in ("alt_band_only", "alt_partial_vs_sum"):
+            assert np.array_equal(res[key], np.concatenate([r[key] for r in rows])), key
 
 
 def _synthetic_block(seed, rows=60):
@@ -403,8 +413,8 @@ def _synthetic_block(seed, rows=60):
     return {"hypothesis": hyp, "margins": margins}, samples
 
 
-def _oracle_report(blocks):
-    report = cones.SampleReport(suite="oracle")
+def _oracle_report(blocks, suite="oracle"):
+    report = cones.SampleReport(suite=suite)
     for result, samples in blocks:
         for i, sample in enumerate(samples):
             margins = {k: float(v[i]) for k, v in result["margins"].items()
@@ -447,9 +457,9 @@ def test_record_block_matches_oracle_loop_on_a_suite():
     samples, _ = cones.sample_cone(spec, 300, "gamma_k", seed=9)
     samples = np.vstack([-np.sort(-samples, axis=1), [[1.0, -2.0, 0.5, 0.3, 0.2]]])
     block = cones.check_maclaurin(samples, 3, 1)
-    ref = cones.SampleReport(suite="prop24")
-    for lam in samples:
-        record_sample(ref, cones.check_maclaurin(lam, 3, 1), lam)
+    ref = _oracle_report(
+        [(cones.check_maclaurin(samples[i:i + 1], 3, 1), samples[i:i + 1])
+         for i in range(len(samples))], suite="prop24")
     got = cones.SampleReport(suite="prop24")
     got.record_block(block, samples)
     assert got.as_dict() == ref.as_dict()

@@ -13,16 +13,24 @@ from oracles import (
 )
 
 
+# fields map an (N, dim) block of points to (N, dim, dim) Hessians
+
+
+def const_hessian(H):
+    return lambda x: np.broadcast_to(H, (len(x),) + H.shape)
+
+
 def quad_hessian(dim):
     # Hessian of |x|^2 / 2
-    return lambda x: np.eye(dim)
+    return const_hessian(np.eye(dim))
 
 
 def quartic_hessian(dim, coef):
     # Hessian of |x|^2 / 2 + coef |x|^4
     def hess(x):
-        x = np.asarray(x)
-        return np.eye(dim) * (1.0 + 4.0 * coef * float(x @ x)) + 8.0 * coef * np.outer(x, x)
+        xx = (x * x).sum(axis=1)
+        return (np.eye(dim) * (1.0 + 4.0 * coef * xx)[:, None, None]
+                + 8.0 * coef * x[:, :, None] * x[:, None, :])
 
     return hess
 
@@ -30,51 +38,60 @@ def quartic_hessian(dim, coef):
 def test_ball_distance_pack():
     geom = geometry.ball(1.0, dim=3)
     rng = np.random.default_rng(1)
+    us, depths = [], []
     for _ in range(1000):
         u = rng.normal(size=3)
-        u /= np.linalg.norm(u)
-        depth = rng.uniform(0.01, 0.49)
-        x = (1.0 - depth) * u
-        d, grad, hess = geometry.distance_pack(geom, x)
-        assert d == pytest.approx(depth, abs=1e-12)
-        assert np.allclose(grad, -u, atol=1e-12)
-        eig = np.sort(np.linalg.eigvalsh(hess))
-        expected = -1.0 / (1.0 - depth)
-        assert abs(eig[-1]) < 1e-10
-        assert np.allclose(eig[:-1], expected, atol=1e-10)
+        us.append(u / np.linalg.norm(u))
+        depths.append(rng.uniform(0.01, 0.49))
+    u, depth = np.array(us), np.array(depths)
+    d, grad, hess = geometry.distance_pack(geom, (1.0 - depth)[:, None] * u)
+    assert np.allclose(d, depth, rtol=0, atol=1e-12)
+    assert np.allclose(grad, -u, atol=1e-12)
+    eig = np.linalg.eigvalsh(hess)  # ascending
+    assert np.all(np.abs(eig[:, -1]) < 1e-10)
+    assert np.allclose(eig[:, :-1], (-1.0 / (1.0 - depth))[:, None], atol=1e-10)
 
 
 def test_gradient_is_minus_normal():
     geom = geometry.ball(2.0, dim=4, center=[1.0, 0.0, 0.0, 0.0])
-    x = np.array([1.0, 0.0, 0.0, 1.9])
+    x = np.array([[1.0, 0.0, 0.0, 1.9]])
     _, grad, _ = geometry.distance_pack(geom, x)
-    nu, kappa = boundary_data(geom, x)
-    assert np.allclose(grad, -nu)
+    nu, kappa = boundary_data(geom, x[0])
+    assert np.allclose(grad[0], -nu)
     assert np.allclose(kappa, 0.5)
 
 
 def test_collar_errors():
     geom = geometry.ball(1.0, dim=3)
     with pytest.raises(CollarError):
-        geometry.distance_pack(geom, np.zeros(3))  # center: d = 1 >= mu0
+        geometry.distance_pack(geom, np.zeros((1, 3)))  # center: d = 1 >= mu0
     with pytest.raises(CollarError):
-        geometry.distance_pack(geom, np.array([1.5, 0.0, 0.0]))  # outside
+        geometry.distance_pack(geom, np.array([[1.5, 0.0, 0.0]]))  # outside
+
+
+@pytest.mark.parametrize("points", [np.array([0.0, 0.0, 0.9]), np.zeros((4, 2))],
+                         ids=["one-point-1d", "wrong-dim"])
+def test_distance_takes_only_point_blocks(points):
+    geom = geometry.ball(1.0, dim=3)
+    for fn in (geometry.distance, geometry.distance_pack):
+        with pytest.raises(ValueError):
+            fn(geom, points)
 
 
 def test_box_face_and_edge():
     geom = geometry.box([2.0, 2.0, 2.0])
-    x = np.array([0.0, 0.0, -0.9])
+    x = np.array([[0.0, 0.0, -0.9]])
     d, grad, hess = geometry.distance_pack(geom, x)
-    assert d == pytest.approx(0.1)
-    assert np.allclose(grad, [0.0, 0.0, 1.0])
+    assert d[0] == pytest.approx(0.1)
+    assert np.allclose(grad, [[0.0, 0.0, 1.0]])
     assert np.allclose(hess, 0.0)
 
 
 def test_barrier_hessian_at_boundary_limit():
     geom = geometry.ball(1.0, dim=3)
     params = BarrierParams(K3=8.0)
-    x = np.array([0.0, 0.0, 1.0 - 1e-9])
-    eig = np.sort(np.linalg.eigvalsh(geometry.barrier_hessian(geom, params, x)))
+    x = np.array([[0.0, 0.0, 1.0 - 1e-9]])
+    eig = np.sort(np.linalg.eigvalsh(geometry.barrier_hessian(geom, params, x)[0]))
     assert np.allclose(eig, [1.0, 1.0, 16.0], atol=1e-6)
 
 
@@ -82,8 +99,8 @@ def test_barrier_tangential_zero_crossing():
     # tangential eigenvalues vanish where 2 K3 d = 1
     geom = geometry.ball(1.0, dim=3)
     params = BarrierParams(K3=2.5)
-    x = np.array([0.0, 0.0, 1.0 - 0.2])  # d = 1 / (2 K3)
-    eig = np.sort(np.linalg.eigvalsh(geometry.barrier_hessian(geom, params, x)))
+    x = np.array([[0.0, 0.0, 1.0 - 0.2]])  # d = 1 / (2 K3)
+    eig = np.sort(np.linalg.eigvalsh(geometry.barrier_hessian(geom, params, x)[0]))
     assert np.allclose(eig[:2], 0.0, atol=1e-12)
     assert eig[2] == pytest.approx(5.0)
 
@@ -91,8 +108,8 @@ def test_barrier_tangential_zero_crossing():
 def test_barrier_sum_spectrum_at_boundary():
     geom = geometry.ball(1.0, dim=4)
     params = BarrierParams(K3=16.0)
-    x = np.array([0.0, 0.0, 0.0, 1.0 - 1e-10])
-    Dh = geometry.barrier_hessian(geom, params, x)
+    x = np.array([[0.0, 0.0, 0.0, 1.0 - 1e-10]])
+    Dh = geometry.barrier_hessian(geom, params, x)[0]
     spec = np.sort(lift.sum_spectrum(Dh, 2))
     expected = np.sort([2.0, 2.0, 2.0, 33.0, 33.0, 33.0])
     assert np.allclose(spec, expected, atol=1e-6)
@@ -107,7 +124,7 @@ def test_barrier_hessian_matches_finite_differences():
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         x = (1.0 - rng.uniform(0.05, 0.4)) * u
-        H = geometry.barrier_hessian(geom, params, x)
+        H = geometry.barrier_hessian(geom, params, x[None])[0]
         for i in range(3):
             for j in range(3):
                 ei = np.zeros(3)
@@ -139,9 +156,8 @@ def test_collar_points_deterministic_and_inside():
     pts1 = geometry.collar_points(geom, 64, 0.2)
     pts2 = geometry.collar_points(geom, 64, 0.2)
     assert np.array_equal(pts1, pts2)
-    for x in pts1:
-        d = geometry.distance(geom, x)
-        assert 0 < d < 0.2
+    d = geometry.distance(geom, pts1)
+    assert np.all((0 < d) & (d < 0.2))
     assert geometry.collar_points(geom, 0, 0.2).shape == (0, 4)
 
 
@@ -313,7 +329,7 @@ def test_verify_barrier_skips_inadmissible():
     geom = geometry.ball(1.0, dim=3)
     spec = ConeSpec(3, 2, 2)
     rep = geometry.verify_barrier_bound(
-        lambda x: -np.eye(3), geom, BarrierParams(K3=64.0), spec, sample_points=10
+        const_hessian(-np.eye(3)), geom, BarrierParams(K3=64.0), spec, sample_points=10
     )
     assert rep.count == 0 and len(rep.skips) == 10
     assert not rep.passed
@@ -343,9 +359,10 @@ def test_barrier_hessian_block_matches_points(kind):
     for x, H in zip(pts, block):
         ref = barrier_hessian_point(geom, params, x)
         assert np.allclose(H, ref, rtol=1e-13, atol=1e-13)
-        assert np.array_equal(geometry.barrier_hessian(geom, params, x), H)
+        assert np.array_equal(geometry.barrier_hessian(geom, params, x[None])[0], H)
     d, grad, _ = geometry.distance_pack(geom, pts)
-    assert np.allclose(d, [geometry.distance(geom, x) for x in pts], rtol=0, atol=1e-15)
+    assert np.allclose(d, [geometry.distance(geom, x[None])[0] for x in pts],
+                       rtol=0, atol=1e-15)
     assert np.allclose(np.linalg.norm(grad, axis=1), 1.0)
 
 
@@ -362,7 +379,7 @@ def test_barrier_nan_point_fails_the_check():
     # which must fail the check rather than drop out of the minimum
     geom = geometry.ball(1.0, dim=4)
     rep = geometry.verify_barrier_bound(
-        lambda x: 1e306 * np.eye(4), geom, BarrierParams(K3=64.0), ConeSpec(4, 2, 2),
+        const_hessian(1e306 * np.eye(4)), geom, BarrierParams(K3=64.0), ConeSpec(4, 2, 2),
         sample_points=20,
     )
     assert rep.count == 20
@@ -398,7 +415,10 @@ def test_verify_barrier_bound_matches_point_loop(case):
         field = quartic_hessian(4, 0.05)
         if case == "skips":
             # indefinite away from the first axis: some points are not admissible
-            field = lambda x: np.diag([1.0, 1.0, 1.0, 0.2 - 8.0 * abs(x[0])])
+            def field(x):
+                diag = np.ones_like(x)
+                diag[:, 3] = 0.2 - 8.0 * np.abs(x[:, 0])
+                return np.eye(4) * diag[:, None, :]
         pts = geometry.collar_points(geom, 200, 0.2)
     params = BarrierParams(K3=2.5, k3=0.01)
     rep = geometry.verify_barrier_bound(field, geom, params, spec, sample_points=pts,
@@ -410,3 +430,34 @@ def test_verify_barrier_bound_matches_point_loop(case):
         assert rep.skips
     for key in ("min_margin", "empirical_k3", "min_h_margin", "min_lambda_k", "min_sl_ratio"):
         assert getattr(rep, key) == pytest.approx(ref[key], rel=1e-12, abs=1e-12), key
+
+
+def test_field_is_called_once_per_point_set():
+    geom = geometry.ball(1.0, dim=4)
+    spec = ConeSpec(4, 2, 2)
+    shapes = []
+
+    def field(x):
+        shapes.append(x.shape)
+        return quartic_hessian(4, 0.05)(x)
+
+    geometry.verify_barrier_bound(field, geom, BarrierParams(K3=8.0), spec, sample_points=300)
+    assert shapes == [(300, 4)]
+    shapes.clear()
+    _, rep = geometry.search_barrier_constant(field, geom, spec, sample_points=300)
+    assert rep.search_passes >= 2
+    # the probe's 128 points, then the 300 points of each pass
+    assert shapes == [(128, 4)] + [(300, 4)] * rep.search_passes
+
+
+@pytest.mark.parametrize("search", [False, True], ids=["verify", "search"])
+def test_per_point_field_is_rejected(search):
+    geom = geometry.ball(1.0, dim=4)
+    spec = ConeSpec(4, 2, 2)
+    per_point = lambda x: np.eye(4)
+    with pytest.raises(ValueError, match=r"shape \(50, 4, 4\), got \(4, 4\)"):
+        if search:
+            geometry.search_barrier_constant(per_point, geom, spec, sample_points=50)
+        else:
+            geometry.verify_barrier_bound(per_point, geom, BarrierParams(K3=8.0), spec,
+                                          sample_points=50)
