@@ -23,7 +23,7 @@ import numpy as np
 from . import _kernels, cones, geometry, solver
 from .errors import ConfigError, ContinuationError, NonconvergenceError, SumhessError
 from .expressions import parse_expression
-from .lift import ConeSpec, subset_table
+from .lift import ConeSpec, msum_sym, subset_table
 from .solver import ProblemSpec, SolverConfig
 
 
@@ -267,7 +267,7 @@ def cmd_verify(cfg, seed, out_dir, fmt):
         spec = _cone_spec(cfg, defaults=(3, 2, 2))
         report = solver.verify_jacobian_suite([spec], states=states, seed=seed)
     elif which in ("prop21", "mixed"):
-        report = cones.run_suite(which, n=cfg.get("n", 5, int), trials=trials, seed=seed)
+        report = cones.run_suite(which, n=cfg.get("n", cast=int), trials=trials, seed=seed)
     else:
         spec = _cone_spec(cfg)
         report = cones.run_suite(
@@ -335,10 +335,9 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
                     file=sys.stderr,
                 )
                 return 1
-            lam = _kernels.subset_sums(mu, table.tuples)
-            s = _kernels.elem_sym_all(lam, lam.size)
+            s = msum_sym(mu, m, table.size)
             positive = s[1:] > 0
-            largest = int(np.argmax(~positive)) if not positive.all() else lam.size
+            largest = int(np.argmax(~positive)) if not positive.all() else table.size
             entry = {"row": rowno, "largest_admissible_k": largest}
             if k_conf is not None:
                 margin = float(_kernels.cone_margin(s, k_conf))

@@ -275,22 +275,28 @@ def check_negative_entry(lam, k, neg_index):
     return blk.result()
 
 
+def _check_lift_degree(spec):
+    """The sum-lift bound's degree range 2 <= k <= (n-m)/n * binom(n, m)."""
+    n, m, k = spec.n, spec.m, spec.k
+    top = (n - m) / n * spec.size
+    if not 2 <= k <= top:
+        raise ConfigError(
+            f"no valid degree: need 2 <= k <= (n-m)/n * binom(n,m) = {top:g}, got k={k}"
+        )
+
+
 def check_sum_lift_gradient_bounds(mu, spec, delta, L=1.0):
     """Lower bounds on the gradient sum of S_k over the m-sum spectrum, and
     on each single partial relative to the sum, with explicit constants."""
     n, m, k = spec.n, spec.m, spec.k
     size = spec.size
-    if not 2 <= k <= (n - m) / n * size:
-        raise ConfigError(
-            f"no valid degree: need 2 <= k <= (n-m)/n * binom(n,m) = "
-            f"{(n - m) / n * size:g}, got k={k}"
-        )
+    _check_lift_degree(spec)
     blk = _Block(mu)
     if blk.values.shape[1] != n:
         raise ValueError("spectrum length must equal n")
     consts = InequalityConstants.for_problem(n, m, k, delta)
     blk.require(_sorted_desc(blk.values), "not sorted descending")
-    lam_all = _kernels.subset_sums(blk.values, lift.subset_table(n, m).tuples)
+    lam_all = lift.msums(blk.values, m)
     s = _kernels.elem_sym_all(lam_all, k)
     blk.require(_kernels.cone_margin(s, k) > 0.0, "outside lifted cone")
     blk.require(blk.values[:, -1] < -delta * L, "smallest entry not below -delta*L")
@@ -412,13 +418,8 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
         return _rejection(rng, propose, accept, count, stats)
 
     if mode == "prop26_hypotheses":
-        size = math.comb(n, m)
-        if not 2 <= k <= (n - m) / n * size:
-            raise ConfigError(
-                f"no valid degree: need 2 <= k <= {(n - m) / n * size:g}, got k={k}"
-            )
+        _check_lift_degree(spec)
         consts = InequalityConstants.for_problem(n, m, k, delta)
-        tuples = lift.subset_table(n, m).tuples
 
         def propose(rng, b):
             top = rng.uniform(0.35 * L, 0.75 * L, size=(b, n - 2))
@@ -428,7 +429,7 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
             return -np.sort(-blk, axis=1)
 
         def accept(blk):
-            lamb = _kernels.subset_sums(blk, tuples)
+            lamb = lift.msums(blk, m)
             good = _cone_mask(lamb, k)
             good &= blk[:, -1] < -delta * L
             good &= lamb.min(axis=1) >= -consts.delta1 * L
@@ -541,7 +542,6 @@ def _suite_diagonal_gradient(n, m, trials, seed, report):
         degrees[t, 1] = rng.integers(1, min(spec_k_max, 4) + 1)
     mats = np.zeros((trials, n, n))
     mats[:, np.arange(n), np.arange(n)] = diags
-    table = lift.subset_table(n, m)
     margins = {name: np.empty(trials)
                for name in ("diag_gradient", "offdiag_zero", "lifted_diag_gradient")}
     for k in np.unique(degrees[:, 0]):
@@ -560,9 +560,7 @@ def _suite_diagonal_gradient(n, m, trials, seed, report):
     for kk in np.unique(degrees[:, 1]):
         # lifted version: gradient of the composite map at a diagonal Hessian
         sel = degrees[:, 1] == kk
-        lam = _kernels.subset_sums(diags[sel], table.tuples)
-        del_lift = _kernels.deleted_sym(lam, kk - 1)
-        expected = _kernels.fold_tuple_gradient(del_lift, table.tuples, n)
+        expected = lift.msum_weights(diags[sel], m, kk)
         F, _ = lift.gradient_batch(mats[sel], lift.ConeSpec(n, m, int(kk)))
         scale2 = np.abs(expected).sum(axis=1) + 1.0
         margins["lifted_diag_gradient"][sel] = IDENTITY_RTOL - np.abs(
@@ -603,7 +601,7 @@ def _suite_euler(spec, trials, seed, report):
         ]
         Hs = symfun.symmetrize(np.array([raw for raw, _ in draws]))
         Hs += np.eye(n) * np.array([shift for _, shift in draws])[:, None, None]
-        s = _kernels.elem_sym_all(lift.sum_spectrum_batch(Hs, spec.m), k)
+        s = _kernels.elem_sym_all(lift.sum_spectrum(Hs, spec.m), k)
         take = np.flatnonzero(_kernels.cone_margin(s, k) > 0.0)[: trials - kept]
         kept += take.size
         proposals += int(take[-1]) + 1 if kept == trials else len(draws)
@@ -628,16 +626,16 @@ def _suite_spectral_lift(spec, trials, seed, report):
     batch = (batch + batch.transpose(0, 2, 1)) / 2.0
     W = lift.lift_hessian_batch(batch, table)
     direct = np.sort(np.linalg.eigvalsh(W), axis=1)
-    fast = np.sort(lift.sum_spectrum_batch(batch, spec.m), axis=1)
+    fast = np.sort(lift.sum_spectrum(batch, spec.m), axis=1)
     devs = np.abs(direct - fast).max(axis=1)
     report.record_block(
         _all_rows({"spectral_lift": 1e-9 - devs}), batch.reshape(trials, -1)
     )
 
 
-def _suite_dim(n, spec, default):
-    """Spectrum length of a plain-cone suite: ``n``, else spec.n, else ``default``."""
-    dim = n if n is not None else spec.n if spec else default
+def _suite_dim(n, spec):
+    """Spectrum length of a plain-cone suite: ``n``, else spec.n, else 5."""
+    dim = n if n is not None else spec.n if spec else 5
     if dim < 1:
         raise ConfigError(f"need n >= 1, got n={dim}")
     return dim
@@ -647,15 +645,15 @@ def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
               eps=0.15, L=1.0, n=None):
     """Run one named verification suite and return its SampleReport.
 
-    ``spec`` supplies (n, m, k) where needed; plain-cone suites accept ``n``
-    directly with spec.k as degree. Each suite checks its whole sample block
-    in a few block calls. An ``n`` below 1, an ``l`` outside 1..k-1, or a
-    ``delta``, ``eps`` or ``L`` that is not positive and finite raises
-    ConfigError before any sampling.
+    ``spec`` supplies (n, m, k) where needed; the plain-cone suites prop21
+    and mixed take ``n``, else spec.n, else 5. Each suite checks its whole
+    sample block in a few block calls. An ``n`` below 1, an ``l`` outside
+    1..k-1, or a ``delta``, ``eps`` or ``L`` that is not positive and finite
+    raises ConfigError before any sampling.
     """
     report = SampleReport(suite=which)
     if which == "prop21":
-        _suite_partition_identities(_suite_dim(n, spec, 5), trials, seed, report)
+        _suite_partition_identities(_suite_dim(n, spec), trials, seed, report)
         return report
     if which == "prop22":
         if spec is None:
@@ -663,7 +661,7 @@ def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
         _suite_diagonal_gradient(spec.n, spec.m, trials, seed, report)
         return report
     if which == "mixed":
-        _suite_mixed_decomposition(_suite_dim(n, spec, 4), trials, seed, report)
+        _suite_mixed_decomposition(_suite_dim(n, spec), trials, seed, report)
         return report
     if which == "euler":
         if spec is None:

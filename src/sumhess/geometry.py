@@ -154,13 +154,14 @@ def barrier_hessian(geom, params, x):
 def mk0_convex_check(kappa, m, k0):
     """Strict convexity of a boundary point in the eigenvalue-sum sense:
     the m-sums of the principal curvatures lie in the degree-k0 cone."""
-    kappa = symfun.as_spectrum(kappa)
+    kappa = np.asarray(kappa, dtype=np.float64)
     if m > kappa.size:
         raise ValueError(f"need m <= {kappa.size}, got m={m}")
-    sums = _kernels.subset_sums(kappa, lift.subset_table(kappa.size, m).tuples)
-    if not 1 <= k0 <= sums.size:
-        raise ValueError(f"need 1 <= k0 <= {sums.size}, got k0={k0}")
-    return symfun.in_cone(sums, k0)
+    size = math.comb(kappa.size, m)
+    if not 1 <= k0 <= size:
+        raise ValueError(f"need 1 <= k0 <= {size}, got k0={k0}")
+    margin = float(_kernels.cone_margin(lift.msum_sym(kappa, m, k0), k0))
+    return margin > 0.0, margin
 
 
 def _halton(count, d):
@@ -284,8 +285,7 @@ def _field_table(u_hess, pts, spec):
         raise ValueError(f"u_hess must map the (N, {spec.n}) block of points to "
                          f"Hessians of shape {expected}, got {Hs.shape}")
     Hs = symfun.as_symmetric(symfun.symmetrize(Hs))
-    lam = lift.sum_spectrum_batch(Hs, spec.m)
-    return Hs, _kernels.elem_sym_all(lam, spec.k)
+    return Hs, lift.msum_sym(np.linalg.eigvalsh(Hs), spec.m, spec.k)
 
 
 def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
@@ -328,7 +328,7 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
     value = (F * Dh).sum(axis=(1, 2))
     scale = math.sqrt(params.K3) if which == "lemma53" else params.k3
     bound = scale * (1.0 + trace)
-    lam = np.sort(lift.sum_spectrum_batch(Dh, spec.m), axis=1)[:, ::-1]
+    lam = np.sort(lift.sum_spectrum(Dh, spec.m), axis=1)[:, ::-1]
     s_h = _kernels.elem_sym_all(lam, k)
     powers = np.array([params.K3**l for l in range(1, k + 1)])
     report.min_margin = float((value - bound).min())

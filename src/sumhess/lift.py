@@ -5,6 +5,9 @@ acting on the m-th exterior power; its eigenvalues are exactly the sums of m
 distinct eigenvalues of H. This module builds the lifted matrix explicitly,
 computes its spectrum the fast way (diagonalize H once, form subset sums),
 tests cone admissibility, and maps gradients of S_k back down to n x n space.
+It owns the m-subset table: ``msums``, ``msum_sym`` and ``msum_weights`` give
+the m-sums of a stack of spectra, S_0..S_k of them, and the gradient of S_k
+with respect to the spectrum, for every other module.
 For k <= 2, batches of S_0..S_k and of the gradient come from the entries of H,
 without an eigendecomposition.
 """
@@ -138,26 +141,44 @@ def lift_hessian_batch(hessians, table):
     return W
 
 
-def sum_spectrum(hess, m):
-    """All m-fold sums of the eigenvalues of a symmetric matrix.
+def msums(spectra, m):
+    """All m-fold sums of each spectrum along the last axis of ``spectra``:
+    shape (..., binom(n, m)), in the lexicographic order of the m-subsets."""
+    spectra = np.asarray(spectra)
+    return _kernels.subset_sums(spectra, subset_table(spectra.shape[-1], m).tuples)
+
+
+def msum_sym(spectra, m, k):
+    """S_0..S_k of the m-sums of each spectrum along the last axis of
+    ``spectra``: shape (..., k+1)."""
+    return _kernels.elem_sym_all(msums(spectra, m), k)
+
+
+def msum_weights(spectra, m, k):
+    """Gradient of S_k of the m-sums with respect to each spectrum entry,
+    shape (..., n): entry i sums the single-deletion values S_{k-1}(lam | A)
+    over the m-subsets A that hold i."""
+    spectra = np.asarray(spectra)
+    n = spectra.shape[-1]
+    deleted = _kernels.deleted_sym(msums(spectra, m), k - 1)
+    return _kernels.fold_tuple_gradient(deleted, subset_table(n, m).tuples, n)
+
+
+def sum_spectrum(hessians, m):
+    """All m-fold sums of the eigenvalues of a symmetric matrix, or of each
+    matrix in a stack along leading axes.
 
     Equals the spectrum of the lifted matrix as a multiset, at the cost of a
     single n x n eigendecomposition.
     """
-    H = symfun.as_symmetric(hess)
-    table = subset_table(H.shape[0], m)
-    return _kernels.subset_sums(np.linalg.eigvalsh(H), table.tuples)
-
-
-def sum_spectrum_batch(hessians, m):
-    Hs = np.asarray(hessians, dtype=np.float64)
-    table = subset_table(Hs.shape[1], m)
-    return _kernels.subset_sums(np.linalg.eigvalsh(Hs), table.tuples)
+    return msums(np.linalg.eigvalsh(symfun.as_symmetric(hessians)), m)
 
 
 def admissible(hess, spec):
     """Strict cone membership of the m-sum spectrum; returns (ok, margin)."""
-    return symfun.in_cone(sum_spectrum(hess, spec.m), spec.k)
+    s = _kernels.elem_sym_all(sum_spectrum(hess, spec.m), spec.k)
+    margin = float(_kernels.cone_margin(s, spec.k))
+    return margin > 0.0, margin
 
 
 def _subset_counts(spec):
@@ -168,8 +189,7 @@ def _subset_counts(spec):
 
 def sym_batch(hessians, spec):
     """S_0..S_k of the m-sum spectra of a batch (N, n, n) of symmetric
-    Hessians: the (N, k+1) table ``_kernels.elem_sym_all`` gives for
-    ``sum_spectrum_batch``.
+    Hessians: the (N, k+1) table ``msum_sym`` gives for their eigenvalues.
 
     For k <= 2 no eigendecomposition is needed: S_j of the lifted matrix W is
     the sum of its principal j-minors. The lifted diagonal holds the m-subset
@@ -189,10 +209,9 @@ def sym_batch(hessians, spec):
     """
     Hs = np.asarray(hessians, dtype=np.float64)
     if spec.k > 2:
-        return _kernels.elem_sym_all(sum_spectrum_batch(Hs, spec.m), spec.k)
-    table = subset_table(spec.n, spec.m)
-    diag = np.diagonal(Hs, axis1=1, axis2=2)
-    s = _kernels.elem_sym_all(_kernels.subset_sums(diag, table.tuples), spec.k)
+        # not sum_spectrum: as on the k <= 2 route, input checks are the caller's
+        return msum_sym(np.linalg.eigvalsh(Hs), spec.m, spec.k)
+    s = msum_sym(np.diagonal(Hs, axis1=1, axis2=2), spec.m, spec.k)
     if spec.k == 2:
         c1, c2 = _subset_counts(spec)
         rows, cols = np.triu_indices(spec.n, 1)
@@ -232,11 +251,8 @@ def gradient_batch(hessians, spec):
 
 def _gradient_eigen(Hs, spec):
     """``gradient_batch`` through one eigendecomposition of each H."""
-    table = subset_table(spec.n, spec.m)
     w, Q = np.linalg.eigh(Hs)
-    lam = _kernels.subset_sums(w, table.tuples)
-    deleted = _kernels.deleted_sym(lam, spec.k - 1)
-    fii = _kernels.fold_tuple_gradient(deleted, table.tuples, spec.n)
+    fii = msum_weights(w, spec.m, spec.k)
     F = np.einsum("sip,sp,sjp->sij", Q, fii, Q)
     F = (F + F.transpose(0, 2, 1)) / 2.0
     return F, fii.sum(axis=1)

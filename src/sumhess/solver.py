@@ -182,7 +182,6 @@ class DiscreteSystem:
         self.problem = problem
         self.grid = grid
         self.spec = problem.spec
-        self.table = lift.subset_table(self.spec.n, self.spec.m)
         self.K0 = homotopy_constant(self.spec)
         bidx = grid.boundary_flat
         points_b, normals_b = grid.points[bidx], grid.normals[bidx]
@@ -327,12 +326,9 @@ class RadialSystem(DiscreteSystem):
     geometry_kinds = ("ball", "radial")
     state_dtype = EXTENDED
 
-    def _lifted_spectra(self, values):
-        """m-sum spectra at the equation nodes, from the analytic profiles."""
-        return _kernels.subset_sums(grids.radial_spectra(self.grid, values), self.table.tuples)
-
     def _sym(self, values):
-        return _kernels.elem_sym_all(self._lifted_spectra(values), self.spec.k)
+        spectra = grids.radial_spectra(self.grid, values)
+        return lift.msum_sym(spectra, self.spec.m, self.spec.k)
 
     def _stencil_layout(self):
         i = np.arange(1, self.grid.M)
@@ -341,9 +337,8 @@ class RadialSystem(DiscreteSystem):
     def _interior_stencil(self, values):
         grid = self.grid
         M, h = grid.M, grid.h
-        lam = self._lifted_spectra(values)
-        deleted = _kernels.deleted_sym(lam, self.spec.k - 1)
-        fii = _kernels.fold_tuple_gradient(deleted, self.table.tuples, self.spec.n)
+        spectra = grids.radial_spectra(grid, values)
+        fii = lift.msum_weights(spectra, self.spec.m, self.spec.k)
         # center row: Hessian is u''(0) * identity, so the weight is the trace
         trace0 = fii[0].sum()
         i = np.arange(1, M)
@@ -708,8 +703,6 @@ def box_solve(problem, nodes, cfg=None):
 
 def radial_quartic_problem(spec, R=1.0, coef=0.05):
     """Radial field r^2/2 + coef r^4 with data derived exactly from it."""
-    table = lift.subset_table(spec.n, spec.m)
-
     def exact(r):
         r = np.asarray(r, dtype=np.float64)
         return 0.5 * r * r + coef * r**4
@@ -722,8 +715,7 @@ def radial_quartic_problem(spec, R=1.0, coef=0.05):
         return out
 
     def f(points):
-        lam = _kernels.subset_sums(spectra(points[:, 0]), table.tuples)
-        return _kernels.elem_sym_all(lam, spec.k)[:, spec.k]
+        return lift.msum_sym(spectra(points[:, 0]), spec.m, spec.k)[:, spec.k]
 
     def a(points):
         return np.ones(points.shape[0])

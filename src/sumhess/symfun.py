@@ -1,8 +1,8 @@
-"""Elementary symmetric function algebra on real spectra and symmetric matrices.
+"""Elementary symmetric function algebra on symmetric matrices.
 
-All spectra are plain 1-D float arrays; matrices are dense symmetric float
-arrays. Degrees use the convention S_0 = 1, and S_k = 0 when k exceeds the
-number of (nonzero) entries.
+Matrices are dense symmetric float arrays. Degrees use the convention
+S_0 = 1, and S_k = 0 when k exceeds the number of (nonzero) eigenvalues.
+S_k of spectra is ``_kernels.elem_sym_all``; of m-sum spectra, ``lift.msum_sym``.
 """
 
 import math
@@ -10,16 +10,6 @@ import math
 import numpy as np
 
 from . import _kernels
-
-
-def as_spectrum(values):
-    """Validate and return a finite 1-D float spectrum (length >= 1)."""
-    arr = np.asarray(values, dtype=np.float64)
-    if arr.ndim != 1 or arr.size < 1:
-        raise ValueError("spectrum must be a 1-D vector with at least one entry")
-    if not np.all(np.isfinite(arr)):
-        raise ValueError("spectrum entries must be finite")
-    return arr
 
 
 def as_symmetric(mat):
@@ -42,18 +32,13 @@ def symmetrize(mat):
     return (arr + np.swapaxes(arr, -1, -2)) / 2.0
 
 
-def elem_sym(values, k):
-    """S_k of a spectrum via the prefix-coefficient recurrence."""
-    lam = as_spectrum(values)
-    if not 0 <= k <= lam.size:
-        raise ValueError(f"degree k={k} out of range 0..{lam.size}")
-    return float(_kernels.elem_sym_all(lam, k)[k])
-
-
 def matrix_sym(mat, k):
     """S_k of a symmetric matrix (sum of principal k-minors, via eigenvalues)."""
     arr = as_symmetric(mat)
-    return elem_sym(np.linalg.eigvalsh(arr), k)
+    size = arr.shape[-1]
+    if not 0 <= k <= size:
+        raise ValueError(f"degree k={k} out of range 0..{size}")
+    return float(_kernels.elem_sym_all(np.linalg.eigvalsh(arr), k)[..., k])
 
 
 def mixed_sym_all(a_mat, b_mat, k):
@@ -97,15 +82,3 @@ def newton_transform(w_mat, k):
     for j in range(1, k):
         T = s[..., j, None, None] * eye - W @ T
     return symmetrize(T)
-
-
-def in_cone(values, k):
-    """Strict cone membership: S_1..S_k all positive.
-
-    Returns (ok, margin) where margin = min_i S_i (signed).
-    """
-    lam = as_spectrum(values)
-    if not 1 <= k <= lam.size:
-        raise ValueError(f"degree k={k} out of range 1..{lam.size}")
-    margin = float(_kernels.cone_margin(_kernels.elem_sym_all(lam, k), k))
-    return margin > 0.0, margin

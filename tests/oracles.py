@@ -87,7 +87,7 @@ def mixed_sym_enum(a_mat, b_mat, k, l):
 
 def sk_of_hessian(hess, spec):
     """S_k of the lifted matrix, evaluated through the fast spectrum."""
-    return symfun.elem_sym(lift.sum_spectrum(hess, spec.m), spec.k)
+    return float(_kernels.elem_sym_all(lift.sum_spectrum(hess, spec.m), spec.k)[spec.k])
 
 
 def gradient_fd(sk_fn, H, step=1e-6):
@@ -237,10 +237,9 @@ def verify_barrier_points(u_hess, geom, params, spec, pts, which="lemma53"):
         out["min_margin"] = min(out["min_margin"], value - scale * (1.0 + trace))
         out["empirical_k3"] = min(out["empirical_k3"], value / (1.0 + trace))
         lam = np.sort(lift.sum_spectrum(Dh, spec.m))[::-1]
-        _, h_margin = symfun.in_cone(lam, spec.k)
-        out["min_h_margin"] = min(out["min_h_margin"], h_margin)
-        out["min_lambda_k"] = min(out["min_lambda_k"], float(lam[spec.k - 1]))
         s = _kernels.elem_sym_all(lam, spec.k)
+        out["min_h_margin"] = min(out["min_h_margin"], float(_kernels.cone_margin(s, spec.k)))
+        out["min_lambda_k"] = min(out["min_lambda_k"], float(lam[spec.k - 1]))
         ratios = [s[l] / params.K3**l for l in range(1, spec.k + 1)]
         out["min_sl_ratio"] = min(out["min_sl_ratio"], float(min(ratios)))
     return out

@@ -12,7 +12,7 @@ import pytest
 
 import sumhess
 from oracles import quartic_hessian_point, write_solution_csv_rows
-from sumhess import geometry, grids, solver
+from sumhess import cones, geometry, grids, solver
 from sumhess.cli import _SOLVE_KEYS, _write_solution_csv, main
 from sumhess.expressions import parse_expression
 from sumhess.errors import ConfigError
@@ -652,6 +652,18 @@ K3 = 64
     report = json.loads((out / "manifest.json").read_text())["report"]
     assert math.isnan(report["min_margin"]) and not report["passed"]
     assert report["search_passes"] == 0
+
+
+@pytest.mark.parametrize("which", ["prop21", "mixed"])
+def test_verify_default_n_matches_library(tmp_path, which):
+    # without an n key the CLI leaves the suite's dimension to run_suite (5)
+    cfg = write(tmp_path / "v.cfg", f"which = {which}\ntrials = 40\n")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--seed", "3", "--out-dir", str(out)]) == 0
+    report = json.loads((out / "manifest.json").read_text())["report"]
+    library = cones.run_suite(which, trials=40, seed=3).as_dict()
+    assert report == json.loads(json.dumps(library))
+    assert library == cones.run_suite(which, n=5, trials=40, seed=3).as_dict()
 
 
 def test_verify_manifest_records_proposals_and_time(tmp_path):

@@ -89,6 +89,27 @@ def test_sum_lift_bounds_range_error():
         cones.check_sum_lift_gradient_bounds([[1.0, 1.0, -0.5]], spec, delta=0.4)
 
 
+@pytest.mark.parametrize("spec", [ConeSpec(3, 2, 2), ConeSpec(4, 2, 4), ConeSpec(5, 2, 1)],
+                         ids=["k-above-top", "k-above-top-4", "k-below-2"])
+def test_sum_lift_degree_rule_is_shared(spec):
+    # the block check and the prop26 sampler reject a degree with one message
+    with pytest.raises(ConfigError) as check:
+        cones.check_sum_lift_gradient_bounds(np.ones((1, spec.n)), spec, delta=0.4)
+    with pytest.raises(ConfigError) as sampler:
+        cones.sample_cone(spec, 10, "prop26_hypotheses", seed=1)
+    assert str(check.value) == str(sampler.value)
+    assert str(check.value).startswith("no valid degree: need 2 <= k <= (n-m)/n * binom(n,m)")
+
+
+@pytest.mark.parametrize("e", [1.0 / 3.0, 1.0 / 3.0 - 1.0], ids=["1/3", "1/k-1"])
+def test_pow_rounds_as_scalar_pow(e):
+    # numpy's vectorized power differs from the scalar pow in the last bit
+    # on about 5% of these values; the margins must round as one value does
+    x = np.random.default_rng(5).uniform(0.0, 4.0, 20_000)
+    expected = np.array([v ** e for v in x])
+    assert np.array_equal(cones._pow(x, e).view(np.uint64), expected.view(np.uint64))
+
+
 def test_sum_lift_scaling():
     # both sides of the gradient-sum bound scale as L^(k-1)
     spec = ConeSpec(4, 2, 2)
@@ -129,9 +150,7 @@ def test_samplers_satisfy_hypotheses():
     spec = ConeSpec(5, 2, 3)
     samples, rate = cones.sample_cone(spec, 200, "gamma_k", seed=1)
     assert rate > 0.01 and samples.shape == (200, 5)
-    for lam in samples:
-        ok, _ = symfun.in_cone(lam, 3)
-        assert ok
+    assert (_kernels.cone_margin(_kernels.elem_sym_all(samples, 3), 3) > 0).all()
     samples, _ = cones.sample_cone(spec, 100, "prop25_hypotheses", seed=3)
     assert (samples.min(axis=1) < 0).all()
     samples, _ = cones.sample_cone(spec, 100, "prop26_hypotheses", seed=4, delta=0.4)

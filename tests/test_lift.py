@@ -9,7 +9,8 @@ import pytest
 from sumhess import _kernels, lift, symfun
 from sumhess.lift import ConeSpec
 from oracles import (
-    gradient_fd, gradient_via_lift, index_of, lift_hessian, sk_of_hessian, subset_sums_enum,
+    elem_sym_enum, gradient_fd, gradient_via_lift, index_of, lift_hessian, sk_of_hessian,
+    subset_sums_enum,
 )
 
 EPS = np.finfo(np.float64).eps
@@ -63,6 +64,15 @@ def test_lift_linearity():
     assert np.abs(left - right).max() < 1e-14
 
 
+@pytest.mark.parametrize("k", [1, 2])
+def test_sym_batch_keeps_nan_rows(k):
+    # a NaN Newton trial gives a NaN margin, which fails admissibility,
+    # rather than an input-check error
+    Hs = np.stack([np.eye(4), np.full((4, 4), np.nan)])
+    margin = _kernels.cone_margin(lift.sym_batch(Hs, ConeSpec(4, 2, k)), k)
+    assert margin[0] > 0 and np.isnan(margin[1])
+
+
 @pytest.mark.parametrize("n, m, k", [(3, 2, 1), (3, 2, 2), (4, 2, 2), (6, 3, 2), (10, 5, 2)])
 def test_minor_sums_match_eigen_route(n, m, k):
     # both routes err by a few eps times S_j(|lam|) here; the bound is 256 eps
@@ -72,7 +82,7 @@ def test_minor_sums_match_eigen_route(n, m, k):
     spec = ConeSpec(n, m, k)
     Hs = np.stack([rand_sym(rng, n) for _ in range(20)])
     tol = 256 * EPS
-    lam = lift.sum_spectrum_batch(Hs, m)
+    lam = lift.sum_spectrum(Hs, m)
     scale = _kernels.elem_sym_all(np.abs(lam), k)
     s = lift.sym_batch(Hs, spec)
     assert s.shape == (20, k + 1)
@@ -165,6 +175,40 @@ def test_spectral_lift_small_sample():
                 assert np.abs(direct - fast).max() < 1e-9
                 enum = np.sort(subset_sums_enum(np.linalg.eigvalsh(H), m))
                 assert np.abs(fast - enum).max() < 1e-9
+
+
+@pytest.mark.parametrize("n, m, k", [(3, 2, 2), (4, 2, 3), (5, 3, 4), (6, 2, 5)])
+def test_msum_helpers_match_enumeration(n, m, k):
+    rng = np.random.default_rng(10 * n + k)
+    spectra = rng.normal(0.0, 1.0, size=(6, n))
+    s = lift.msum_sym(spectra, m, k)
+    weights = lift.msum_weights(spectra, m, k)
+    assert s.shape == (6, k + 1) and weights.shape == (6, n)
+    step = 1e-6
+
+    def sk(mu):
+        return elem_sym_enum(subset_sums_enum(mu, m), k)
+
+    sums_all = lift.msums(spectra, m)
+    for row, sums_row, s_row, w_row in zip(spectra, sums_all, s, weights):
+        # a 1-D spectrum gives the row of the stack
+        assert np.array_equal(lift.msums(row, m), sums_row)
+        assert np.array_equal(lift.msum_sym(row, m, k), s_row)
+        assert np.array_equal(lift.msum_weights(row, m, k), w_row)
+        sums = subset_sums_enum(row, m)
+        assert np.allclose(sums_row, sums, rtol=0.0, atol=1e-14)
+        expected = [elem_sym_enum(sums, j) for j in range(k + 1)]
+        assert s_row == pytest.approx(expected, rel=1e-12, abs=1e-12)
+        fd = [(sk(row + step * e) - sk(row - step * e)) / (2.0 * step) for e in np.eye(n)]
+        assert w_row == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+
+def test_msum_helpers_keep_longdouble():
+    spectra = np.array([[1.0, 2.0, 3.0, -0.5]], dtype=np.longdouble)
+    for out in (lift.msums(spectra, 2), lift.msum_sym(spectra, 2, 3),
+                lift.msum_weights(spectra, 2, 3)):
+        assert out.dtype == np.longdouble
+    assert lift.msum_sym(spectra[0], 2, 3).dtype == np.longdouble
 
 
 def test_sum_spectrum_examples():

@@ -1,7 +1,8 @@
-"""Guard against test-only surface in the package: every public module-level
-function in ``src/sumhess`` must be reached from the package itself or from
-the benchmark harness (``perfbench``), not only from the tests. A function
-only tests call belongs in ``tests/oracles.py``."""
+"""Guards on the package's structure. Every public module-level function in
+``src/sumhess`` must be reached from the package itself or from the benchmark
+harness (``perfbench``), not only from the tests: a function only tests call
+belongs in ``tests/oracles.py``. And the m-subset table is read only where
+the m-sum lift is built."""
 
 import ast
 import inspect
@@ -53,3 +54,21 @@ def test_no_system_subclass_overrides_the_traced_methods():
         for name in ("jacobian", "residual_and_margin") if name in vars(cls)
     ]
     assert overrides == []
+
+
+def test_only_the_lift_reads_the_subset_table():
+    # the other modules take m-sums, their S table and its gradient from the
+    # lift.msum* helpers, never from the tuple table and its kernels
+    table_names = {"subset_sums", "fold_tuple_gradient", "tuples"}
+    owners = {"lift.py", "_kernels.py"}
+    uses = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        if path.name in owners:
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            name = (node.attr if isinstance(node, ast.Attribute)
+                    else node.id if isinstance(node, ast.Name)
+                    else node.name if isinstance(node, ast.alias) else None)
+            if name in table_names:
+                uses.append(f"{path.stem}:{node.lineno}:{name}")
+    assert uses == []

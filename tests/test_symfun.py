@@ -3,23 +3,14 @@ import math
 import numpy as np
 import pytest
 
-from sumhess import _kernels, symfun
+from sumhess import _kernels, lift, symfun
 from oracles import deleted_sym_enum, elem_sym_enum, matrix_sym_minors, mixed_sym_enum
 
 
 def test_elem_sym_basics():
-    assert symfun.elem_sym([1.0, 1.0, 1.0], 2) == pytest.approx(3.0)
-    assert symfun.elem_sym([1.0, 2.0, 3.0], 0) == 1.0
-    assert symfun.elem_sym([1.0, 2.0, 3.0], 2) == pytest.approx(11.0)
-
-
-def test_elem_sym_range_errors():
-    with pytest.raises(ValueError):
-        symfun.elem_sym([1.0, 2.0], 3)
-    with pytest.raises(ValueError):
-        symfun.elem_sym([1.0, 2.0], -1)
-    with pytest.raises(ValueError):
-        symfun.elem_sym([1.0, np.nan], 1)
+    assert _kernels.elem_sym_all(np.array([1.0, 1.0, 1.0]), 2)[2] == pytest.approx(3.0)
+    assert _kernels.elem_sym_all(np.array([1.0, 2.0, 3.0]), 0)[0] == 1.0
+    assert _kernels.elem_sym_all(np.array([1.0, 2.0, 3.0]), 2)[2] == pytest.approx(11.0)
 
 
 def test_elem_sym_matches_enumeration():
@@ -27,10 +18,10 @@ def test_elem_sym_matches_enumeration():
     for n in range(1, 9):
         for _ in range(20):
             lam = rng.normal(0.0, 2.0, size=n)
+            fast = _kernels.elem_sym_all(lam, n)
             for k in range(n + 1):
-                fast = symfun.elem_sym(lam, k)
                 slow = elem_sym_enum(lam, k)
-                assert fast == pytest.approx(slow, rel=1e-12, abs=1e-12)
+                assert fast[k] == pytest.approx(slow, rel=1e-12, abs=1e-12)
 
 
 def test_deleted_sym_examples():
@@ -45,7 +36,7 @@ def test_split_identity():
         n = int(rng.integers(2, 8))
         lam = rng.normal(0.0, 1.5, size=n)
         k = int(rng.integers(1, n + 1))
-        sk = symfun.elem_sym(lam, k)
+        sk = _kernels.elem_sym_all(lam, k)[k]
         dk = _kernels.deleted_sym(lam, k)
         dkm1 = _kernels.deleted_sym(lam, k - 1)
         for i in range(n):
@@ -60,7 +51,7 @@ def test_weighted_and_plain_sums():
         n = int(rng.integers(2, 8))
         lam = rng.normal(0.0, 1.5, size=n)
         k = int(rng.integers(1, n + 1))
-        sk = symfun.elem_sym(lam, k)
+        sk = _kernels.elem_sym_all(lam, k)[k]
         dkm1 = _kernels.deleted_sym(lam, k - 1)
         dk = _kernels.deleted_sym(lam, k)
         assert float((lam * dkm1).sum()) == pytest.approx(k * sk, rel=1e-11, abs=1e-11)
@@ -153,17 +144,20 @@ def test_matrix_sym_is_minor_sum():
         assert symfun.matrix_sym(M, k) == pytest.approx(
             matrix_sym_minors(M, k), rel=1e-9, abs=1e-9
         )
+    for k in (-1, 6):
+        with pytest.raises(ValueError, match="out of range 0..5"):
+            symfun.matrix_sym(M, k)
 
 
 def test_in_cone():
-    ok, margin = symfun.in_cone([1.0, 1.0, 1.0], 3)
-    assert ok and margin == pytest.approx(1.0)
-    ok, margin = symfun.in_cone([2.0, 0.0, 0.0], 2)
-    assert not ok and margin == 0.0
-    ok, _ = symfun.in_cone([3.0, 1.0, -1.0], 2)
-    assert not ok  # S_2 = -1
-    ok, _ = symfun.in_cone([3.0, 1.0, -1.0], 1)
-    assert ok
+    # cone membership of a spectrum: the margin of its 1-sums
+    def margin(values, k):
+        return float(_kernels.cone_margin(lift.msum_sym(np.array(values), 1, k), k))
+
+    assert margin([1.0, 1.0, 1.0], 3) == pytest.approx(1.0)
+    assert margin([2.0, 0.0, 0.0], 2) == 0.0
+    assert margin([3.0, 1.0, -1.0], 2) < 0  # S_2 = -1
+    assert margin([3.0, 1.0, -1.0], 1) > 0
 
 
 def test_symmetry_validation():
