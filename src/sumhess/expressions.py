@@ -3,6 +3,9 @@
 Supported: + - * / ^, unary minus, cos/sin/exp, numbers, the coordinates
 x1..x9, the radius token |x| (alias r), and the constant pi. Parsed by
 recursive descent into a closure over a point array; no interpreter or eval.
+Precedence, loosest first: + and -, then * and /, then unary minus, then ^,
+which is right associative and takes a signed exponent: -x1^2 is -(x1^2),
+2^3^2 is 2^9 and 2^-1 is 0.5.
 """
 
 import math
@@ -72,26 +75,26 @@ class _Parser:
         return node
 
     def term(self):
-        node = self.factor()
+        node = self.unary()
         while self.peek() in (("op", "*"), ("op", "/")):
             op = self.take()[1]
-            node = _BINOPS[op](node, self.factor())
+            node = _BINOPS[op](node, self.unary())
         return node
-
-    def factor(self):
-        base = self.unary()
-        if self.peek() == ("op", "^"):
-            self.take()
-            expo = self.factor()  # right associative
-            return lambda p: base(p) ** expo(p)
-        return base
 
     def unary(self):
         if self.peek() == ("op", "-"):
             self.take()
             inner = self.unary()
             return lambda p: -inner(p)
-        return self.atom()
+        return self.power()
+
+    def power(self):
+        base = self.atom()
+        if self.peek() == ("op", "^"):
+            self.take()
+            expo = self.unary()  # right associative, and 2^-1 is 0.5
+            return lambda p: base(p) ** expo(p)
+        return base
 
     def atom(self):
         kind, value = self.peek()
@@ -121,6 +124,8 @@ class _Parser:
             m = re.fullmatch(r"x(\d+)", value)
             if m:
                 axis = int(m.group(1)) - 1
+                if axis < 0:
+                    raise ConfigError(f"coordinates are numbered from x1, got {value!r}")
 
                 def coord(p, axis=axis):
                     if axis >= p.shape[1]:

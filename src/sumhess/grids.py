@@ -9,6 +9,16 @@ Both grids expose one boundary interface: ``interior_flat`` and
 ``boundary_flat`` node indices, unit outward ``normals`` (zero rows inside),
 ``normal_derivative(values)`` at the boundary nodes, and its Jacobian rows as
 ``dnu_rows``/``dnu_cols``/``dnu_vals`` triplets.
+
+Each grid also builds one stencil table: ``stencil_cols`` (S, Pe), int32,
+the node in each of the S slots of each equation node's stencil, and
+``stencil_coef`` (S, E), each slot's weight in the E entries of a node's
+second-derivative data (the n^2 entries of H on a box, (u'', u') radially).
+``stencil_data`` forms the data; a discrete system's Jacobian rows are
+``stencil_coef @ W.T`` at the same columns, W the equation's derivative with
+respect to the data. Slots run in the order of the difference formulas, so
+a gemm that sums in slot order (OpenBLAS's does) gives the formulas' bits
+wherever every weight is a power of two.
 """
 
 from dataclasses import dataclass, field
@@ -30,6 +40,8 @@ class RadialGrid:
     interior_flat: np.ndarray = field(repr=False)  # the M equation nodes
     boundary_flat: np.ndarray = field(repr=False)  # [M], the rim
     normals: np.ndarray = field(repr=False)  # (M + 1, 1), +1 at the rim
+    stencil_cols: np.ndarray = field(repr=False)  # (3, M): i + 1, i, |i - 1|
+    stencil_coef: np.ndarray = field(repr=False)  # (3, 2): weights of u'', u'
     dnu_rows: np.ndarray = field(repr=False)
     dnu_cols: np.ndarray = field(repr=False)
     dnu_vals: np.ndarray = field(repr=False)
@@ -58,30 +70,40 @@ def radial_grid(R, M, dim):
     M, h = int(M), float(R) / M
     normals = np.zeros((M + 1, 1))
     normals[-1] = 1.0
+    i = np.arange(M)
     return RadialGrid(
         dim=dim, R=float(R), M=M, r=np.linspace(0.0, R, M + 1), h=h,
-        interior_flat=np.arange(M), boundary_flat=np.array([M]), normals=normals,
+        interior_flat=i, boundary_flat=np.array([M]), normals=normals,
+        # the center's mirror closure u(-h) = u(h) names node 1 in both outer slots
+        stencil_cols=np.stack([i + 1, i, np.abs(i - 1)]).astype(np.int32),
+        stencil_coef=np.array([[1.0, 1.0], [-2.0, 0.0], [1.0, -1.0]]) / [h * h, 2.0 * h],
         dnu_rows=np.full(3, M), dnu_cols=M - np.arange(3),
         dnu_vals=np.array([3.0, -4.0, 1.0]) / (2.0 * h),
     )
 
 
+def stencil_data(grid, values):
+    """Second-derivative data at the equation nodes, (Pe, E): the one gemm
+    ``u[stencil_cols].T @ stencil_coef``, in the dtype of ``as_float(values)``.
+    It is formed as the transpose of ``stencil_coef.T @ u[stencil_cols]``, so
+    each entry's column is contiguous over the nodes; the k <= 2 lift and
+    its gradient, which read H entry by entry, take about half the time on it."""
+    return (grid.stencil_coef.T @ as_float(values)[grid.stencil_cols]).T
+
+
 def radial_spectra(grid, values):
     """Hessian eigenvalue profiles at the M equation nodes (0 .. M-1).
 
-    Row i holds [u'', u'/r * (dim-1)]; at the center the mirror closure
-    u(-r) = u(r) gives u'' = 2 (u1 - u0) / h^2 and the tangential ratio
-    tends to u''(0). The profiles come back in the dtype of ``as_float(values)``.
+    Row i holds [u'', u'/r * (dim-1)] from the stencil data (u'', u'); at the
+    center, where the mirror closure gives u'' = 2 (u1 - u0) / h^2, the
+    tangential ratio tends to u''(0). The profiles come back in the dtype of
+    ``as_float(values)``.
     """
-    u = as_float(values)
-    h = grid.h
-    out = np.empty((grid.M, grid.dim), dtype=u.dtype)
-    out[0, :] = 2.0 * (u[1] - u[0]) / (h * h)
-    i = np.arange(1, grid.M)
-    upp = (u[i + 1] - 2.0 * u[i] + u[i - 1]) / (h * h)
-    ratio = (u[i + 1] - u[i - 1]) / (2.0 * h) / grid.r[i]
-    out[1:, 0] = upp
-    out[1:, 1:] = ratio[:, None]
+    data = stencil_data(grid, values)
+    out = np.empty((grid.M, grid.dim), dtype=data.dtype)
+    out[:, 0] = data[:, 0]
+    out[0, 1:] = data[0, 0]
+    out[1:, 1:] = (data[1:, 1] / grid.r[1 : grid.M])[:, None]
     return out
 
 
@@ -94,6 +116,8 @@ class BoxGrid:
     interior_flat: np.ndarray = field(repr=False)
     boundary_flat: np.ndarray = field(repr=False)
     normals: np.ndarray = field(repr=False)  # (P, dim), zero rows interior
+    stencil_cols: np.ndarray = field(repr=False)  # (S, Pi), S = 1 + 2 dim^2
+    stencil_coef: np.ndarray = field(repr=False)  # (S, dim^2): weights of H's entries
     dnu_rows: np.ndarray = field(repr=False)
     dnu_cols: np.ndarray = field(repr=False)
     dnu_vals: np.ndarray = field(repr=False)
@@ -168,12 +192,36 @@ def box_grid(extents, nodes, center=None):
     dnu_vals = np.concatenate(vals)
     dnu = sp.csr_matrix((dnu_vals, (dnu_rows, dnu_cols)), shape=(P, P))
 
+    offsets, stencil_coef = _hessian_stencil(strides, spacings)
     return BoxGrid(
         dim=dim, shape=shape, spacings=spacings, points=points,
-        interior_flat=interior_flat, boundary_flat=boundary_flat,
-        normals=normals, dnu_rows=dnu_rows, dnu_cols=dnu_cols,
+        interior_flat=interior_flat, boundary_flat=boundary_flat, normals=normals,
+        stencil_cols=(interior_flat[None, :] + offsets[:, None]).astype(np.int32),
+        stencil_coef=stencil_coef, dnu_rows=dnu_rows, dnu_cols=dnu_cols,
         dnu_vals=dnu_vals, dnu=dnu,
     )
+
+
+def _hessian_stencil(strides, spacings):
+    """The centered Hessian's slots: their offsets in the C-order node
+    numbering, (S,), and their weights on the flattened n x n entries of H,
+    (S, n^2). Slot order: the center, (+e_c, -e_c) for each axis c, then
+    (++, +-, -+, --) for each axis pair c < d."""
+    n = spacings.size
+    slots = {0: np.zeros((n, n))}
+
+    def weights(offset):
+        return slots.setdefault(int(offset), np.zeros((n, n)))
+
+    for c in range(n):
+        for offset, w in ((strides[c], 1.0), (0, -2.0), (-strides[c], 1.0)):
+            weights(offset)[c, c] += w / (spacings[c] * spacings[c])
+    for c in range(n):
+        for d in range(c + 1, n):
+            for a, b in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
+                w = a * b / (4.0 * spacings[c] * spacings[d])
+                weights(a * strides[c] + b * strides[d])[[c, d], [d, c]] += w
+    return np.array(list(slots)), np.stack([w.ravel() for w in slots.values()])
 
 
 def _prolongation_1d(n):
@@ -206,71 +254,4 @@ def box_prolongation(shape):
 
 def box_hessians(grid, values):
     """Centered discrete Hessians at the interior nodes, shape (Pi, n, n)."""
-    U = np.asarray(values, dtype=np.float64).reshape(grid.shape)
-    n = grid.dim
-    core = tuple(slice(1, -1) for _ in range(n))
-    Pi = grid.interior_flat.size
-    H = np.empty((Pi, n, n))
-
-    def shifted(offsets):
-        sel = list(core)
-        for c, off in offsets:
-            sel[c] = slice(1 + off, (-1 + off) or None)
-        return U[tuple(sel)]
-
-    mid = U[core]
-    for c in range(n):
-        hc = grid.spacings[c]
-        d2 = (shifted([(c, 1)]) - 2.0 * mid + shifted([(c, -1)])) / (hc * hc)
-        H[:, c, c] = d2.ravel()
-        for d in range(c + 1, n):
-            hd = grid.spacings[d]
-            mixed = (
-                shifted([(c, 1), (d, 1)])
-                - shifted([(c, 1), (d, -1)])
-                - shifted([(c, -1), (d, 1)])
-                + shifted([(c, -1), (d, -1)])
-            ) / (4.0 * hc * hd)
-            H[:, c, d] = mixed.ravel()
-            H[:, d, c] = H[:, c, d]
-    return H
-
-
-def box_interior_stencil(grid):
-    """Static column layout of the interior Jacobian rows, slot-major.
-
-    Returns cols of shape (nslots, Pi): cols[s, p] is the column of stencil
-    slot s in the row of interior node p. Slot order: the center, then
-    (+e_c, -e_c) for each axis c, then (++, --, +-, -+) for each axis pair
-    c < d; ``box_interior_values`` fills the same order.
-    """
-    n = grid.dim
-    strides = [int(np.prod(grid.shape[c + 1 :])) for c in range(n)]
-    offsets = [0]
-    for c in range(n):
-        offsets += [strides[c], -strides[c]]
-    for c in range(n):
-        for d in range(c + 1, n):
-            sc, sd = strides[c], strides[d]
-            offsets += [sc + sd, -sc - sd, sc - sd, -sc + sd]
-    return grid.interior_flat[None, :] + np.array(offsets)[:, None]
-
-
-def box_interior_values(grid, F):
-    """Stencil weights of the linearized interior rows from the per-node
-    gradient matrices F (Pi, n, n), slot-major (nslots, Pi) in the slot order
-    of ``box_interior_stencil``."""
-    n, h = grid.dim, grid.spacings
-    vals = np.empty((1 + 2 * n * n, F.shape[0]))
-    vals[0] = -2.0 * (F[:, range(n), range(n)] / h[None, :] ** 2).sum(axis=1)
-    slot = 1
-    for c in range(n):
-        vals[slot : slot + 2] = F[:, c, c] / (h[c] * h[c])
-        slot += 2
-    for c in range(n):
-        for d in range(c + 1, n):
-            mixed = F[:, c, d] / (2.0 * h[c] * h[d])
-            vals[slot : slot + 2] = mixed
-            vals[slot + 2 : slot + 4] = -mixed
-            slot += 4
-    return vals
+    return stencil_data(grid, values).reshape(-1, grid.dim, grid.dim)

@@ -205,12 +205,14 @@ def sym_batch(hessians, spec):
     need the Faddeev-LeVerrier recurrence, whose traces cancel: at
     (n, m, k) = (3, 2, 3), on a diagonal H whose lifted sums cancel to O(1)
     beside one of 1e6, it was 1e11 eps off against 1 eps for the eigenvalue
-    route, which larger k therefore take.
+    route, which larger k therefore take. There a Hessian with a non-finite
+    entry gives NaN S_1..S_k, as a NaN Hessian does on the minor sums,
+    instead of stopping the whole stack.
     """
     Hs = np.asarray(hessians, dtype=np.float64)
     if spec.k > 2:
         # not sum_spectrum: as on the k <= 2 route, input checks are the caller's
-        return msum_sym(np.linalg.eigvalsh(Hs), spec.m, spec.k)
+        return msum_sym(_eig_finite(np.linalg.eigvalsh, Hs), spec.m, spec.k)
     s = msum_sym(np.diagonal(Hs, axis1=1, axis2=2), spec.m, spec.k)
     if spec.k == 2:
         c1, c2 = _subset_counts(spec)
@@ -235,6 +237,8 @@ def gradient_batch(hessians, spec):
     work in the eigenbasis of H: the diagonal gradient entries are sums of
     single-deletion symmetric values of the m-sum spectrum over the subsets
     containing each eigen-direction, rotated back to ambient coordinates.
+    There a Hessian with a non-finite entry gives a NaN F and trace, as a
+    NaN one does for k = 2.
     """
     Hs = np.asarray(hessians, dtype=np.float64)
     if spec.k > 2:
@@ -251,8 +255,21 @@ def gradient_batch(hessians, spec):
 
 def _gradient_eigen(Hs, spec):
     """``gradient_batch`` through one eigendecomposition of each H."""
-    w, Q = np.linalg.eigh(Hs)
+    w, Q = _eig_finite(np.linalg.eigh, Hs)
     fii = msum_weights(w, spec.m, spec.k)
     F = np.einsum("sip,sp,sjp->sij", Q, fii, Q)
     F = (F + F.transpose(0, 2, 1)) / 2.0
     return F, fii.sum(axis=1)
+
+
+def _eig_finite(decompose, Hs):
+    """``decompose(Hs)`` (``np.linalg.eigvalsh`` or ``eigh``) of a stack of
+    Hessians, with every output of a Hessian that holds a non-finite entry
+    set to NaN: LAPACK stops the whole stack on such a matrix."""
+    bad = ~np.isfinite(Hs).all(axis=(1, 2))
+    if not bad.any():
+        return decompose(Hs)
+    out = decompose(np.where(bad[:, None, None], 0.0, Hs))
+    for part in out if isinstance(out, tuple) else (out,):
+        part[bad] = np.nan
+    return out

@@ -158,12 +158,13 @@ class DiscreteSystem:
     ``grid.boundary_flat`` impose u_nu + a u = target with the grid's
     ``normal_derivative`` and its ``dnu_*`` triplets. A grid kind supplies
     ``_sym`` (the S_0..S_k table of the lifted Hessians at the equation
-    nodes), ``_stencil_layout`` (the rows and columns of the linearized
-    interior stencil, a static slot layout whose rows include their
-    diagonal) and ``_interior_stencil`` (the stencil's values at a state, in
-    that layout). The Jacobian's CSR pattern is built once per system; each
-    ``jacobian`` call only fills its values. Newton keeps its state, and so
-    the residual, in ``state_dtype``; the Jacobian is float64.
+    nodes) and ``_data_gradient`` (W, the derivative of S_k with respect to
+    the grid's stencil data at each equation node). Both read the grid's
+    stencil table: the linearized interior rows are ``stencil_values``,
+    ``stencil_coef @ W.T`` at the columns ``stencil_cols``. The Jacobian's
+    CSR pattern is built once per system; each ``jacobian`` call only fills
+    its values. Newton keeps its state, and so the residual, in
+    ``state_dtype``; the Jacobian is float64.
     """
 
     kind = None
@@ -203,12 +204,12 @@ class DiscreteSystem:
         # Jacobian shares indptr and indices, so they are made read-only
         interior = grid.interior_flat
         self.indptr, self.indices, positions = _csr_pattern(
-            [self._stencil_layout(), (interior, interior),
+            [(interior, grid.stencil_cols), (interior, interior),
              (grid.dnu_rows, grid.dnu_cols), (bidx, bidx)],
             self.npoints,
         )
         self.indptr.flags.writeable = self.indices.flags.writeable = False
-        self._slot_pos, self._diag_pos, dnu_pos, diag_b_pos = positions
+        self._stencil_pos, self._diag_pos, dnu_pos, diag_b_pos = positions
         self._fixed_data = np.zeros(self.indices.size)
         np.add.at(self._fixed_data, dnu_pos, grid.dnu_vals)
         np.add.at(self._fixed_data, diag_b_pos, self.a_b)
@@ -274,10 +275,17 @@ class DiscreteSystem:
             self.check_admissible(margins)
         return res
 
+    def stencil_values(self, values):
+        """The linearized interior rows, (S, Pe) in the slots of
+        ``grid.stencil_cols``: ``stencil_coef @ W.T``."""
+        return self.grid.stencil_coef @ self._data_gradient(values).T
+
     def jacobian(self, values, t):
         values = np.asarray(values, dtype=np.float64)
         data = self._fixed_data.copy()
-        data[self._slot_pos] = self._interior_stencil(values)
+        # add, not assign: a slot pair may repeat, as the radial center's
+        # two mirror slots both name node 1
+        np.add.at(data, self._stencil_pos, self.stencil_values(values).ravel())
         if self.problem.f_u is not None:
             fu = self.problem.eval_f_u(
                 self.interior_points, values[self.grid.interior_flat]
@@ -294,12 +302,12 @@ def _csr_pattern(parts, size):
 
     Returns (indptr, indices, positions): int32 ``indptr`` and ``indices``,
     the indices sorted within each row and without duplicates, and for each
-    part the flat data positions of its pairs; repeated pairs share one
-    position.
+    part the int32 data positions of its pairs, in the order of the broadcast
+    ``rows * size + cols``; repeated pairs share one position.
     """
-    keys = np.concatenate(
-        [(np.asarray(rows, dtype=np.int64) * size + cols).ravel() for rows, cols in parts]
-    )
+    keys = [(np.asarray(rows, dtype=np.int64) * size + cols).ravel() for rows, cols in parts]
+    ends = np.cumsum([part.size for part in keys])[:-1]
+    keys = np.concatenate(keys)
     # np.unique would quicksort; a stable sort runs through the sorted key
     # runs of a slot-major layout in about a third of the time (7 vs 18 ms
     # for the 626k pairs of a 33^3 box)
@@ -310,12 +318,11 @@ def _csr_pattern(parts, size):
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
     group = np.cumsum(first, dtype=np.intp)
     group -= 1
-    pos = np.empty(keys.size, dtype=np.intp)
+    pos = np.empty(keys.size, dtype=np.int32)
     pos[order] = group
     del order, group  # before the index arrays: the 33^3 build peaks 10 MB lower
     keys = keys[first]
     indptr = np.searchsorted(keys, np.arange(size + 1) * size).astype(np.int32)
-    ends = np.cumsum([np.size(rows) for rows, _ in parts])[:-1]
     return indptr, (keys % size).astype(np.int32), np.split(pos, ends)
 
 
@@ -330,28 +337,20 @@ class RadialSystem(DiscreteSystem):
         spectra = grids.radial_spectra(self.grid, values)
         return lift.msum_sym(spectra, self.spec.m, self.spec.k)
 
-    def _stencil_layout(self):
-        i = np.arange(1, self.grid.M)
-        return np.concatenate([[0, 0], i, i, i]), np.concatenate([[0, 1], i - 1, i, i + 1])
-
-    def _interior_stencil(self, values):
+    def _data_gradient(self, values):
         grid = self.grid
-        M, h = grid.M, grid.h
-        spectra = grids.radial_spectra(grid, values)
-        fii = lift.msum_weights(spectra, self.spec.m, self.spec.k)
-        # center row: Hessian is u''(0) * identity, so the weight is the trace
-        trace0 = fii[0].sum()
-        i = np.arange(1, M)
-        Frr = fii[1:, 0]
-        Ftt = fii[1:, 1:].sum(axis=1)  # total tangential weight (dim-1 slots)
-        inv_h2 = 1.0 / (h * h)
-        inv_2hr = 1.0 / (2.0 * h * grid.r[i])
-        return np.concatenate([
-            [trace0 * (-2.0 / (h * h)), trace0 * (2.0 / (h * h))],
-            Frr * inv_h2 - Ftt * inv_2hr,
-            -2.0 * Frr * inv_h2,
-            Frr * inv_h2 + Ftt * inv_2hr,
-        ])
+        weights = lift.msum_weights(
+            grids.radial_spectra(grid, values), self.spec.m, self.spec.k
+        )
+        # back through the spectra map: u'' is the first eigenvalue and u'/r
+        # the other dim - 1; at the center u'' is all of them and u' none.
+        # Times 1/r, not over r: on power-of-two meshes the rows then equal
+        # the hand-differentiated ones in tests/oracles.py bit for bit
+        W = np.zeros((grid.M, 2))
+        W[:, 0] = weights[:, 0]
+        W[0, 0] = weights[0].sum()
+        W[1:, 1] = weights[1:, 1:].sum(axis=1) * (1.0 / grid.r[1 : grid.M])
+        return W
 
 
 class BoxSystem(DiscreteSystem):
@@ -363,14 +362,9 @@ class BoxSystem(DiscreteSystem):
     def _sym(self, values):
         return lift.sym_batch(grids.box_hessians(self.grid, values), self.spec)
 
-    def _stencil_layout(self):
-        cols = grids.box_interior_stencil(self.grid)
-        return np.broadcast_to(self.grid.interior_flat, cols.shape), cols
-
-    def _interior_stencil(self, values):
-        H = grids.box_hessians(self.grid, values)
-        F, _ = lift.gradient_batch(H, self.spec)
-        return grids.box_interior_values(self.grid, F).ravel()
+    def _data_gradient(self, values):
+        F, _ = lift.gradient_batch(grids.box_hessians(self.grid, values), self.spec)
+        return F.reshape(F.shape[0], -1)
 
 
 # V-cycle constants (Briggs, Henson & McCormick, A Multigrid Tutorial)
@@ -734,9 +728,8 @@ def radial_quartic_problem(spec, R=1.0, coef=0.05):
 def box_cosine_problem(spec, extents=None, amp=0.05):
     """Box field |x|^2/2 + amp * prod cos(pi x_c / 2), data derived exactly."""
     if not math.isfinite(amp):
-        # for k >= 3, f's eigvalsh would stop on NaN Hessians before
-        # validate sees them; for k <= 2 the NaN would reach validate as
-        # "f must be finite"; reject the amplitude here so the error names it
+        # a non-finite amplitude would reach validate only as "f must be
+        # finite"; reject it here so the error names it
         raise ValueError(f"amp must be finite, got {amp}")
     extents = np.full(spec.n, 2.0) if extents is None else np.asarray(extents, float)
     geom = geometry.box(extents)

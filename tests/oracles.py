@@ -7,7 +7,10 @@ production code paths it cross-checks. The one-at-a-time helpers at the end
 point, one barrier value, one sample into a report, one collar point, one CSV
 row, one whole-block prop21 suite) are the scalar or unchunked forms the batch
 code is checked against, and ``coo_jacobian`` assembles a Jacobian from
-concatenated COO triplets, the reference for its fixed CSR pattern.
+concatenated COO triplets, the reference for its fixed CSR pattern. The grid
+stencils written out by hand (box Hessians from shifted slices, the radial
+spectra formula, and the differentiated interior rows of both grids) are the
+references for the grids' stencil tables.
 ``manufactured_suite`` is the convergence study the solver tests run: solves
 on a mesh family and the observed order of the error.
 """
@@ -314,14 +317,15 @@ def partition_identities_whole(n, trials, seed):
     return report
 
 
-def coo_jacobian(system, values, t):
-    """``system.jacobian`` assembled from COO triplets: the interior stencil
-    at its layout, the ``-t f_u`` diagonal as duplicate entries, the grid's
-    ``dnu_*`` triplets and the ``a_b`` diagonal, summed by ``csr_matrix``."""
+def coo_jacobian(system, values, t, stencil=None):
+    """``system.jacobian`` assembled from COO triplets: the interior stencil,
+    the ``-t f_u`` diagonal as duplicate entries, the grid's ``dnu_*``
+    triplets and the ``a_b`` diagonal, summed by ``csr_matrix``. The stencil
+    is the (rows, cols, vals) triplets ``stencil(system, values)`` gives, by
+    default the grid's table with the system's ``stencil_values``."""
     grid = system.grid
     values = np.asarray(values, dtype=np.float64)
-    rows, cols = (np.ravel(a) for a in system._stencil_layout())
-    parts = [(rows, cols, system._interior_stencil(values))]
+    parts = [(stencil or table_stencil)(system, values)]
     if system.problem.f_u is not None:
         fu = system.problem.eval_f_u(system.interior_points, values[grid.interior_flat])
         parts.append((grid.interior_flat, grid.interior_flat, -t * fu))
@@ -329,6 +333,100 @@ def coo_jacobian(system, values, t):
     parts.append((grid.boundary_flat, grid.boundary_flat, system.a_b))
     rows, cols, data = (np.concatenate(p) for p in zip(*parts))
     return sp.csr_matrix((data, (rows, cols)), shape=(system.npoints, system.npoints))
+
+
+def table_stencil(system, values):
+    """The interior stencil's triplets from the grid's stencil table."""
+    cols = system.grid.stencil_cols
+    rows = np.broadcast_to(system.grid.interior_flat, cols.shape)
+    return rows.ravel(), cols.ravel(), system.stencil_values(values).ravel()
+
+
+def box_hessians_slices(grid, values):
+    """Centered discrete Hessians at the interior nodes, (Pi, n, n), from
+    shifted slices of the node array."""
+    U = np.asarray(values, dtype=np.float64).reshape(grid.shape)
+    n = grid.dim
+    core = tuple(slice(1, -1) for _ in range(n))
+    H = np.empty((grid.interior_flat.size, n, n))
+
+    def shifted(offsets):
+        sel = list(core)
+        for c, off in offsets:
+            sel[c] = slice(1 + off, (-1 + off) or None)
+        return U[tuple(sel)]
+
+    mid = U[core]
+    for c in range(n):
+        hc = grid.spacings[c]
+        d2 = (shifted([(c, 1)]) - 2.0 * mid + shifted([(c, -1)])) / (hc * hc)
+        H[:, c, c] = d2.ravel()
+        for d in range(c + 1, n):
+            hd = grid.spacings[d]
+            mixed = (
+                shifted([(c, 1), (d, 1)])
+                - shifted([(c, 1), (d, -1)])
+                - shifted([(c, -1), (d, 1)])
+                + shifted([(c, -1), (d, -1)])
+            ) / (4.0 * hc * hd)
+            H[:, c, d] = mixed.ravel()
+            H[:, d, c] = H[:, c, d]
+    return H
+
+
+def radial_spectra_formula(grid, values):
+    """Hessian eigenvalue profiles [u'', u'/r * (dim-1)] at the M equation
+    nodes, the center's from the mirror closure u(-h) = u(h)."""
+    u = _kernels.as_float(values)
+    h = grid.h
+    out = np.empty((grid.M, grid.dim), dtype=u.dtype)
+    out[0, :] = 2.0 * (u[1] - u[0]) / (h * h)
+    i = np.arange(1, grid.M)
+    out[1:, 0] = (u[i + 1] - 2.0 * u[i] + u[i - 1]) / (h * h)
+    out[1:, 1:] = ((u[i + 1] - u[i - 1]) / (2.0 * h) / grid.r[i])[:, None]
+    return out
+
+
+def hand_stencil(system, values):
+    """The interior stencil's triplets differentiated by hand from
+    ``radial_spectra_formula`` or ``box_hessians_slices``."""
+    grid, spec = system.grid, system.spec
+    if system.kind == "radial":
+        M, h = grid.M, grid.h
+        fii = lift.msum_weights(radial_spectra_formula(grid, values), spec.m, spec.k)
+        # center row: the Hessian is u''(0) times the identity, so its weight is the trace
+        trace0 = fii[0].sum()
+        i = np.arange(1, M)
+        Frr = fii[1:, 0]
+        Ftt = fii[1:, 1:].sum(axis=1)  # total tangential weight (dim-1 slots)
+        inv_h2 = 1.0 / (h * h)
+        inv_2hr = 1.0 / (2.0 * h * grid.r[i])
+        rows = np.concatenate([[0, 0], i, i, i])
+        cols = np.concatenate([[0, 1], i - 1, i, i + 1])
+        vals = np.concatenate([
+            [trace0 * (-2.0 / (h * h)), trace0 * (2.0 / (h * h))],
+            Frr * inv_h2 - Ftt * inv_2hr,
+            -2.0 * Frr * inv_h2,
+            Frr * inv_h2 + Ftt * inv_2hr,
+        ])
+        return rows, cols, vals
+    n, h = grid.dim, grid.spacings
+    F, _ = lift.gradient_batch(box_hessians_slices(grid, values), spec)
+    strides = [int(np.prod(grid.shape[c + 1 :])) for c in range(n)]
+    offsets = [0]
+    vals = [-2.0 * (F[:, range(n), range(n)] / h[None, :] ** 2).sum(axis=1)]
+    for c in range(n):
+        offsets += [strides[c], -strides[c]]
+        vals += [F[:, c, c] / (h[c] * h[c])] * 2
+    for c in range(n):
+        for d in range(c + 1, n):
+            sc, sd = strides[c], strides[d]
+            mixed = F[:, c, d] / (2.0 * h[c] * h[d])
+            offsets += [sc + sd, -sc - sd, sc - sd, -sc + sd]
+            vals += [mixed, mixed, -mixed, -mixed]
+    cols = grid.interior_flat[None, :] + np.array(offsets)[:, None]
+    rows = np.broadcast_to(grid.interior_flat, cols.shape)
+    return rows.ravel(), cols.ravel(), np.concatenate(vals)
 
 
 def manufactured_suite(kind, spec, meshes, cfg=None, **kwargs):

@@ -40,6 +40,33 @@ def test_expression_parser():
         parse_expression("x9")(np.array([[1.0]]))
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [
+        ("-x1^2", -9.0),
+        ("-2^2", -4.0),
+        ("(-x1)^2", 9.0),
+        ("--x1^2", 9.0),
+        ("2^-1", 0.5),
+        ("2^-x2^2", 2.0**-4),
+        ("2^3^2", 512.0),
+        ("x1*-x2", -6.0),
+        ("1 - -x1^2", 10.0),
+    ],
+)
+def test_expression_precedence(text, expected):
+    # unary minus binds looser than ^, which is right associative and takes
+    # a signed exponent
+    assert parse_expression(text)(np.array([[3.0, 2.0]]))[0] == expected
+
+
+@pytest.mark.parametrize("text", ["x0", "x00", "1 + x0^2"])
+def test_expression_rejects_coordinate_zero(text):
+    # x0 once read the last coordinate (axis -1)
+    with pytest.raises(ConfigError, match="numbered from x1"):
+        parse_expression(text)
+
+
 def test_solve_radial_manufactured(tmp_path):
     cfg = write(tmp_path / "run.cfg", """
 mode = radial

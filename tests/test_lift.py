@@ -64,13 +64,25 @@ def test_lift_linearity():
     assert np.abs(left - right).max() < 1e-14
 
 
-@pytest.mark.parametrize("k", [1, 2])
+@pytest.mark.parametrize("k", [1, 2, 3])
 def test_sym_batch_keeps_nan_rows(k):
     # a NaN Newton trial gives a NaN margin, which fails admissibility,
-    # rather than an input-check error
+    # rather than an input-check error; k = 3 takes the eigenvalue route
     Hs = np.stack([np.eye(4), np.full((4, 4), np.nan)])
-    margin = _kernels.cone_margin(lift.sym_batch(Hs, ConeSpec(4, 2, k)), k)
+    s = lift.sym_batch(Hs, ConeSpec(4, 2, k))
+    margin = _kernels.cone_margin(s, k)
     assert margin[0] > 0 and np.isnan(margin[1])
+    assert s[1, 0] == 1.0 and np.isnan(s[1, 1:]).all()
+    assert np.array_equal(s[0], lift.sym_batch(Hs[:1], ConeSpec(4, 2, k))[0])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_gradient_batch_keeps_nan_rows(k):
+    Hs = np.stack([np.eye(4), np.full((4, 4), np.nan)])
+    F, trace = lift.gradient_batch(Hs, ConeSpec(4, 2, k))
+    assert np.isnan(F[1]).all() and np.isnan(trace[1])
+    F0, trace0 = lift.gradient_batch(Hs[:1], ConeSpec(4, 2, k))
+    assert np.array_equal(F[0], F0[0]) and trace[0] == trace0[0]
 
 
 @pytest.mark.parametrize("n, m, k", [(3, 2, 1), (3, 2, 2), (4, 2, 2), (6, 3, 2), (10, 5, 2)])

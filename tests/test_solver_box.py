@@ -9,7 +9,9 @@ from sumhess import geometry, grids, solver
 from sumhess.errors import ConfigError, NonconvergenceError
 from sumhess.lift import ConeSpec
 from sumhess.solver import BoxSystem, ProblemSpec, RadialSystem
-from oracles import coo_jacobian, manufactured_suite
+from oracles import (
+    box_hessians_slices, coo_jacobian, hand_stencil, manufactured_suite, radial_spectra_formula,
+)
 
 
 def arbitrary_fields_problem(spec, extents=(2.0, 2.0, 2.0)):
@@ -45,6 +47,58 @@ def test_box_hessian_exact_for_quadratic_forms():
     assert np.abs(H - A[None]).max() < 1e-10
 
 
+# the anisotropic lattice has three different spacings, two of them (4/15, 6/25)
+# not powers of two, so the table and the hand formulas round differently there
+STENCIL_CASES = [
+    pytest.param("radial", ConeSpec(3, 2, 2), 64, None, id="radial-64"),
+    pytest.param("radial", ConeSpec(5, 2, 3), 40, None, id="radial-5-2-3"),
+    pytest.param("box", ConeSpec(3, 2, 2), (9, 7, 11), [2.0, 1.6, 2.4], id="box-9x7x11"),
+    pytest.param("box", ConeSpec(4, 2, 2), 7, None, id="box-7^4"),
+    pytest.param("box", ConeSpec(3, 2, 3), 7, None, id="box-k3"),
+]
+
+
+def _stencil_system(kind, spec, nodes, extents):
+    if kind == "radial":
+        problem, exact = solver.radial_quartic_problem(spec)
+        system = RadialSystem(problem, grids.radial_grid(1.0, nodes, spec.n))
+    else:
+        problem, exact = solver.box_cosine_problem(spec, extents=extents)
+        system = BoxSystem(problem, grids.box_grid(problem.geom.extents, nodes))
+    grid = system.grid
+    u = exact(grid.points) + 1e-3 * np.sin(np.arange(grid.npoints))
+    return system, u.astype(system.state_dtype)
+
+
+@pytest.mark.parametrize("kind,spec,nodes,extents", STENCIL_CASES)
+def test_stencil_table_matches_hand_formulas(kind, spec, nodes, extents):
+    system, u = _stencil_system(kind, spec, nodes, extents)
+    grid = system.grid
+    assert grid.stencil_cols.dtype == np.int32
+    assert grid.stencil_cols.shape[1] == grid.interior_flat.size
+    if kind == "radial":
+        ours, ref = grids.radial_spectra(grid, u), radial_spectra_formula(grid, u)
+        assert ours.dtype == ref.dtype == system.state_dtype
+    else:
+        ours, ref = grids.box_hessians(grid, u), box_hessians_slices(grid, u)
+        assert ours.shape == ref.shape
+        assert np.array_equal(ours, ours.transpose(0, 2, 1))
+    assert np.abs(ours - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+@pytest.mark.parametrize("kind,spec,nodes,extents", STENCIL_CASES)
+def test_table_jacobian_matches_hand_stencil(kind, spec, nodes, extents):
+    system, u = _stencil_system(kind, spec, nodes, extents)
+    for t in (0.4, 1.0):
+        J = system.jacobian(u, t)
+        ref = coo_jacobian(system, u, t, stencil=hand_stencil)
+        ref.sum_duplicates()
+        ref.sort_indices()
+        assert np.array_equal(J.indptr, ref.indptr)
+        assert np.array_equal(J.indices, ref.indices)
+        assert np.abs(J.data - ref.data).max() <= 1e-14 * np.abs(ref.data).max()
+
+
 def test_t0_anchor_residual_zero_box():
     spec = ConeSpec(3, 2, 2)
     problem = arbitrary_fields_problem(spec)
@@ -54,10 +108,19 @@ def test_t0_anchor_residual_zero_box():
     assert np.abs(res).max() <= 1e-12
 
 
-@pytest.mark.parametrize("f_of_u", [False, True], ids=["f_x", "f_xu"])
-def test_box_jacobian_matches_finite_differences(f_of_u):
-    spec = ConeSpec(3, 2, 2)
-    problem = arbitrary_fields_problem(spec)
+@pytest.mark.parametrize(
+    "spec,extents,nodes,f_of_u",
+    [
+        (ConeSpec(3, 2, 2), (2.0, 2.0, 2.0), 7, False),
+        (ConeSpec(3, 2, 2), (2.0, 2.0, 2.0), 7, True),
+        (ConeSpec(3, 2, 2), (2.0, 1.5, 2.5), (9, 7, 11), False),
+        (ConeSpec(4, 2, 2), (2.0, 2.0, 2.0, 2.0), 7, False),
+        (ConeSpec(3, 2, 3), (2.0, 2.0, 2.0), 7, False),
+    ],
+    ids=["f_x", "f_xu", "9x7x11", "7^4", "k3"],
+)
+def test_box_jacobian_matches_finite_differences(spec, extents, nodes, f_of_u):
+    problem = arbitrary_fields_problem(spec, extents)
     if f_of_u:
         # f(x, u) = f(x) - (1 + |x|^2) (u - |x|^2 / 2): f_u = -(1 + |x|^2) <= 0
         base_f = problem.f
@@ -65,7 +128,7 @@ def test_box_jacobian_matches_finite_differences(f_of_u):
         problem.f = lambda points, u: (
             base_f(points) + problem.f_u(points, u) * (u - 0.5 * (points**2).sum(axis=1))
         )
-    grid = grids.box_grid(problem.geom.extents, 7)
+    grid = grids.box_grid(problem.geom.extents, nodes)
     system = BoxSystem(problem, grid)
     rng = np.random.default_rng(11)
     u = system.initial_values() + 1e-3 * rng.normal(size=grid.npoints)

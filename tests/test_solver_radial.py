@@ -92,9 +92,15 @@ def test_manufactured_residual_consistency():
     assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.25)
 
 
-@pytest.mark.parametrize("f_of_u", [False, True], ids=["f_x", "f_xu"])
-def test_jacobian_matches_finite_differences(f_of_u):
-    spec = ConeSpec(3, 2, 2)
+@pytest.mark.parametrize(
+    "spec,f_of_u,eps",
+    # at (5,2,3) the cubic S_3 gives the central difference an eps^2
+    # truncation error of 5.3e-5 relative at eps = 1e-6, 5.3e-7 at 1e-7
+    [(ConeSpec(3, 2, 2), False, 1e-6), (ConeSpec(3, 2, 2), True, 1e-6),
+     (ConeSpec(5, 2, 3), False, 1e-7)],
+    ids=["f_x", "f_xu", "5-2-3"],
+)
+def test_jacobian_matches_finite_differences(spec, f_of_u, eps):
     problem, exact = solver.radial_quartic_problem(spec)
     if f_of_u:
         # f(x, u) = f(x) - (1 + r^2) (u - exact(x)): f_u = -(1 + r^2) <= 0
@@ -103,14 +109,13 @@ def test_jacobian_matches_finite_differences(f_of_u):
         problem.f = lambda points, u: (
             base_f(points) + problem.f_u(points, u) * (u - exact(points))
         )
-    grid = grids.radial_grid(1.0, 40, 3)
+    grid = grids.radial_grid(1.0, 40, spec.n)
     system = RadialSystem(problem, grid)
     rng = np.random.default_rng(5)
     u = system.initial_values() + 1e-3 * rng.normal(size=grid.npoints)
     for t in (0.3, 1.0):
         J = system.jacobian(u, t)
         v = rng.normal(size=grid.npoints)
-        eps = 1e-6
         fd = (
             system.residual(u + eps * v, t, require_admissible=False)
             - system.residual(u - eps * v, t, require_admissible=False)
