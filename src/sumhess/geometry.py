@@ -4,6 +4,7 @@ convexity in the eigenvalue-sum sense, and numeric verification that the
 linearized operator dominates the barrier.
 """
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, field
@@ -164,13 +165,16 @@ def mk0_convex_check(kappa, m, k0):
     return margin > 0.0, margin
 
 
+@functools.lru_cache(maxsize=8)
 def _halton(count, d):
     """Points 1..count of the unscrambled Halton sequence in [0, 1)^d:
     column j is the radical inverse of the index in the j-th prime base
     (Halton, Numer. Math. 2, 1960). Digits are added from the least
     significant up with the scale divided by the base each step, the order
     ``scipy.stats.qmc.Halton(scramble=False)`` uses, so the values agree bit
-    for bit."""
+    for bit. The table is a pure function of (count, d), so it is kept for
+    the next call (``search_barrier_constant`` asks for the same one per K3
+    candidate) and returned read-only."""
     primes = []
     candidate = 2
     while len(primes) < d:
@@ -185,6 +189,7 @@ def _halton(count, d):
             q, digit = np.divmod(q, base)
             out[:, j] += digit * scale
             scale /= base
+    out.flags.writeable = False
     return out
 
 

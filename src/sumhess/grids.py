@@ -10,7 +10,7 @@ Both grids expose one boundary interface: ``interior_flat`` and
 ``normal_derivative(values)`` at the boundary nodes, and its Jacobian rows as
 ``dnu_rows``/``dnu_cols``/``dnu_vals`` triplets.
 
-Each grid also builds one stencil table: ``stencil_cols`` (S, Pe), int32,
+Each grid also builds one stencil table: ``stencil_cols`` (S, Pe), intp,
 the node in each of the S slots of each equation node's stencil, and
 ``stencil_coef`` (S, E), each slot's weight in the E entries of a node's
 second-derivative data (the n^2 entries of H on a box, (u'', u') radially).
@@ -55,6 +55,11 @@ class RadialGrid:
         return (self.npoints,)
 
     @property
+    def mesh(self):
+        """The mesh as a ``solve`` config gives it: the intervals M."""
+        return self.M
+
+    @property
     def points(self):
         return self.r[:, None]
 
@@ -75,7 +80,7 @@ def radial_grid(R, M, dim):
         dim=dim, R=float(R), M=M, r=np.linspace(0.0, R, M + 1), h=h,
         interior_flat=i, boundary_flat=np.array([M]), normals=normals,
         # the center's mirror closure u(-h) = u(h) names node 1 in both outer slots
-        stencil_cols=np.stack([i + 1, i, np.abs(i - 1)]).astype(np.int32),
+        stencil_cols=np.stack([i + 1, i, np.abs(i - 1)]),
         stencil_coef=np.array([[1.0, 1.0], [-2.0, 0.0], [1.0, -1.0]]) / [h * h, 2.0 * h],
         dnu_rows=np.full(3, M), dnu_cols=M - np.arange(3),
         dnu_vals=np.array([3.0, -4.0, 1.0]) / (2.0 * h),
@@ -87,8 +92,10 @@ def stencil_data(grid, values):
     ``u[stencil_cols].T @ stencil_coef``, in the dtype of ``as_float(values)``.
     It is formed as the transpose of ``stencil_coef.T @ u[stencil_cols]``, so
     each entry's column is contiguous over the nodes; the k <= 2 lift and
-    its gradient, which read H entry by entry, take about half the time on it."""
-    return (grid.stencil_coef.T @ as_float(values)[grid.stencil_cols]).T
+    its gradient, which read H entry by entry, take about half the time on it.
+    The gather is ``np.take`` on the intp table, which numpy reads as it is;
+    an int32 table would be cast on every call (0.55 against 2.1 ms at 33^3)."""
+    return (grid.stencil_coef.T @ np.take(as_float(values), grid.stencil_cols)).T
 
 
 def radial_spectra(grid, values):
@@ -130,6 +137,11 @@ class BoxGrid:
     @property
     def h(self):
         return float(self.spacings.max())
+
+    @property
+    def mesh(self):
+        """The mesh as a ``solve`` config gives it: the nodes per axis."""
+        return list(self.shape)
 
     def normal_derivative(self, values):
         return (self.dnu @ values)[self.boundary_flat]
@@ -196,7 +208,7 @@ def box_grid(extents, nodes, center=None):
     return BoxGrid(
         dim=dim, shape=shape, spacings=spacings, points=points,
         interior_flat=interior_flat, boundary_flat=boundary_flat, normals=normals,
-        stencil_cols=(interior_flat[None, :] + offsets[:, None]).astype(np.int32),
+        stencil_cols=interior_flat[None, :] + offsets[:, None],
         stencil_coef=stencil_coef, dnu_rows=dnu_rows, dnu_cols=dnu_cols,
         dnu_vals=dnu_vals, dnu=dnu,
     )

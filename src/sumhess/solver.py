@@ -219,7 +219,7 @@ class DiscreteSystem:
         return self.grid.npoints
 
     def initial_values(self):
-        return 0.5 * (self.grid.points.astype(self.state_dtype) ** 2).sum(axis=1)
+        return _t0_state(self.grid.points, self.state_dtype)
 
     def validate(self):
         """Reject non-finite data and a nonpositive f; NaN fails every
@@ -294,6 +294,11 @@ class DiscreteSystem:
         return sp.csr_matrix(
             (data, self.indices, self.indptr), shape=(self.npoints, self.npoints)
         )
+
+
+def _t0_state(points, dtype=np.float64):
+    """The exact t = 0 state |x|^2 / 2 at ``points``, in ``dtype``."""
+    return 0.5 * (points.astype(dtype) ** 2).sum(axis=1)
 
 
 def _csr_pattern(parts, size):
@@ -600,7 +605,7 @@ def continuation_solve(system, cfg=None):
     )
     u, stats = newton_solve(system, system.initial_values(), 0.0, cfg, timing=profile)
     state = ContinuationState(t=0.0, values=u, profile=profile)
-    state.steps.append({"t": 0.0, "dt": 0.0, "predicted": False, **_step_stats(stats)})
+    state.steps.append(_step(system, 0.0, 0.0, False, stats))
     u_prev = dt_prev = None
     dt = cfg.dt0
     while state.t < 1.0:
@@ -616,9 +621,7 @@ def continuation_solve(system, cfg=None):
                 system, start_values, t_new, cfg, start, timing=profile
             )
         except (NonconvergenceError, AdmissibilityError) as exc:
-            state.rejected_steps.append(
-                {"t": state.t, "dt": dt, "error": type(exc).__name__}
-            )
+            state.rejected_steps.append(_rejected(system.grid.mesh, state.t, dt, exc))
             dt *= 0.5
             if dt < cfg.dt_min:
                 raise ContinuationError(
@@ -629,9 +632,7 @@ def continuation_solve(system, cfg=None):
             continue
         u_prev, dt_prev = state.values, dt
         state.t, state.values = t_new, u_new
-        state.steps.append(
-            {"t": t_new, "dt": dt, "predicted": start is not None, **_step_stats(stats)}
-        )
+        state.steps.append(_step(system, t_new, dt, start is not None, stats))
         dt = min(dt * growth(stats["iters"]), cfg.dt_max)
     state.diagnostics = final_diagnostics(system, state)
     return state
@@ -651,13 +652,24 @@ def _secant_start(system, u, u_prev, ratio, t, cfg):
     return predicted, (res, margins)
 
 
-def _step_stats(stats):
+def _step(system, t, dt, predicted, stats):
+    """The ``steps[]`` entry of a Newton solve to t accepted on ``system``."""
     return {
+        "t": t,
+        "dt": dt,
+        "predicted": predicted,
         "newton_iters": stats["iters"],
         "linear_iters": stats["linear_iters"],
         "residual_norm": stats["residual_norm"],
         "min_margin": stats["min_margin"],
+        "mesh": system.grid.mesh,
     }
+
+
+def _rejected(mesh, t, dt, exc):
+    """The ``rejected_steps[]`` entry of an attempt from t over dt on
+    ``mesh`` that failed with ``exc``."""
+    return {"t": t, "dt": dt, "error": type(exc).__name__, "mesh": mesh}
 
 
 def final_diagnostics(system, state):
@@ -685,10 +697,71 @@ def radial_solve(problem, M, cfg=None):
     return continuation_solve(RadialSystem(problem, grid), cfg), grid
 
 
+# failures of a mesh-sequenced box solve that send the fine mesh to full
+# continuation
+SEQUENCE_ERRORS = (NonconvergenceError, AdmissibilityError, ContinuationError)
+
+
 def box_solve(problem, nodes, cfg=None):
-    """Continuation solve on a box lattice with the given nodes per axis."""
+    """Continuation solve on a box lattice with the given nodes per axis.
+
+    Mesh sequencing (nested iteration: Briggs, Henson & McCormick, A
+    Multigrid Tutorial; Kelley, Solving Nonlinear Equations with Newton's
+    Method, 2003): when ``_half_mesh`` gives a coarse lattice, ``box_solve``
+    follows the whole path on it, and the fine mesh gets one Newton solve at
+    t = 1 from q + P (u_c - q_c). P is the prolongation and q = |x|^2 / 2 the
+    exact t = 0 state on each mesh; P u_c itself is not admissible, since
+    interpolation leaves kinks in the discrete Hessian. The steps of both
+    meshes, each with its ``mesh``, and their summed ``profile`` make up the
+    state; ``diagnostics`` are the fine system's. When the coarse path or
+    the fine Newton fails with one of ``SEQUENCE_ERRORS``, the failure is
+    recorded in ``rejected_steps`` (the coarse path as t = 0, dt = 1, the
+    correction as t = 1, dt = 0) and the fine mesh runs
+    ``continuation_solve``, whose state is returned. Any other lattice runs
+    ``continuation_solve`` alone.
+    """
     grid = grids.box_grid(problem.geom.extents, nodes, problem.geom.center)
-    return continuation_solve(BoxSystem(problem, grid), cfg), grid
+    system = BoxSystem(problem, grid)
+    half = _half_mesh(grid.shape)
+    if half is None:
+        return continuation_solve(system, cfg), grid
+    system.validate()
+    P, coarse_shape = half
+    try:
+        state, coarse_grid = box_solve(problem, coarse_shape, cfg)
+    except SEQUENCE_ERRORS as exc:
+        failed = [_rejected(list(coarse_shape), 0.0, 1.0, exc)]
+        return _fallback(system, cfg, failed, {}), grid
+    start = _t0_state(grid.points) + P @ (state.values - _t0_state(coarse_grid.points))
+    del coarse_grid, P  # free the coarse lattice before the fine Newton's peak
+    try:
+        state.values, stats = newton_solve(system, start, 1.0, cfg, timing=state.profile)
+    except SEQUENCE_ERRORS as exc:
+        failed = [*state.rejected_steps, _rejected(grid.mesh, 1.0, 0.0, exc)]
+        return _fallback(system, cfg, failed, state.profile), grid
+    state.steps.append(_step(system, 1.0, 0.0, False, stats))
+    state.diagnostics = final_diagnostics(system, state)
+    return state, grid
+
+
+def _half_mesh(shape):
+    """``grids.box_prolongation(shape)`` when its coarse lattice is a box
+    mesh (at least 5 nodes per axis) of more than ``DIRECT_LIMIT`` unknowns,
+    None otherwise: on the LU route the coarse path saves nothing."""
+    half = grids.box_prolongation(shape)
+    if half is None or min(half[1]) < 5 or math.prod(half[1]) <= DIRECT_LIMIT:
+        return None
+    return half
+
+
+def _fallback(system, cfg, failed, profile):
+    """``continuation_solve(system, cfg)`` with the ``failed`` attempts
+    ahead of its ``rejected_steps`` and ``profile`` added to its own."""
+    state = continuation_solve(system, cfg)
+    state.rejected_steps[:0] = failed
+    for key, seconds in profile.items():
+        state.profile[key] += seconds
+    return state
 
 
 # ---------------------------------------------------------------------------

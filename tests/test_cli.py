@@ -82,6 +82,10 @@ mesh = 64
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["report"]["t"] == 1.0
     assert manifest["report"]["error_linf"] < 1e-3  # O(h^2) at mesh 64
+    # each step names the mesh it ran on: the radial intervals
+    assert [s["mesh"] for s in manifest["report"]["steps"]] == [64] * len(
+        manifest["report"]["steps"]
+    )
     diagnostics = manifest["report"]["diagnostics"]
     assert diagnostics["state_dtype"] == (
         "float64" if solver.EXTENDED == np.float64 else "longdouble"
@@ -154,6 +158,8 @@ amp = 0.05
     assert all(s["linear_iters"] == 0 for s in manifest["report"]["steps"])
     assert manifest["report"]["rejected_steps"] == []
     assert [s["predicted"] for s in manifest["report"]["steps"]][-1]
+    # 9^3 halves to 5^3, on the LU route: every step ran on the 9^3 mesh
+    assert all(s["mesh"] == [9, 9, 9] for s in manifest["report"]["steps"])
     profile = manifest["profile"]
     phases = [profile[key] for key in ("residual_s", "jacobian_s", "linear_solve_s")]
     assert min(phases) > 0 and sum(phases) <= profile["elapsed_s"]

@@ -175,6 +175,17 @@ def test_collar_points_match_scipy_halton_on_a_box():
     assert np.array_equal(pts, collar_points_scipy(geom, 1000, 0.3))
 
 
+def test_halton_table_is_shared_and_read_only():
+    # one table per (count, d) serves every later collar point set
+    table = geometry._halton(64, 4)
+    assert geometry._halton(64, 4) is table
+    with pytest.raises(ValueError, match="read-only"):
+        table[0, 0] = 0.5
+    pts = geometry.collar_points(geometry.ball(1.0, dim=3), 64, 0.2)
+    pts[0, 0] = 7.0  # the points are the caller's own array
+    assert not np.array_equal(pts, geometry.collar_points(geometry.ball(1.0, dim=3), 64, 0.2))
+
+
 @pytest.mark.parametrize("kind, count, depth_max, error", [
     ("ball", 8, math.nan, CollarError),
     ("ball", -1, 0.2, ValueError),

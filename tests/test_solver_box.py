@@ -74,7 +74,7 @@ def _stencil_system(kind, spec, nodes, extents):
 def test_stencil_table_matches_hand_formulas(kind, spec, nodes, extents):
     system, u = _stencil_system(kind, spec, nodes, extents)
     grid = system.grid
-    assert grid.stencil_cols.dtype == np.int32
+    assert grid.stencil_cols.dtype == np.intp
     assert grid.stencil_cols.shape[1] == grid.interior_flat.size
     if kind == "radial":
         ours, ref = grids.radial_spectra(grid, u), radial_spectra_formula(grid, u)
@@ -465,7 +465,9 @@ def test_lgmres_failure_rejects_the_step_and_halves_dt(monkeypatch):
     state, grid = solver.box_solve(problem, 13)
     cfg = solver.SolverConfig()
     assert calls[0] == solver.FORCING_MAX
-    assert state.rejected_steps == [{"t": 0.0, "dt": cfg.dt0, "error": "NonconvergenceError"}]
+    assert state.rejected_steps == [
+        {"t": 0.0, "dt": cfg.dt0, "error": "NonconvergenceError", "mesh": [13, 13, 13]}
+    ]
     assert state.steps[1]["dt"] == 0.5 * cfg.dt0
     assert state.t == 1.0
     assert np.abs(state.values - exact(grid.points)).max() < 5e-3
@@ -506,6 +508,76 @@ def test_box_manufactured_17_takes_three_predicted_steps():
     assert sum(s["newton_iters"] for s in steps) <= 8
     assert [s["predicted"] for s in steps] == [False, True, True]
     assert np.abs(state.values - exact(grid.points)).max() < 8e-4
+
+
+def _full_continuation(problem, nodes):
+    grid = grids.box_grid(problem.geom.extents, nodes)
+    return solver.continuation_solve(BoxSystem(problem, grid))
+
+
+def test_half_mesh_is_a_box_mesh_past_the_direct_limit():
+    assert solver._half_mesh((33, 33, 33))[1] == (17, 17, 17)
+    assert solver._half_mesh((33, 17, 17))[1] == (17, 9, 9)
+    # 9^3 (729 unknowns) is on the LU route, (3, 33, 33) is no box mesh and
+    # 12 nodes cannot be halved
+    for shape in ((17, 17, 17), (5, 65, 65), (12, 12, 12)):
+        assert solver._half_mesh(shape) is None
+
+
+def test_box_solve_follows_the_path_on_the_half_mesh():
+    # (33, 17, 17) halves to (17, 9, 9): 1,377 unknowns, past DIRECT_LIMIT
+    problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    state, grid = solver.box_solve(problem, (33, 17, 17))
+    *path, last = state.steps
+    assert len(path) >= 2 and all(s["mesh"] == [17, 9, 9] for s in path)
+    assert path[-1]["t"] == 1.0
+    assert last["mesh"] == [33, 17, 17] and last["t"] == 1.0 and last["newton_iters"] > 0
+    assert state.t == 1.0 and not state.rejected_steps
+    assert state.diagnostics["final_residual_norm"] <= 1e-8
+    assert state.margins.shape == (grid.npoints,)
+    error = np.abs(state.values - exact(grid.points)).max()
+    full = _full_continuation(problem, (33, 17, 17))
+    full_error = np.abs(full.values - exact(grid.points)).max()
+    assert abs(error - full_error) <= 1e-6 * full_error
+
+
+@pytest.mark.parametrize(
+    "failing, entry",
+    [
+        ((33, 17, 17), {"t": 1.0, "dt": 0.0, "mesh": [33, 17, 17]}),
+        ((17, 9, 9), {"t": 0.0, "dt": 1.0, "mesh": [17, 9, 9]}),
+    ],
+    ids=["fine-correction", "coarse-path"],
+)
+def test_failed_sequencing_falls_back_to_fine_continuation(monkeypatch, failing, entry):
+    newton, failed = solver.newton_solve, []
+
+    def fails_once(system, *args, **kwargs):
+        if system.grid.shape == failing and not failed:
+            failed.append(args[1])
+            raise NonconvergenceError("refused")
+        return newton(system, *args, **kwargs)
+
+    problem, _ = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    full = _full_continuation(problem, (33, 17, 17))
+    monkeypatch.setattr(solver, "newton_solve", fails_once)
+    state, _ = solver.box_solve(problem, (33, 17, 17))
+    assert failed == [entry["t"]]
+    assert np.array_equal(state.values, full.values)
+    assert state.steps == full.steps and state.diagnostics == full.diagnostics
+    assert state.rejected_steps == [{**entry, "error": "NonconvergenceError"}]
+
+
+@pytest.mark.parametrize("nodes", [17, (9, 7, 11), 13], ids=["17^3", "9x7x11", "13^3"])
+def test_box_solve_without_a_krylov_half_mesh_is_plain_continuation(nodes):
+    # 17^3 and 13^3 halve to 9^3 and 7^3, on the LU route; (9, 7, 11) would
+    # halve to (5, 4, 6), which is no box mesh
+    problem, _ = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    state, grid = solver.box_solve(problem, nodes)
+    full = _full_continuation(problem, nodes)
+    assert all(s["mesh"] == list(grid.shape) for s in state.steps)
+    assert np.array_equal(state.values, full.values)
+    assert state.as_dict() == full.as_dict()
 
 
 def _counting(field):

@@ -321,7 +321,8 @@ def test_rejected_steps_are_recorded(monkeypatch):
     state = solver.continuation_solve(RadialSystem(problem, grid), cfg)
     assert state.t == 1.0
     assert state.rejected_steps == [
-        {"t": 0.0, "dt": 2.0**-i, "error": "NonconvergenceError"} for i in range(3)
+        {"t": 0.0, "dt": 2.0**-i, "error": "NonconvergenceError", "mesh": 64}
+        for i in range(3)
     ]
     assert state.steps[1]["dt"] == 0.125
     assert state.as_dict()["rejected_steps"] == state.rejected_steps
