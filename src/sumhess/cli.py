@@ -20,11 +20,11 @@ from pathlib import Path
 
 import numpy as np
 
-from . import _kernels, cones, geometry, solver
+# ``solver`` loads scipy's sparse stack, so only the code that solves imports it
+from . import _kernels, cones, geometry
 from .errors import ConfigError, ContinuationError, NonconvergenceError, SumhessError
 from .expressions import parse_expression
 from .lift import ConeSpec, msum_sym, subset_table
-from .solver import ProblemSpec, SolverConfig
 
 
 def _load_config(path):
@@ -140,6 +140,8 @@ def _write_report_csv(path, report):
 
 
 def _solver_config(cfg):
+    from .solver import SolverConfig
+
     kwargs = {}
     for f in dataclasses.fields(SolverConfig):
         value = cfg.get(f.name, cast=float)
@@ -148,14 +150,19 @@ def _solver_config(cfg):
     return SolverConfig(**kwargs)
 
 
+# the last five are the fields of solver.SolverConfig, named here so that
+# checking a config's keys loads no solver; a test pins them to the dataclass
 _SOLVE_KEYS = {
     "mode", "n", "m", "k", "radius", "extents", "mesh", "f", "a", "b",
     "manufactured", "coef", "amp", "seed",
-} | {f.name for f in dataclasses.fields(SolverConfig)}
+    "tol_abs", "margin_floor", "dt0", "dt_min", "dt_max",
+}
 
 
 def _solve_problem(cfg, mode, spec):
     """The ProblemSpec of a solve config and the exact solution (or None)."""
+    from . import solver
+
     manufactured = cfg.get("manufactured")
     if manufactured:
         if manufactured != mode:
@@ -183,10 +190,12 @@ def _solve_problem(cfg, mode, spec):
     else:
         extents = cfg.float_list("extents") or [2.0] * spec.n
         geom = geometry.box(extents)
-    return ProblemSpec(spec=spec, geom=geom, f=f_expr, a=a_expr, b=b_field), None
+    return solver.ProblemSpec(spec=spec, geom=geom, f=f_expr, a=a_expr, b=b_field), None
 
 
 def cmd_solve(cfg, seed, out_dir, fmt):
+    from . import solver
+
     mode = cfg.require("mode")
     if mode not in ("radial", "box"):
         raise ConfigError("mode must be radial or box")
@@ -264,6 +273,8 @@ def cmd_verify(cfg, seed, out_dir, fmt):
             raise ConfigError(f"need {key} >= 1, got {key}={count}")
     start = time.perf_counter()
     if which == "jacobian":
+        from . import solver
+
         spec = _cone_spec(cfg, defaults=(3, 2, 2))
         report = solver.verify_jacobian_suite([spec], states=states, seed=seed)
     elif which in ("prop21", "mixed"):

@@ -10,7 +10,6 @@ import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import ndtri
 
 from . import _kernels, lift, symfun
 from .errors import CollarError, ConfigError
@@ -203,6 +202,10 @@ def collar_points(geom, count, depth_max):
     raw = _halton(count, geom.dim + 1)
     depth = (0.02 + 0.96 * raw[:, -1]) * depth_max
     if _is_ball(geom):
+        # imported here: loading scipy.special takes longer than importing the
+        # whole CLI, and only the ball collar needs it
+        from scipy.special import ndtri
+
         gauss = ndtri(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
         dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
         return geom.center + (geom.radius - depth)[:, None] * dirs

@@ -224,7 +224,13 @@ class DiscreteSystem:
     def validate(self):
         """Reject non-finite data and a nonpositive f; NaN fails every
         comparison, so it must be caught here before it reaches Newton."""
-        vals = self.problem.eval_f(self.grid.points, self.initial_values())
+        if self.f_interior is None:
+            vals = self.problem.eval_f(self.grid.points, self.initial_values())
+        else:
+            # fixed f is in hand on the interior; the boundary nodes complete
+            # the closed domain
+            boundary = self.grid.points[self.grid.boundary_flat]
+            vals = np.append(self.f_interior, self.problem.eval_f(boundary, None))
         for name, field_vals in (("f", vals), ("a", self.a_b), ("b", self.b_b)):
             if not np.all(np.isfinite(field_vals)):
                 raise ConfigError(f"{name} must be finite on the closed domain")

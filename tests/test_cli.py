@@ -188,22 +188,62 @@ dt_min = 0.01
     assert "failed: line search stalled at t=" in err
 
 
-def test_imports_load_no_scipy_stats():
-    # a bare `import sumhess` loads no scipy, and the CLI no scipy.stats; run in
-    # a fresh interpreter, since the test oracles load scipy.stats into this one
+def _fresh_interpreter(probe, *args):
+    """stdout of ``probe`` run by a fresh interpreter on this checkout's
+    sumhess: the test oracles have loaded scipy into this one."""
     src = str(Path(sumhess.__file__).resolve().parent.parent)
     env = dict(os.environ, PYTHONPATH=src)
+    out = subprocess.run([sys.executable, "-c", probe, *args], env=env,
+                         capture_output=True, text=True, check=True)
+    return out.stdout
+
+
+_LOADED_SCIPY = "sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))"
+
+
+def test_imports_load_no_scipy_stats():
+    # neither a bare `import sumhess` nor the CLI loads any scipy: only the
+    # commands that need it import it, as they run
     probe = (
         "import sys\n"
         "import sumhess\n"
-        "bare = sorted(m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))\n"
+        f"bare = {_LOADED_SCIPY}\n"
         "import sumhess.cli\n"
-        "stats = sorted(m for m in sys.modules if m == 'scipy.stats' or m.startswith('scipy.stats.'))\n"
-        "print(bare, stats)\n"
+        f"print(bare, {_LOADED_SCIPY})\n"
     )
-    out = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                         text=True, check=True)
-    assert out.stdout.strip() == "[] []"
+    assert _fresh_interpreter(probe).strip() == "[] []"
+
+
+_SCIPY_PROBE_CONFIGS = {
+    "verify": "which = prop23\nn = 5\nm = 2\nk = 3\ntrials = 50\n",
+    "cone-check": "input = {rows}\nn = 3\nm = 2\nk = 2\n",
+    "barrier-check": "n = 3\nm = 2\nk = 2\npoints = 20\nK3 = 1024\n",
+    "solve": "mode = radial\nn = 3\nm = 2\nk = 2\nmanufactured = radial\nmesh = 16\n",
+}
+
+
+@pytest.mark.parametrize("command", list(_SCIPY_PROBE_CONFIGS))
+def test_each_command_loads_only_the_scipy_it_uses(tmp_path, command):
+    rows = tmp_path / "rows.csv"
+    rows.write_text("1,1,-1\n")
+    cfg = write(tmp_path / "run.cfg", _SCIPY_PROBE_CONFIGS[command].format(rows=rows))
+    probe = (
+        "import sys\n"
+        "from sumhess.cli import main\n"
+        "rc = main(sys.argv[1:])\n"
+        f"print(rc, *{_LOADED_SCIPY})\n"
+    )
+    last = _fresh_interpreter(probe, command, "--config", cfg,
+                             "--out-dir", str(tmp_path / "o")).splitlines()[-1]
+    rc, *loaded = last.split()
+    assert rc == "0"
+    sparse = [m for m in loaded if m.startswith("scipy.sparse")]
+    if command in ("verify", "cone-check"):
+        assert loaded == []
+    elif command == "barrier-check":
+        assert "scipy.special" in loaded and sparse == []
+    else:
+        assert "scipy.sparse.linalg" in loaded
 
 
 def test_every_solver_setting_is_a_solve_key():

@@ -593,17 +593,50 @@ def _counting(field):
 
 @pytest.mark.parametrize("kind, mesh", [("radial", 32), ("box", 9)])
 def test_fixed_f_is_evaluated_at_most_twice_per_solve(kind, mesh):
-    # validate checks f on the whole grid; the system evaluates the interior
-    # once, however many residuals the path takes
+    # the system evaluates the interior once, however many residuals the path
+    # takes, and validate adds the boundary nodes
     template, solve = {
         "radial": (solver.radial_quartic_problem, solver.radial_solve),
         "box": (solver.box_cosine_problem, solver.box_solve),
     }[kind]
     problem, _ = template(ConeSpec(3, 2, 2))
     problem.f, calls = _counting(problem.f)
-    state, _ = solve(problem, mesh)
+    state, grid = solve(problem, mesh)
     assert state.t == 1.0 and sum(s["newton_iters"] for s in state.steps) > 0
-    assert len(calls) <= 2
+    assert calls == [grid.interior_flat.size, grid.boundary_flat.size]
+
+
+def _system(kind, spec=ConeSpec(3, 2, 2)):
+    if kind == "radial":
+        problem, _ = solver.radial_quartic_problem(spec)
+        return problem, lambda: RadialSystem(problem, grids.radial_grid(1.0, 16, spec.n))
+    problem, _ = solver.box_cosine_problem(spec)
+    return problem, lambda: BoxSystem(problem, grids.box_grid(problem.geom.extents, 7))
+
+
+@pytest.mark.parametrize("f_of_u", [False, True], ids=["f_x", "f_xu"])
+@pytest.mark.parametrize("bad, message", [(np.nan, "f must be finite"),
+                                          (0.0, "f must be positive")],
+                         ids=["nan", "zero"])
+@pytest.mark.parametrize("node", ["interior", "boundary"])
+@pytest.mark.parametrize("kind", ["radial", "box"])
+def test_validate_rejects_bad_f_at_one_node(kind, node, bad, message, f_of_u):
+    problem, build = _system(kind)
+    grid = build().grid
+    where = grid.points[getattr(grid, f"{node}_flat")[-1]]
+    base_f = problem.f
+
+    def f(points, *u):
+        vals = np.array(base_f(points))
+        vals[(points == where).all(axis=1)] = bad
+        return vals
+
+    problem.f = f
+    if f_of_u:
+        problem.f_u = lambda points, u: np.zeros(points.shape[0])
+    system = build()
+    with pytest.raises(ConfigError, match=message):
+        system.validate()
 
 
 @pytest.mark.parametrize("f_of_u", [False, True], ids=["f_x", "f_xu"])
