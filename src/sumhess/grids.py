@@ -7,7 +7,7 @@ one-sided closure (3 u0 - 4 u1 + u2) / (2 h) along the inward grid line.
 
 Both grids expose one boundary interface: ``interior_flat`` and
 ``boundary_flat`` node indices, unit outward ``normals`` (zero rows inside),
-``normal_derivative(values)`` at the boundary nodes, and its Jacobian rows as
+and the rows of the normal derivative at the boundary nodes as
 ``dnu_rows``/``dnu_cols``/``dnu_vals`` triplets.
 
 Each grid also builds one stencil table: ``stencil_cols`` (S, Pe), intp,
@@ -62,11 +62,6 @@ class RadialGrid:
     @property
     def points(self):
         return self.r[:, None]
-
-    def normal_derivative(self, values):
-        # the explicit formula, not dnu @ u: a sparse product rounds differently
-        u = as_float(values)
-        return (3.0 * u[-1:] - 4.0 * u[-2:-1] + u[-3:-2]) / (2.0 * self.h)
 
 
 def radial_grid(R, M, dim):
@@ -128,7 +123,6 @@ class BoxGrid:
     dnu_rows: np.ndarray = field(repr=False)
     dnu_cols: np.ndarray = field(repr=False)
     dnu_vals: np.ndarray = field(repr=False)
-    dnu: sp.csr_matrix = field(repr=False)
 
     @property
     def npoints(self):
@@ -142,9 +136,6 @@ class BoxGrid:
     def mesh(self):
         """The mesh as a ``solve`` config gives it: the nodes per axis."""
         return list(self.shape)
-
-    def normal_derivative(self, values):
-        return (self.dnu @ values)[self.boundary_flat]
 
 
 def box_grid(extents, nodes, center=None):
@@ -202,7 +193,6 @@ def box_grid(extents, nodes, center=None):
     dnu_rows = np.concatenate(rows)
     dnu_cols = np.concatenate(cols)
     dnu_vals = np.concatenate(vals)
-    dnu = sp.csr_matrix((dnu_vals, (dnu_rows, dnu_cols)), shape=(P, P))
 
     offsets, stencil_coef = _hessian_stencil(strides, spacings)
     return BoxGrid(
@@ -210,7 +200,7 @@ def box_grid(extents, nodes, center=None):
         interior_flat=interior_flat, boundary_flat=boundary_flat, normals=normals,
         stencil_cols=interior_flat[None, :] + offsets[:, None],
         stencil_coef=stencil_coef, dnu_rows=dnu_rows, dnu_cols=dnu_cols,
-        dnu_vals=dnu_vals, dnu=dnu,
+        dnu_vals=dnu_vals,
     )
 
 

@@ -2,9 +2,10 @@
 
 The interior equation sets the degree-k symmetric value of the lifted
 discrete Hessian equal to the homotopy right-hand side; boundary rows impose
-the Robin-type normal derivative condition. Path following starts from the
-exact quadratic solution of the t = 0 member and carries it to t = 1 with
-damped, admissibility-guarded Newton steps.
+the Robin-type normal derivative condition. The t = 0 member is solved
+exactly by q = |x|^2 / 2; Newton's state is the deviation w = u - q, which
+path following carries from 0 at t = 0 to t = 1 with damped,
+admissibility-guarded Newton steps.
 """
 
 import functools
@@ -75,11 +76,12 @@ FORCING_SAFEGUARD = 0.1
 # the multigrid cost
 DIRECT_LIMIT = 1_000
 # the radial Newton state's dtype. In float64 one ulp per node moves the
-# radial residual by up to 2.7e-8, above its 1e-10 tolerance; numpy's
-# longdouble (x87 80-bit, eps 1.1e-19, on x86-64 Linux) clears that floor
-# where the platform has it. The Jacobian and linear solve stay float64:
-# Newton needs only an approximate Jacobian (Kelley, "Newton's method in
-# mixed precision", SIAM Review 64, 2022)
+# radial residual by up to 2.7e-8, above its 1e-10 tolerance, and a float64
+# deviation state still stalls (5,2,3) at M = 256 (t = 0.40) and rejects
+# steps at (4,2,3)-256 and (5,2,3)-128; numpy's longdouble (x87 80-bit, eps
+# 1.1e-19, on x86-64 Linux) clears that floor where the platform has it. The
+# Jacobian and linear solve stay float64: Newton needs only an approximate
+# Jacobian (Kelley, "Newton's method in mixed precision", SIAM Review 64, 2022)
 EXTENDED = np.dtype(
     np.longdouble if np.finfo(np.longdouble).eps < np.finfo(np.float64).eps else np.float64
 )
@@ -122,7 +124,8 @@ class SolverConfig:
 @dataclass
 class ContinuationState:
     t: float
-    values: np.ndarray
+    deviation: np.ndarray = field(repr=False)  # Newton's state w = u - q
+    values: np.ndarray = None  # u = q + w at t = 1, set by final_diagnostics
     steps: list = field(default_factory=list)
     diagnostics: dict = field(default_factory=dict)
     margins: np.ndarray = field(default=None, repr=False)  # t = 1, NaN on boundary
@@ -151,20 +154,23 @@ def homotopy_constant(spec):
 
 
 class DiscreteSystem:
-    """Discrete Neumann problem on a grid.
+    """Discrete Neumann problem on a grid for the deviation w = u - q from
+    the exact t = 0 state q = |x|^2 / 2: every ``values`` is w, and the
+    fields f and f_u see u = ``solution(w)`` = q + w.
 
     Interior rows at ``grid.interior_flat`` set S_k of the lifted Hessian
-    spectrum to the homotopy right-hand side; boundary rows at
-    ``grid.boundary_flat`` impose u_nu + a u = target with the grid's
-    ``normal_derivative`` and its ``dnu_*`` triplets. A grid kind supplies
-    ``_sym`` (the S_0..S_k table of the lifted Hessians at the equation
-    nodes) and ``_data_gradient`` (W, the derivative of S_k with respect to
-    the grid's stencil data at each equation node). Both read the grid's
-    stencil table: the linearized interior rows are ``stencil_values``,
-    ``stencil_coef @ W.T`` at the columns ``stencil_cols``. The Jacobian's
-    CSR pattern is built once per system; each ``jacobian`` call only fills
-    its values. Newton keeps its state, and so the residual, in
-    ``state_dtype``; the Jacobian is float64.
+    spectrum to the homotopy right-hand side. A grid kind supplies ``_sym``
+    (the S_0..S_k table of the lifted Hessians at the equation nodes) and
+    ``_data_gradient`` (W, the derivative of S_k with respect to the grid's
+    stencil data at each equation node), both from the stencil data of w
+    plus q's exact data. The linearized interior rows are ``stencil_values``,
+    ``stencil_coef @ W.T`` at the columns ``stencil_cols``. The boundary rows
+    B (the ``dnu_*`` triplets plus the a_b diagonal) are linear and fixed:
+    the residual reads them from the Jacobian's data as
+    ``boundary_rows @ w - t g_b``, g_b = b - B q. The Jacobian's CSR pattern
+    is built once per system; each ``jacobian`` call only fills its values.
+    Newton keeps w, and so the residual, in ``state_dtype``; the Jacobian is
+    float64.
     """
 
     kind = None
@@ -190,8 +196,7 @@ class DiscreteSystem:
         self.b_b = np.asarray(problem.b(points_b, normals_b), dtype=np.float64)
         if np.any(self.a_b <= 0):
             raise ConfigError("boundary field a must be positive")
-        self.x_dot_nu = (points_b * normals_b).sum(axis=1)
-        self.half_sq_b = 0.5 * (points_b**2).sum(axis=1)
+        self.q = 0.5 * (grid.points**2).sum(axis=1)
         self.interior_points = grid.points[grid.interior_flat]
         # without f_u the field cannot depend on u: evaluate it once here
         self.f_interior = (
@@ -213,19 +218,27 @@ class DiscreteSystem:
         self._fixed_data = np.zeros(self.indices.size)
         np.add.at(self._fixed_data, dnu_pos, grid.dnu_vals)
         np.add.at(self._fixed_data, diag_b_pos, self.a_b)
+        self.boundary_rows = sp.csr_matrix(
+            (self._fixed_data, self.indices, self.indptr), shape=(self.npoints, self.npoints)
+        )[bidx]
+        self.g_b = self.b_b - self.boundary_rows @ self.q
 
     @property
     def npoints(self):
         return self.grid.npoints
 
     def initial_values(self):
-        return _t0_state(self.grid.points, self.state_dtype)
+        return np.zeros(self.npoints, dtype=self.state_dtype)
+
+    def solution(self, values):
+        """The solution u = q + w of the deviation w = ``values``."""
+        return self.q + values
 
     def validate(self):
         """Reject non-finite data and a nonpositive f; NaN fails every
         comparison, so it must be caught here before it reaches Newton."""
         if self.f_interior is None:
-            vals = self.problem.eval_f(self.grid.points, self.initial_values())
+            vals = self.problem.eval_f(self.grid.points, self.q)
         else:
             # fixed f is in hand on the interior; the boundary nodes complete
             # the closed domain
@@ -237,22 +250,16 @@ class DiscreteSystem:
         if np.any(vals <= 0):
             raise ConfigError("f must be positive on the closed domain")
 
-    def boundary_target(self, t):
-        return t * self.b_b + (1.0 - t) * (self.x_dot_nu + self.a_b * self.half_sq_b)
-
     def rhs(self, t, values):
         fvals = self.f_interior
         if fvals is None:
             fvals = self.problem.eval_f(
-                self.interior_points, values[self.grid.interior_flat]
+                self.interior_points, self.solution(values)[self.grid.interior_flat]
             )
         return t * fvals + (1.0 - t) * self.K0
 
-    def margins(self, values):
-        return _kernels.cone_margin(self._sym(values), self.spec.k)
-
     def min_margin(self, values):
-        return float(self.margins(values).min())
+        return float(_kernels.cone_margin(self._sym(values), self.spec.k).min())
 
     def residual_and_margin(self, values, t):
         grid = self.grid
@@ -260,11 +267,7 @@ class DiscreteSystem:
         margins = _kernels.cone_margin(s, self.spec.k)
         res = np.empty(self.npoints, dtype=s.dtype)
         res[grid.interior_flat] = s[:, self.spec.k] - self.rhs(t, values)
-        res[grid.boundary_flat] = (
-            grid.normal_derivative(values)
-            + self.a_b * values[grid.boundary_flat]
-            - self.boundary_target(t)
-        )
+        res[grid.boundary_flat] = self.boundary_rows @ values - t * self.g_b
         return res, margins
 
     def check_admissible(self, margins):
@@ -294,17 +297,12 @@ class DiscreteSystem:
         np.add.at(data, self._stencil_pos, self.stencil_values(values).ravel())
         if self.problem.f_u is not None:
             fu = self.problem.eval_f_u(
-                self.interior_points, values[self.grid.interior_flat]
+                self.interior_points, self.solution(values)[self.grid.interior_flat]
             )
             data[self._diag_pos] += -t * fu
         return sp.csr_matrix(
             (data, self.indices, self.indptr), shape=(self.npoints, self.npoints)
         )
-
-
-def _t0_state(points, dtype=np.float64):
-    """The exact t = 0 state |x|^2 / 2 at ``points``, in ``dtype``."""
-    return 0.5 * (points.astype(dtype) ** 2).sum(axis=1)
 
 
 def _csr_pattern(parts, size):
@@ -344,15 +342,16 @@ class RadialSystem(DiscreteSystem):
     geometry_kinds = ("ball", "radial")
     state_dtype = EXTENDED
 
+    def _spectra(self, values):
+        # q's profiles u'' and u'/r are 1 at every node
+        return grids.radial_spectra(self.grid, values) + 1
+
     def _sym(self, values):
-        spectra = grids.radial_spectra(self.grid, values)
-        return lift.msum_sym(spectra, self.spec.m, self.spec.k)
+        return lift.msum_sym(self._spectra(values), self.spec.m, self.spec.k)
 
     def _data_gradient(self, values):
         grid = self.grid
-        weights = lift.msum_weights(
-            grids.radial_spectra(grid, values), self.spec.m, self.spec.k
-        )
+        weights = lift.msum_weights(self._spectra(values), self.spec.m, self.spec.k)
         # back through the spectra map: u'' is the first eigenvalue and u'/r
         # the other dim - 1; at the center u'' is all of them and u' none.
         # Times 1/r, not over r: on power-of-two meshes the rows then equal
@@ -370,11 +369,18 @@ class BoxSystem(DiscreteSystem):
     kind = "box"
     geometry_kinds = ("box",)
 
+    def _hessians(self, values):
+        H = grids.box_hessians(self.grid, values)
+        # q's Hessian is I, added in place: a copy costs 0.16 ms at 33^3
+        for c in range(self.grid.dim):
+            H[:, c, c] += 1.0
+        return H
+
     def _sym(self, values):
-        return lift.sym_batch(grids.box_hessians(self.grid, values), self.spec)
+        return lift.sym_batch(self._hessians(values), self.spec)
 
     def _data_gradient(self, values):
-        F, _ = lift.gradient_batch(grids.box_hessians(self.grid, values), self.spec)
+        F, _ = lift.gradient_batch(self._hessians(values), self.spec)
         return F.reshape(F.shape[0], -1)
 
 
@@ -488,10 +494,9 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     """
     if J.shape[0] <= DIRECT_LIMIT:
         return spla.spsolve(J.tocsc(), rhs), 0
-    diag = J.diagonal()
-    diag[diag == 0] = 1.0
+    inv_diag = _inv_diagonal(J)
     A = sp.csr_matrix(
-        (J.data * np.repeat(1.0 / diag, np.diff(J.indptr)), J.indices, J.indptr),
+        (J.data * np.repeat(inv_diag, np.diff(J.indptr)), J.indices, J.indptr),
         shape=J.shape,
     )
     cache = {} if cache is None else cache
@@ -502,7 +507,7 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     vcycle = cache["vcycle"]
     before = vcycle.applications
     sol, info = spla.lgmres(
-        A, rhs / diag, M=vcycle.preconditioner(A), rtol=rtol, atol=0.0, maxiter=5000
+        A, rhs * inv_diag, M=vcycle.preconditioner(A), rtol=rtol, atol=0.0, maxiter=5000
     )
     cycles = vcycle.applications - before
     if info != 0:
@@ -526,10 +531,11 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
     """Damped Newton with backtracking: a step is accepted only when the
     residual norm satisfies the Armijo decrease and every node stays inside
     the admissibility cone by at least the margin floor. ``start`` is
-    ``system.residual_and_margin(values, t)`` when the caller already has it.
-    Each linear solve is inexact, to the relative tolerance ``forcing``
-    gives, and the Krylov solves of one call share the V-cycle hierarchy of
-    its first Jacobian. The caller's ``timing`` dict accumulates the wall
+    ``system.residual_and_margin(values, t)`` when the caller already has it;
+    ``values`` is the deviation w, a failure's ``last_values`` is u. Each
+    linear solve is inexact, to the relative tolerance ``forcing`` gives,
+    and the Krylov solves of one call share the V-cycle hierarchy of its
+    first Jacobian. The caller's ``timing`` dict accumulates the wall
     seconds spent in residuals, Jacobian assembly and linear solves as
     ``residual_s``, ``jacobian_s`` and ``linear_solve_s``, and the part of
     ``linear_solve_s`` that built hierarchies as ``hierarchy_s``, also when
@@ -537,16 +543,16 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
     the Jacobian, the linear solve and its update are float64."""
     cfg = cfg or SolverConfig()
     tol = cfg.tolerance(system.kind)
-    u = np.array(values, dtype=system.state_dtype)
+    w = np.array(values, dtype=system.state_dtype)
     res, margins = start if start is not None else _timed(
-        timing, "residual_s", system.residual_and_margin, u, t
+        timing, "residual_s", system.residual_and_margin, w, t
     )
     margin = float(margins.min())
     norm = float(np.abs(res).max())
     if not (math.isfinite(norm) and math.isfinite(margin)):
         raise NonconvergenceError(
             f"non-finite initial residual {norm:.3e} or margin {margin:.3e} at t={t:g}",
-            last_values=u, residual_norm=norm,
+            last_values=system.solution(w), residual_norm=norm,
         )
     if not margin > 0:
         raise AdmissibilityError(
@@ -559,10 +565,10 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
         if stats["iters"] >= MAX_ITER:
             raise NonconvergenceError(
                 f"no convergence in {MAX_ITER} iterations (|res|={norm:.3e})",
-                last_values=u, residual_norm=norm,
+                last_values=system.solution(w), residual_norm=norm,
             )
         eta = forcing(norm, prev_norm, eta, tol)
-        J = _timed(timing, "jacobian_s", system.jacobian, u, t)
+        J = _timed(timing, "jacobian_s", system.jacobian, w, t)
         delta, linear_iters = _timed(
             timing, "linear_solve_s", _linear_solve, J,
             -res.astype(np.float64), system.grid.shape, eta, cache, timing
@@ -571,7 +577,7 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
         stats["linear_iters"] += linear_iters
         step = 1.0
         while True:
-            trial = u + step * delta
+            trial = w + step * delta
             t_res, t_margins = _timed(
                 timing, "residual_s", system.residual_and_margin, trial, t
             )
@@ -583,25 +589,26 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
             if step < STEP_MIN:
                 raise NonconvergenceError(
                     f"line search stalled at t={t:g} (|res|={norm:.3e})",
-                    last_values=u, residual_norm=norm,
+                    last_values=system.solution(w), residual_norm=norm,
                 )
-        u, res, prev_norm, norm = trial, t_res, norm, t_norm
+        w, res, prev_norm, norm = trial, t_res, norm, t_norm
         stats["iters"] += 1
         stats["min_margin"] = min(stats["min_margin"], t_margin)
         stats["residual_norm"] = norm
-    return u, stats
+    return w, stats
 
 
 def continuation_solve(system, cfg=None):
-    """Follow the homotopy path from the exact t = 0 quadratic to t = 1.
+    """Follow the homotopy path from the exact t = 0 quadratic (w = 0) to
+    t = 1.
 
     Predictor-corrector (Allgower & Georg, Introduction to Numerical
     Continuation Methods): once two states are accepted, each step's Newton
-    starts from the secant prediction u_k + dt / dt_prev (u_k - u_{k-1}) when
-    that state is finite and admissible, and from u_k otherwise. An accepted
+    starts from the secant prediction w_k + dt / dt_prev (w_k - w_{k-1}) when
+    that state is finite and admissible, and from w_k otherwise. An accepted
     step multiplies dt by ``growth`` of its Newton iterations, up to dt_max;
     a failed one is recorded in ``rejected_steps`` and halves dt, and failure
-    below dt_min aborts with the last good state and the last attempt's
+    below dt_min aborts with the last good solution u and the last attempt's
     error. ``state.profile`` totals Newton's phase times over every attempt.
     """
     cfg = cfg or SolverConfig()
@@ -609,21 +616,21 @@ def continuation_solve(system, cfg=None):
     profile = dict.fromkeys(
         ("residual_s", "jacobian_s", "linear_solve_s", "hierarchy_s"), 0.0
     )
-    u, stats = newton_solve(system, system.initial_values(), 0.0, cfg, timing=profile)
-    state = ContinuationState(t=0.0, values=u, profile=profile)
+    w, stats = newton_solve(system, system.initial_values(), 0.0, cfg, timing=profile)
+    state = ContinuationState(t=0.0, deviation=w, profile=profile)
     state.steps.append(_step(system, 0.0, 0.0, False, stats))
-    u_prev = dt_prev = None
+    w_prev = dt_prev = None
     dt = cfg.dt0
     while state.t < 1.0:
         dt = min(dt, 1.0 - state.t)
         t_new = state.t + dt
-        start_values, start = state.values, None
-        if u_prev is not None:
+        start_values, start = state.deviation, None
+        if w_prev is not None:
             start_values, start = _secant_start(
-                system, state.values, u_prev, dt / dt_prev, t_new, cfg
+                system, state.deviation, w_prev, dt / dt_prev, t_new, cfg
             )
         try:
-            u_new, stats = newton_solve(
+            w_new, stats = newton_solve(
                 system, start_values, t_new, cfg, start, timing=profile
             )
         except (NonconvergenceError, AdmissibilityError) as exc:
@@ -633,28 +640,28 @@ def continuation_solve(system, cfg=None):
                 raise ContinuationError(
                     f"step size underflow at t={state.t:g}; the last attempt, "
                     f"to t={t_new:g}, failed: {exc}",
-                    last_t=state.t, last_values=state.values,
+                    last_t=state.t, last_values=system.solution(state.deviation),
                 )
             continue
-        u_prev, dt_prev = state.values, dt
-        state.t, state.values = t_new, u_new
+        w_prev, dt_prev = state.deviation, dt
+        state.t, state.deviation = t_new, w_new
         state.steps.append(_step(system, t_new, dt, start is not None, stats))
         dt = min(dt * growth(stats["iters"]), cfg.dt_max)
     state.diagnostics = final_diagnostics(system, state)
     return state
 
 
-def _secant_start(system, u, u_prev, ratio, t, cfg):
-    """Newton's start at t: the secant prediction u + ratio (u - u_prev) with
-    its ``residual_and_margin``, or ``(u, None)`` when the prediction is not
+def _secant_start(system, w, w_prev, ratio, t, cfg):
+    """Newton's start at t: the secant prediction w + ratio (w - w_prev) with
+    its ``residual_and_margin``, or ``(w, None)`` when the prediction is not
     finite or not admissible by the margin floor."""
-    predicted = u + ratio * (u - u_prev)
+    predicted = w + ratio * (w - w_prev)
     if not np.all(np.isfinite(predicted)):
-        return u, None
+        return w, None
     res, margins = system.residual_and_margin(predicted, t)
     margin = float(margins.min())
     if not (np.all(np.isfinite(res)) and margin > 0 and margin >= cfg.margin_floor):
-        return u, None
+        return w, None
     return predicted, (res, margins)
 
 
@@ -680,10 +687,12 @@ def _rejected(mesh, t, dt, exc):
 
 def final_diagnostics(system, state):
     """C0 report, the residual at t = 1 of the state as Newton holds it, and
-    that state's dtype and machine epsilon; keeps the per-node margins on
+    that state's dtype and machine epsilon; sets ``state.values`` to the
+    solution u of ``state.deviation`` and keeps the per-node margins on
     ``state.margins`` (NaN on boundary nodes)."""
-    res, margins = system.residual_and_margin(state.values, 1.0)
+    res, margins = system.residual_and_margin(state.deviation, 1.0)
     system.check_admissible(margins)
+    state.values = system.solution(state.deviation)
     state.margins = np.full(system.npoints, np.nan)
     state.margins[system.grid.interior_flat] = margins
     report = geometry.c0_diagnostic(
@@ -715,15 +724,14 @@ def box_solve(problem, nodes, cfg=None):
     Multigrid Tutorial; Kelley, Solving Nonlinear Equations with Newton's
     Method, 2003): when ``_half_mesh`` gives a coarse lattice, ``box_solve``
     follows the whole path on it, and the fine mesh gets one Newton solve at
-    t = 1 from q + P (u_c - q_c). P is the prolongation and q = |x|^2 / 2 the
-    exact t = 0 state on each mesh; P u_c itself is not admissible, since
-    interpolation leaves kinks in the discrete Hessian. The steps of both
-    meshes, each with its ``mesh``, and their summed ``profile`` make up the
-    state; ``diagnostics`` are the fine system's. When the coarse path or
-    the fine Newton fails with one of ``SEQUENCE_ERRORS``, the failure is
-    recorded in ``rejected_steps`` (the coarse path as t = 0, dt = 1, the
-    correction as t = 1, dt = 0) and the fine mesh runs
-    ``continuation_solve``, whose state is returned. Any other lattice runs
+    t = 1 from the prolonged deviation P w_c (P u_c itself is not
+    admissible: interpolating q leaves kinks in its discrete Hessian). The
+    steps of both meshes, each with its ``mesh``, and their summed
+    ``profile`` make up the state; ``diagnostics`` are the fine system's.
+    When the coarse path or the fine Newton fails with one of
+    ``SEQUENCE_ERRORS``, the failure is recorded in ``rejected_steps`` (the
+    coarse path as t = 0, dt = 1, the correction as t = 1, dt = 0) and the
+    fine mesh runs ``continuation_solve``, whose state is returned. Any other lattice runs
     ``continuation_solve`` alone.
     """
     grid = grids.box_grid(problem.geom.extents, nodes, problem.geom.center)
@@ -734,14 +742,14 @@ def box_solve(problem, nodes, cfg=None):
     system.validate()
     P, coarse_shape = half
     try:
-        state, coarse_grid = box_solve(problem, coarse_shape, cfg)
+        state = box_solve(problem, coarse_shape, cfg)[0]
     except SEQUENCE_ERRORS as exc:
         failed = [_rejected(list(coarse_shape), 0.0, 1.0, exc)]
         return _fallback(system, cfg, failed, {}), grid
-    start = _t0_state(grid.points) + P @ (state.values - _t0_state(coarse_grid.points))
-    del coarse_grid, P  # free the coarse lattice before the fine Newton's peak
+    start = P @ state.deviation
+    del P  # free the prolongation before the fine Newton's peak
     try:
-        state.values, stats = newton_solve(system, start, 1.0, cfg, timing=state.profile)
+        state.deviation, stats = newton_solve(system, start, 1.0, cfg, timing=state.profile)
     except SEQUENCE_ERRORS as exc:
         failed = [*state.rejected_steps, _rejected(grid.mesh, 1.0, 0.0, exc)]
         return _fallback(system, cfg, failed, state.profile), grid
@@ -874,7 +882,7 @@ def _smooth_field(rng, r):
 
 def verify_jacobian_suite(spec_list=None, states=10, seed=0):
     """Directional finite-difference check of the assembled Jacobian at
-    randomly perturbed admissible states on radial meshes.
+    randomly perturbed admissible states on radial meshes; witnesses are u.
 
     Directions are smooth fields: rough nodewise noise would push the
     difference quotient into its third-order truncation regime through the
@@ -892,23 +900,23 @@ def verify_jacobian_suite(spec_list=None, states=10, seed=0):
         count = 0
         states_u, margins = [], []
         while count < states:
-            u = base + 1e-3 * _smooth_field(rng, grid.r)
-            if system.min_margin(u) <= 0:
+            w = base + 1e-3 * _smooth_field(rng, grid.r)
+            if system.min_margin(w) <= 0:
                 continue
             count += 1
             t = float(rng.uniform(0.2, 1.0))
-            J = system.jacobian(u, t)
+            J = system.jacobian(w, t)
             v = _smooth_field(rng, grid.r)
             v /= np.abs(v).max()
             eps = 1e-6
             fd = (
-                system.residual(u + eps * v, t, require_admissible=False)
-                - system.residual(u - eps * v, t, require_admissible=False)
+                system.residual(w + eps * v, t, require_admissible=False)
+                - system.residual(w - eps * v, t, require_admissible=False)
             ) / (2.0 * eps)
             Jv = J @ v
             scale = float(np.abs(Jv).max())
             rel = float(np.abs(Jv - fd).max()) / max(scale, 1e-30)
-            states_u.append(u)
+            states_u.append(system.solution(w))
             margins.append(1e-5 - rel)
         report.record_block(
             {

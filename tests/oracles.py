@@ -146,10 +146,12 @@ def index_of(table, tup):
 
 
 def homotopy_data(system, t, values=None):
-    """Interior right-hand side and boundary data of the path member at t."""
+    """Interior right-hand side and boundary data of the path member at t,
+    for the deviation w = ``values`` (0 by default): the boundary rows B of
+    the system's Jacobian satisfy B w = t (b - B q)."""
     if values is None:
         values = system.initial_values()
-    return system.rhs(t, values), system.boundary_target(t)
+    return system.rhs(t, values), t * system.g_b
 
 
 def boundary_data(geom, x):
@@ -318,16 +320,18 @@ def partition_identities_whole(n, trials, seed):
 
 
 def coo_jacobian(system, values, t, stencil=None):
-    """``system.jacobian`` assembled from COO triplets: the interior stencil,
-    the ``-t f_u`` diagonal as duplicate entries, the grid's ``dnu_*``
-    triplets and the ``a_b`` diagonal, summed by ``csr_matrix``. The stencil
-    is the (rows, cols, vals) triplets ``stencil(system, values)`` gives, by
-    default the grid's table with the system's ``stencil_values``."""
+    """``system.jacobian`` at the deviation w = ``values`` assembled from COO
+    triplets: the interior stencil, the ``-t f_u`` diagonal (f_u at
+    u = q + w) as duplicate entries, the grid's ``dnu_*`` triplets and the
+    ``a_b`` diagonal, summed by ``csr_matrix``. The stencil is the
+    (rows, cols, vals) triplets ``stencil(system, values)`` gives, by default
+    the grid's table with the system's ``stencil_values``."""
     grid = system.grid
     values = np.asarray(values, dtype=np.float64)
     parts = [(stencil or table_stencil)(system, values)]
     if system.problem.f_u is not None:
-        fu = system.problem.eval_f_u(system.interior_points, values[grid.interior_flat])
+        u = 0.5 * (grid.points**2).sum(axis=1) + values
+        fu = system.problem.eval_f_u(system.interior_points, u[grid.interior_flat])
         parts.append((grid.interior_flat, grid.interior_flat, -t * fu))
     parts.append((grid.dnu_rows, grid.dnu_cols, grid.dnu_vals))
     parts.append((grid.boundary_flat, grid.boundary_flat, system.a_b))
@@ -388,12 +392,14 @@ def radial_spectra_formula(grid, values):
 
 
 def hand_stencil(system, values):
-    """The interior stencil's triplets differentiated by hand from
-    ``radial_spectra_formula`` or ``box_hessians_slices``."""
+    """The interior stencil's triplets at the deviation w = ``values``,
+    differentiated by hand from ``radial_spectra_formula`` or
+    ``box_hessians_slices`` of u = |x|^2 / 2 + w, whose quadratic part has
+    the profiles 1 and the identity Hessian."""
     grid, spec = system.grid, system.spec
     if system.kind == "radial":
         M, h = grid.M, grid.h
-        fii = lift.msum_weights(radial_spectra_formula(grid, values), spec.m, spec.k)
+        fii = lift.msum_weights(radial_spectra_formula(grid, values) + 1.0, spec.m, spec.k)
         # center row: the Hessian is u''(0) times the identity, so its weight is the trace
         trace0 = fii[0].sum()
         i = np.arange(1, M)
@@ -411,7 +417,7 @@ def hand_stencil(system, values):
         ])
         return rows, cols, vals
     n, h = grid.dim, grid.spacings
-    F, _ = lift.gradient_batch(box_hessians_slices(grid, values), spec)
+    F, _ = lift.gradient_batch(box_hessians_slices(grid, values) + np.eye(n), spec)
     strides = [int(np.prod(grid.shape[c + 1 :])) for c in range(n)]
     offsets = [0]
     vals = [-2.0 * (F[:, range(n), range(n)] / h[None, :] ** 2).sum(axis=1)]

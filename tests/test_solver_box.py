@@ -29,12 +29,18 @@ def arbitrary_fields_problem(spec, extents=(2.0, 2.0, 2.0)):
     )
 
 
+def _normal_derivative(grid, values):
+    """The ``dnu_*`` triplets applied to ``values``, at the boundary nodes."""
+    dnu = np.zeros(grid.npoints)
+    np.add.at(dnu, grid.dnu_rows, grid.dnu_vals * values[grid.dnu_cols])
+    return dnu[grid.boundary_flat]
+
+
 def test_normal_derivative_exact_for_quadratics():
     grid = grids.box_grid([2.0, 2.0, 2.0], 9)
-    u = 0.5 * (grid.points**2).sum(axis=1)
-    dnu_u = (grid.dnu @ u)[grid.boundary_flat]
+    q = 0.5 * (grid.points**2).sum(axis=1)
     x_dot_nu = (grid.points[grid.boundary_flat] * grid.normals[grid.boundary_flat]).sum(axis=1)
-    assert np.abs(dnu_u - x_dot_nu).max() < 1e-13
+    assert np.abs(_normal_derivative(grid, q) - x_dot_nu).max() < 1e-13
 
 
 def test_box_hessian_exact_for_quadratic_forms():
@@ -89,9 +95,10 @@ def test_stencil_table_matches_hand_formulas(kind, spec, nodes, extents):
 @pytest.mark.parametrize("kind,spec,nodes,extents", STENCIL_CASES)
 def test_table_jacobian_matches_hand_stencil(kind, spec, nodes, extents):
     system, u = _stencil_system(kind, spec, nodes, extents)
+    w = u - system.q
     for t in (0.4, 1.0):
-        J = system.jacobian(u, t)
-        ref = coo_jacobian(system, u, t, stencil=hand_stencil)
+        J = system.jacobian(w, t)
+        ref = coo_jacobian(system, w, t, stencil=hand_stencil)
         ref.sum_duplicates()
         ref.sort_indices()
         assert np.array_equal(J.indptr, ref.indptr)
@@ -104,8 +111,9 @@ def test_t0_anchor_residual_zero_box():
     problem = arbitrary_fields_problem(spec)
     grid = grids.box_grid(problem.geom.extents, 17)
     system = BoxSystem(problem, grid)
+    # w = 0: q's exact data and no boundary term, so no rounding is left
     res = system.residual(system.initial_values(), 0.0)
-    assert np.abs(res).max() <= 1e-12
+    assert np.all(res == 0.0)
 
 
 @pytest.mark.parametrize(
@@ -479,15 +487,12 @@ def test_lgmres_failure_rejects_the_step_and_halves_dt(monkeypatch):
     ids=["radial", "box"],
 )
 def test_grids_share_one_boundary_interface(grid):
-    # both grid kinds: u = |x|^2 / 2 has u_nu = x . nu on the boundary nodes,
-    # and the dnu triplets apply the same one-sided closure
-    u = 0.5 * (grid.points**2).sum(axis=1)
+    # both grid kinds: the dnu triplets' one-sided closure gives
+    # q = |x|^2 / 2 its normal derivative q_nu = x . nu on the boundary nodes
+    q = 0.5 * (grid.points**2).sum(axis=1)
     bidx = grid.boundary_flat
     x_dot_nu = (grid.points[bidx] * grid.normals[bidx]).sum(axis=1)
-    assert np.abs(grid.normal_derivative(u) - x_dot_nu).max() < 1e-13
-    dnu = np.zeros(grid.npoints)
-    np.add.at(dnu, grid.dnu_rows, grid.dnu_vals * u[grid.dnu_cols])
-    assert np.abs(dnu[bidx] - grid.normal_derivative(u)).max() < 1e-13
+    assert np.abs(_normal_derivative(grid, q) - x_dot_nu).max() < 1e-13
     assert np.array_equal(np.sort(np.concatenate([grid.interior_flat, bidx])),
                           np.arange(grid.npoints))
     assert np.all(grid.normals[grid.interior_flat] == 0.0)
@@ -651,11 +656,12 @@ def test_rhs_blends_f_and_the_t0_constant(f_of_u):
     problem.f, calls = _counting(field)
     grid = grids.box_grid(problem.geom.extents, 7)
     system = BoxSystem(problem, grid)
-    u = 1.01 * system.initial_values()
-    interior_u = (u[grid.interior_flat],) if f_of_u else ()
+    # the deviation w of u = 1.01 q; f(x, u) sees u
+    w = 0.01 * system.q
+    interior_u = ((system.q + w)[grid.interior_flat],) if f_of_u else ()
     fvals = field(system.interior_points, *interior_u)
     for t in (0.0, 0.3, 1.0):
-        np.testing.assert_array_equal(system.rhs(t, u), t * fvals + (1.0 - t) * system.K0)
-        system.residual(u, t)
+        np.testing.assert_array_equal(system.rhs(t, w), t * fvals + (1.0 - t) * system.K0)
+        system.residual(w, t)
     # f(x): once, when the system is built; f(x, u): on every rhs
     assert len(calls) == (6 if f_of_u else 1)

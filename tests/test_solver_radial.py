@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 
 from sumhess import grids, solver
-from sumhess.errors import AdmissibilityError, ConfigError, NonconvergenceError
+from sumhess.errors import (
+    AdmissibilityError, ConfigError, ContinuationError, NonconvergenceError,
+)
 from sumhess.lift import ConeSpec
 from sumhess.solver import ProblemSpec, RadialSystem
 from oracles import homotopy_data, manufactured_suite
@@ -50,20 +52,24 @@ def test_t0_anchor_residual_zero():
     problem = ProblemSpec(spec=spec, geom=geometry.radial(1.0, dim=3), f=f, a=a, b=b)
     grid = grids.radial_grid(1.0, 64, 3)
     system = RadialSystem(problem, grid)
+    # w = 0: q's exact data and no boundary term, so no rounding is left
     res = system.residual(system.initial_values(), 0.0)
-    assert np.abs(res).max() <= 1e-12
+    assert np.all(res == 0.0)
 
 
 def test_homotopy_data_endpoints():
     spec = ConeSpec(3, 2, 2)
-    problem, _ = solver.radial_quartic_problem(spec)
+    problem, exact = solver.radial_quartic_problem(spec)
     grid = grids.radial_grid(1.0, 32, 3)
     system = RadialSystem(problem, grid)
-    rhs0, bt0 = homotopy_data(system, 0.0)
+    w = exact(grid.points) - system.q
+    rhs0, bt0 = homotopy_data(system, 0.0, w)
     assert np.allclose(rhs0, 12.0)
-    rhs1, bt1 = homotopy_data(system, 1.0)
+    assert np.all(bt0 == 0.0)
+    rhs1, bt1 = homotopy_data(system, 1.0, w)
     assert np.allclose(rhs1, problem.f(system.interior_points))
-    assert bt1 == pytest.approx(system.b_b)
+    # the deviation's boundary data is b less q_nu + a q = r + r^2 / 2 at r = 1
+    assert bt1 == pytest.approx(system.b_b - 1.5)
 
 
 def test_boundary_row_identity():
@@ -73,8 +79,8 @@ def test_boundary_row_identity():
     grid = grids.radial_grid(1.0, 32, 3)
     system = RadialSystem(problem, grid)
     const = system.b_b / system.a_b
-    u = np.full(grid.npoints, const)
-    res = system.residual(u, 1.0, require_admissible=False)
+    w = np.full(grid.npoints, const) - system.q
+    res = system.residual(w, 1.0, require_admissible=False)
     assert abs(res[-1]) < 1e-12
 
 
@@ -86,8 +92,8 @@ def test_manufactured_residual_consistency():
     for M in (32, 64):
         grid = grids.radial_grid(1.0, M, 3)
         system = RadialSystem(problem, grid)
-        u = exact(grid.points)
-        res = system.residual(u, 1.0)
+        w = exact(grid.points) - system.q
+        res = system.residual(w, 1.0)
         norms.append(np.abs(res).max())
     assert norms[0] / norms[1] == pytest.approx(4.0, rel=0.25)
 
@@ -157,10 +163,11 @@ def test_newton_rejects_inadmissible_start():
     problem = trivial_problem(spec)
     grid = grids.radial_grid(1.0, 32, 3)
     system = RadialSystem(problem, grid)
+    # w = -2 q is u = -q, whose Hessian is -I (w = -0 would be admissible)
     with pytest.raises(AdmissibilityError):
-        solver.newton_solve(system, -system.initial_values(), 0.0, timing={})
+        solver.newton_solve(system, -2.0 * system.q, 0.0, timing={})
     with pytest.raises(AdmissibilityError):
-        system.residual(-system.initial_values(), 0.0)
+        system.residual(-2.0 * system.q, 0.0)
 
 
 def test_non_finite_state_and_data_rejected():
@@ -207,13 +214,17 @@ def test_manufactured_higher_degree():
     assert 1.7 <= report["observed_order"] <= 2.2, report
 
 
-@pytest.mark.parametrize("n,m,k", [(3, 2, 1), (5, 2, 4), (6, 3, 5), (6, 2, 6)])
-def test_manufactured_wide_shapes(n, m, k):
-    # interior values scale like binom(C, k) m^k, so the absolute Newton
-    # tolerance must follow the problem's magnitude
-    spec = ConeSpec(n, m, k)
-    cfg = solver.SolverConfig(tol_abs=max(1e-8, solver.homotopy_constant(spec) * 1e-12))
-    report = manufactured_suite("radial", spec, (32, 64), cfg=cfg)
+@pytest.mark.parametrize(
+    "n,m,k,meshes",
+    [(3, 2, 1, (32, 64)), (5, 2, 4, (32, 64)), (6, 3, 5, (32, 64)),
+     (6, 2, 6, (32, 64, 128))],
+    ids=["3-2-1", "5-2-4", "6-3-5", "6-2-6"],
+)
+def test_manufactured_wide_shapes(n, m, k, meshes):
+    # interior values scale like binom(C, k) m^k (3.8e6 at (6,3,5)), and the
+    # residual's roundoff floor with them; the deviation state keeps that
+    # floor under the default tolerance on these meshes
+    report = manufactured_suite("radial", ConeSpec(n, m, k), meshes)
     assert 1.7 <= report["observed_order"] <= 2.2, report
 
 
@@ -328,6 +339,24 @@ def test_rejected_steps_are_recorded(monkeypatch):
     assert state.as_dict()["rejected_steps"] == state.rejected_steps
 
 
+def test_failures_carry_the_solution_not_the_deviation(monkeypatch):
+    # with no Newton iterations allowed every step off t = 0 fails at once,
+    # so each error holds the start it was given, as u = |x|^2 / 2 + w
+    monkeypatch.setattr(solver, "MAX_ITER", 0)
+    problem, _ = solver.radial_quartic_problem(ConeSpec(3, 2, 2))
+    grid = grids.radial_grid(1.0, 32, 3)
+    system = RadialSystem(problem, grid)
+    q = 0.5 * grid.r**2
+    w = 1e-3 * np.sin(2.0 * grid.r)
+    with pytest.raises(NonconvergenceError, match="no convergence") as info:
+        solver.newton_solve(system, w, 1.0, timing={})
+    assert np.abs(info.value.last_values - (q + w)).max() <= 1e-16
+    with pytest.raises(ContinuationError, match="step size underflow") as info:
+        solver.continuation_solve(system, solver.SolverConfig(dt_min=0.05))
+    assert info.value.last_t == 0.0
+    assert np.array_equal(info.value.last_values, q)
+
+
 @pytest.mark.parametrize("poison", [False, True], ids=["admissible", "inadmissible"])
 def test_secant_prediction_and_its_fallback(monkeypatch, poison):
     # the test's own secant oracle finds the predicted state among the
@@ -376,9 +405,10 @@ needs_extended = pytest.mark.skipif(
 @needs_extended
 def test_extended_state_clears_the_radial_roundoff_floor():
     # one ulp per node, alternating in sign (the worst case for the 1/h^2
-    # stencil), on the exact (5,2,3) quartic at M = 256: in float64 it moves
-    # the max-norm residual by 2.7e-8, far above the 1e-10 tolerance; in the
-    # extended state by 1.3e-11, so the tolerance sits 5x above that floor
+    # stencil), on the deviation w = exact - q of the (5,2,3) quartic at
+    # M = 256: in float64 it moves the max-norm residual by 1.7e-9, above the
+    # 1e-10 tolerance; in the extended state by 8.2e-13, so the tolerance
+    # sits over 100x above that floor
     spec = ConeSpec(5, 2, 3)
     problem, exact = solver.radial_quartic_problem(spec)
     grid = grids.radial_grid(1.0, 256, spec.n)
@@ -386,10 +416,10 @@ def test_extended_state_clears_the_radial_roundoff_floor():
     signs = (-1.0) ** np.arange(grid.npoints)
     moved = {}
     for dtype in (np.float64, solver.EXTENDED):
-        u = exact(grid.points).astype(dtype)
-        res, _ = system.residual_and_margin(u, 1.0)
+        w = (exact(grid.points) - system.q).astype(dtype)
+        res, _ = system.residual_and_margin(w, 1.0)
         assert res.dtype == dtype
-        bumped, _ = system.residual_and_margin(u + signs * np.spacing(u), 1.0)
+        bumped, _ = system.residual_and_margin(w + signs * np.spacing(w), 1.0)
         moved[dtype] = float(np.abs(bumped - res).max())
     assert moved[np.float64] > 1e-10
     assert moved[solver.EXTENDED] <= 2e-11
