@@ -51,12 +51,11 @@ class ConeSpec:
 
 @dataclass(frozen=True)
 class SubsetTable:
-    """All size-m subsets of {0..n-1} in lexicographic order, with positions."""
+    """All size-m subsets of {0..n-1} in lexicographic order."""
 
     n: int
     m: int
     tuples: np.ndarray = field(repr=False)  # (C, m) int64
-    position: dict = field(repr=False)  # tuple -> 0-based ordinal
 
     @property
     def size(self):
@@ -70,74 +69,40 @@ def subset_table(n, m):
     if math.comb(n, m) > MAX_LIFT_SIZE:
         raise ValueError(f"binom({n}, {m}) exceeds cap {MAX_LIFT_SIZE}")
     tuples = np.array(list(itertools.combinations(range(n), m)), dtype=np.int64)
-    position = {tuple(row): a for a, row in enumerate(tuples.tolist())}
-    return SubsetTable(n=n, m=m, tuples=tuples, position=position)
-
-
-@dataclass(frozen=True)
-class LiftOperator:
-    """Sparse description of the lift: which Hessian entry feeds which
-    lifted entry, with the slot-position sign.
-
-    Off-diagonal rule: subsets that differ in exactly one element, say a in
-    the row subset (slot i) replaced by b in the column subset (slot j),
-    contribute sign (-1)^|i-j| times H[a, b]. Subsets differing in more than
-    one element contribute nothing; the diagonal collects the subset's own
-    diagonal Hessian entries.
-    """
-
-    table: SubsetTable
-    rows: np.ndarray = field(repr=False)
-    cols: np.ndarray = field(repr=False)
-    src_a: np.ndarray = field(repr=False)
-    src_b: np.ndarray = field(repr=False)
-    sign: np.ndarray = field(repr=False)
+    return SubsetTable(n=n, m=m, tuples=tuples)
 
 
 @lru_cache(maxsize=None)
-def lift_operator(n, m):
-    table = subset_table(n, m)
-    tuples = table.tuples
-    rows, cols, src_a, src_b, sign = [], [], [], [], []
-    for a_idx in range(table.size):
-        base = tuples[a_idx]
-        base_set = set(base.tolist())
-        for slot_i in range(m):
-            removed = int(base[slot_i])
-            for repl in range(n):
-                if repl in base_set:
-                    continue
-                other = sorted(base_set - {removed} | {repl})
-                b_idx = table.position[tuple(other)]
-                if b_idx <= a_idx:
-                    continue  # store each unordered pair once
-                slot_j = other.index(repl)
-                rows.append(a_idx)
-                cols.append(b_idx)
-                src_a.append(removed)
-                src_b.append(repl)
-                sign.append(-1.0 if (slot_i - slot_j) % 2 else 1.0)
-    return LiftOperator(
-        table=table,
-        rows=np.array(rows, dtype=np.int64),
-        cols=np.array(cols, dtype=np.int64),
-        src_a=np.array(src_a, dtype=np.int64),
-        src_b=np.array(src_b, dtype=np.int64),
-        sign=np.array(sign, dtype=np.float64),
-    )
+def _lift_pairs(n, m):
+    """The off-diagonal entries of the lift, (A, B, a, b, sign): subsets A < B
+    (as positions in ``subset_table(n, m)``) that share m - 1 elements, the
+    elements a of A and b of B in which they differ, and the sign
+    (-1)^(slot of a in A - slot of b in B) with which H[a, b] enters W[A, B].
+    Subsets differing in more than one element contribute nothing."""
+    tuples = subset_table(n, m).tuples
+    member = np.zeros((len(tuples), n), dtype=np.int64)
+    np.put_along_axis(member, tuples, 1, axis=1)
+    A, B = np.nonzero(np.triu(member @ member.T == m - 1, 1))
+    diff = member[A] - member[B]
+    a, b = np.argmax(diff == 1, axis=1), np.argmax(diff == -1, axis=1)
+    slot = np.cumsum(member, axis=1)
+    sign = np.where((slot[A, a] - slot[B, b]) % 2, -1.0, 1.0)
+    return A, B, a, b, sign
 
 
 def lift_hessian_batch(hessians, table):
-    """Lifted matrices for a batch (N, n, n) of symmetric Hessians."""
+    """Lifted matrices for a batch (N, n, n) of symmetric Hessians: the
+    diagonal collects each subset's own diagonal Hessian entries, and the
+    ``_lift_pairs`` entries are the signed H[a, b]."""
     Hs = np.asarray(hessians, dtype=np.float64)
-    op = lift_operator(table.n, table.m)
+    A, B, a, b, sign = _lift_pairs(table.n, table.m)
     size = table.size
     W = np.zeros((Hs.shape[0], size, size))
     diag = Hs[:, np.arange(table.n), np.arange(table.n)]
     W[:, np.arange(size), np.arange(size)] = diag[:, table.tuples].sum(axis=2)
-    vals = op.sign * Hs[:, op.src_a, op.src_b]
-    W[:, op.rows, op.cols] = vals
-    W[:, op.cols, op.rows] = vals
+    vals = sign * Hs[:, a, b]
+    W[:, A, B] = vals
+    W[:, B, A] = vals
     return W
 
 

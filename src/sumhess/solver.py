@@ -66,11 +66,10 @@ STEP_MIN = 1e-6
 GROW = (4.0, 2.0, 1.0)
 # inexact Newton (Dembo, Eisenstat & Steihaug, SIAM J. Numer. Anal. 19,
 # 1982): the Krylov solve's relative tolerance follows the nonlinear
-# progress, see ``forcing``; the largest, the factor on the squared residual
-# ratio, and the bound above which the previous tolerance keeps it up
+# progress, see ``forcing``; the largest, and the factor on the squared
+# residual ratio
 FORCING_MAX = 1e-2
 FORCING_GAMMA = 0.9
-FORCING_SAFEGUARD = 0.1
 # largest system sent to sparse LU: LU and V-cycle-preconditioned lgmres
 # break even near 9^3 box unknowns; LU fill-in then grows far faster than
 # the multigrid cost
@@ -461,19 +460,17 @@ def _inv_diagonal(op):
     return 1.0 / diag
 
 
-def forcing(norm, prev_norm, prev_eta, tol):
+def forcing(norm, prev_norm, tol):
     """Relative tolerance of Newton's next Krylov solve (Eisenstat & Walker,
     SIAM J. Sci. Comput. 17, 1996, choice 2, as in Kelley, Solving Nonlinear
     Equations with Newton's Method, 2003): ``FORCING_MAX`` on a Newton
-    solve's first step, then FORCING_GAMMA (|F_k| / |F_k-1|)^2, kept at
-    least FORCING_GAMMA eta_k-1^2 when that exceeds FORCING_SAFEGUARD, at
-    least half of tol / |F_k|, where a looser solve still reaches tol, and
-    at most ``FORCING_MAX``."""
+    solve's first step, then FORCING_GAMMA (|F_k| / |F_k-1|)^2, at least
+    half of tol / |F_k|, where a looser solve still reaches tol, and at most
+    ``FORCING_MAX``. Choice 2's safeguard acts only where FORCING_GAMMA
+    eta_k-1^2 exceeds 0.1, which this cap never lets it reach."""
     if prev_norm is None:
         return FORCING_MAX
     eta = FORCING_GAMMA * (norm / prev_norm) ** 2
-    if (kept := FORCING_GAMMA * prev_eta**2) > FORCING_SAFEGUARD:
-        eta = max(eta, kept)
     return min(FORCING_MAX, max(eta, 0.5 * tol / norm))
 
 
@@ -559,7 +556,7 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
             f"initial state not admissible (margin {margin:.3e})", margin=margin
         )
     stats = {"iters": 0, "linear_iters": 0, "residual_norm": norm, "min_margin": margin}
-    prev_norm = eta = None
+    prev_norm = None
     cache = {}  # this solve's V-cycle hierarchy, built by its first Krylov solve
     while norm > tol:
         if stats["iters"] >= MAX_ITER:
@@ -567,7 +564,7 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
                 f"no convergence in {MAX_ITER} iterations (|res|={norm:.3e})",
                 last_values=system.solution(w), residual_norm=norm,
             )
-        eta = forcing(norm, prev_norm, eta, tol)
+        eta = forcing(norm, prev_norm, tol)
         J = _timed(timing, "jacobian_s", system.jacobian, w, t)
         delta, linear_iters = _timed(
             timing, "linear_solve_s", _linear_solve, J,

@@ -6,7 +6,8 @@ production code paths it cross-checks. The one-at-a-time helpers at the end
 (one lifted matrix, one subset position, one homotopy member, one boundary
 point, one barrier value, one sample into a report, one collar point, one CSV
 row, one whole-block prop21 suite) are the scalar or unchunked forms the batch
-code is checked against, and ``coo_jacobian`` assembles a Jacobian from
+code is checked against, ``lift_by_minors`` builds the lift from its
+definition, and ``coo_jacobian`` assembles a Jacobian from
 concatenated COO triplets, the reference for its fixed CSR pattern. The grid
 stencils written out by hand (box Hessians from shifted slices, the radial
 spectra formula, and the differentiated interior rows of both grids) are the
@@ -120,15 +121,15 @@ def gradient_via_lift(hess, spec):
     pulled back through the sparse lift entries."""
     H = symfun.as_symmetric(hess)
     table = lift.subset_table(spec.n, spec.m)
-    op = lift.lift_operator(spec.n, spec.m)
+    A, B, a, b, sign = lift._lift_pairs(spec.n, spec.m)
     W = lift_hessian(H, table)
     G = symfun.newton_transform(W, spec.k)
     F = np.zeros((spec.n, spec.n))
     gdiag = np.diag(G)
     for a_idx in range(table.size):
         F[table.tuples[a_idx], table.tuples[a_idx]] += gdiag[a_idx]
-    np.add.at(F, (op.src_a, op.src_b), op.sign * G[op.rows, op.cols])
-    np.add.at(F, (op.src_b, op.src_a), op.sign * G[op.rows, op.cols])
+    np.add.at(F, (a, b), sign * G[A, B])
+    np.add.at(F, (b, a), sign * G[A, B])
     return symfun.symmetrize(F), float(np.trace(F))
 
 
@@ -140,9 +141,27 @@ def lift_hessian(hess, table):
     return lift.lift_hessian_batch(H[None], table)[0]
 
 
+def lift_by_minors(hess, m):
+    """Lifted matrix from its definition, independent of the lift's pair
+    table: the m-th additive compound of H, W[A, B] = d/dt det((I + t H)[A, B])
+    at t = 0 over the lexicographic m-subsets, by Jacobi's formula the sum
+    over columns j of det(I[A, B]) with column j taken from H[A, B]."""
+    H = symfun.as_symmetric(hess)
+    subsets = list(itertools.combinations(range(H.shape[0]), m))
+    eye = np.eye(H.shape[0])
+    W = np.zeros((len(subsets), len(subsets)))
+    for p, A in enumerate(subsets):
+        for q, B in enumerate(subsets):
+            for j in range(m):
+                M = eye[np.ix_(A, B)]
+                M[:, j] = H[np.ix_(A, B)][:, j]
+                W[p, q] += np.linalg.det(M)
+    return W
+
+
 def index_of(table, tup):
     """0-based lexicographic position of the subset ``tup`` in ``table``."""
-    return table.position[tuple(int(i) for i in tup)]
+    return int(np.flatnonzero((table.tuples == np.asarray(tup)).all(axis=1))[0])
 
 
 def homotopy_data(system, t, values=None):

@@ -67,6 +67,73 @@ def test_expression_rejects_coordinate_zero(text):
         parse_expression(text)
 
 
+@pytest.mark.parametrize(
+    "text,expected",
+    [("007", 7.0), ("1.", 1.0), (".5", 0.5), ("1.e5", 1e5), ("  x1  ", 3.0), ("x1\n- 007", -4.0)],
+)
+def test_expression_numbers_and_whitespace(text, expected):
+    # numbers as the grammar writes them (a leading zero is no octal
+    # prefix), and whitespace around or inside an expression is ignored
+    assert parse_expression(text)(np.array([[3.0, 2.0]]))[0] == expected
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["1_0", "0x10", "x1**2", "x1 # c", "cos(x1,x2)", "x1 if x2 else x3", "x1.real",
+     "__import__", "1j", "True", "+x1", "x1 | x2", "| x |", "cos|x|", "()", "", "1if x1 else 2"],
+)
+def test_expression_rejects_what_the_grammar_lacks(text, recwarn):
+    # the text is parsed by Python's ast, but only the grammar's nodes,
+    # characters and number spellings compile, and Python's warnings about
+    # the text (1if is an "invalid decimal literal") stay inside the parser
+    with pytest.raises(ConfigError):
+        parse_expression(text)
+    assert len(recwarn) == 0
+
+
+def _deep(kind, depth):
+    if kind == "parentheses":
+        return "(" * depth + "x1" + ")" * depth
+    if kind == "sum":
+        return " + ".join(["x1"] * depth)
+    return "-" * depth + "x1"
+
+
+@pytest.mark.parametrize("kind,depth", [("parentheses", 1200), ("sum", 3000), ("minus", 3000)])
+def test_deep_expression_is_a_config_error(kind, depth):
+    with pytest.raises(ConfigError, match="nested"):
+        parse_expression(_deep(kind, depth))
+
+
+def test_field_too_deep_to_evaluate_is_a_config_error():
+    field = parse_expression(_deep("sum", 400))
+    assert field(np.array([[1.0]]))[0] == 400.0
+
+    def call_below(frames):  # evaluate the field under a deep stack
+        return field(np.array([[1.0]])) if frames == 0 else call_below(frames - 1)
+
+    with pytest.raises(ConfigError, match="too deeply to evaluate"):
+        call_below(sys.getrecursionlimit() - 300)
+
+
+@pytest.mark.parametrize("kind,depth", [("parentheses", 1200), ("sum", 3000)])
+def test_solve_with_a_deep_f_is_a_config_error(tmp_path, capsys, kind, depth):
+    cfg = write(tmp_path / "run.cfg", f"""
+mode = radial
+n = 3
+m = 2
+k = 2
+mesh = 16
+f = {_deep(kind, depth)}
+a = 1
+b = 1
+""")
+    rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert err.startswith("config error:") and "Traceback" not in err
+
+
 def test_solve_radial_manufactured(tmp_path):
     cfg = write(tmp_path / "run.cfg", """
 mode = radial

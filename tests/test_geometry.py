@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -396,6 +397,31 @@ def test_barrier_nan_point_fails_the_check():
     assert rep.count == 20
     assert math.isnan(rep.min_margin) and not rep.passed
     assert math.isnan(rep.as_dict()["min_margin"])
+
+
+@pytest.mark.parametrize("steps_up", [5, None])
+def test_search_doubles_from_a_failing_guess(monkeypatch, steps_up):
+    # a check that passes from a chosen K3 up: the search doubles K3 from its
+    # failing first guess to the smallest passing power of two, and gives up
+    # after 40 doublings when none passes
+    calls = []
+
+    def fake_verify(u_hess, geom, params, spec, sample_points, which):
+        calls.append(params.K3)
+        passed = steps_up is not None and params.K3 >= calls[0] * 2.0**steps_up
+        return SimpleNamespace(passed=passed, K3=params.K3)
+
+    monkeypatch.setattr(geometry, "verify_barrier_bound", fake_verify)
+    args = (quad_hessian(3), geometry.ball(1.0, dim=3), ConeSpec(3, 2, 2))
+    if steps_up is None:
+        with pytest.raises(ConfigError, match="no passing barrier constant"):
+            geometry.search_barrier_constant(*args, sample_points=50)
+        assert calls == [calls[0] * 2.0**e for e in range(41)]
+        return
+    K3, rep = geometry.search_barrier_constant(*args, sample_points=50)
+    assert K3 == calls[0] * 2.0**steps_up == rep.K3 and rep.passed
+    assert calls == [calls[0] * 2.0**e for e in range(steps_up + 1)]
+    assert rep.search_passes == steps_up + 1
 
 
 def test_search_returns_its_passing_report():

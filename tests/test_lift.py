@@ -9,7 +9,8 @@ import pytest
 from sumhess import _kernels, lift, symfun
 from sumhess.lift import ConeSpec
 from oracles import (
-    elem_sym_enum, gradient_fd, gradient_via_lift, index_of, lift_hessian, sk_of_hessian,
+    elem_sym_enum, gradient_fd, gradient_via_lift, index_of, lift_by_minors, lift_hessian,
+    sk_of_hessian,
     subset_sums_enum,
 )
 
@@ -50,6 +51,16 @@ def test_lift_diagonal_examples():
     assert np.allclose(lift_hessian(np.eye(3), t), 2.0 * np.eye(3))
     W = lift_hessian(np.diag([1.0, 2.0, 3.0]), t)
     assert np.allclose(W, np.diag([3.0, 4.0, 5.0]))
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 6])
+def test_lift_is_the_additive_compound(n):
+    # every entry and sign of the closed-form pair table, against the minors
+    rng = np.random.default_rng(n)
+    for m in range(2, n):
+        H = rand_sym(rng, n)
+        W = lift_hessian(H, lift.subset_table(n, m))
+        assert np.abs(W - lift_by_minors(H, m)).max() < 1e-12
 
 
 def test_lift_linearity():

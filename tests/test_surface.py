@@ -1,8 +1,8 @@
 """Guards on the package's structure. Every public module-level function in
 ``src/sumhess`` must be reached from the package itself or from the benchmark
 harness (``perfbench``), not only from the tests: a function only tests call
-belongs in ``tests/oracles.py``. And the m-subset table is read only where
-the m-sum lift is built."""
+belongs in ``tests/oracles.py``. The m-subset table is read only where
+the m-sum lift is built. And no module evaluates text as Python."""
 
 import ast
 import inspect
@@ -72,3 +72,17 @@ def test_only_the_lift_reads_the_subset_table():
             if name in table_names:
                 uses.append(f"{path.stem}:{node.lineno}:{name}")
     assert uses == []
+
+
+def test_no_module_calls_eval_exec_or_compile():
+    # field expressions are compiled node by node from ``ast``; a call of
+    # these builtins would run config text as Python (``re.compile`` is an
+    # attribute call and does not count)
+    calls = [
+        f"{path.stem}:{node.lineno}:{node.func.id}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+        and node.func.id in {"eval", "exec", "compile"}
+    ]
+    assert calls == []
