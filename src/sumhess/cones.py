@@ -1,10 +1,10 @@
 """Executable cone predicates: inequality checks with explicit constants,
 rejection samplers for their hypothesis sets, and suite runners.
 
-Suites are addressed by short ids (prop21..prop27, euler, spectral-lift)
-shared with the CLI ``verify`` command. Margins are signed: a check passes
-when every margin stays above ``MARGIN_FLOOR``; identity-style suites store
-``tolerance - relative_error`` so the same convention applies.
+Suites are addressed by short ids (prop21..prop27, mixed, euler,
+spectral-lift) shared with the CLI ``verify`` command. Margins are signed: a
+check passes when every margin stays above ``MARGIN_FLOOR``; identity-style
+suites store ``tolerance - relative_error`` so the same convention applies.
 """
 
 import math
@@ -77,7 +77,6 @@ class SampleReport:
     acceptance_rate: float | None = None
     proposals: int | None = None
     checks: dict = field(default_factory=dict)
-    notes: dict = field(default_factory=dict)
 
     def record_block(self, result, samples):
         """Add a block check result and the samples it was computed on.
@@ -135,7 +134,6 @@ class SampleReport:
             "acceptance_rate": self.acceptance_rate,
             "proposals": self.proposals,
             "checks": {k: v for k, v in sorted(self.checks.items())},
-            "notes": self.notes,
         }
 
 
@@ -143,10 +141,11 @@ class SampleReport:
 # block checks
 #
 # Every check_* takes an (N, n) block, one sample per row, and returns
-# {"hypothesis": (N,) bool, "margins": {name: (N,) float}, "skip": (N,)
-# reasons}; a margin a row does not have is +inf. Margins are computed only
-# on the rows that meet the hypotheses, and a row's margins do not depend on
-# the other rows: one sample is a (1, n) block.
+# {"hypothesis": (N,) bool, "margins": {name: (N,) float}}; a margin a row
+# does not have is +inf. Margins are computed only on the rows that meet the
+# hypotheses, and a row's margins do not depend on the other rows: one sample
+# is a (1, n) block. A sampler accepts with the same hypothesis helpers as
+# its check, so every sample it emits meets the check's hypotheses.
 
 
 def _pow(x, e):
@@ -160,7 +159,7 @@ def _pow(x, e):
 
 
 class _Block:
-    """Hypothesis mask, skip reasons and margin columns of one check call."""
+    """Hypothesis mask and margin columns of one check call."""
 
     def __init__(self, values):
         block = np.asarray(values, dtype=np.float64)
@@ -170,14 +169,10 @@ class _Block:
             raise ValueError("spectrum entries must be finite")
         self.values = block
         self.hypothesis = np.ones(block.shape[0], dtype=bool)
-        self.skip = np.full(block.shape[0], None, dtype=object)
         self.margins = {}
-        self.extra = {}
 
-    def require(self, ok, reason):
-        """Keep only the rows where ``ok`` holds; the others skip with ``reason``."""
-        failed = self.hypothesis & ~ok
-        self.skip[failed] = reason
+    def require(self, ok):
+        """Keep only the rows where ``ok`` holds."""
         self.hypothesis &= ok
 
     def put(self, name, values, where=None):
@@ -187,8 +182,7 @@ class _Block:
         self.margins[name] = col
 
     def result(self):
-        return {"hypothesis": self.hypothesis, "margins": self.margins,
-                "skip": self.skip, **self.extra}
+        return {"hypothesis": self.hypothesis, "margins": self.margins}
 
 
 def _check_degree(k, n):
@@ -200,6 +194,18 @@ def _sorted_desc(block):
     return ~np.any(np.diff(block, axis=1) > 0, axis=1)
 
 
+def _in_band(lam_all, delta1, m, L):
+    """Rows whose m-sums all lie in [-delta1 L, m L]."""
+    return np.all(lam_all >= -delta1 * L, axis=1) & np.all(lam_all <= m * L, axis=1)
+
+
+def _dominant_entry(v, delta, eps):
+    """Rows with a descending tail v[1:], a positive first entry of at least
+    delta v[1], and a last entry of at most -eps v[0]."""
+    return (_sorted_desc(v[:, 1:]) & (v[:, 0] > 0) & (v[:, 0] >= delta * v[:, 1])
+            & (v[:, -1] <= -eps * v[:, 0]))
+
+
 def check_ordered_cone_inequalities(lam, k, partner=None):
     """Deleted-value ordering, leading-entry positivity, the weighted lower
     bound, and (optionally) midpoint concavity of S_k^(1/k) toward ``partner``."""
@@ -209,9 +215,9 @@ def check_ordered_cone_inequalities(lam, k, partner=None):
     nu_all = None if partner is None else _Block(partner).values
     if nu_all is not None and nu_all.shape != blk.values.shape:
         raise ValueError("partner block must match the sample block")
-    blk.require(_sorted_desc(blk.values), "not sorted descending")
+    blk.require(_sorted_desc(blk.values))
     s = _kernels.elem_sym_all(blk.values, k)
-    blk.require(_kernels.cone_margin(s, k) > 0.0, "outside cone")
+    blk.require(_kernels.cone_margin(s, k) > 0.0)
     h = blk.hypothesis
     lam, sk = blk.values[h], s[h, k]
     deleted = _kernels.deleted_sym(lam, k - 1)
@@ -239,7 +245,7 @@ def check_maclaurin(lam, k, l):
     n = blk.values.shape[1]
     _check_degree(k, n)
     s = _kernels.elem_sym_all(blk.values, k)
-    blk.require(_kernels.cone_margin(s, k) > 0.0, "outside cone")
+    blk.require(_kernels.cone_margin(s, k) > 0.0)
     h = blk.hypothesis
     sk = s[h, k]
     lhs = _pow(sk / math.comb(n, k), 1.0 / k)
@@ -263,9 +269,9 @@ def check_negative_entry(lam, k, neg_index):
         raise ValueError("neg_index out of range")
     _check_degree(k, n)
     s = _kernels.elem_sym_all(blk.values, k)
-    blk.require(_kernels.cone_margin(s, k) > 0.0, "outside cone")
+    blk.require(_kernels.cone_margin(s, k) > 0.0)
     entry = blk.values[np.arange(rows), idx]
-    blk.require(entry < 0, "designated entry not negative")
+    blk.require(entry < 0)
     h = blk.hypothesis
     deleted = _kernels.deleted_sym(blk.values[h], k - 1)
     total = deleted.sum(axis=1)
@@ -289,34 +295,23 @@ def check_sum_lift_gradient_bounds(mu, spec, delta, L=1.0):
     """Lower bounds on the gradient sum of S_k over the m-sum spectrum, and
     on each single partial relative to the sum, with explicit constants."""
     n, m, k = spec.n, spec.m, spec.k
-    size = spec.size
     _check_lift_degree(spec)
     blk = _Block(mu)
     if blk.values.shape[1] != n:
         raise ValueError("spectrum length must equal n")
     consts = InequalityConstants.for_problem(n, m, k, delta)
-    blk.require(_sorted_desc(blk.values), "not sorted descending")
+    blk.require(_sorted_desc(blk.values))
     lam_all = lift.msums(blk.values, m)
     s = _kernels.elem_sym_all(lam_all, k)
-    blk.require(_kernels.cone_margin(s, k) > 0.0, "outside lifted cone")
-    blk.require(blk.values[:, -1] < -delta * L, "smallest entry not below -delta*L")
+    blk.require(_kernels.cone_margin(s, k) > 0.0)
+    blk.require(blk.values[:, -1] < -delta * L)
     h = blk.hypothesis
     deleted = _kernels.deleted_sym(lam_all[h], k - 1)
     total = deleted.sum(axis=1)
     blk.put("gradient_sum", total - consts.theta1 * L ** (k - 1))
-    partial = np.full(h.size, math.inf)
-    partial[h] = deleted.min(axis=1) - consts.theta2 * total
-    below_top = np.all(lam_all <= m * L, axis=1)
-    band = h & np.all(lam_all >= -consts.delta1 * L, axis=1) & below_top
-    blk.put("partial_vs_sum", partial[band], where=band)
-    # looser band variant with exponent k-1 on the small constant: log when a
-    # sample satisfies only that variant yet violates the bound
-    delta1_alt = math.exp(
-        (k - 1) * math.log(delta) - math.lgamma(size + 1) - k * math.log(4.0)
-    )
-    alt = h & ~band & np.all(lam_all >= -delta1_alt * L, axis=1) & below_top
-    blk.extra["alt_band_only"] = alt
-    blk.extra["alt_partial_vs_sum"] = np.where(alt, partial, math.inf)
+    band = h & _in_band(lam_all, consts.delta1, m, L)
+    partial = deleted.min(axis=1) - consts.theta2 * total
+    blk.put("partial_vs_sum", partial[band[h]], where=band)
     return blk.result()
 
 
@@ -330,13 +325,10 @@ def check_large_entry_deletion(lam, k, delta, eps):
     _check_degree(k, n)
     c0 = deletion_constant(n, delta, eps)
     s = _kernels.elem_sym_all(blk.values, k)
-    blk.require(_kernels.cone_margin(s, k) > 0.0, "outside cone")
-    blk.require(_sorted_desc(blk.values[:, 1:]), "tail not sorted descending")
-    v = blk.values
-    dominant = (v[:, 0] > 0) & (v[:, 0] >= delta * v[:, 1]) & (v[:, -1] <= -eps * v[:, 0])
-    blk.require(dominant, "dominance hypotheses not met")
+    blk.require(_kernels.cone_margin(s, k) > 0.0)
+    blk.require(_dominant_entry(blk.values, delta, eps))
     h = blk.hypothesis
-    zeroed = v[h].copy()
+    zeroed = blk.values[h].copy()
     zeroed[:, 0] = 0.0
     margins = _kernels.elem_sym_all(zeroed, k - 1) - c0 * s[h, :k]
     blk.put("deletion_factor", margins.min(axis=1))
@@ -430,11 +422,8 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
 
         def accept(blk):
             lamb = lift.msums(blk, m)
-            good = _cone_mask(lamb, k)
-            good &= blk[:, -1] < -delta * L
-            good &= lamb.min(axis=1) >= -consts.delta1 * L
-            good &= lamb.max(axis=1) <= m * L
-            return good
+            return (_cone_mask(lamb, k) & (blk[:, -1] < -delta * L)
+                    & _in_band(lamb, consts.delta1, m, L))
 
         return _rejection(rng, propose, accept, count, stats)
 
@@ -450,12 +439,7 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
             return np.concatenate([head, mid, tail], axis=1)
 
         def accept(blk):
-            good = _cone_mask(blk, k)
-            good &= blk[:, 0] > 0
-            good &= blk[:, 0] >= delta * blk[:, 1]
-            good &= blk[:, -1] <= -eps * blk[:, 0]
-            good &= blk[:, -1] <= blk[:, -2]
-            return good
+            return _cone_mask(blk, k) & _dominant_entry(blk, delta, eps)
 
         return _rejection(rng, propose, accept, count, stats)
 
@@ -716,19 +700,8 @@ def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
 
     if which == "prop26":
         samples = sample(trials, "prop26_hypotheses", delta=delta, L=L)
-        notes = report.notes
-        notes["alt_band_only_samples"] = notes["alt_band_violations"] = 0
-
-        def check(rows):
-            result = check_sum_lift_gradient_bounds(samples[rows], spec, delta, L)
-            alt = result["alt_band_only"]
-            notes["alt_band_only_samples"] += int(alt.sum())
-            notes["alt_band_violations"] += int(
-                (result["alt_partial_vs_sum"][alt] < MARGIN_FLOOR).sum()
-            )
-            return result
-
-        _record_blocks(report, samples, check)
+        _record_blocks(report, samples, lambda rows: check_sum_lift_gradient_bounds(
+            samples[rows], spec, delta, L))
         return report
 
     if which == "prop27":

@@ -477,9 +477,10 @@ def forcing(norm, prev_norm, tol):
 def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     """Solve J x = rhs on a grid of the given node shape.
 
-    Returns (x, Krylov iterations). Systems with at most ``DIRECT_LIMIT``
-    unknowns go to sparse LU (0 iterations). Larger ones are scaled to unit
-    diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres to relative
+    Returns (x, Krylov iterations). Radial systems, whose Jacobian is
+    banded, and systems with at most ``DIRECT_LIMIT`` unknowns go to sparse
+    LU (0 iterations). Larger box ones are scaled to unit diagonal,
+    D^-1 J x = D^-1 rhs, and solved by lgmres to relative
     tolerance ``rtol``, preconditioned with a V-cycle; D^-1 J shares J's
     ``indices`` and ``indptr`` and scales a copy of its data, so J itself
     must be CSR and is left unchanged. The count is the
@@ -489,7 +490,7 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     D^-1 J and stored there, and the build's wall seconds are added to
     ``timing["hierarchy_s"]``.
     """
-    if J.shape[0] <= DIRECT_LIMIT:
+    if J.shape[0] <= DIRECT_LIMIT or len(shape) == 1:
         return spla.spsolve(J.tocsc(), rhs), 0
     inv_diag = _inv_diagonal(J)
     A = sp.csr_matrix(

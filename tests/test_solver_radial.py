@@ -207,6 +207,21 @@ def test_manufactured_radial_convergence():
         assert row["diagnostics"]["admissible_everywhere"]
 
 
+def test_radial_meshes_past_the_direct_limit_take_sparse_lu():
+    # the radial Jacobian is banded, so sparse LU serves every mesh; on
+    # V-cycle lgmres M = 2048 stalled at t = 0, and the odd M = 1001, which
+    # has no coarse level, took minutes
+    problem, exact = solver.radial_quartic_problem(ConeSpec(3, 2, 2))
+    errors = {}
+    for mesh in (2048, 1024, 1001):
+        state, grid = solver.radial_solve(problem, mesh)
+        assert grid.npoints > solver.DIRECT_LIMIT
+        assert state.t == 1.0
+        assert all(s["linear_iters"] == 0 for s in state.steps)
+        errors[mesh] = np.abs(state.values - exact(grid.points)).max()
+    assert 3.8 <= errors[1024] / errors[2048] <= 4.2, errors
+
+
 def test_manufactured_higher_degree():
     # a case inside the larger-degree existence range
     spec = ConeSpec(4, 2, 3)
