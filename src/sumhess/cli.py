@@ -28,12 +28,16 @@ from .lift import ConeSpec, msum_sym, subset_table
 
 
 def _load_config(path):
+    """The raw config map, and the seed a manifest ran with (else None)."""
     text = Path(path).read_text()
     stripped = text.lstrip()
     if stripped.startswith("{"):
         payload = json.loads(text)
         config = payload.get("config", payload)
-        return {str(k): str(v) for k, v in config.items()}
+        seed = payload.get("seed") if "config" in payload else None
+        if seed is not None and type(seed) is not int:
+            raise ConfigError(f"manifest seed must be an integer, got {seed!r}")
+        return {str(k): str(v) for k, v in config.items()}, seed
     config = {}
     for lineno, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
@@ -46,7 +50,7 @@ def _load_config(path):
         if key in config:
             raise ConfigError(f"line {lineno}: duplicate key {key!r}")
         config[key] = value.strip()
-    return config
+    return config, None
 
 
 class _Config:
@@ -441,9 +445,13 @@ def main(argv=None):
 
     handler, known = _COMMANDS[args.command]
     try:
-        raw = _load_config(args.config)
+        raw, seed = _load_config(args.config)
         cfg = _Config(raw, known)
-        seed = args.seed if args.seed is not None else cfg.get("seed", 0, int)
+        # --seed, else the seed a replayed manifest ran with, else the seed key
+        if args.seed is not None:
+            seed = args.seed
+        elif seed is None:
+            seed = cfg.get("seed", 0, int)
         return handler(cfg, seed, args.out_dir, args.format)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

@@ -8,7 +8,7 @@ suites store ``tolerance - relative_error`` so the same convention applies.
 """
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -124,17 +124,9 @@ class SampleReport:
         return self.violations == 0
 
     def as_dict(self):
-        return {
-            "suite": self.suite,
-            "trials": self.trials,
-            "hypothesis_hits": self.hypothesis_hits,
-            "violations": self.violations,
-            "worst_margin": None if math.isinf(self.worst_margin) else self.worst_margin,
-            "witness": self.witness,
-            "acceptance_rate": self.acceptance_rate,
-            "proposals": self.proposals,
-            "checks": {k: v for k, v in sorted(self.checks.items())},
-        }
+        """The fields, an infinite one written as None."""
+        return {key: None if isinstance(value, float) and math.isinf(value) else value
+                for key, value in asdict(self).items()}
 
 
 # ---------------------------------------------------------------------------
@@ -144,8 +136,9 @@ class SampleReport:
 # {"hypothesis": (N,) bool, "margins": {name: (N,) float}}; a margin a row
 # does not have is +inf. Margins are computed only on the rows that meet the
 # hypotheses, and a row's margins do not depend on the other rows: one sample
-# is a (1, n) block. A sampler accepts with the same hypothesis helpers as
-# its check, so every sample it emits meets the check's hypotheses.
+# is a (1, n) block. Checks and samplers take the cone hypothesis from
+# ``_Block`` and the rest from the same helpers, so every sample a sampler
+# emits meets its check's hypotheses.
 
 
 def _pow(x, e):
@@ -159,16 +152,25 @@ def _pow(x, e):
 
 
 class _Block:
-    """Hypothesis mask and margin columns of one check call."""
+    """Samples, hypothesis mask and margin columns of one check call.
 
-    def __init__(self, values):
+    ``lifted`` holds each row's m-sums when ``m`` is given, else the row;
+    ``s`` is its ``elem_sym_all`` table to degree k, and ``hypothesis``
+    starts as strict degree-k cone membership of ``lifted``."""
+
+    def __init__(self, values, k, m=None):
         block = np.asarray(values, dtype=np.float64)
         if block.ndim != 2 or block.shape[1] < 1:
             raise ValueError(f"samples must be an (N, n) block, got shape {block.shape}")
         if not np.all(np.isfinite(block)):
             raise ValueError("spectrum entries must be finite")
         self.values = block
-        self.hypothesis = np.ones(block.shape[0], dtype=bool)
+        self.lifted = block if m is None else lift.msums(block, m)
+        width = self.lifted.shape[1]
+        if not 1 <= k <= width:
+            raise ValueError(f"degree k={k} out of range 1..{width}")
+        self.s = _kernels.elem_sym_all(self.lifted, k)
+        self.hypothesis = _kernels.cone_margin(self.s, k) > 0.0
         self.margins = {}
 
     def require(self, ok):
@@ -185,13 +187,12 @@ class _Block:
         return {"hypothesis": self.hypothesis, "margins": self.margins}
 
 
-def _check_degree(k, n):
-    if not 1 <= k <= n:
-        raise ValueError(f"degree k={k} out of range 1..{n}")
-
-
 def _sorted_desc(block):
-    return ~np.any(np.diff(block, axis=1) > 0, axis=1)
+    """Rows sorted descending: one comparison per adjacent column pair."""
+    ok = np.ones(block.shape[0], dtype=bool)
+    for j in range(1, block.shape[1]):
+        ok &= block[:, j - 1] >= block[:, j]
+    return ok
 
 
 def _in_band(lam_all, delta1, m, L):
@@ -209,29 +210,25 @@ def _dominant_entry(v, delta, eps):
 def check_ordered_cone_inequalities(lam, k, partner=None):
     """Deleted-value ordering, leading-entry positivity, the weighted lower
     bound, and (optionally) midpoint concavity of S_k^(1/k) toward ``partner``."""
-    blk = _Block(lam)
+    blk = _Block(lam, k)
     n = blk.values.shape[1]
-    _check_degree(k, n)
-    nu_all = None if partner is None else _Block(partner).values
-    if nu_all is not None and nu_all.shape != blk.values.shape:
+    nu = None if partner is None else _Block(partner, k)
+    if nu is not None and nu.values.shape != blk.values.shape:
         raise ValueError("partner block must match the sample block")
     blk.require(_sorted_desc(blk.values))
-    s = _kernels.elem_sym_all(blk.values, k)
-    blk.require(_kernels.cone_margin(s, k) > 0.0)
     h = blk.hypothesis
-    lam, sk = blk.values[h], s[h, k]
+    lam, sk = blk.values[h], blk.s[h, k]
     deleted = _kernels.deleted_sym(lam, k - 1)
     blk.put("deleted_order", np.diff(deleted, axis=1).min(axis=1) if n > 1 else 0.0)
     blk.put("deleted_positive", deleted[:, 0])
     blk.put("leading_positive", lam[:, k - 1])
     blk.put("weighted_lower", lam[:, 0] * deleted[:, 0] - (k / n) * sk)
-    if nu_all is not None:
-        s_nu = _kernels.elem_sym_all(nu_all, k)
-        both = h & (_kernels.cone_margin(s_nu, k) > 0.0)
+    if nu is not None:
+        both = h & nu.hypothesis
         pair = both[h]
-        mid_s = _kernels.elem_sym_all((lam[pair] + nu_all[both]) / 2.0, k)[:, k]
+        mid_s = _kernels.elem_sym_all((lam[pair] + nu.values[both]) / 2.0, k)[:, k]
         mid = _pow(mid_s, 1.0 / k)
-        ends = (_pow(sk[pair], 1.0 / k) + _pow(s_nu[both, k], 1.0 / k)) / 2.0
+        ends = (_pow(sk[pair], 1.0 / k) + _pow(nu.s[both, k], 1.0 / k)) / 2.0
         blk.put("midpoint_concavity", mid - ends, where=both)
     return blk.result()
 
@@ -241,15 +238,12 @@ def check_maclaurin(lam, k, l):
     bound on the gradient sum of S_k^(1/k)."""
     if not 1 <= l < k:
         raise ValueError("need 1 <= l < k")
-    blk = _Block(lam)
+    blk = _Block(lam, k)
     n = blk.values.shape[1]
-    _check_degree(k, n)
-    s = _kernels.elem_sym_all(blk.values, k)
-    blk.require(_kernels.cone_margin(s, k) > 0.0)
     h = blk.hypothesis
-    sk = s[h, k]
+    sk = blk.s[h, k]
     lhs = _pow(sk / math.comb(n, k), 1.0 / k)
-    rhs = _pow(s[h, l] / math.comb(n, l), 1.0 / l)
+    rhs = _pow(blk.s[h, l] / math.comb(n, l), 1.0 / l)
     deleted = _kernels.deleted_sym(blk.values[h], k - 1)
     grad_sum = (1.0 / k) * _pow(sk, 1.0 / k - 1.0) * deleted.sum(axis=1)
     blk.put("ratio_order", rhs - lhs)
@@ -262,14 +256,11 @@ def check_negative_entry(lam, k, neg_index):
     the average, and the gradient sum dominates a power of the entry.
 
     ``neg_index`` is one position for every row or one per row."""
-    blk = _Block(lam)
+    blk = _Block(lam, k)
     rows, n = blk.values.shape
     idx = np.broadcast_to(np.asarray(neg_index), (rows,))
     if np.any((idx < 0) | (idx >= n)):
         raise ValueError("neg_index out of range")
-    _check_degree(k, n)
-    s = _kernels.elem_sym_all(blk.values, k)
-    blk.require(_kernels.cone_margin(s, k) > 0.0)
     entry = blk.values[np.arange(rows), idx]
     blk.require(entry < 0)
     h = blk.hypothesis
@@ -296,20 +287,18 @@ def check_sum_lift_gradient_bounds(mu, spec, delta, L=1.0):
     on each single partial relative to the sum, with explicit constants."""
     n, m, k = spec.n, spec.m, spec.k
     _check_lift_degree(spec)
-    blk = _Block(mu)
-    if blk.values.shape[1] != n:
+    mu = np.asarray(mu, dtype=np.float64)
+    if mu.ndim == 2 and mu.shape[1] != n:
         raise ValueError("spectrum length must equal n")
+    blk = _Block(mu, k, m)
     consts = InequalityConstants.for_problem(n, m, k, delta)
     blk.require(_sorted_desc(blk.values))
-    lam_all = lift.msums(blk.values, m)
-    s = _kernels.elem_sym_all(lam_all, k)
-    blk.require(_kernels.cone_margin(s, k) > 0.0)
     blk.require(blk.values[:, -1] < -delta * L)
     h = blk.hypothesis
-    deleted = _kernels.deleted_sym(lam_all[h], k - 1)
+    deleted = _kernels.deleted_sym(blk.lifted[h], k - 1)
     total = deleted.sum(axis=1)
     blk.put("gradient_sum", total - consts.theta1 * L ** (k - 1))
-    band = h & _in_band(lam_all, consts.delta1, m, L)
+    band = h & _in_band(blk.lifted, consts.delta1, m, L)
     partial = deleted.min(axis=1) - consts.theta2 * total
     blk.put("partial_vs_sum", partial[band[h]], where=band)
     return blk.result()
@@ -320,17 +309,13 @@ def check_large_entry_deletion(lam, k, delta, eps):
     within the explicit factor c0, given a sufficiently negative tail."""
     if k < 2:
         raise ValueError("need k >= 2")
-    blk = _Block(lam)
-    n = blk.values.shape[1]
-    _check_degree(k, n)
-    c0 = deletion_constant(n, delta, eps)
-    s = _kernels.elem_sym_all(blk.values, k)
-    blk.require(_kernels.cone_margin(s, k) > 0.0)
+    blk = _Block(lam, k)
+    c0 = deletion_constant(blk.values.shape[1], delta, eps)
     blk.require(_dominant_entry(blk.values, delta, eps))
     h = blk.hypothesis
     zeroed = blk.values[h].copy()
     zeroed[:, 0] = 0.0
-    margins = _kernels.elem_sym_all(zeroed, k - 1) - c0 * s[h, :k]
+    margins = _kernels.elem_sym_all(zeroed, k - 1) - c0 * blk.s[h, :k]
     blk.put("deletion_factor", margins.min(axis=1))
     return blk.result()
 
@@ -339,34 +324,30 @@ def check_large_entry_deletion(lam, k, delta, eps):
 # samplers
 
 
-def _rejection(rng, propose, accept, count, stats):
-    """Collect ``count`` accepted samples; error out on starvation."""
+def _rejection(rng, propose, accept, count, stats, rows=lambda need: 4096):
+    """The first ``count`` proposals ``accept`` passes, drawn in blocks of
+    ``rows(need)`` while ``need`` samples are missing; error out on
+    starvation. The proposal count, to ``stats["proposals"]`` when ``stats``
+    is a dict, stops at the last sample taken."""
     out = []
     kept = 0
     proposals = 0
     while kept < count:
-        block = propose(rng, 4096)
-        mask = accept(block)
-        proposals += block.shape[0]
-        sel = block[mask]
-        if sel.shape[0]:
-            out.append(sel[: count - kept])
-            kept += min(sel.shape[0], count - kept)
-        rate = kept / proposals if proposals else 0.0
+        block = propose(rng, rows(count - kept))
+        take = np.flatnonzero(accept(block))[: count - kept]
+        out.append(block[take])
+        kept += take.size
+        proposals += int(take[-1]) + 1 if kept == count else block.shape[0]
+        rate = kept / proposals
         if proposals >= _STARVATION_MIN_PROPOSALS and rate < _STARVATION_RATE:
             raise SamplerStarvationError(
                 f"sampler acceptance rate {rate:.2e} below {_STARVATION_RATE:.0e}",
                 acceptance_rate=rate,
                 proposals=proposals,
             )
-    samples = np.concatenate(out, axis=0) if out else np.empty((0, 0))
     if stats is not None:
         stats["proposals"] = proposals
-    return samples, kept / proposals if proposals else 0.0
-
-
-def _cone_mask(block, k):
-    return _kernels.cone_margin(_kernels.elem_sym_all(block, k), k) > 0.0
+    return np.concatenate(out), kept / proposals
 
 
 def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=None):
@@ -375,8 +356,8 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
     Modes: ``gamma_k`` (length-n spectra in the degree-k cone),
     ``prop25_hypotheses``, ``prop26_hypotheses``, ``prop27_hypotheses``.
     Returns (samples, acceptance_rate); every emitted sample re-verifies its
-    hypotheses. When ``stats`` is a dict, the exact proposal count goes to its
-    ``proposals``.
+    hypotheses. When ``stats`` is a dict, the proposal count up to the last
+    sample taken goes to its ``proposals``.
     """
     rng = np.random.default_rng(seed)
     n, m, k = spec.n, spec.m, spec.k
@@ -392,9 +373,10 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
         def propose(rng, b):
             return rng.normal(0.55, 1.0, size=(b, n))
 
-        return _rejection(rng, propose, lambda blk: _cone_mask(blk, k), count, stats)
+        def accept(blk):
+            return _Block(blk, k).hypothesis
 
-    if mode == "prop25_hypotheses":
+    elif mode == "prop25_hypotheses":
         if k > n - 1:
             raise ConfigError(
                 "negative-entry hypotheses are empty for k = n "
@@ -405,11 +387,9 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
             return rng.normal(0.35, 1.0, size=(b, n))
 
         def accept(blk):
-            return _cone_mask(blk, k) & (blk.min(axis=1) < 0.0)
+            return _Block(blk, k).hypothesis & (blk.min(axis=1) < 0.0)
 
-        return _rejection(rng, propose, accept, count, stats)
-
-    if mode == "prop26_hypotheses":
+    elif mode == "prop26_hypotheses":
         _check_lift_degree(spec)
         consts = InequalityConstants.for_problem(n, m, k, delta)
 
@@ -421,13 +401,11 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
             return -np.sort(-blk, axis=1)
 
         def accept(blk):
-            lamb = lift.msums(blk, m)
-            return (_cone_mask(lamb, k) & (blk[:, -1] < -delta * L)
-                    & _in_band(lamb, consts.delta1, m, L))
+            cone = _Block(blk, k, m)
+            return (cone.hypothesis & (blk[:, -1] < -delta * L)
+                    & _in_band(cone.lifted, consts.delta1, m, L))
 
-        return _rejection(rng, propose, accept, count, stats)
-
-    if mode == "prop27_hypotheses":
+    elif mode == "prop27_hypotheses":
         if k > n - 1:
             raise ConfigError("hypotheses need a negative entry, impossible for k = n")
 
@@ -439,11 +417,11 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
             return np.concatenate([head, mid, tail], axis=1)
 
         def accept(blk):
-            return _cone_mask(blk, k) & _dominant_entry(blk, delta, eps)
+            return _Block(blk, k).hypothesis & _dominant_entry(blk, delta, eps)
 
-        return _rejection(rng, propose, accept, count, stats)
-
-    raise ConfigError(f"unknown sampler mode {mode!r}")
+    else:
+        raise ConfigError(f"unknown sampler mode {mode!r}")
+    return _rejection(rng, propose, accept, count, stats)
 
 
 # ---------------------------------------------------------------------------
@@ -571,36 +549,32 @@ def _suite_mixed_decomposition(n, trials, seed, report):
 
 
 def _suite_euler(spec, trials, seed, report):
-    rng = np.random.default_rng(seed)
-    n, k = spec.n, spec.k
-    kept = 0
-    proposals = 0
-    accepted = []
-    while kept < trials:
+    n, m, k = spec.n, spec.m, spec.k
+
+    def propose(rng, rows):
         # proposals are drawn one at a time, in the seeded order of a
         # per-sample loop, and tested as a block
-        draws = [
-            (rng.normal(0.0, 0.45, size=(n, n)), rng.uniform(0.3, 1.2))
-            for _ in range(max(trials - kept, 64))
-        ]
+        draws = [(rng.normal(0.0, 0.45, size=(n, n)), rng.uniform(0.3, 1.2))
+                 for _ in range(rows)]
         Hs = symfun.symmetrize(np.array([raw for raw, _ in draws]))
-        Hs += np.eye(n) * np.array([shift for _, shift in draws])[:, None, None]
-        s = _kernels.elem_sym_all(lift.sum_spectrum(Hs, spec.m), k)
-        take = np.flatnonzero(_kernels.cone_margin(s, k) > 0.0)[: trials - kept]
-        kept += take.size
-        proposals += int(take[-1]) + 1 if kept == trials else len(draws)
-        accepted.append((Hs[take], s[take, k]))
-    Hs = np.concatenate([H for H, _ in accepted])
-    sk = np.concatenate([v for _, v in accepted])
+        return Hs + np.eye(n) * np.array([shift for _, shift in draws])[:, None, None]
+
+    def admissible(Hs):
+        return _Block(lift.sum_spectrum(Hs, m), k)
+
+    stats = {}
+    Hs, report.acceptance_rate = _rejection(
+        np.random.default_rng(seed), propose, lambda Hs: admissible(Hs).hypothesis,
+        trials, stats, rows=lambda need: max(need, 64),
+    )
+    report.proposals = stats["proposals"]
     F, _ = lift.gradient_batch(Hs, spec)
     lhs = (F * Hs).sum(axis=(1, 2))
-    rhs = k * sk
+    rhs = k * admissible(Hs).s[:, k]
     scale = np.maximum(np.maximum(np.abs(lhs), np.abs(rhs)), 1e-30)
     report.record_block(
         _all_rows({"euler": 1e-9 - np.abs(lhs - rhs) / scale}), Hs.reshape(trials, -1)
     )
-    report.acceptance_rate = kept / proposals
-    report.proposals = proposals
 
 
 def _suite_spectral_lift(spec, trials, seed, report):

@@ -7,7 +7,7 @@ linearized operator dominates the barrier.
 import functools
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -244,23 +244,9 @@ class BarrierReport:
         )
 
     def as_dict(self):
-        def fin(x):
-            return None if math.isinf(x) else x
-
-        return {
-            "which": self.which,
-            "K3": self.K3,
-            "k3": self.k3,
-            "count": self.count,
-            "skips": self.skips,
-            "min_margin": fin(self.min_margin),
-            "empirical_k3": fin(self.empirical_k3),
-            "min_h_margin": fin(self.min_h_margin),
-            "min_sl_ratio": fin(self.min_sl_ratio),
-            "min_lambda_k": fin(self.min_lambda_k),
-            "search_passes": self.search_passes,
-            "passed": self.passed,
-        }
+        """The fields and ``passed``, an infinite value written as None."""
+        return {key: None if isinstance(value, float) and math.isinf(value) else value
+                for key, value in {**asdict(self), "passed": self.passed}.items()}
 
 
 def _check_lemma_range(geom, spec, which):

@@ -341,6 +341,11 @@ class RadialSystem(DiscreteSystem):
     geometry_kinds = ("ball", "radial")
     state_dtype = EXTENDED
 
+    def __init__(self, problem, grid):
+        if np.any(problem.geom.center):
+            raise ConfigError("radial system needs a ball centered at the origin")
+        super().__init__(problem, grid)
+
     def _spectra(self, values):
         # q's profiles u'' and u'/r are 1 at every node
         return grids.radial_spectra(self.grid, values) + 1

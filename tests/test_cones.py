@@ -195,6 +195,24 @@ def test_sampler_starvation():
     assert info.value.proposals >= 200_000
 
 
+@pytest.mark.parametrize("rows", [None, 4], ids=["4096-row", "4-row"])
+def test_rejection_counts_proposals_up_to_the_last_sample(rows):
+    # every third proposal (2, 5, 8, ...) is accepted: five samples take 15
+    # proposals whatever the block size
+    stream = itertools.count()
+
+    def propose(rng, b):
+        return np.array([[next(stream)] for _ in range(b)], dtype=np.float64)
+
+    stats = {}
+    kwargs = {} if rows is None else {"rows": lambda need: rows}
+    samples, rate = cones._rejection(
+        None, propose, lambda blk: blk[:, 0] % 3 == 2, 5, stats, **kwargs
+    )
+    assert samples[:, 0].tolist() == [2, 5, 8, 11, 14]
+    assert stats["proposals"] == 15 and rate == 5 / 15
+
+
 def test_sampler_impossible_modes():
     with pytest.raises(ConfigError):
         cones.sample_cone(ConeSpec(4, 2, 4), 10, "prop25_hypotheses", seed=1)
@@ -287,6 +305,10 @@ def test_prop26_slices_report_as_one_block(monkeypatch):
 def test_euler_and_spectral_lift_suites():
     report = cones.run_suite("euler", spec=ConeSpec(4, 2, 3), trials=100, seed=4)
     assert report.passed, report.as_dict()
+    # the count a per-sample euler loop reported, up to its last sample
+    report = cones.run_suite("euler", spec=ConeSpec(4, 2, 3), trials=2000, seed=0)
+    assert report.proposals == 2238
+    assert report.acceptance_rate == 0.8936550491510277
     report = cones.run_suite(
         "spectral-lift", spec=ConeSpec(5, 2, 3), trials=200, seed=5
     )

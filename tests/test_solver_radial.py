@@ -275,6 +275,10 @@ def test_radial_system_accepts_ball_geometry():
     state, grid = solver.radial_solve(problem, 32)
     assert state.t == 1.0
     assert np.abs(state.values - exact(grid.points)).max() < 5e-3
+    # the radial mesh runs from the origin: an off-center ball is refused
+    problem.geom = geometry.ball(1.0, dim=3, center=[5.0, 0.0, 0.0])
+    with pytest.raises(ConfigError, match="centered"):
+        solver.radial_solve(problem, 32)
 
 
 def test_f_must_be_positive():
