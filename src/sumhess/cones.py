@@ -605,10 +605,12 @@ def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
 
     ``spec`` supplies (n, m, k) where needed; the plain-cone suites prop21
     and mixed take ``n``, else spec.n, else 5. Each suite checks its whole
-    sample block in a few block calls. An ``n`` below 1, an ``l`` outside
-    1..k-1, or a ``delta``, ``eps`` or ``L`` that is not positive and finite
-    raises ConfigError before any sampling.
+    sample block in a few block calls. A ``trials`` below 1, an ``n`` below
+    1, an ``l`` outside 1..k-1, or a ``delta``, ``eps`` or ``L`` that is not
+    positive and finite raises ConfigError before any sampling.
     """
+    if trials < 1:
+        raise ConfigError(f"need trials >= 1, got trials={trials}")
     report = SampleReport(suite=which)
     if which == "prop21":
         _suite_partition_identities(_suite_dim(n, spec), trials, seed, report)

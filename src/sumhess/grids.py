@@ -237,21 +237,61 @@ def _prolongation_1d(n):
     return sp.csr_matrix((vals, (rows, cols)), shape=(n, nc))
 
 
+def _cubic_interpolation_1d(n):
+    """Cubic interpolation from the (n + 1) / 2 even nodes to all n nodes, as
+    a dense (n, nc) matrix: even nodes copy c_j, an odd node between c_j and
+    c_j+1 takes (-1, 9, 9, -1) / 16 of c_j-1 .. c_j+2, and in the first
+    coarse interval the one-sided (3, 6, -1) / 8 of c_0 .. c_2, mirrored in
+    the last. Exact on cubics away from the ends and on quadratics
+    everywhere; needs nc >= 3."""
+    nc = (n - 1) // 2 + 1
+    Q = np.zeros((n, nc))
+    Q[::2] = np.eye(nc)
+    j = np.arange(1, nc - 2)
+    for offset, weight in zip(range(-1, 3), (-1.0, 9.0, 9.0, -1.0)):
+        Q[2 * j + 1, j + offset] = weight / 16.0
+    Q[1, :3] = np.array([3.0, 6.0, -1.0]) / 8.0
+    Q[-2, -3:] = np.array([-1.0, 6.0, 3.0]) / 8.0
+    return Q
+
+
+def box_coarse_shape(shape):
+    """The half-resolution lattice of ``shape``, or None when some axis
+    cannot be halved exactly (odd n - 1, or n < 5). Meshes of 2^k + 1 nodes
+    per axis therefore coarsen down to 3 nodes per axis."""
+    shape = tuple(int(nc) for nc in shape)
+    if any(nc < 5 or (nc - 1) % 2 for nc in shape):
+        return None
+    return tuple((nc - 1) // 2 + 1 for nc in shape)
+
+
 def box_prolongation(shape):
     """Tensor-product linear interpolation from the half-resolution lattice.
 
     Returns (P, coarse_shape) with P of shape (prod(shape), prod(coarse_shape))
-    in the C-order node numbering of ``box_grid``, or None when some axis
-    cannot be halved exactly (odd n - 1, or n < 5). Meshes of 2^k + 1 nodes
-    per axis therefore coarsen down to 3 nodes per axis.
+    in the C-order node numbering of ``box_grid``, or None when
+    ``box_coarse_shape`` gives no coarse lattice.
     """
-    shape = tuple(int(nc) for nc in shape)
-    if any(nc < 5 or (nc - 1) % 2 for nc in shape):
+    coarse_shape = box_coarse_shape(shape)
+    if coarse_shape is None:
         return None
     P = _prolongation_1d(shape[0])
     for nc in shape[1:]:
         P = sp.kron(P, _prolongation_1d(nc), format="csr")
-    return P, tuple((nc - 1) // 2 + 1 for nc in shape)
+    return P, coarse_shape
+
+
+def box_cubic_interpolation(values, coarse_shape):
+    """Tensor-product cubic interpolation (``_cubic_interpolation_1d`` along
+    each axis in turn) of the C-order node ``values`` of the lattice
+    ``coarse_shape`` to the lattice that halves to it, returned flat in its
+    C-order numbering. Each axis is one product with the dense 1-D matrix,
+    so no (fine, coarse) tensor matrix is built."""
+    out = np.asarray(values).reshape(coarse_shape)
+    for axis, nc in enumerate(coarse_shape):
+        Q = _cubic_interpolation_1d(2 * nc - 1)
+        out = np.moveaxis(np.tensordot(Q, out, axes=(1, axis)), 0, axis)
+    return out.ravel()
 
 
 def box_hessians(grid, values):

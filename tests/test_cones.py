@@ -315,6 +315,27 @@ def test_euler_and_spectral_lift_suites():
     assert report.passed, report.as_dict()
 
 
+@pytest.mark.parametrize("trials", [0, -1])
+@pytest.mark.parametrize(
+    "which,spec,kwargs",
+    [
+        ("prop21", None, {"n": 4}),
+        ("prop22", ConeSpec(5, 2, 3), {}),
+        ("prop23", ConeSpec(5, 2, 3), {}),
+        ("prop24", ConeSpec(5, 2, 3), {"l": 1}),
+        ("prop25", ConeSpec(5, 2, 3), {}),
+        ("prop26", ConeSpec(4, 2, 2), {}),
+        ("prop27", ConeSpec(6, 2, 3), {"delta": 0.5}),
+        ("mixed", None, {"n": 4}),
+        ("euler", ConeSpec(4, 2, 3), {}),
+        ("spectral-lift", ConeSpec(5, 2, 3), {}),
+    ],
+)
+def test_suites_reject_fewer_than_one_trial(which, spec, kwargs, trials):
+    with pytest.raises(ConfigError, match=f"need trials >= 1, got trials={trials}"):
+        cones.run_suite(which, spec=spec, trials=trials, seed=1, **kwargs)
+
+
 def test_report_flags_violations_with_witness():
     # the aggregation itself must have teeth: a below-floor margin counts as
     # a violation and captures the offending sample

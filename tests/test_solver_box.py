@@ -291,6 +291,46 @@ def test_box_prolongation_interpolates_linear_fields():
     assert grids.box_prolongation((3, 3, 3)) is None
 
 
+@pytest.mark.parametrize("n", [5, 7, 9, 17])
+def test_cubic_interpolation_1d_rows(n):
+    Q = grids._cubic_interpolation_1d(n)
+    nc = (n - 1) // 2 + 1
+    assert Q.shape == (n, nc)
+    assert np.array_equal(Q[::2], np.eye(nc))
+    assert np.abs(Q.sum(axis=1) - 1.0).max() < 1e-15
+
+
+def _tensor_field(points, degree):
+    # per-axis polynomials of the given degree, multiplied across axes
+    out = np.ones(points.shape[0])
+    for c in range(points.shape[1]):
+        x = points[:, c]
+        out = out * (0.5 + x - 0.75 * x**2 + (0.3 * x**3 if degree == 3 else 0.0))
+    return out
+
+
+def test_box_cubic_interpolation_is_exact_on_tensor_polynomials():
+    fine = grids.box_grid([2.0, 1.5, 2.5], (9, 5, 17))
+    coarse_shape = grids.box_coarse_shape(fine.shape)
+    assert coarse_shape == (5, 3, 9)
+    nodes = fine.points.reshape(fine.shape + (3,))
+    coarse_points = nodes[::2, ::2, ::2].reshape(-1, 3)
+    for degree in (2, 3):
+        coarse = _tensor_field(coarse_points, degree)
+        out = grids.box_cubic_interpolation(coarse, coarse_shape).reshape(fine.shape)
+        error = np.abs(out - _tensor_field(fine.points, degree).reshape(fine.shape))
+        # even nodes copy the coarse values
+        assert np.array_equal(out[::2, ::2, ::2].ravel(), coarse)
+        if degree == 2:
+            assert error.max() < 1e-14
+        else:
+            # odd nodes of the first and last coarse interval use the
+            # one-sided quadratic rule
+            inner = np.ix_(*[np.r_[0, 2 : n - 2, n - 1] for n in fine.shape])
+            assert error[inner].max() < 1e-14
+            assert error.max() > 1e-3
+
+
 @pytest.mark.parametrize(
     "spec,nodes,extents",
     [
@@ -521,8 +561,8 @@ def _full_continuation(problem, nodes):
 
 
 def test_half_mesh_is_a_box_mesh_past_the_direct_limit():
-    assert solver._half_mesh((33, 33, 33))[1] == (17, 17, 17)
-    assert solver._half_mesh((33, 17, 17))[1] == (17, 9, 9)
+    assert solver._half_mesh((33, 33, 33)) == (17, 17, 17)
+    assert solver._half_mesh((33, 17, 17)) == (17, 9, 9)
     # 9^3 (729 unknowns) is on the LU route, (3, 33, 33) is no box mesh and
     # 12 nodes cannot be halved
     for shape in ((17, 17, 17), (5, 65, 65), (12, 12, 12)):
@@ -544,6 +584,22 @@ def test_box_solve_follows_the_path_on_the_half_mesh():
     full = _full_continuation(problem, (33, 17, 17))
     full_error = np.abs(full.values - exact(grid.points)).max()
     assert abs(error - full_error) <= 1e-6 * full_error
+
+
+def test_box_solve_33_starts_the_fine_newton_near_its_solution():
+    # the cubic start of the fine mesh opens at |res| 0.099 and converges in
+    # 2 Newton iterations; from the V-cycle's linear prolongation it would
+    # open at 2.74 and take 4
+    problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    state, grid = solver.box_solve(problem, 33)
+    last = state.steps[-1]
+    assert last["mesh"] == [33, 33, 33] and last["t"] == 1.0 and last["dt"] == 0.0
+    assert 0 < last["newton_iters"] <= 2
+    assert last["start_residual_norm"] < 0.2
+    assert not state.rejected_steps
+    assert state.diagnostics["final_residual_norm"] <= 1e-8
+    error = np.abs(state.values - exact(grid.points)).max()
+    assert abs(error - 1.94299559e-4) <= 1e-6 * 1.94299559e-4
 
 
 @pytest.mark.parametrize(
