@@ -70,10 +70,11 @@ GROW = (4.0, 2.0, 1.0)
 # residual ratio
 FORCING_MAX = 1e-2
 FORCING_GAMMA = 0.9
-# largest system sent to sparse LU: LU and V-cycle-preconditioned lgmres
-# break even near 9^3 box unknowns; LU fill-in then grows far faster than
-# the multigrid cost
-DIRECT_LIMIT = 1_000
+# largest system sent to sparse LU: per linear solve at forcing 1e-2, V-cycle
+# build included, LU and V-cycle-preconditioned lgmres break even between 7^3
+# (343) and 9^3 (729) box unknowns; LU fill-in then grows far faster than the
+# multigrid cost
+DIRECT_LIMIT = 500
 # the radial Newton state's dtype. In float64 one ulp per node moves the
 # radial residual by up to 2.7e-8, above its 1e-10 tolerance, and a float64
 # deviation state still stalls (5,2,3) at M = 256 (t = 0.40) and rejects
@@ -400,11 +401,12 @@ class VCycle:
     that halve every axis with ``grids.box_prolongation``, their restrictions,
     the Galerkin operators P^T A P, and the LU of the coarsest level when that
     has at most ``DIRECT_LIMIT`` unknowns (only smoothed otherwise); every
-    level smooths with damped Jacobi. ``preconditioner(A)`` runs the cycle
-    under a current fine operator, so one hierarchy serves the later
-    Jacobians of a Newton solve and holds no reference to any of them. A
-    lattice that cannot be halved has no coarse level and gets a
-    Jacobi-smoothing preconditioner. ``applications`` counts the cycles run.
+    level smooths with damped Jacobi, pre-smoothing from x = 0 (``_presmooth``).
+    ``preconditioner(A)`` runs the cycle under a current fine operator, so one
+    hierarchy serves the later Jacobians of a Newton solve and holds no
+    reference to any of them. A lattice that cannot be halved has no coarse
+    level and gets a Jacobi-smoothing preconditioner. ``applications`` counts
+    the cycles run.
     """
 
     def __init__(self, A, shape):
@@ -444,8 +446,8 @@ class VCycle:
         if level == len(self.prolong):
             if self.lu is not None:
                 return self.lu.solve(b)
-            return _smooth(A, inv, np.zeros_like(b), b, 2 * _MG_SWEEPS)
-        x = _smooth(A, inv, np.zeros_like(b), b, _MG_SWEEPS)
+            return _presmooth(A, inv, b, 2 * _MG_SWEEPS)
+        x = _presmooth(A, inv, b, _MG_SWEEPS)
         coarse_rhs = self.restrict[level] @ (b - A @ x)
         x = x + self.prolong[level] @ self._cycle(ops, inv_diag, level + 1, coarse_rhs)
         return _smooth(A, inv, x, b, _MG_SWEEPS)
@@ -456,6 +458,12 @@ def _smooth(A, inv_diag, x, b, sweeps):
     for _ in range(sweeps):
         x = x + _MG_OMEGA * inv_diag * (b - A @ x)
     return x
+
+
+def _presmooth(A, inv_diag, b, sweeps):
+    """``sweeps`` >= 1 damped Jacobi sweeps on A x = b from x = 0; the first
+    sweep's iterate omega D^-1 b is formed without the product A @ 0."""
+    return _smooth(A, inv_diag, _MG_OMEGA * inv_diag * b, b, sweeps - 1)
 
 
 def _inv_diagonal(op):
@@ -484,11 +492,12 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
 
     Returns (x, Krylov iterations). Radial systems, whose Jacobian is
     banded, and systems with at most ``DIRECT_LIMIT`` unknowns go to sparse
-    LU (0 iterations). Larger box ones are scaled to unit diagonal,
-    D^-1 J x = D^-1 rhs, and solved by lgmres to relative
-    tolerance ``rtol``, preconditioned with a V-cycle; D^-1 J shares J's
-    ``indices`` and ``indptr`` and scales a copy of its data, so J itself
-    must be CSR and is left unchanged. The count is the
+    LU (0 iterations); among box lattices these are 7^3 and the 5^3 that a
+    mesh-sequenced ``box_solve`` follows its path on. Larger box ones are
+    scaled to unit diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres to
+    relative tolerance ``rtol``, preconditioned with a V-cycle; D^-1 J
+    shares J's ``indices`` and ``indptr`` and scales a copy of its data, so
+    J itself must be CSR and is left unchanged. The count is the
     V-cycle applications, one per Krylov iteration. lgmres always runs on
     the exact D^-1 J. The V-cycle's coarse hierarchy comes from the dict
     ``cache`` under ``"vcycle"``; when it holds none, one is built from this
@@ -690,7 +699,9 @@ def _step(system, t, dt, predicted, stats):
 def _rejected(mesh, t, dt, exc):
     """The ``rejected_steps[]`` entry of an attempt from t over dt on
     ``mesh`` that failed with ``exc``."""
-    return {"t": t, "dt": dt, "error": type(exc).__name__, "mesh": mesh}
+    return {
+        "t": t, "dt": dt, "error": type(exc).__name__, "message": str(exc), "mesh": mesh
+    }
 
 
 def final_diagnostics(system, state):
@@ -731,18 +742,23 @@ def box_solve(problem, nodes, cfg=None):
     Mesh sequencing (nested iteration: Briggs, Henson & McCormick, A
     Multigrid Tutorial; Kelley, Solving Nonlinear Equations with Newton's
     Method, 2003): when ``_half_mesh`` gives a coarse lattice, ``box_solve``
-    follows the whole path on it, and the fine mesh gets one Newton solve at
+    solves on it, recursively, and the fine mesh gets one Newton solve at
     t = 1 from ``grids.box_cubic_interpolation`` of the half mesh's deviation
-    w_c; each mesh adds its own exact q. The V-cycle's linear prolongation
-    of w_c would leave kinks in the start's discrete Hessian: at 33^3 Newton
-    would start from |res| 2.74 and take 4 iterations, against 0.099 and 2
-    from the cubic. The steps of both meshes, each with its ``mesh``, and
-    their summed ``profile`` make up the state; ``diagnostics`` are the fine
-    system's. When the coarse path or the fine Newton fails with one of
-    ``SEQUENCE_ERRORS``, the failure is recorded in ``rejected_steps`` (the
-    coarse path as t = 0, dt = 1, the correction as t = 1, dt = 0) and the
-    fine mesh runs ``continuation_solve``, whose state is returned. Any
-    other lattice runs ``continuation_solve`` alone.
+    w_c; each mesh adds its own exact q. Only the coarsest lattice follows
+    the path: 33^3 recurses 33 -> 17 -> 9 -> 5, runs continuation on 5^3 and
+    one t = 1 Newton solve on each finer mesh. The V-cycle's linear
+    prolongation of w_c would leave kinks in the start's discrete Hessian: at
+    33^3 Newton would start from |res| 2.74 and take 4 iterations, against
+    0.099 and 2 from the cubic. The steps of every mesh, each with its
+    ``mesh``, and their summed ``profile`` make up the state;
+    ``diagnostics`` are the fine system's. When the coarse solve or the fine
+    Newton fails with one of ``SEQUENCE_ERRORS``, the failure is recorded in
+    ``rejected_steps`` (the coarse solve as t = 0, dt = 1, the correction as
+    t = 1, dt = 0) and the fine mesh runs ``continuation_solve``, whose state
+    is returned. Each level handles the failures of its own half mesh, so
+    the plain continuation runs on the mesh just above the failure, and the
+    finer meshes sequence from it. Any other lattice runs
+    ``continuation_solve`` alone.
     """
     grid = grids.box_grid(problem.geom.extents, nodes, problem.geom.center)
     system = BoxSystem(problem, grid)
@@ -768,10 +784,9 @@ def box_solve(problem, nodes, cfg=None):
 
 def _half_mesh(shape):
     """``grids.box_coarse_shape(shape)`` when it is a box mesh (at least 5
-    nodes per axis) of more than ``DIRECT_LIMIT`` unknowns, None otherwise:
-    on the LU route the coarse path saves nothing."""
+    nodes per axis), None otherwise."""
     half = grids.box_coarse_shape(shape)
-    if half is None or min(half) < 5 or math.prod(half) <= DIRECT_LIMIT:
+    if half is None or min(half) < 5:
         return None
     return half
 

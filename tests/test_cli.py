@@ -221,15 +221,18 @@ amp = 0.05
     assert manifest["report"]["diagnostics"]["bound_ok"]
     assert manifest["report"]["diagnostics"]["state_dtype"] == "float64"
     assert manifest["report"]["diagnostics"]["state_eps"] == float(np.finfo(np.float64).eps)
-    # 9^3 unknowns are at or below direct_limit: LU, no Krylov iterations
-    assert all(s["linear_iters"] == 0 for s in manifest["report"]["steps"])
+    # 9^3 halves to 5^3: the path runs there on LU (125 unknowns, at or
+    # below direct_limit), then 9^3 takes one Newton solve at t = 1 on Krylov
+    *path, last = manifest["report"]["steps"]
+    assert all(s["mesh"] == [5, 5, 5] and s["linear_iters"] == 0 for s in path)
+    assert path[-1]["t"] == 1.0 and path[-1]["predicted"]
+    assert last["mesh"] == [9, 9, 9] and last["t"] == 1.0 and last["dt"] == 0.0
+    assert last["newton_iters"] > 0 and last["linear_iters"] > 0
     assert manifest["report"]["rejected_steps"] == []
-    assert [s["predicted"] for s in manifest["report"]["steps"]][-1]
-    # 9^3 halves to 5^3, on the LU route: every step ran on the 9^3 mesh
-    assert all(s["mesh"] == [9, 9, 9] for s in manifest["report"]["steps"])
     profile = manifest["profile"]
     phases = [profile[key] for key in ("residual_s", "jacobian_s", "linear_solve_s")]
     assert min(phases) > 0 and sum(phases) <= profile["elapsed_s"]
+    assert 0 < profile["hierarchy_s"] <= profile["linear_solve_s"]
     lines = (out / "solution.csv").read_text().splitlines()
     assert lines[0] == "x1,x2,x3,u,margin"
     assert len(lines) == 9**3 + 1

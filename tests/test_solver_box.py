@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 
 import numpy as np
@@ -394,12 +395,19 @@ def test_radial_jacobian_goes_to_direct_solve(monkeypatch):
 
 
 def test_box_steps_record_krylov_iterations():
+    # 13^3 follows the path on its half mesh 7^3 (343 unknowns, LU) and
+    # takes its own t = 1 solve on the Krylov route
     problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
     state, grid = solver.box_solve(problem, 13)
     assert grid.npoints > solver.DIRECT_LIMIT
     assert np.abs(state.values - exact(grid.points)).max() < 5e-3
+    krylov = [s for s in state.steps if np.prod(s["mesh"]) > solver.DIRECT_LIMIT]
+    assert krylov and all(s["mesh"] == [13, 13, 13] for s in krylov)
     for step in state.steps:
-        assert (step["linear_iters"] > 0) == (step["newton_iters"] > 0), step
+        if step in krylov:
+            assert (step["linear_iters"] > 0) == (step["newton_iters"] > 0), step
+        else:
+            assert step["linear_iters"] == 0, step
 
 
 def test_one_vcycle_hierarchy_per_newton_solve(monkeypatch):
@@ -410,19 +418,23 @@ def test_one_vcycle_hierarchy_per_newton_solve(monkeypatch):
         builds.append(args[1])
         return build(*args)
 
-    def counted_newton(*args, **kwargs):
-        u, stats = newton(*args, **kwargs)
-        solves.append(stats["iters"])
+    def counted_newton(system, *args, **kwargs):
+        u, stats = newton(system, *args, **kwargs)
+        solves.append((system.grid.shape, stats["iters"]))
         return u, stats
 
     monkeypatch.setattr(solver, "VCycle", counted_build)
     monkeypatch.setattr(solver, "newton_solve", counted_newton)
     problem, _ = solver.box_cosine_problem(ConeSpec(3, 2, 2))
-    state, grid = solver.box_solve(problem, 17)
+    state, _ = solver.box_solve(problem, 17)
     assert not state.rejected_steps
-    iterating = sum(1 for iters in solves if iters > 0)
-    assert iterating > 0 and builds == [grid.shape] * iterating
-    assert sum(solves) > iterating  # later iterations reused their solve's hierarchy
+    # the 5^3 path is on the LU route; 9^3 and 17^3 each take one Krylov
+    # Newton solve at t = 1
+    krylov = [(shape, iters) for shape, iters in solves
+              if iters > 0 and np.prod(shape) > solver.DIRECT_LIMIT]
+    assert builds == [shape for shape, _ in krylov] == [(9, 9, 9), (17, 17, 17)]
+    # later iterations reused their solve's hierarchy
+    assert sum(iters for _, iters in krylov) > len(krylov)
     assert 0 < state.profile["hierarchy_s"] <= state.profile["linear_solve_s"]
 
 
@@ -441,6 +453,46 @@ def test_reused_hierarchy_keeps_no_fine_operator():
         gc.enable()
     assert all(op.shape[0] < J.shape[0] for op in cache["vcycle"].ops)
     assert timing["hierarchy_s"] > 0
+
+
+@pytest.mark.parametrize("nodes", [17, 12], ids=["17^3", "12^3"])
+def test_presmoothing_start_is_the_first_sweep_from_zero(monkeypatch, nodes):
+    # the first pre-smoothing sweep forms omega D^-1 b directly; the cycle must
+    # equal one whose smoothing starts from x = 0 bit for bit, through the
+    # coarse levels (17^3) and the smoothing-only coarsest level (12^3)
+    J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), nodes)
+    operators = []
+
+    def capturing(A, b, M, **kwargs):
+        operators.append(A)
+        return np.zeros_like(b), 0
+
+    monkeypatch.setattr(spla, "lgmres", capturing)
+    solver._linear_solve(J, np.ones(J.shape[0]), grid.shape)
+    A = operators[0]
+    vcycle = solver.VCycle(A, grid.shape)
+    b = np.random.default_rng(11).normal(size=A.shape[0])
+    x = vcycle.preconditioner(A).matvec(b)
+    monkeypatch.setattr(solver, "_presmooth", lambda A, inv, b, sweeps: solver._smooth(
+        A, inv, np.zeros_like(b), b, sweeps))
+    assert np.array_equal(x, vcycle.preconditioner(A).matvec(b))
+
+
+def test_box_solution_is_homogeneous_in_the_data():
+    # the operator has degree k in u and the boundary rows are linear, so the
+    # data (c^k f, c b) give the solution c u; no exact solution is needed
+    spec, c = ConeSpec(3, 2, 2), 2.0
+    problem, _ = solver.box_cosine_problem(spec)
+    scaled = dataclasses.replace(
+        problem,
+        f=lambda points: c**spec.k * problem.f(points),
+        b=lambda points, normals: c * problem.b(points, normals),
+    )
+    state, _ = solver.box_solve(problem, 17)
+    scaled_state, _ = solver.box_solve(scaled, 17)
+    assert [s["mesh"] for s in scaled_state.steps][-3:] == [[5, 5, 5], [9, 9, 9], [17, 17, 17]]
+    assert not scaled_state.rejected_steps
+    assert np.abs(scaled_state.values - c * state.values).max() <= 1e-11
 
 
 def _box_17_solve():
@@ -510,12 +562,15 @@ def test_lgmres_failure_rejects_the_step_and_halves_dt(monkeypatch):
 
     monkeypatch.setattr(spla, "lgmres", fails_once)
     problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
-    state, grid = solver.box_solve(problem, 13)
+    # 12 nodes cannot be halved, so 12^3 follows the whole path on Krylov
+    state, grid = solver.box_solve(problem, 12)
     cfg = solver.SolverConfig()
     assert calls[0] == solver.FORCING_MAX
-    assert state.rejected_steps == [
-        {"t": 0.0, "dt": cfg.dt0, "error": "NonconvergenceError", "mesh": [13, 13, 13]}
-    ]
+    assert state.rejected_steps == [{
+        "t": 0.0, "dt": cfg.dt0, "error": "NonconvergenceError",
+        "message": "iterative linear solve failed (info=1, rtol=0.01, 0 V-cycles)",
+        "mesh": [12, 12, 12],
+    }]
     assert state.steps[1]["dt"] == 0.5 * cfg.dt0
     assert state.t == 1.0
     assert np.abs(state.values - exact(grid.points)).max() < 5e-3
@@ -546,13 +601,25 @@ def test_system_rejects_grid_of_other_dimension():
 
 
 def test_box_manufactured_17_takes_three_predicted_steps():
+    # 17 -> 9 -> 5: the path runs on 5^3, then 9^3 and 17^3 each take one
+    # Newton solve at t = 1
     problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
     state, grid = solver.box_solve(problem, 17)
-    steps = state.steps[1:]
-    assert len(steps) == 3 and not state.rejected_steps
+    *path, nine, last = state.steps
+    steps = path[1:]
+    assert all(s["mesh"] == [5, 5, 5] for s in path) and not state.rejected_steps
+    assert len(steps) == 3 and steps[-1]["t"] == 1.0
     assert sum(s["newton_iters"] for s in steps) <= 8
     assert [s["predicted"] for s in steps] == [False, True, True]
-    assert np.abs(state.values - exact(grid.points)).max() < 8e-4
+    for step, mesh in ((nine, [9, 9, 9]), (last, [17, 17, 17])):
+        assert step["mesh"] == mesh and step["t"] == 1.0 and step["dt"] == 0.0
+        assert step["newton_iters"] > 0 and not step["predicted"]
+    assert state.diagnostics["final_residual_norm"] <= 1e-8
+    error = np.abs(state.values - exact(grid.points)).max()
+    assert error < 8e-4
+    full = _full_continuation(problem, 17)
+    full_error = np.abs(full.values - exact(grid.points)).max()
+    assert abs(error - full_error) <= 1e-6 * full_error
 
 
 def _full_continuation(problem, nodes):
@@ -560,23 +627,27 @@ def _full_continuation(problem, nodes):
     return solver.continuation_solve(BoxSystem(problem, grid))
 
 
-def test_half_mesh_is_a_box_mesh_past_the_direct_limit():
+def test_half_mesh_is_the_coarse_box_mesh():
     assert solver._half_mesh((33, 33, 33)) == (17, 17, 17)
     assert solver._half_mesh((33, 17, 17)) == (17, 9, 9)
-    # 9^3 (729 unknowns) is on the LU route, (3, 33, 33) is no box mesh and
-    # 12 nodes cannot be halved
-    for shape in ((17, 17, 17), (5, 65, 65), (12, 12, 12)):
+    assert solver._half_mesh((17, 17, 17)) == (9, 9, 9)
+    assert solver._half_mesh((9, 9, 9)) == (5, 5, 5)
+    # 3^3 and (3, 33, 33) are no box meshes, and 12 nodes cannot be halved
+    for shape in ((5, 5, 5), (5, 65, 65), (12, 12, 12)):
         assert solver._half_mesh(shape) is None
 
 
 def test_box_solve_follows_the_path_on_the_half_mesh():
-    # (33, 17, 17) halves to (17, 9, 9): 1,377 unknowns, past DIRECT_LIMIT
+    # (33, 17, 17) halves to (17, 9, 9), then to (9, 5, 5), which halves no
+    # further: the path runs there, and each finer mesh takes one t = 1 solve
     problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
     state, grid = solver.box_solve(problem, (33, 17, 17))
-    *path, last = state.steps
-    assert len(path) >= 2 and all(s["mesh"] == [17, 9, 9] for s in path)
+    *path, middle, last = state.steps
+    assert len(path) >= 2 and all(s["mesh"] == [9, 5, 5] for s in path)
     assert path[-1]["t"] == 1.0
-    assert last["mesh"] == [33, 17, 17] and last["t"] == 1.0 and last["newton_iters"] > 0
+    for step, mesh in ((middle, [17, 9, 9]), (last, [33, 17, 17])):
+        assert step["mesh"] == mesh and step["t"] == 1.0 and step["dt"] == 0.0
+        assert step["newton_iters"] > 0
     assert state.t == 1.0 and not state.rejected_steps
     assert state.diagnostics["final_residual_norm"] <= 1e-8
     assert state.margins.shape == (grid.npoints,)
@@ -603,14 +674,19 @@ def test_box_solve_33_starts_the_fine_newton_near_its_solution():
 
 
 @pytest.mark.parametrize(
-    "failing, entry",
+    "failing, entry, fallback",
     [
-        ((33, 17, 17), {"t": 1.0, "dt": 0.0, "mesh": [33, 17, 17]}),
-        ((17, 9, 9), {"t": 0.0, "dt": 1.0, "mesh": [17, 9, 9]}),
+        ((33, 17, 17), {"t": 1.0, "dt": 0.0, "mesh": [33, 17, 17]}, (33, 17, 17)),
+        ((9, 5, 5), {"t": 0.0, "dt": 1.0, "mesh": [9, 5, 5]}, (17, 9, 9)),
+        ((17, 9, 9), {"t": 1.0, "dt": 0.0, "mesh": [17, 9, 9]}, (17, 9, 9)),
     ],
-    ids=["fine-correction", "coarse-path"],
+    ids=["fine-correction", "coarse-path", "nested-correction"],
 )
-def test_failed_sequencing_falls_back_to_fine_continuation(monkeypatch, failing, entry):
+def test_failed_sequencing_falls_back_to_fine_continuation(
+    monkeypatch, failing, entry, fallback
+):
+    # (33, 17, 17) -> (17, 9, 9) -> (9, 5, 5): the mesh just above a failure
+    # runs the plain continuation, and the finer meshes sequence from it
     newton, failed = solver.newton_solve, []
 
     def fails_once(system, *args, **kwargs):
@@ -619,20 +695,33 @@ def test_failed_sequencing_falls_back_to_fine_continuation(monkeypatch, failing,
             raise NonconvergenceError("refused")
         return newton(system, *args, **kwargs)
 
+    def sequenced_from_fallback():
+        half_mesh = solver._half_mesh
+        with monkeypatch.context() as patch:
+            patch.setattr(solver, "_half_mesh",
+                          lambda shape: None if shape == fallback else half_mesh(shape))
+            return solver.box_solve(problem, (33, 17, 17))[0]
+
     problem, _ = solver.box_cosine_problem(ConeSpec(3, 2, 2))
-    full = _full_continuation(problem, (33, 17, 17))
+    reference = sequenced_from_fallback()
+    if fallback == (33, 17, 17):
+        full = _full_continuation(problem, fallback)
+        assert np.array_equal(reference.values, full.values)
+        assert reference.steps == full.steps
     monkeypatch.setattr(solver, "newton_solve", fails_once)
     state, _ = solver.box_solve(problem, (33, 17, 17))
     assert failed == [entry["t"]]
-    assert np.array_equal(state.values, full.values)
-    assert state.steps == full.steps and state.diagnostics == full.diagnostics
-    assert state.rejected_steps == [{**entry, "error": "NonconvergenceError"}]
+    assert np.array_equal(state.values, reference.values)
+    assert state.steps == reference.steps and state.diagnostics == reference.diagnostics
+    assert state.rejected_steps == [
+        {**entry, "error": "NonconvergenceError", "message": "refused"}
+    ]
 
 
-@pytest.mark.parametrize("nodes", [17, (9, 7, 11), 13], ids=["17^3", "9x7x11", "13^3"])
+@pytest.mark.parametrize("nodes", [(9, 7, 11), 12, 5], ids=["9x7x11", "12^3", "5^3"])
 def test_box_solve_without_a_krylov_half_mesh_is_plain_continuation(nodes):
-    # 17^3 and 13^3 halve to 9^3 and 7^3, on the LU route; (9, 7, 11) would
-    # halve to (5, 4, 6), which is no box mesh
+    # no lattice here has a half mesh: (9, 7, 11) would halve to (5, 4, 6)
+    # and 5^3 to 3^3, which are no box meshes, and 12 nodes cannot be halved
     problem, _ = solver.box_cosine_problem(ConeSpec(3, 2, 2))
     state, grid = solver.box_solve(problem, nodes)
     full = _full_continuation(problem, nodes)
@@ -654,8 +743,9 @@ def _counting(field):
 
 @pytest.mark.parametrize("kind, mesh", [("radial", 32), ("box", 9)])
 def test_fixed_f_is_evaluated_at_most_twice_per_solve(kind, mesh):
-    # the system evaluates the interior once, however many residuals the path
-    # takes, and validate adds the boundary nodes
+    # each system evaluates its interior once, however many residuals the
+    # path takes, and validate adds the boundary nodes; box 9^3 builds its
+    # own system, then the 5^3 one its path runs on
     template, solve = {
         "radial": (solver.radial_quartic_problem, solver.radial_solve),
         "box": (solver.box_cosine_problem, solver.box_solve),
@@ -664,7 +754,12 @@ def test_fixed_f_is_evaluated_at_most_twice_per_solve(kind, mesh):
     problem.f, calls = _counting(problem.f)
     state, grid = solve(problem, mesh)
     assert state.t == 1.0 and sum(s["newton_iters"] for s in state.steps) > 0
-    assert calls == [grid.interior_flat.size, grid.boundary_flat.size]
+    systems = [grid]
+    if kind == "box":
+        systems.append(grids.box_grid(problem.geom.extents, 5))
+        assert {tuple(s["mesh"]) for s in state.steps} == {(9, 9, 9), (5, 5, 5)}
+    assert calls == [size for g in systems
+                     for size in (g.interior_flat.size, g.boundary_flat.size)]
 
 
 def _system(kind, spec=ConeSpec(3, 2, 2)):

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -350,8 +352,12 @@ def test_rejected_steps_are_recorded(monkeypatch):
     cfg = solver.SolverConfig(dt0=1.0)
     state = solver.continuation_solve(RadialSystem(problem, grid), cfg)
     assert state.t == 1.0
-    assert state.rejected_steps == [
-        {"t": 0.0, "dt": 2.0**-i, "error": "NonconvergenceError", "mesh": 64}
+    for step in state.rejected_steps:
+        assert re.fullmatch(r"no convergence in 3 iterations \(\|res\|=\S+\)",
+                            step["message"]), step
+    assert [{**step, "message": ""} for step in state.rejected_steps] == [
+        {"t": 0.0, "dt": 2.0**-i, "error": "NonconvergenceError", "message": "",
+         "mesh": 64}
         for i in range(3)
     ]
     assert state.steps[1]["dt"] == 0.125
