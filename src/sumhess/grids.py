@@ -21,6 +21,7 @@ a gemm that sums in slot order (OpenBLAS's does) gives the formulas' bits
 wherever every weight is a power of two.
 """
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -226,43 +227,35 @@ def _hessian_stencil(strides, spacings):
     return np.array(list(slots)), np.stack([w.ravel() for w in slots.values()])
 
 
-def _prolongation_1d(n):
-    """Linear interpolation from the (n + 1) / 2 even nodes to all n nodes."""
-    nc = (n - 1) // 2 + 1
-    fine = np.arange(n)
-    odd = fine[1::2]
-    rows = np.concatenate([fine[::2], odd, odd])
-    cols = np.concatenate([np.arange(nc), (odd - 1) // 2, (odd + 1) // 2])
-    vals = np.concatenate([np.ones(nc), np.full(2 * odd.size, 0.5)])
-    return sp.csr_matrix((vals, (rows, cols)), shape=(n, nc))
-
-
-def _cubic_interpolation_1d(n):
-    """Cubic interpolation from the (n + 1) / 2 even nodes to all n nodes, as
-    a dense (n, nc) matrix: even nodes copy c_j, an odd node between c_j and
-    c_j+1 takes (-1, 9, 9, -1) / 16 of c_j-1 .. c_j+2, and in the first
-    coarse interval the one-sided (3, 6, -1) / 8 of c_0 .. c_2, mirrored in
-    the last. Exact on cubics away from the ends and on quadratics
-    everywhere; needs nc >= 3."""
-    nc = (n - 1) // 2 + 1
+def _interpolation_1d(n, nc, reach):
+    """Lagrange interpolation from nc evenly spread coarse nodes to n fine
+    nodes on the same interval, as a dense (n, nc) matrix. Fine node i sits
+    at s = i (nc - 1) / (n - 1) in coarse units; in the coarse interval
+    j = min(floor(s), nc - 2) it takes the polynomial through the coarse
+    nodes max(j - reach + 1, 0) .. min(j + reach, nc - 1). ``reach`` 1 is
+    linear interpolation; ``reach`` 2 is cubic inside and quadratic in the
+    first and last interval, exact on quadratics everywhere, and needs
+    nc >= 3. When n = 2 nc - 1 the coarse nodes are the even fine nodes, and
+    every weight is a dyadic rational that comes out exactly: (1/2, 1/2)
+    and (-1, 9, 9, -1) / 16 at odd nodes, (3, 6, -1) / 8 next to the ends."""
     Q = np.zeros((n, nc))
-    Q[::2] = np.eye(nc)
-    j = np.arange(1, nc - 2)
-    for offset, weight in zip(range(-1, 3), (-1.0, 9.0, 9.0, -1.0)):
-        Q[2 * j + 1, j + offset] = weight / 16.0
-    Q[1, :3] = np.array([3.0, 6.0, -1.0]) / 8.0
-    Q[-2, -3:] = np.array([-1.0, 6.0, 3.0]) / 8.0
+    for i, s in enumerate((np.arange(n) * (nc - 1) / (n - 1)).tolist()):
+        j = min(int(s), nc - 2)
+        nodes = range(max(j - reach + 1, 0), min(j + reach, nc - 1) + 1)
+        for m in nodes:
+            Q[i, m] = math.prod((s - l) / (m - l) for l in nodes if l != m)
     return Q
 
 
 def box_coarse_shape(shape):
-    """The half-resolution lattice of ``shape``, or None when some axis
-    cannot be halved exactly (odd n - 1, or n < 5). Meshes of 2^k + 1 nodes
-    per axis therefore coarsen down to 3 nodes per axis."""
-    shape = tuple(int(nc) for nc in shape)
-    if any(nc < 5 or (nc - 1) % 2 for nc in shape):
+    """The half-resolution lattice of ``shape``, n // 2 + 1 nodes per axis
+    ((n - 1) / 2 + 1 for odd n, whose coarse nodes are the even fine ones),
+    or None when some axis has fewer than 5 nodes. Every box lattice
+    therefore coarsens until some axis has 3 or 4 nodes."""
+    shape = tuple(int(n) for n in shape)
+    if min(shape) < 5:
         return None
-    return tuple((nc - 1) // 2 + 1 for nc in shape)
+    return tuple(n // 2 + 1 for n in shape)
 
 
 def box_prolongation(shape):
@@ -270,26 +263,29 @@ def box_prolongation(shape):
 
     Returns (P, coarse_shape) with P of shape (prod(shape), prod(coarse_shape))
     in the C-order node numbering of ``box_grid``, or None when
-    ``box_coarse_shape`` gives no coarse lattice.
+    ``box_coarse_shape`` gives no coarse lattice. Each axis's factor is
+    ``_interpolation_1d(n, nc, 1)`` in CSR, which drops its exact zeros.
     """
     coarse_shape = box_coarse_shape(shape)
     if coarse_shape is None:
         return None
-    P = _prolongation_1d(shape[0])
-    for nc in shape[1:]:
-        P = sp.kron(P, _prolongation_1d(nc), format="csr")
+    P, *rest = (
+        sp.csr_matrix(_interpolation_1d(n, nc, 1)) for n, nc in zip(shape, coarse_shape)
+    )
+    for axis in rest:
+        P = sp.kron(P, axis, format="csr")
     return P, coarse_shape
 
 
-def box_cubic_interpolation(values, coarse_shape):
-    """Tensor-product cubic interpolation (``_cubic_interpolation_1d`` along
-    each axis in turn) of the C-order node ``values`` of the lattice
-    ``coarse_shape`` to the lattice that halves to it, returned flat in its
-    C-order numbering. Each axis is one product with the dense 1-D matrix,
-    so no (fine, coarse) tensor matrix is built."""
+def box_cubic_interpolation(values, coarse_shape, shape):
+    """Tensor-product cubic interpolation (``_interpolation_1d`` with reach
+    2 along each axis in turn) of the C-order node ``values`` of the lattice
+    ``coarse_shape`` to the lattice ``shape``, returned flat in its C-order
+    numbering. Each axis is one product with the dense 1-D matrix, so no
+    (fine, coarse) tensor matrix is built."""
     out = np.asarray(values).reshape(coarse_shape)
-    for axis, nc in enumerate(coarse_shape):
-        Q = _cubic_interpolation_1d(2 * nc - 1)
+    for axis, (n, nc) in enumerate(zip(shape, coarse_shape)):
+        Q = _interpolation_1d(n, nc, 2)
         out = np.moveaxis(np.tensordot(Q, out, axes=(1, axis)), 0, axis)
     return out.ravel()
 

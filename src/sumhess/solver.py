@@ -398,15 +398,14 @@ class VCycle:
     """Coarse hierarchy of a geometric multigrid V-cycle on a box lattice.
 
     Built from one fine operator A, it keeps only what lies below it: levels
-    that halve every axis with ``grids.box_prolongation``, their restrictions,
-    the Galerkin operators P^T A P, and the LU of the coarsest level when that
-    has at most ``DIRECT_LIMIT`` unknowns (only smoothed otherwise); every
-    level smooths with damped Jacobi, pre-smoothing from x = 0 (``_presmooth``).
+    that halve every axis to n // 2 + 1 nodes with ``grids.box_prolongation``
+    until some axis has 3 or 4, their restrictions, the Galerkin operators
+    P^T A P, and the LU of the coarsest of them. Every box lattice has at
+    least one coarse level. Each level above the coarsest smooths with
+    damped Jacobi, pre-smoothing from x = 0 (``_presmooth``).
     ``preconditioner(A)`` runs the cycle under a current fine operator, so one
     hierarchy serves the later Jacobians of a Newton solve and holds no
-    reference to any of them. A lattice that cannot be halved has no coarse
-    level and gets a Jacobi-smoothing preconditioner. ``applications`` counts
-    the cycles run.
+    reference to any of them. ``applications`` counts the cycles run.
     """
 
     def __init__(self, A, shape):
@@ -421,11 +420,8 @@ class VCycle:
             self.prolong.append(P)
             self.restrict.append(R)
             self.ops.append(op)
-        self.inv_diag = [_inv_diagonal(op) for op in self.ops]
-        self.lu = (
-            spla.splu(self.ops[-1].tocsc())
-            if self.ops and self.ops[-1].shape[0] <= DIRECT_LIMIT else None
-        )
+        self.inv_diag = [_inv_diagonal(op) for op in self.ops[:-1]]
+        self.lu = spla.splu(self.ops[-1].tocsc())
         self.applications = 0
 
     def preconditioner(self, A):
@@ -442,12 +438,10 @@ class VCycle:
         return self._cycle(ops, inv_diag, 0, np.ravel(b))
 
     def _cycle(self, ops, inv_diag, level, b):
-        A, inv = ops[level], inv_diag[level]
         if level == len(self.prolong):
-            if self.lu is not None:
-                return self.lu.solve(b)
-            return _presmooth(A, inv, b, 2 * _MG_SWEEPS)
-        x = _presmooth(A, inv, b, _MG_SWEEPS)
+            return self.lu.solve(b)
+        A, inv = ops[level], inv_diag[level]
+        x = _presmooth(A, inv, b)
         coarse_rhs = self.restrict[level] @ (b - A @ x)
         x = x + self.prolong[level] @ self._cycle(ops, inv_diag, level + 1, coarse_rhs)
         return _smooth(A, inv, x, b, _MG_SWEEPS)
@@ -460,10 +454,10 @@ def _smooth(A, inv_diag, x, b, sweeps):
     return x
 
 
-def _presmooth(A, inv_diag, b, sweeps):
-    """``sweeps`` >= 1 damped Jacobi sweeps on A x = b from x = 0; the first
+def _presmooth(A, inv_diag, b):
+    """``_MG_SWEEPS`` damped Jacobi sweeps on A x = b from x = 0; the first
     sweep's iterate omega D^-1 b is formed without the product A @ 0."""
-    return _smooth(A, inv_diag, _MG_OMEGA * inv_diag * b, b, sweeps - 1)
+    return _smooth(A, inv_diag, _MG_OMEGA * inv_diag * b, b, _MG_SWEEPS - 1)
 
 
 def _inv_diagonal(op):
@@ -492,8 +486,8 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
 
     Returns (x, Krylov iterations). Radial systems, whose Jacobian is
     banded, and systems with at most ``DIRECT_LIMIT`` unknowns go to sparse
-    LU (0 iterations); among box lattices these are 7^3 and the 5^3 that a
-    mesh-sequenced ``box_solve`` follows its path on. Larger box ones are
+    LU (0 iterations); among cubes these are 5^3 to 7^3, the ones a
+    sequenced ``box_solve`` follows its path on. Larger box ones are
     scaled to unit diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres to
     relative tolerance ``rtol``, preconditioned with a V-cycle; D^-1 J
     shares J's ``indices`` and ``indptr`` and scales a copy of its data, so
@@ -745,20 +739,20 @@ def box_solve(problem, nodes, cfg=None):
     solves on it, recursively, and the fine mesh gets one Newton solve at
     t = 1 from ``grids.box_cubic_interpolation`` of the half mesh's deviation
     w_c; each mesh adds its own exact q. Only the coarsest lattice follows
-    the path: 33^3 recurses 33 -> 17 -> 9 -> 5, runs continuation on 5^3 and
-    one t = 1 Newton solve on each finer mesh. The V-cycle's linear
-    prolongation of w_c would leave kinks in the start's discrete Hessian: at
-    33^3 Newton would start from |res| 2.74 and take 4 iterations, against
-    0.099 and 2 from the cubic. The steps of every mesh, each with its
-    ``mesh``, and their summed ``profile`` make up the state;
-    ``diagnostics`` are the fine system's. When the coarse solve or the fine
+    the path: 33^3 recurses 33 -> 17 -> 9 -> 5, and 32^3 32 -> 17 -> 9 -> 5;
+    each runs continuation on 5^3 and one t = 1 Newton solve on each finer
+    mesh. The V-cycle's linear prolongation of w_c would leave kinks in the
+    start's discrete Hessian: at 33^3 Newton would start from |res| 2.74 and
+    take 4 iterations, against 0.099 and 2 from the cubic. The steps of
+    every mesh, each with its ``mesh``, and their summed ``profile`` make up
+    the state; ``diagnostics`` are the fine system's. When the coarse solve or the fine
     Newton fails with one of ``SEQUENCE_ERRORS``, the failure is recorded in
     ``rejected_steps`` (the coarse solve as t = 0, dt = 1, the correction as
     t = 1, dt = 0) and the fine mesh runs ``continuation_solve``, whose state
     is returned. Each level handles the failures of its own half mesh, so
     the plain continuation runs on the mesh just above the failure, and the
-    finer meshes sequence from it. Any other lattice runs
-    ``continuation_solve`` alone.
+    finer meshes sequence from it. A lattice whose half has an axis below
+    5 nodes (5^3 to 7^3, (9, 7, 11)) runs ``continuation_solve`` alone.
     """
     grid = grids.box_grid(problem.geom.extents, nodes, problem.geom.center)
     system = BoxSystem(problem, grid)
@@ -771,7 +765,7 @@ def box_solve(problem, nodes, cfg=None):
     except SEQUENCE_ERRORS as exc:
         failed = [_rejected(list(half), 0.0, 1.0, exc)]
         return _fallback(system, cfg, failed, {}), grid
-    start = grids.box_cubic_interpolation(state.deviation, half)
+    start = grids.box_cubic_interpolation(state.deviation, half, grid.shape)
     try:
         state.deviation, stats = newton_solve(system, start, 1.0, cfg, timing=state.profile)
     except SEQUENCE_ERRORS as exc:
@@ -783,12 +777,10 @@ def box_solve(problem, nodes, cfg=None):
 
 
 def _half_mesh(shape):
-    """``grids.box_coarse_shape(shape)`` when it is a box mesh (at least 5
-    nodes per axis), None otherwise."""
+    """``grids.box_coarse_shape(shape)`` of the box lattice ``shape`` when
+    it is a box mesh (at least 5 nodes per axis), None otherwise."""
     half = grids.box_coarse_shape(shape)
-    if half is None or min(half) < 5:
-        return None
-    return half
+    return half if min(half) >= 5 else None
 
 
 def _fallback(system, cfg, failed, profile):

@@ -276,29 +276,52 @@ def test_pattern_jacobian_matches_coo_assembly(spec, nodes, extents, f_of_u):
             assert np.array_equal(getattr(J, name), getattr(ref, name)), name
 
 
-def test_box_prolongation_interpolates_linear_fields():
-    fine = grids.box_grid([2.0, 1.5, 2.5], (9, 5, 17))
-    P, coarse_shape = grids.box_prolongation(fine.shape)
-    assert coarse_shape == (5, 3, 9)
-    coarse_points = fine.points.reshape(fine.shape + (3,))[::2, ::2, ::2].reshape(-1, 3)
+def _lattice_points(extents, shape):
+    """The nodes of the centered lattice ``shape`` on the box ``extents``,
+    (P, dim) in C order; unlike ``box_grid``, any axis may have 3 or 4."""
+    axes = [np.linspace(-e / 2.0, e / 2.0, n) for e, n in zip(extents, shape)]
+    return np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, len(shape))
 
+
+def test_box_prolongation_interpolates_linear_fields():
     def field(x):
         return 1.0 + x[:, 0] - 2.0 * x[:, 1] + 0.5 * x[:, 0] * x[:, 1] * x[:, 2]
 
-    # tensor-product linear interpolation is exact for multilinear fields
-    assert np.abs(P @ field(coarse_points) - field(fine.points)).max() < 1e-13
-    assert grids.box_prolongation((12, 12, 12)) is None
-    assert grids.box_prolongation((9, 7, 11)) is not None
+    extents = [2.0, 1.5, 2.5]
+    # odd axes keep their even nodes; even ones halve to non-nested nodes
+    for shape, half in (((9, 5, 17), (5, 3, 9)), ((8, 6, 12), (5, 4, 7))):
+        P, coarse_shape = grids.box_prolongation(shape)
+        assert coarse_shape == half
+        fine = field(_lattice_points(extents, shape))
+        # tensor-product linear interpolation is exact for multilinear fields
+        assert np.abs(P @ field(_lattice_points(extents, half)) - fine).max() < 1e-13
+    assert grids.box_prolongation((12, 12, 12))[1] == (7, 7, 7)
+    assert grids.box_prolongation((9, 7, 11))[1] == (5, 4, 6)
     assert grids.box_prolongation((3, 3, 3)) is None
+    assert grids.box_prolongation((9, 4, 9)) is None
 
 
-@pytest.mark.parametrize("n", [5, 7, 9, 17])
+@pytest.mark.parametrize("n", [5, 7, 9, 17, 6, 8, 12, 16])
 def test_cubic_interpolation_1d_rows(n):
-    Q = grids._cubic_interpolation_1d(n)
-    nc = (n - 1) // 2 + 1
+    nc = n // 2 + 1
+    Q = grids._interpolation_1d(n, nc, 2)
     assert Q.shape == (n, nc)
-    assert np.array_equal(Q[::2], np.eye(nc))
+    if n % 2:
+        # the coarse nodes are the even fine ones: the literal dyadic rules
+        expected = np.zeros((n, nc))
+        expected[::2] = np.eye(nc)
+        for j in range(1, nc - 2):
+            expected[2 * j + 1, j - 1 : j + 3] = np.array([-1.0, 9.0, 9.0, -1.0]) / 16.0
+        expected[1, :3] = np.array([3.0, 6.0, -1.0]) / 8.0
+        expected[-2, -3:] = np.array([-1.0, 6.0, 3.0]) / 8.0
+        assert np.array_equal(Q, expected)
     assert np.abs(Q.sum(axis=1) - 1.0).max() < 1e-15
+
+    def quadratic(x):
+        return 0.5 + x - 0.75 * x**2
+
+    coarse, fine = np.linspace(0.0, 1.0, nc), np.linspace(0.0, 1.0, n)
+    assert np.abs(Q @ quadratic(coarse) - quadratic(fine)).max() < 1e-15
 
 
 def _tensor_field(points, degree):
@@ -311,24 +334,32 @@ def _tensor_field(points, degree):
 
 
 def test_box_cubic_interpolation_is_exact_on_tensor_polynomials():
-    fine = grids.box_grid([2.0, 1.5, 2.5], (9, 5, 17))
-    coarse_shape = grids.box_coarse_shape(fine.shape)
-    assert coarse_shape == (5, 3, 9)
-    nodes = fine.points.reshape(fine.shape + (3,))
-    coarse_points = nodes[::2, ::2, ::2].reshape(-1, 3)
+    for shape in ((9, 5, 17), (8, 6, 12)):
+        _check_cubic_interpolation([2.0, 1.5, 2.5], shape)
+
+
+def _check_cubic_interpolation(extents, shape):
+    coarse_shape = grids.box_coarse_shape(shape)
+    # per axis, the fine nodes at a coarse node, that coarse node, and the
+    # fine nodes whose coarse interval is neither the first nor the last
+    on_node, below, inner = [], [], []
+    for n, nc in zip(shape, coarse_shape):
+        s = np.arange(n) * (nc - 1) / (n - 1)
+        on_node.append(np.flatnonzero(s == np.round(s)))
+        below.append(s[on_node[-1]].astype(int))
+        inner.append(np.flatnonzero((s == np.round(s)) | ((s >= 1) & (s < nc - 2))))
     for degree in (2, 3):
-        coarse = _tensor_field(coarse_points, degree)
-        out = grids.box_cubic_interpolation(coarse, coarse_shape).reshape(fine.shape)
-        error = np.abs(out - _tensor_field(fine.points, degree).reshape(fine.shape))
-        # even nodes copy the coarse values
-        assert np.array_equal(out[::2, ::2, ::2].ravel(), coarse)
+        coarse = _tensor_field(_lattice_points(extents, coarse_shape), degree)
+        out = grids.box_cubic_interpolation(coarse, coarse_shape, shape).reshape(shape)
+        error = np.abs(out - _tensor_field(_lattice_points(extents, shape), degree).reshape(shape))
+        # fine nodes at a coarse node copy its value
+        assert np.array_equal(out[np.ix_(*on_node)],
+                              coarse.reshape(coarse_shape)[np.ix_(*below)])
         if degree == 2:
             assert error.max() < 1e-14
         else:
-            # odd nodes of the first and last coarse interval use the
-            # one-sided quadratic rule
-            inner = np.ix_(*[np.r_[0, 2 : n - 2, n - 1] for n in fine.shape])
-            assert error[inner].max() < 1e-14
+            # the first and last coarse interval use the one-sided quadratic rule
+            assert error[np.ix_(*inner)].max() < 1e-14
             assert error.max() > 1e-3
 
 
@@ -338,14 +369,12 @@ def test_box_cubic_interpolation_is_exact_on_tensor_polynomials():
         (ConeSpec(3, 2, 2), 17, None),
         (ConeSpec(3, 2, 2), (9, 7, 11), [2.0, 1.5, 2.5]),
         (ConeSpec(4, 2, 2), 7, None),
+        (ConeSpec(3, 2, 2), 12, None),
     ],
 )
-def test_multigrid_solve_matches_direct(monkeypatch, spec, nodes, extents):
-    # a direct limit below the fine sizes but above the coarsest level's, so
-    # these systems take the V-cycle route with an LU-factored coarsest level
-    monkeypatch.setattr(solver, "DIRECT_LIMIT", 300)
+def test_multigrid_solve_matches_direct(spec, nodes, extents):
+    # each fine system is past the direct limit, so it takes the V-cycle route
     J, grid = manufactured_jacobian(spec, nodes, extents)
-    assert solver.VCycle(J, grid.shape).lu is not None
     rhs = np.random.default_rng(5).normal(size=J.shape[0])
     x, iters = solver._linear_solve(J, rhs, grid.shape)
     assert iters > 0
@@ -355,24 +384,13 @@ def test_multigrid_solve_matches_direct(monkeypatch, spec, nodes, extents):
 
 def test_multigrid_iterations_do_not_grow_with_mesh():
     iters = {}
-    for nodes in (17, 33):
+    for nodes in (17, 33, 16, 32):
         J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), nodes)
         assert J.shape[0] > solver.DIRECT_LIMIT
         rhs = np.random.default_rng(7).normal(size=J.shape[0])
         _, iters[nodes] = solver._linear_solve(J, rhs, grid.shape)
-    assert 0 < iters[33] <= 1.5 * iters[17], iters
-
-
-def test_unhalvable_box_converges_on_smoothing_only():
-    J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), 12)
-    assert J.shape[0] > solver.DIRECT_LIMIT
-    assert grids.box_prolongation(grid.shape) is None
-    assert solver.VCycle(J, grid.shape).lu is None
-    rhs = np.random.default_rng(9).normal(size=J.shape[0])
-    x, iters = solver._linear_solve(J, rhs, grid.shape)
-    assert iters > 0
-    ref = spla.spsolve(J.tocsc(), rhs)
-    assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
+    for coarse, fine in ((17, 33), (16, 32)):
+        assert 0 < iters[fine] <= 1.5 * iters[coarse], iters
 
 
 def test_radial_jacobian_goes_to_direct_solve(monkeypatch):
@@ -459,7 +477,7 @@ def test_reused_hierarchy_keeps_no_fine_operator():
 def test_presmoothing_start_is_the_first_sweep_from_zero(monkeypatch, nodes):
     # the first pre-smoothing sweep forms omega D^-1 b directly; the cycle must
     # equal one whose smoothing starts from x = 0 bit for bit, through the
-    # coarse levels (17^3) and the smoothing-only coarsest level (12^3)
+    # nested coarse levels of 17^3 and the non-nested 12^3 -> 7^3 -> 4^3
     J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), nodes)
     operators = []
 
@@ -473,8 +491,8 @@ def test_presmoothing_start_is_the_first_sweep_from_zero(monkeypatch, nodes):
     vcycle = solver.VCycle(A, grid.shape)
     b = np.random.default_rng(11).normal(size=A.shape[0])
     x = vcycle.preconditioner(A).matvec(b)
-    monkeypatch.setattr(solver, "_presmooth", lambda A, inv, b, sweeps: solver._smooth(
-        A, inv, np.zeros_like(b), b, sweeps))
+    monkeypatch.setattr(solver, "_presmooth", lambda A, inv, b: solver._smooth(
+        A, inv, np.zeros_like(b), b, solver._MG_SWEEPS))
     assert np.array_equal(x, vcycle.preconditioner(A).matvec(b))
 
 
@@ -562,14 +580,15 @@ def test_lgmres_failure_rejects_the_step_and_halves_dt(monkeypatch):
 
     monkeypatch.setattr(spla, "lgmres", fails_once)
     problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
-    # 12 nodes cannot be halved, so 12^3 follows the whole path on Krylov
-    state, grid = solver.box_solve(problem, 12)
+    # (9, 7, 11) would halve to (5, 4, 6), no box mesh, so it follows the
+    # whole path on Krylov
+    state, grid = solver.box_solve(problem, (9, 7, 11))
     cfg = solver.SolverConfig()
     assert calls[0] == solver.FORCING_MAX
     assert state.rejected_steps == [{
         "t": 0.0, "dt": cfg.dt0, "error": "NonconvergenceError",
         "message": "iterative linear solve failed (info=1, rtol=0.01, 0 V-cycles)",
-        "mesh": [12, 12, 12],
+        "mesh": [9, 7, 11],
     }]
     assert state.steps[1]["dt"] == 0.5 * cfg.dt0
     assert state.t == 1.0
@@ -632,8 +651,12 @@ def test_half_mesh_is_the_coarse_box_mesh():
     assert solver._half_mesh((33, 17, 17)) == (17, 9, 9)
     assert solver._half_mesh((17, 17, 17)) == (9, 9, 9)
     assert solver._half_mesh((9, 9, 9)) == (5, 5, 5)
-    # 3^3 and (3, 33, 33) are no box meshes, and 12 nodes cannot be halved
-    for shape in ((5, 5, 5), (5, 65, 65), (12, 12, 12)):
+    # every axis halves to n // 2 + 1
+    assert solver._half_mesh((12, 12, 12)) == (7, 7, 7)
+    assert solver._half_mesh((32, 32, 32)) == (17, 17, 17)
+    assert solver._half_mesh((64, 64, 64)) == (33, 33, 33)
+    # 3^3, (3, 33, 33) and 4^3 are no box meshes
+    for shape in ((5, 5, 5), (5, 65, 65), (7, 7, 7)):
         assert solver._half_mesh(shape) is None
 
 
@@ -671,6 +694,23 @@ def test_box_solve_33_starts_the_fine_newton_near_its_solution():
     assert state.diagnostics["final_residual_norm"] <= 1e-8
     error = np.abs(state.values - exact(grid.points)).max()
     assert abs(error - 1.94299559e-4) <= 1e-6 * 1.94299559e-4
+
+
+def test_box_solve_32_sequences_through_non_nested_half_meshes():
+    # 32 -> 17 -> 9 -> 5: the even lattice sequences like 33^3 does, where
+    # an odd-only halving rule left it on 184 V-cycles of plain continuation
+    problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    state, grid = solver.box_solve(problem, 32)
+    chain = [s["mesh"] for s in state.steps if s["mesh"] != [5, 5, 5]]
+    assert state.steps[0]["mesh"] == [5, 5, 5]
+    assert chain == [[9, 9, 9], [17, 17, 17], [32, 32, 32]]
+    assert not state.rejected_steps
+    assert state.diagnostics["final_residual_norm"] <= 1e-8
+    assert sum(s["linear_iters"] for s in state.steps) <= 100
+    error = np.abs(state.values - exact(grid.points)).max()
+    full = _full_continuation(problem, 32)
+    full_error = np.abs(full.values - exact(grid.points)).max()
+    assert abs(error - full_error) <= 1e-6 * full_error
 
 
 @pytest.mark.parametrize(
@@ -718,10 +758,10 @@ def test_failed_sequencing_falls_back_to_fine_continuation(
     ]
 
 
-@pytest.mark.parametrize("nodes", [(9, 7, 11), 12, 5], ids=["9x7x11", "12^3", "5^3"])
+@pytest.mark.parametrize("nodes", [(9, 7, 11), 5], ids=["9x7x11", "5^3"])
 def test_box_solve_without_a_krylov_half_mesh_is_plain_continuation(nodes):
     # no lattice here has a half mesh: (9, 7, 11) would halve to (5, 4, 6)
-    # and 5^3 to 3^3, which are no box meshes, and 12 nodes cannot be halved
+    # and 5^3 to 3^3, which are no box meshes
     problem, _ = solver.box_cosine_problem(ConeSpec(3, 2, 2))
     state, grid = solver.box_solve(problem, nodes)
     full = _full_continuation(problem, nodes)

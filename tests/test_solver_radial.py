@@ -1,12 +1,14 @@
+import dataclasses
 import re
 
 import numpy as np
 import pytest
 
-from sumhess import grids, solver
+from sumhess import geometry, grids, solver
 from sumhess.errors import (
     AdmissibilityError, ConfigError, ContinuationError, NonconvergenceError,
 )
+from sumhess.expressions import parse_expression
 from sumhess.lift import ConeSpec
 from sumhess.solver import ProblemSpec, RadialSystem
 from oracles import homotopy_data, manufactured_suite
@@ -27,8 +29,6 @@ def trivial_problem(spec, R=1.0):
         r = points[:, 0]
         return r * normals[:, 0] + 0.5 * r * r
 
-    from sumhess import geometry
-
     return ProblemSpec(spec=spec, geom=geometry.radial(R, dim=spec.n), f=f, a=a, b=b)
 
 
@@ -39,8 +39,6 @@ def test_homotopy_constant_example():
 def test_t0_anchor_residual_zero():
     # arbitrary f, a, b: the t = 0 member is solved exactly by the quadratic
     spec = ConeSpec(3, 2, 2)
-    from sumhess import geometry
-
     def f(points):
         r = points[:, 0]
         return 3.0 + np.cos(5.0 * r) ** 2
@@ -209,6 +207,39 @@ def test_manufactured_radial_convergence():
         assert row["diagnostics"]["admissible_everywhere"]
 
 
+@pytest.mark.parametrize("c", [2.0, 0.5])
+@pytest.mark.parametrize("nmk", [(3, 2, 2), (5, 2, 3)], ids=["3-2-2", "5-2-3"])
+def test_radial_solution_is_homogeneous_in_the_data(nmk, c):
+    # the operator has degree k in u and the boundary rows are linear, so the
+    # data (c^k f, c b) give the solution c u; no exact solution is needed
+    spec = ConeSpec(*nmk)
+    problem, _ = solver.radial_quartic_problem(spec)
+    scaled = dataclasses.replace(
+        problem,
+        f=lambda points: c**spec.k * problem.f(points),
+        b=lambda points, normals: c * problem.b(points, normals),
+    )
+    state, _ = solver.radial_solve(problem, 128)
+    scaled_state, _ = solver.radial_solve(scaled, 128)
+    assert state.t == scaled_state.t == 1.0
+    assert np.abs(scaled_state.values - c * state.values).max() <= 1e-12
+
+
+def test_radial_expression_fields_self_converge_at_second_order():
+    # the benchmark's expression fields have no exact solution: successive
+    # meshes' differences at their shared nodes must fall by 4 per halving
+    problem = ProblemSpec(
+        spec=ConeSpec(3, 2, 2), geom=geometry.radial(1.0, dim=3),
+        f=parse_expression("1.7 + sin(7*r)^2 + r^3"),
+        a=parse_expression("1 + 0.5*cos(r)"),
+        b=lambda points, normals: parse_expression("2 - r^2/3")(points),
+    )
+    solutions = [solver.radial_solve(problem, M)[0].values for M in (64, 128, 256, 512, 1024)]
+    diffs = [np.abs(fine[::2] - coarse).max() for coarse, fine in zip(solutions, solutions[1:])]
+    orders = [np.log2(a / b) for a, b in zip(diffs, diffs[1:])]
+    assert all(1.9 <= order <= 2.1 for order in orders), (diffs, orders)
+
+
 def test_radial_meshes_past_the_direct_limit_take_sparse_lu():
     # the radial Jacobian is banded, so sparse LU serves every mesh; on
     # V-cycle lgmres M = 2048 stalled at t = 0, and the odd M = 1001, which
@@ -269,8 +300,6 @@ def test_stress_bump_adapts():
 
 
 def test_radial_system_accepts_ball_geometry():
-    from sumhess import geometry
-
     spec = ConeSpec(3, 2, 2)
     problem, exact = solver.radial_quartic_problem(spec)
     problem.geom = geometry.ball(1.0, dim=3)
