@@ -190,7 +190,7 @@ def _solve_problem(cfg, mode, spec):
         return b_expr(points)
 
     if mode == "radial":
-        geom = geometry.radial(cfg.get("radius", 1.0, float), dim=spec.n)
+        geom = geometry.ball(cfg.get("radius", 1.0, float), dim=spec.n)
     else:
         extents = cfg.float_list("extents") or [2.0] * spec.n
         geom = geometry.box(extents)
@@ -272,9 +272,6 @@ def cmd_verify(cfg, seed, out_dir, fmt):
         raise ConfigError(f"which must be one of {_VERIFY_SUITES}")
     trials = cfg.get("trials", 10_000, int)
     states = cfg.get("states", 10, int)
-    for key, count in (("trials", trials), ("states", states)):
-        if count < 1:
-            raise ConfigError(f"need {key} >= 1, got {key}={count}")
     start = time.perf_counter()
     if which == "jacobian":
         from . import solver
@@ -333,23 +330,18 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
             except ValueError:
                 values = None
             if values is None or not np.isfinite(values).all():
-                print(f"cone-check: malformed row {rowno}", file=sys.stderr)
-                return 1
+                raise ConfigError(f"row {rowno} malformed")
             if values.size == n:
                 mu = values
             elif values.size == n * n:
                 M = values.reshape(n, n)
                 if not np.allclose(M, M.T, rtol=0.0, atol=1e-12):
-                    print(f"cone-check: row {rowno} matrix not symmetric", file=sys.stderr)
-                    return 1
+                    raise ConfigError(f"row {rowno} matrix not symmetric")
                 mu = np.linalg.eigvalsh((M + M.T) / 2.0)
             else:
-                print(
-                    f"cone-check: row {rowno} has {values.size} entries, "
-                    f"expected {n} or {n * n}",
-                    file=sys.stderr,
+                raise ConfigError(
+                    f"row {rowno} has {values.size} entries, expected {n} or {n * n}"
                 )
-                return 1
             s = msum_sym(mu, m, table.size)
             positive = s[1:] > 0
             largest = int(np.argmax(~positive)) if not positive.all() else table.size

@@ -17,7 +17,8 @@ from .errors import CollarError, ConfigError
 
 @dataclass(frozen=True)
 class DomainGeometry:
-    """Ball, axis-aligned box, or radial (ball handled through 1-D profiles).
+    """A ball (``kind`` "ball") or an axis-aligned box ("box"). A radial
+    solve takes a ball centered at the origin through its 1-D profiles.
 
     ``mu0`` is the collar width within which the distance function is smooth;
     for a ball any width below the radius works, for a box smoothness fails
@@ -56,14 +57,6 @@ def ball(radius, dim=3, center=None):
     )
 
 
-def radial(radius, dim=3):
-    _check_radius(radius)
-    return DomainGeometry(
-        kind="radial", dim=dim, radius=float(radius), center=np.zeros(dim),
-        mu0=radius / 2.0,
-    )
-
-
 def box(extents, center=None):
     extents = np.asarray(extents, dtype=np.float64)
     if extents.ndim != 1 or not np.all((extents > 0) & (extents < math.inf)):
@@ -76,15 +69,11 @@ def box(extents, center=None):
     )
 
 
-def _is_ball(geom):
-    return geom.kind in ("ball", "radial")
-
-
 def distance(geom, x):
     """Signed-inward distance to the boundary (positive inside) of each row of
     an (N, dim) block of points."""
     x = np.asarray(x, dtype=np.float64)
-    if _is_ball(geom):
+    if geom.kind == "ball":
         return geom.radius - np.linalg.norm(x - geom.center, axis=1)
     lo = geom.center - geom.extents / 2.0
     hi = geom.center + geom.extents / 2.0
@@ -105,7 +94,7 @@ def distance_pack(geom, x):
         bad = d[np.argmax(outside)]
         raise CollarError(f"point at distance {bad:g} outside collar (0, {geom.mu0:g})")
     count, dim = pts.shape
-    if _is_ball(geom):
+    if geom.kind == "ball":
         rel = pts - geom.center
         r = np.linalg.norm(rel, axis=1)[:, None]
         u = rel / r
@@ -201,7 +190,7 @@ def collar_points(geom, count, depth_max):
         raise CollarError(f"collar depth {depth_max:g} outside (0, {geom.mu0:g}]")
     raw = _halton(count, geom.dim + 1)
     depth = (0.02 + 0.96 * raw[:, -1]) * depth_max
-    if _is_ball(geom):
+    if geom.kind == "ball":
         # imported here: loading scipy.special takes longer than importing the
         # whole CLI, and only the ball collar needs it
         from scipy.special import ndtri
@@ -259,7 +248,7 @@ def _check_lemma_range(geom, spec, which):
         k0 = spec.k - edge
         if k0 < 1:
             raise ConfigError(f"lemma55 needs k > binom(n-1, m-1) = {edge}")
-        if not _is_ball(geom):
+        if geom.kind != "ball":
             raise ConfigError("lemma55 verification requires curvature: ball only")
         kappa = np.full(spec.n - 1, 1.0 / geom.radius)
         ok, _ = mk0_convex_check(kappa, spec.m, k0)

@@ -5,12 +5,14 @@ u'' and u'/r), and a uniform n-D lattice on a box. Interior second derivatives
 are centered; the boundary normal derivative uses the documented 3-point
 one-sided closure (3 u0 - 4 u1 + u2) / (2 h) along the inward grid line.
 
-Both grids expose one boundary interface: ``interior_flat`` and
-``boundary_flat`` node indices, unit outward ``normals`` (zero rows inside),
-and the rows of the normal derivative at the boundary nodes as
-``dnu_rows``/``dnu_cols``/``dnu_vals`` triplets.
+One ``Grid`` type holds both. Its ``points`` are the nodes (the radii r as
+one column on a radial mesh), ``spacings`` the step per axis, and ``mesh``
+the mesh as a ``solve`` config gives it. Its boundary interface is
+``interior_flat`` and ``boundary_flat`` node indices, unit outward
+``normals`` (zero rows inside), and the rows of the normal derivative at the
+boundary nodes as ``dnu_rows``/``dnu_cols``/``dnu_vals`` triplets.
 
-Each grid also builds one stencil table: ``stencil_cols`` (S, Pe), intp,
+Each grid also carries one stencil table: ``stencil_cols`` (S, Pe), intp,
 the node in each of the S slots of each equation node's stencil, and
 ``stencil_coef`` (S, E), each slot's weight in the E entries of a node's
 second-derivative data (the n^2 entries of H on a box, (u'', u') radially).
@@ -32,37 +34,28 @@ from .errors import ConfigError
 
 
 @dataclass(frozen=True)
-class RadialGrid:
+class Grid:
     dim: int  # ambient space dimension
-    R: float
-    M: int  # intervals; M + 1 nodes
-    r: np.ndarray = field(repr=False)
-    h: float
-    interior_flat: np.ndarray = field(repr=False)  # the M equation nodes
-    boundary_flat: np.ndarray = field(repr=False)  # [M], the rim
-    normals: np.ndarray = field(repr=False)  # (M + 1, 1), +1 at the rim
-    stencil_cols: np.ndarray = field(repr=False)  # (3, M): i + 1, i, |i - 1|
-    stencil_coef: np.ndarray = field(repr=False)  # (3, 2): weights of u'', u'
+    shape: tuple  # nodes per axis; (M + 1,) on a radial mesh
+    mesh: object  # the mesh as a ``solve`` config gives it: M, or list(shape)
+    spacings: np.ndarray = field(repr=False)  # (dim,) on a box, (1,) radially
+    points: np.ndarray = field(repr=False)  # (P, dim) on a box; radially (M + 1, 1), r
+    interior_flat: np.ndarray = field(repr=False)  # the equation nodes
+    boundary_flat: np.ndarray = field(repr=False)  # radially [M], the rim
+    normals: np.ndarray = field(repr=False)  # (P, dim) or (M + 1, 1), zero rows interior
+    stencil_cols: np.ndarray = field(repr=False)  # (S, Pe); radially i + 1, i, |i - 1|
+    stencil_coef: np.ndarray = field(repr=False)  # (S, E): weights of H's entries or u'', u'
     dnu_rows: np.ndarray = field(repr=False)
     dnu_cols: np.ndarray = field(repr=False)
     dnu_vals: np.ndarray = field(repr=False)
 
     @property
     def npoints(self):
-        return self.M + 1
+        return self.points.shape[0]
 
     @property
-    def shape(self):
-        return (self.npoints,)
-
-    @property
-    def mesh(self):
-        """The mesh as a ``solve`` config gives it: the intervals M."""
-        return self.M
-
-    @property
-    def points(self):
-        return self.r[:, None]
+    def h(self):
+        return float(self.spacings.max())
 
 
 def radial_grid(R, M, dim):
@@ -72,8 +65,9 @@ def radial_grid(R, M, dim):
     normals = np.zeros((M + 1, 1))
     normals[-1] = 1.0
     i = np.arange(M)
-    return RadialGrid(
-        dim=dim, R=float(R), M=M, r=np.linspace(0.0, R, M + 1), h=h,
+    return Grid(
+        dim=dim, shape=(M + 1,), mesh=M, spacings=np.array([h]),
+        points=np.linspace(0.0, R, M + 1)[:, None],
         interior_flat=i, boundary_flat=np.array([M]), normals=normals,
         # the center's mirror closure u(-h) = u(h) names node 1 in both outer slots
         stencil_cols=np.stack([i + 1, i, np.abs(i - 1)]),
@@ -103,40 +97,12 @@ def radial_spectra(grid, values):
     ``as_float(values)``.
     """
     data = stencil_data(grid, values)
-    out = np.empty((grid.M, grid.dim), dtype=data.dtype)
+    M = grid.mesh
+    out = np.empty((M, grid.dim), dtype=data.dtype)
     out[:, 0] = data[:, 0]
     out[0, 1:] = data[0, 0]
-    out[1:, 1:] = (data[1:, 1] / grid.r[1 : grid.M])[:, None]
+    out[1:, 1:] = (data[1:, 1] / grid.points[1:M, 0])[:, None]
     return out
-
-
-@dataclass(frozen=True)
-class BoxGrid:
-    dim: int
-    shape: tuple
-    spacings: np.ndarray = field(repr=False)
-    points: np.ndarray = field(repr=False)  # (P, dim)
-    interior_flat: np.ndarray = field(repr=False)
-    boundary_flat: np.ndarray = field(repr=False)
-    normals: np.ndarray = field(repr=False)  # (P, dim), zero rows interior
-    stencil_cols: np.ndarray = field(repr=False)  # (S, Pi), S = 1 + 2 dim^2
-    stencil_coef: np.ndarray = field(repr=False)  # (S, dim^2): weights of H's entries
-    dnu_rows: np.ndarray = field(repr=False)
-    dnu_cols: np.ndarray = field(repr=False)
-    dnu_vals: np.ndarray = field(repr=False)
-
-    @property
-    def npoints(self):
-        return self.points.shape[0]
-
-    @property
-    def h(self):
-        return float(self.spacings.max())
-
-    @property
-    def mesh(self):
-        """The mesh as a ``solve`` config gives it: the nodes per axis."""
-        return list(self.shape)
 
 
 def box_grid(extents, nodes, center=None):
@@ -196,8 +162,8 @@ def box_grid(extents, nodes, center=None):
     dnu_vals = np.concatenate(vals)
 
     offsets, stencil_coef = _hessian_stencil(strides, spacings)
-    return BoxGrid(
-        dim=dim, shape=shape, spacings=spacings, points=points,
+    return Grid(
+        dim=dim, shape=shape, mesh=list(shape), spacings=spacings, points=points,
         interior_flat=interior_flat, boundary_flat=boundary_flat, normals=normals,
         stencil_cols=interior_flat[None, :] + offsets[:, None],
         stencil_coef=stencil_coef, dnu_rows=dnu_rows, dnu_cols=dnu_cols,

@@ -96,7 +96,7 @@ def growth(newton_iters):
 class SolverConfig:
     """The settings a ``solve`` config may set: the CLI reads its fields."""
 
-    tol_abs: float = None  # auto per grid kind when None
+    tol_abs: float = None  # the system's ``default_tol`` when None
     margin_floor: float = 1e-12
     dt0: float = 0.1
     dt_min: float = 1e-4
@@ -114,11 +114,6 @@ class SolverConfig:
             raise ConfigError(f"need finite margin_floor >= 0, got {self.margin_floor}")
         if self.tol_abs is not None and not 0 < self.tol_abs < math.inf:
             raise ConfigError(f"need finite tol_abs > 0, got {self.tol_abs}")
-
-    def tolerance(self, kind):
-        if self.tol_abs is not None:
-            return self.tol_abs
-        return 1e-10 if kind == "radial" else 1e-8
 
 
 @dataclass
@@ -170,12 +165,14 @@ class DiscreteSystem:
     ``boundary_rows @ w - t g_b``, g_b = b - B q. The Jacobian's CSR pattern
     is built once per system; each ``jacobian`` call only fills its values.
     Newton keeps w, and so the residual, in ``state_dtype``; the Jacobian is
-    float64.
+    float64. ``default_tol`` is Newton's |res| tolerance when the config
+    sets no ``tol_abs``.
     """
 
     kind = None
     geometry_kinds = ()
     state_dtype = np.dtype(np.float64)
+    default_tol = None
 
     def __init__(self, problem, grid):
         if problem.geom.kind not in self.geometry_kinds:
@@ -339,8 +336,9 @@ class RadialSystem(DiscreteSystem):
     """Discrete operator on a 1-D radial mesh over a ball."""
 
     kind = "radial"
-    geometry_kinds = ("ball", "radial")
+    geometry_kinds = ("ball",)
     state_dtype = EXTENDED
+    default_tol = 1e-10
 
     def __init__(self, problem, grid):
         if np.any(problem.geom.center):
@@ -361,10 +359,11 @@ class RadialSystem(DiscreteSystem):
         # the other dim - 1; at the center u'' is all of them and u' none.
         # Times 1/r, not over r: on power-of-two meshes the rows then equal
         # the hand-differentiated ones in tests/oracles.py bit for bit
-        W = np.zeros((grid.M, 2))
+        M = grid.mesh
+        W = np.zeros((M, 2))
         W[:, 0] = weights[:, 0]
         W[0, 0] = weights[0].sum()
-        W[1:, 1] = weights[1:, 1:].sum(axis=1) * (1.0 / grid.r[1 : grid.M])
+        W[1:, 1] = weights[1:, 1:].sum(axis=1) * (1.0 / grid.points[1:M, 0])
         return W
 
 
@@ -373,6 +372,7 @@ class BoxSystem(DiscreteSystem):
 
     kind = "box"
     geometry_kinds = ("box",)
+    default_tol = 1e-8
 
     def _hessians(self, values):
         H = grids.box_hessians(self.grid, values)
@@ -549,7 +549,7 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
     the Jacobian, the linear solve and its update are float64. The returned
     stats keep the |res| Newton started from as ``start_residual_norm``."""
     cfg = cfg or SolverConfig()
-    tol = cfg.tolerance(system.kind)
+    tol = system.default_tol if cfg.tol_abs is None else cfg.tol_abs
     w = np.array(values, dtype=system.state_dtype)
     res, margins = start if start is not None else _timed(
         timing, "residual_s", system.residual_and_margin, w, t
@@ -822,7 +822,7 @@ def radial_quartic_problem(spec, R=1.0, coef=0.05):
         return du * normals[:, 0] + exact(r)
 
     problem = ProblemSpec(
-        spec=spec, geom=geometry.radial(R, dim=spec.n), f=f, a=a, b=b
+        spec=spec, geom=geometry.ball(R, dim=spec.n), f=f, a=a, b=b
     )
     return problem, lambda pts: exact(np.asarray(pts)[:, 0])
 
@@ -903,6 +903,8 @@ def verify_jacobian_suite(spec_list=None, states=10, seed=0):
     difference quotient into its third-order truncation regime through the
     1/h^2 stencil amplification, measuring the probe instead of the matrix.
     """
+    if states < 1:
+        raise ConfigError(f"need states >= 1, got states={states}")
     if spec_list is None:
         spec_list = [lift.ConeSpec(3, 2, 2), lift.ConeSpec(4, 2, 2), lift.ConeSpec(4, 2, 3)]
     rng = np.random.default_rng(seed)
@@ -911,17 +913,18 @@ def verify_jacobian_suite(spec_list=None, states=10, seed=0):
         problem, _ = radial_quartic_problem(spec, coef=0.05)
         grid = grids.radial_grid(1.0, 40, spec.n)
         system = RadialSystem(problem, grid)
+        r = grid.points[:, 0]
         base = system.initial_values()
         count = 0
         states_u, margins = [], []
         while count < states:
-            w = base + 1e-3 * _smooth_field(rng, grid.r)
+            w = base + 1e-3 * _smooth_field(rng, r)
             if system.min_margin(w) <= 0:
                 continue
             count += 1
             t = float(rng.uniform(0.2, 1.0))
             J = system.jacobian(w, t)
-            v = _smooth_field(rng, grid.r)
+            v = _smooth_field(rng, r)
             v /= np.abs(v).max()
             eps = 1e-6
             fd = (

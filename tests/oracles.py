@@ -13,7 +13,9 @@ stencils written out by hand (box Hessians from shifted slices, the radial
 spectra formula, and the differentiated interior rows of both grids) are the
 references for the grids' stencil tables.
 ``manufactured_suite`` is the convergence study the solver tests run: solves
-on a mesh family and the observed order of the error.
+on a mesh family and the observed order of the error; ``minors_data`` gives
+it interior data built from a stated exact Hessian by ``lift_by_minors`` and
+``matrix_sym_minors`` alone.
 """
 
 import csv
@@ -177,7 +179,7 @@ def boundary_data(geom, x):
     """Outward unit normal and principal curvatures at the boundary point
     nearest to ``x``."""
     x = np.asarray(x, dtype=np.float64)
-    if geom.kind in ("ball", "radial"):
+    if geom.kind == "ball":
         rel = x - geom.center
         nu = rel / np.linalg.norm(rel)
         kappa = np.full(geom.dim - 1, 1.0 / geom.radius)
@@ -221,7 +223,7 @@ def barrier_hessian_point(geom, params, x):
     """Hessian of the collar barrier at one point, from the distance, its
     gradient and its Hessian written out for that point alone."""
     x = np.asarray(x, dtype=np.float64)
-    if geom.kind in ("ball", "radial"):
+    if geom.kind == "ball":
         rel = x - geom.center
         r = np.linalg.norm(rel)
         d = geom.radius - r
@@ -275,7 +277,7 @@ def collar_points_scipy(geom, count, depth_max):
     coordinate at a time: the reference for ``geometry.collar_points``."""
     raw = qmc.Halton(d=geom.dim + 1, scramble=False).random(count + 1)[1:]
     depth = (0.02 + 0.96 * raw[:, -1]) * depth_max
-    if geom.kind in ("ball", "radial"):
+    if geom.kind == "ball":
         gauss = norm.ppf(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
         dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
         return geom.center + (geom.radius - depth)[:, None] * dirs
@@ -402,11 +404,11 @@ def radial_spectra_formula(grid, values):
     nodes, the center's from the mirror closure u(-h) = u(h)."""
     u = _kernels.as_float(values)
     h = grid.h
-    out = np.empty((grid.M, grid.dim), dtype=u.dtype)
+    out = np.empty((grid.mesh, grid.dim), dtype=u.dtype)
     out[0, :] = 2.0 * (u[1] - u[0]) / (h * h)
-    i = np.arange(1, grid.M)
+    i = np.arange(1, grid.mesh)
     out[1:, 0] = (u[i + 1] - 2.0 * u[i] + u[i - 1]) / (h * h)
-    out[1:, 1:] = ((u[i + 1] - u[i - 1]) / (2.0 * h) / grid.r[i])[:, None]
+    out[1:, 1:] = ((u[i + 1] - u[i - 1]) / (2.0 * h) / grid.points[i, 0])[:, None]
     return out
 
 
@@ -417,7 +419,7 @@ def hand_stencil(system, values):
     the profiles 1 and the identity Hessian."""
     grid, spec = system.grid, system.spec
     if system.kind == "radial":
-        M, h = grid.M, grid.h
+        M, h = grid.mesh, grid.h
         fii = lift.msum_weights(radial_spectra_formula(grid, values) + 1.0, spec.m, spec.k)
         # center row: the Hessian is u''(0) times the identity, so its weight is the trace
         trace0 = fii[0].sum()
@@ -425,7 +427,7 @@ def hand_stencil(system, values):
         Frr = fii[1:, 0]
         Ftt = fii[1:, 1:].sum(axis=1)  # total tangential weight (dim-1 slots)
         inv_h2 = 1.0 / (h * h)
-        inv_2hr = 1.0 / (2.0 * h * grid.r[i])
+        inv_2hr = 1.0 / (2.0 * h * grid.points[i, 0])
         rows = np.concatenate([[0, 0], i, i, i])
         cols = np.concatenate([[0, 1], i - 1, i, i + 1])
         vals = np.concatenate([
@@ -454,9 +456,23 @@ def hand_stencil(system, values):
     return rows.ravel(), cols.ravel(), np.concatenate(vals)
 
 
-def manufactured_suite(kind, spec, meshes, cfg=None, **kwargs):
+def minors_data(hessian, spec):
+    """The interior data f(points) of the field whose exact Hessians at the
+    (N, n) ``points`` are ``hessian(points)``, (N, n, n), built point by
+    point from the definitions: S_k as the sum of the principal k x k minors
+    of ``lift_by_minors``, with no call into the lift the solver uses."""
+    def f(points):
+        return np.array([
+            matrix_sym_minors(lift_by_minors(H, spec.m), spec.k) for H in hessian(points)
+        ])
+
+    return f
+
+
+def manufactured_suite(kind, spec, meshes, cfg=None, f=None, **kwargs):
     """Solve a manufactured problem on a mesh family and report the observed
-    convergence order (least-squares slope of log error against log h)."""
+    convergence order (least-squares slope of log error against log h).
+    ``f``, when given, replaces the template's interior data."""
     if kind not in ("radial", "box"):
         raise ConfigError(f"unknown manufactured template {kind!r}")
     template, solve = (
@@ -464,6 +480,8 @@ def manufactured_suite(kind, spec, meshes, cfg=None, **kwargs):
         else (box_cosine_problem, box_solve)
     )
     problem, exact = template(spec, **kwargs)
+    if f is not None:
+        problem.f = f
     rows = []
     for mesh in meshes:
         state, grid = solve(problem, mesh, cfg)

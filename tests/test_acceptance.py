@@ -217,7 +217,7 @@ def _weird_radial_problem(spec):
     def b(points, normals):
         return 2.0 - points[:, 0] ** 2 / 3.0
 
-    return ProblemSpec(spec=spec, geom=geometry.radial(1.0, dim=spec.n),
+    return ProblemSpec(spec=spec, geom=geometry.ball(1.0, dim=spec.n),
                        f=f, a=a, b=b)
 
 

@@ -565,6 +565,27 @@ def test_cone_check_rejects_non_finite_row(tmp_path, capsys, bad_row):
 
 
 @pytest.mark.parametrize(
+    "bad_row, message",
+    [
+        ("1,2,oops", "row 2 malformed"),
+        ("1,1,0,1.5,1,0,0,0,1", "row 2 matrix not symmetric"),
+        ("1,2,3,4", "row 2 has 4 entries, expected 3 or 9"),
+    ],
+    ids=["malformed", "asymmetric", "entry-count"],
+)
+def test_cone_check_row_errors_are_config_errors(tmp_path, capsys, bad_row, message):
+    # a bad row ends in the typed ConfigError that main reports with exit 1
+    rows = tmp_path / "rows.csv"
+    rows.write_text(f"1,2,3\n{bad_row}\n")
+    cfg = write(tmp_path / "c.cfg", f"input = {rows}\nn = 3\nm = 2\n")
+    out = tmp_path / "out"
+    rc = main(["cone-check", "--config", cfg, "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
     "command, body",
     [
         ("solve", "mode = radial\nn = 2\nm = 1\nk = 1\nmanufactured = radial\n"),

@@ -11,7 +11,8 @@ from sumhess.errors import ConfigError, NonconvergenceError
 from sumhess.lift import ConeSpec
 from sumhess.solver import BoxSystem, ProblemSpec, RadialSystem
 from oracles import (
-    box_hessians_slices, coo_jacobian, hand_stencil, manufactured_suite, radial_spectra_formula,
+    box_hessians_slices, coo_jacobian, hand_stencil, manufactured_suite, minors_data,
+    radial_spectra_formula,
 )
 
 
@@ -162,6 +163,30 @@ def test_box_manufactured_small():
         assert row["diagnostics"]["bound_ok"]
         assert row["diagnostics"]["max_on_boundary"]
         assert row["diagnostics"]["admissible_everywhere"]
+
+
+def test_box_manufactured_study_on_independent_data():
+    # the template's f comes from lift.sym_batch, the function the solver
+    # calls; here f is built from the exact Hessian of
+    # u = |x|^2 / 2 + amp cos(pi x1 / 2) cos(pi x2 / 2) cos(pi x3 / 2)
+    # by minors alone
+    spec, amp = ConeSpec(3, 2, 2), 0.05
+    quart = (0.5 * np.pi) ** 2
+
+    def hessian(points):
+        cos, sin = np.cos(0.5 * np.pi * points), np.sin(0.5 * np.pi * points)
+        H = np.empty((points.shape[0], 3, 3))
+        for c in range(3):
+            H[:, c, c] = 1.0 - amp * quart * cos.prod(axis=1)
+            for d in range(c + 1, 3):
+                H[:, c, d] = H[:, d, c] = amp * quart * sin[:, c] * sin[:, d] * cos[:, 3 - c - d]
+        return H
+
+    library = manufactured_suite("box", spec, (9, 17), amp=amp)
+    report = manufactured_suite("box", spec, (9, 17), f=minors_data(hessian, spec), amp=amp)
+    for row, ref in zip(report["rows"], library["rows"]):
+        assert abs(row["linf"] - ref["linf"]) <= 1e-9 * ref["linf"], (row, ref)
+    assert 1.5 <= report["observed_order"] <= 2.3, report
 
 
 def test_box_solve_makes_no_eigendecomposition(monkeypatch):

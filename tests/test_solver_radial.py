@@ -11,7 +11,7 @@ from sumhess.errors import (
 from sumhess.expressions import parse_expression
 from sumhess.lift import ConeSpec
 from sumhess.solver import ProblemSpec, RadialSystem
-from oracles import homotopy_data, manufactured_suite
+from oracles import homotopy_data, manufactured_suite, minors_data
 
 
 def trivial_problem(spec, R=1.0):
@@ -29,7 +29,7 @@ def trivial_problem(spec, R=1.0):
         r = points[:, 0]
         return r * normals[:, 0] + 0.5 * r * r
 
-    return ProblemSpec(spec=spec, geom=geometry.radial(R, dim=spec.n), f=f, a=a, b=b)
+    return ProblemSpec(spec=spec, geom=geometry.ball(R, dim=spec.n), f=f, a=a, b=b)
 
 
 def test_homotopy_constant_example():
@@ -49,7 +49,7 @@ def test_t0_anchor_residual_zero():
     def b(points, normals):
         return 7.0 - points[:, 0] ** 3
 
-    problem = ProblemSpec(spec=spec, geom=geometry.radial(1.0, dim=3), f=f, a=a, b=b)
+    problem = ProblemSpec(spec=spec, geom=geometry.ball(1.0, dim=3), f=f, a=a, b=b)
     grid = grids.radial_grid(1.0, 64, 3)
     system = RadialSystem(problem, grid)
     # w = 0: q's exact data and no boundary term, so no rounding is left
@@ -135,6 +135,14 @@ def test_jacobian_suite():
     assert report.passed, report.as_dict()
 
 
+@pytest.mark.parametrize("states", [0, -2])
+def test_jacobian_suite_rejects_states_below_one(states):
+    # 0 states would pass with nothing checked; -2 would end in numpy's
+    # "negative dimensions" ValueError
+    with pytest.raises(ConfigError, match=rf"^need states >= 1, got states={states}$"):
+        solver.verify_jacobian_suite(states=states)
+
+
 def test_newton_zero_iterations_at_exact_solution():
     spec = ConeSpec(3, 2, 2)
     problem = trivial_problem(spec)
@@ -149,7 +157,7 @@ def test_newton_quadratic_convergence_from_perturbation():
     problem = trivial_problem(spec)
     grid = grids.radial_grid(1.0, 64, 3)
     system = RadialSystem(problem, grid)
-    u0 = system.initial_values() + 1e-3 * np.sin(2.0 * grid.r)
+    u0 = system.initial_values() + 1e-3 * np.sin(2.0 * grid.points[:, 0])
     res0, _ = system.residual_and_margin(u0, 0.0)
     u, stats = solver.newton_solve(system, u0, 0.0, timing={})
     assert stats["iters"] <= 5
@@ -194,7 +202,7 @@ def test_trivial_continuation_path_is_constant():
     state = solver.continuation_solve(RadialSystem(problem, grid))
     assert state.t == 1.0
     assert sum(s["newton_iters"] for s in state.steps) == 0
-    assert np.abs(state.values - 0.5 * grid.r**2).max() < 1e-12
+    assert np.abs(state.values - 0.5 * grid.points[:, 0] ** 2).max() < 1e-12
 
 
 def test_manufactured_radial_convergence():
@@ -229,7 +237,7 @@ def test_radial_expression_fields_self_converge_at_second_order():
     # the benchmark's expression fields have no exact solution: successive
     # meshes' differences at their shared nodes must fall by 4 per halving
     problem = ProblemSpec(
-        spec=ConeSpec(3, 2, 2), geom=geometry.radial(1.0, dim=3),
+        spec=ConeSpec(3, 2, 2), geom=geometry.ball(1.0, dim=3),
         f=parse_expression("1.7 + sin(7*r)^2 + r^3"),
         a=parse_expression("1 + 0.5*cos(r)"),
         b=lambda points, normals: parse_expression("2 - r^2/3")(points),
@@ -260,6 +268,25 @@ def test_manufactured_higher_degree():
     spec = ConeSpec(4, 2, 3)
     report = manufactured_suite("radial", spec, (32, 64))
     assert 1.7 <= report["observed_order"] <= 2.2, report
+
+
+def test_manufactured_study_on_independent_data():
+    # the template's f comes from lift.msum_sym, the function the solver
+    # calls; here f is built from the exact Hessian of u = r^2 / 2 + c r^4,
+    # (1 + 4 c |x|^2) I + 8 c x x^T, at x = r e_1, by minors alone
+    spec, coef = ConeSpec(4, 2, 3), 0.05
+
+    def hessian(points):
+        x = np.zeros((points.shape[0], spec.n))
+        x[:, 0] = points[:, 0]
+        scale = 1.0 + 4.0 * coef * (x * x).sum(axis=1)
+        return scale[:, None, None] * np.eye(spec.n) + 8.0 * coef * x[:, :, None] * x[:, None, :]
+
+    library = manufactured_suite("radial", spec, (64, 128), coef=coef)
+    report = manufactured_suite("radial", spec, (64, 128), f=minors_data(hessian, spec), coef=coef)
+    for row, ref in zip(report["rows"], library["rows"]):
+        assert abs(row["linf"] - ref["linf"]) <= 1e-9 * ref["linf"], (row, ref)
+    assert 1.9 <= report["observed_order"] <= 2.1, report
 
 
 @pytest.mark.parametrize(
@@ -400,8 +427,8 @@ def test_failures_carry_the_solution_not_the_deviation(monkeypatch):
     problem, _ = solver.radial_quartic_problem(ConeSpec(3, 2, 2))
     grid = grids.radial_grid(1.0, 32, 3)
     system = RadialSystem(problem, grid)
-    q = 0.5 * grid.r**2
-    w = 1e-3 * np.sin(2.0 * grid.r)
+    q = 0.5 * grid.points[:, 0] ** 2
+    w = 1e-3 * np.sin(2.0 * grid.points[:, 0])
     with pytest.raises(NonconvergenceError, match="no convergence") as info:
         solver.newton_solve(system, w, 1.0, timing={})
     assert np.abs(info.value.last_values - (q + w)).max() <= 1e-16

@@ -1,6 +1,6 @@
-"""Guards on the package's structure. Every public module-level function in
-``src/sumhess`` must be reached from the package itself or from the benchmark
-harness (``perfbench``), not only from the tests: a function only tests call
+"""Guards on the package's structure. Every public module-level function and
+class in ``src/sumhess`` must be reached from the package itself or from the
+benchmark harness (``perfbench``), not only from the tests: one only tests use
 belongs in ``tests/oracles.py``. The m-subset table is read only where
 the m-sum lift is built. And no module evaluates text as Python."""
 
@@ -20,15 +20,18 @@ def _sources():
     return {path: path.read_text().splitlines() for path in files}
 
 
-def test_every_public_function_has_a_caller_outside_the_tests():
+def _unreached(kinds):
+    """Public module-level definitions of the ``kinds`` of ast node in
+    ``src/sumhess`` whose name appears on no line of the package or the
+    harness outside the definition itself."""
     sources = _sources()
     unreached = []
     for path in sorted(PACKAGE.glob("*.py")):
         for node in ast.parse("\n".join(sources[path])).body:
-            if not isinstance(node, ast.FunctionDef) or node.name.startswith("_"):
+            if not isinstance(node, kinds) or node.name.startswith("_"):
                 continue
             word = re.compile(rf"\b{re.escape(node.name)}\b")
-            # every line of every file except the function's own definition
+            # every line of every file except the definition's own
             own = range(node.lineno - 1, node.end_lineno)
             if not any(
                 word.search(line)
@@ -37,7 +40,16 @@ def test_every_public_function_has_a_caller_outside_the_tests():
                 if not (other == path and i in own)
             ):
                 unreached.append(f"{path.stem}.{node.name}")
-    assert unreached == []
+    return unreached
+
+
+def test_every_public_function_has_a_caller_outside_the_tests():
+    assert _unreached(ast.FunctionDef) == []
+
+
+def test_every_public_class_has_a_user_outside_the_tests():
+    # a class only the tests construct belongs in tests/oracles.py too
+    assert _unreached(ast.ClassDef) == []
 
 
 def test_no_system_subclass_overrides_the_traced_methods():
