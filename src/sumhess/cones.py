@@ -195,6 +195,14 @@ def _sorted_desc(block):
     return ok
 
 
+def _has_negative(block):
+    """Rows with an entry below 0: one comparison per column."""
+    neg = block[:, 0] < 0.0
+    for j in range(1, block.shape[1]):
+        neg |= block[:, j] < 0.0
+    return neg
+
+
 def _in_band(lam_all, delta1, m, L):
     """Rows whose m-sums all lie in [-delta1 L, m L]."""
     return np.all(lam_all >= -delta1 * L, axis=1) & np.all(lam_all <= m * L, axis=1)
@@ -387,7 +395,7 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
             return rng.normal(0.35, 1.0, size=(b, n))
 
         def accept(blk):
-            return _Block(blk, k).hypothesis & (blk.min(axis=1) < 0.0)
+            return _Block(blk, k).hypothesis & _has_negative(blk)
 
     elif mode == "prop26_hypotheses":
         _check_lift_degree(spec)
@@ -440,7 +448,7 @@ def _rel_margin(lhs, rhs, scale):
 
 
 #: Rows per block check call. The kernels' work arrays grow with the block
-#: (deleted_sym keeps (C + 2) x rows x k tables), so this bounds a suite's
+#: (deleted_sym keeps a (C + 1) x k x rows table), so this bounds a suite's
 #: memory whatever ``trials`` is.
 _CHECK_ROWS = 4096
 

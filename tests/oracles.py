@@ -15,7 +15,9 @@ references for the grids' stencil tables.
 ``manufactured_suite`` is the convergence study the solver tests run: solves
 on a mesh family and the observed order of the error; ``minors_data`` gives
 it interior data built from a stated exact Hessian by ``lift_by_minors`` and
-``matrix_sym_minors`` alone.
+``matrix_sym_minors`` alone. ``elem_sym_rows`` and ``deleted_sym_rows`` are
+the row-major (batch-first) forms of the two symmetric-function kernels,
+which the batch-minor kernels must match bit for bit.
 """
 
 import csv
@@ -48,6 +50,45 @@ def deleted_sym_enum(values, k, drop):
     for i in np.atleast_1d(drop):
         values[int(i)] = 0.0
     return elem_sym_enum(values, k)
+
+
+def elem_sym_rows(lams, kmax):
+    """``_kernels.elem_sym_all`` on a row-major (*batch, kmax + 1) table."""
+    lams = _kernels.as_float(lams)
+    e = np.zeros(lams.shape[:-1] + (kmax + 1,), dtype=lams.dtype)
+    e[..., 0] = 1.0
+    for i in range(lams.shape[-1]):
+        col = lams[..., i]
+        for j in range(min(i + 1, kmax), 0, -1):
+            e[..., j] += col * e[..., j - 1]
+    return e
+
+
+def deleted_sym_rows(lams, degree):
+    """``_kernels.deleted_sym`` on row-major (size + 1, *batch, degree + 1)
+    prefix/suffix tables, one deleted entry at a time."""
+    lams = _kernels.as_float(lams)
+    batch, size = lams.shape[:-1], lams.shape[-1]
+    kk = degree + 1
+    pre = np.zeros((size + 1,) + batch + (kk,), dtype=lams.dtype)
+    suf = np.zeros((size + 2,) + batch + (kk,), dtype=lams.dtype)
+    pre[0, ..., 0] = 1.0
+    suf[size + 1, ..., 0] = 1.0
+    for i in range(1, size + 1):
+        col = lams[..., i - 1, None]
+        pre[i] = pre[i - 1]
+        pre[i, ..., 1:] += col * pre[i - 1, ..., :-1]
+    for i in range(size, 0, -1):
+        col = lams[..., i - 1, None]
+        suf[i] = suf[i + 1]
+        suf[i, ..., 1:] += col * suf[i + 1, ..., :-1]
+    out = np.zeros(batch + (size,), dtype=lams.dtype)
+    for i in range(1, size + 1):
+        acc = np.zeros(batch, dtype=lams.dtype)
+        for p in range(kk):
+            acc += pre[i - 1, ..., p] * suf[i + 1, ..., degree - p]
+        out[..., i - 1] = acc
+    return out
 
 
 def subset_sums_enum(mu, m):

@@ -5,6 +5,7 @@ import pytest
 
 from sumhess import _kernels, solver
 from sumhess.lift import ConeSpec
+from oracles import deleted_sym_rows, elem_sym_rows
 
 
 def test_deleted_sym_definition():
@@ -70,3 +71,45 @@ def test_box_solve_report_is_unchanged_by_the_kernel_dtype_rule(monkeypatch):
     monkeypatch.setattr(_kernels, "as_float", lambda x: np.asarray(x, dtype=np.float64))
     assert report() == kept
     assert json.loads(kept)["diagnostics"]["state_dtype"] == "float64"
+
+
+def _kernel_inputs(shape, dtype, seed):
+    # signed entries of mixed scale, with exact and negative zeros, so that
+    # a changed product or summation order shows in the last bit
+    rng = np.random.default_rng(seed)
+    if dtype is np.int64:
+        return rng.integers(-5, 6, size=shape).astype(np.int64)
+    x = rng.normal(size=shape) * np.exp(rng.uniform(-3.0, 3.0, size=shape))
+    x[rng.uniform(size=shape) < 0.1] = 0.0
+    x[rng.uniform(size=shape) < 0.1] = -0.0
+    return x.astype(dtype)
+
+
+def _assert_same_bits(got, expected):
+    # equal values, shapes and dtypes; the sign bits tell -0.0 from 0.0
+    np.testing.assert_array_equal(got, expected, strict=True)
+    np.testing.assert_array_equal(np.signbit(got), np.signbit(expected))
+
+
+@pytest.mark.parametrize("size", [1, 2, 3, 7, 8, 10, 15])
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble, np.int64],
+                         ids=["float64", "longdouble", "int64"])
+def test_symmetric_kernels_match_the_row_major_recurrences_bit_for_bit(dtype, size):
+    # a 1-D input is one row, where a batch column is a numpy scalar
+    for batch in [(), (64,), (3, 5)]:
+        lams = _kernel_inputs(batch + (size,), dtype, seed=size)
+        for degree in range(size + 1):
+            _assert_same_bits(_kernels.elem_sym_all(lams, degree), elem_sym_rows(lams, degree))
+            _assert_same_bits(_kernels.deleted_sym(lams, degree),
+                              deleted_sym_rows(lams, degree))
+
+
+@pytest.mark.parametrize("batch", [(64,), (3, 5)])
+def test_symmetric_kernel_tables_keep_the_batch_contiguous(batch):
+    # cone_margin reduces the S table column by column, and the cone checks
+    # sum deleted_sym rows in numpy's order for a C-order table
+    lams = _kernel_inputs(batch + (7,), np.float64, seed=1)
+    s = _kernels.elem_sym_all(lams, 4)
+    assert s.shape == batch + (5,)
+    assert all(s[..., j].flags.c_contiguous for j in range(5))
+    assert _kernels.deleted_sym(lams, 3).flags.c_contiguous
