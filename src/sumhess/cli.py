@@ -29,11 +29,16 @@ from .lift import ConeSpec, msum_sym, subset_table
 
 def _load_config(path):
     """The raw config map, and the seed a manifest ran with (else None)."""
-    text = Path(path).read_text()
+    try:
+        text = Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
         payload = json.loads(text)
         config = payload.get("config", payload)
+        if not isinstance(config, dict):
+            raise ConfigError(f"manifest config must be a key = value map, got {config!r}")
         seed = payload.get("seed") if "config" in payload else None
         if seed is not None and type(seed) is not int:
             raise ConfigError(f"manifest seed must be an integer, got {seed!r}")
@@ -303,6 +308,15 @@ def cmd_verify(cfg, seed, out_dir, fmt):
 _CONE_KEYS = {"input", "n", "m", "k", "seed"}
 
 
+def _csv_rows(path):
+    """The rows of the CSV file ``path``; ConfigError if it is not UTF-8 text."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        try:
+            yield from csv.reader(fh)
+        except UnicodeDecodeError as exc:
+            raise ConfigError(f"input file {path} is not UTF-8 text: {exc}") from exc
+
+
 def cmd_cone_check(cfg, seed, out_dir, fmt):
     n = cfg.require("n", int)
     m = cfg.require("m", int)
@@ -317,40 +331,39 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
     if k_conf is not None and not 1 <= k_conf <= table.size:
         raise ConfigError(f"need 1 <= k <= {table.size}, got k={k_conf}")
     rows_out = []
-    with open(path, newline="") as fh:
-        for rowno, row in enumerate(csv.reader(fh), 1):
-            # trailing empty cells are padding; one between values is malformed
-            cells = list(row)
-            while cells and not cells[-1].strip():
-                cells.pop()
-            if not cells:
-                continue
-            try:
-                values = np.array([float(c) for c in cells])
-            except ValueError:
-                values = None
-            if values is None or not np.isfinite(values).all():
-                raise ConfigError(f"row {rowno} malformed")
-            if values.size == n:
-                mu = values
-            elif values.size == n * n:
-                M = values.reshape(n, n)
-                if not np.allclose(M, M.T, rtol=0.0, atol=1e-12):
-                    raise ConfigError(f"row {rowno} matrix not symmetric")
-                mu = np.linalg.eigvalsh((M + M.T) / 2.0)
-            else:
-                raise ConfigError(
-                    f"row {rowno} has {values.size} entries, expected {n} or {n * n}"
-                )
-            s = msum_sym(mu, m, table.size)
-            positive = s[1:] > 0
-            largest = int(np.argmax(~positive)) if not positive.all() else table.size
-            entry = {"row": rowno, "largest_admissible_k": largest}
-            if k_conf is not None:
-                margin = float(_kernels.cone_margin(s, k_conf))
-                entry["margin_at_k"] = margin
-                entry["admissible_at_k"] = margin > 0
-            rows_out.append(entry)
+    for rowno, row in enumerate(_csv_rows(path), 1):
+        # trailing empty cells are padding; one between values is malformed
+        cells = list(row)
+        while cells and not cells[-1].strip():
+            cells.pop()
+        if not cells:
+            continue
+        try:
+            values = np.array([float(c) for c in cells])
+        except ValueError:
+            values = None
+        if values is None or not np.isfinite(values).all():
+            raise ConfigError(f"row {rowno} malformed")
+        if values.size == n:
+            mu = values
+        elif values.size == n * n:
+            M = values.reshape(n, n)
+            if not np.allclose(M, M.T, rtol=0.0, atol=1e-12):
+                raise ConfigError(f"row {rowno} matrix not symmetric")
+            mu = np.linalg.eigvalsh((M + M.T) / 2.0)
+        else:
+            raise ConfigError(
+                f"row {rowno} has {values.size} entries, expected {n} or {n * n}"
+            )
+        s = msum_sym(mu, m, table.size)
+        positive = s[1:] > 0
+        largest = int(np.argmax(~positive)) if not positive.all() else table.size
+        entry = {"row": rowno, "largest_admissible_k": largest}
+        if k_conf is not None:
+            margin = float(_kernels.cone_margin(s, k_conf))
+            entry["margin_at_k"] = margin
+            entry["admissible_at_k"] = margin > 0
+        rows_out.append(entry)
     report = {"rows": rows_out, "n": n, "m": m}
     _write_manifest(out_dir, "cone-check", cfg.raw, seed, report, fmt)
     for entry in rows_out:
@@ -368,8 +381,6 @@ def cmd_barrier_check(cfg, seed, out_dir, fmt):
     radius = cfg.get("radius", 1.0, float)
     which = cfg.get("which", "lemma53")
     points = cfg.get("points", 1000, int)
-    if points < 1:
-        raise ConfigError(f"need points >= 1, got points={points}")
     coef = cfg.get("coef", 0.0, float)
     field = cfg.get("field", "quadratic")
     if field == "quadratic":

@@ -55,7 +55,9 @@ class InequalityConstants:
 
 def deletion_constant(n, delta, eps):
     """The explicit factor bounding lower-degree values after deleting the
-    dominant entry."""
+    dominant entry. Its formula divides by (n - 2)(n - 1), so n >= 3."""
+    if n < 3:
+        raise ValueError(f"need n >= 3 for the deletion constant, got n={n}")
     if delta <= 0 or eps <= 0:
         raise ValueError("delta and eps must be positive")
     return min(

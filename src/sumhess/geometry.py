@@ -1,12 +1,11 @@
-"""Domain geometry: distance to the boundary, normals and principal
-curvatures, the quadratic distance barrier on a boundary collar, boundary
-convexity in the eigenvalue-sum sense, and numeric verification that the
-linearized operator dominates the barrier.
+"""Domain geometry: ball and box domains, and on a ball the distance to the
+boundary, the quadratic distance barrier on a boundary collar, numeric
+verification that the linearized operator dominates the barrier, and
+post-solve diagnostics.
 """
 
 import functools
 import math
-import numbers
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
@@ -17,12 +16,10 @@ from .errors import CollarError, ConfigError
 
 @dataclass(frozen=True)
 class DomainGeometry:
-    """A ball (``kind`` "ball") or an axis-aligned box ("box"). A radial
-    solve takes a ball centered at the origin through its 1-D profiles.
-
-    ``mu0`` is the collar width within which the distance function is smooth;
-    for a ball any width below the radius works, for a box smoothness fails
-    near edges.
+    """A ball (``kind`` "ball") or an axis-aligned box ("box"). Both are
+    solve domains; a radial solve takes a ball centered at the origin
+    through its 1-D profiles. The distance and the collar barrier need a
+    boundary that is smooth on a collar, so they run on a ball only.
     """
 
     kind: str
@@ -30,7 +27,12 @@ class DomainGeometry:
     radius: float = 0.0
     center: np.ndarray = field(default=None, repr=False)
     extents: np.ndarray = field(default=None, repr=False)
-    mu0: float = 0.0
+
+    @property
+    def mu0(self):
+        """Collar width within which a ball's distance is smooth: any width
+        below the radius works, and half of it is used."""
+        return self.radius / 2.0
 
 
 def _check_radius(radius):
@@ -51,10 +53,7 @@ def _check_center(center, dim):
 def ball(radius, dim=3, center=None):
     _check_radius(radius)
     center = _check_center(center, dim)
-    return DomainGeometry(
-        kind="ball", dim=dim, radius=float(radius), center=center,
-        mu0=radius / 2.0,
-    )
+    return DomainGeometry(kind="ball", dim=dim, radius=float(radius), center=center)
 
 
 def box(extents, center=None):
@@ -63,29 +62,29 @@ def box(extents, center=None):
         raise ValueError(f"extents must be positive and finite, got {extents.tolist()}")
     dim = extents.size
     center = _check_center(center, dim)
-    return DomainGeometry(
-        kind="box", dim=dim, extents=extents, center=center,
-        mu0=float(extents.min()) / 4.0,
-    )
+    return DomainGeometry(kind="box", dim=dim, extents=extents, center=center)
+
+
+def _check_ball(geom):
+    """ConfigError unless ``geom`` is a ball: a box has no smooth collar."""
+    if geom.kind != "ball":
+        raise ConfigError(f"the collar barrier needs a ball, got a {geom.kind}")
 
 
 def distance(geom, x):
-    """Signed-inward distance to the boundary (positive inside) of each row of
-    an (N, dim) block of points."""
+    """Signed-inward distance to the boundary of a ball (positive inside) of
+    each row of an (N, dim) block of points."""
+    _check_ball(geom)
     x = np.asarray(x, dtype=np.float64)
-    if geom.kind == "ball":
-        return geom.radius - np.linalg.norm(x - geom.center, axis=1)
-    lo = geom.center - geom.extents / 2.0
-    hi = geom.center + geom.extents / 2.0
-    return np.minimum((x - lo).min(axis=1), (hi - x).min(axis=1))
+    return geom.radius - np.linalg.norm(x - geom.center, axis=1)
 
 
 def distance_pack(geom, x):
-    """Distance, its gradient and its Hessian at each row of an (N, dim)
-    block of collar points: arrays of shape (N,), (N, dim), (N, dim, dim).
+    """Distance to the boundary of a ball, its gradient and its Hessian at
+    each row of an (N, dim) block of collar points: arrays of shape (N,),
+    (N, dim), (N, dim, dim).
 
-    Raises CollarError outside the smooth collar. For a box the Hessian is
-    zero on face zones.
+    Raises CollarError outside the smooth collar (0, mu0).
     """
     pts = np.asarray(x, dtype=np.float64)
     d = distance(geom, pts)
@@ -93,24 +92,12 @@ def distance_pack(geom, x):
     if outside.any():
         bad = d[np.argmax(outside)]
         raise CollarError(f"point at distance {bad:g} outside collar (0, {geom.mu0:g})")
-    count, dim = pts.shape
-    if geom.kind == "ball":
-        rel = pts - geom.center
-        r = np.linalg.norm(rel, axis=1)[:, None]
-        u = rel / r
-        grad = -u
-        outer = u[:, :, None] * u[:, None, :]
-        hess = -(np.eye(dim) - outer) / r[:, :, None]
-    else:
-        lo = geom.center - geom.extents / 2.0
-        hi = geom.center + geom.extents / 2.0
-        dists = np.concatenate([pts - lo, hi - pts], axis=1)
-        face = np.argmin(dists, axis=1)
-        grad = np.zeros((count, dim))
-        # a low face points inward along +axis, a high face along -axis
-        grad[np.arange(count), face % dim] = np.where(face < dim, 1.0, -1.0)
-        hess = np.zeros((count, dim, dim))
-    return d, grad, hess
+    rel = pts - geom.center
+    r = np.linalg.norm(rel, axis=1)[:, None]
+    u = rel / r
+    outer = u[:, :, None] * u[:, None, :]
+    hess = -(np.eye(geom.dim) - outer) / r[:, :, None]
+    return d, -u, hess
 
 
 @dataclass(frozen=True)
@@ -130,27 +117,14 @@ class BarrierParams:
 
 def barrier_hessian(geom, params, x):
     """Hessians of the barrier -d + K3 d^2 at each row of an (N, dim) block
-    of points, shape (N, dim, dim); in the principal frame the eigenvalues
-    are (1 - 2 K3 d) kappa_i / (1 - kappa_i d) tangentially and 2 K3 along
-    the normal. Valid on the smoothness collar (0, mu0)."""
+    of points in a ball of radius R, shape (N, dim, dim): the eigenvalues are
+    (1 - 2 K3 d) / (R - d) tangentially and 2 K3 along the normal. Valid on
+    the smoothness collar (0, mu0)."""
     d, grad, hess_d = distance_pack(geom, x)
     d = d[:, None, None]
     outer = grad[:, :, None] * grad[:, None, :]
     H = 2.0 * params.K3 * outer + (2.0 * params.K3 * d - 1.0) * hess_d
     return symfun.symmetrize(H)
-
-
-def mk0_convex_check(kappa, m, k0):
-    """Strict convexity of a boundary point in the eigenvalue-sum sense:
-    the m-sums of the principal curvatures lie in the degree-k0 cone."""
-    kappa = np.asarray(kappa, dtype=np.float64)
-    if m > kappa.size:
-        raise ValueError(f"need m <= {kappa.size}, got m={m}")
-    size = math.comb(kappa.size, m)
-    if not 1 <= k0 <= size:
-        raise ValueError(f"need 1 <= k0 <= {size}, got k0={k0}")
-    margin = float(_kernels.cone_margin(lift.msum_sym(kappa, m, k0), k0))
-    return margin > 0.0, margin
 
 
 @functools.lru_cache(maxsize=8)
@@ -182,32 +156,23 @@ def _halton(count, d):
 
 
 def collar_points(geom, count, depth_max):
-    """Deterministic low-discrepancy points in the collar 0 < d < depth_max."""
+    """Deterministic low-discrepancy points in the collar 0 < d < depth_max
+    of a ball."""
+    _check_ball(geom)
     if count < 0:
         raise ValueError(f"count must be nonnegative, got {count}")
     # NaN fails every comparison, so the chains reject it too
     if not 0 < depth_max <= geom.mu0:
         raise CollarError(f"collar depth {depth_max:g} outside (0, {geom.mu0:g}]")
+    # imported here: loading scipy.special takes longer than importing the
+    # whole CLI, and only the collar needs it
+    from scipy.special import ndtri
+
     raw = _halton(count, geom.dim + 1)
     depth = (0.02 + 0.96 * raw[:, -1]) * depth_max
-    if geom.kind == "ball":
-        # imported here: loading scipy.special takes longer than importing the
-        # whole CLI, and only the ball collar needs it
-        from scipy.special import ndtri
-
-        gauss = ndtri(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
-        dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-        return geom.center + (geom.radius - depth)[:, None] * dirs
-    lo = geom.center - geom.extents / 2.0
-    hi = geom.center + geom.extents / 2.0
-    # point i sits on face i mod 2 dim: the low faces, then the high ones
-    face = np.arange(count) % (2 * geom.dim)
-    axis = face % geom.dim
-    pts = lo + raw[:, : geom.dim] * (hi - lo)
-    pts[np.arange(count), axis] = np.where(
-        face < geom.dim, lo[axis] + depth, hi[axis] - depth
-    )
-    return pts
+    gauss = ndtri(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
+    dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    return geom.center + (geom.radius - depth)[:, None] * dirs
 
 
 @dataclass
@@ -238,24 +203,26 @@ class BarrierReport:
                 for key, value in {**asdict(self), "passed": self.passed}.items()}
 
 
-def _check_lemma_range(geom, spec, which):
+def _check_request(geom, spec, which, sample_points):
+    """ConfigError unless the barrier check can run: a ball, a point count of
+    at least 1, and a degree k in the range of the lemma ``which``. Lemma 5.5
+    also asks for a strictly (m, k0)-convex boundary, k0 = k - binom(n-1,
+    m-1); on a ball every m-sum of the principal curvatures is m/R > 0, so
+    that holds for every k0 the spec allows."""
+    _check_ball(geom)
+    if isinstance(sample_points, bool) or not isinstance(sample_points, (int, np.integer)):
+        raise ConfigError(f"points must be an integer count, got {sample_points!r}")
+    if sample_points < 1:
+        raise ConfigError(f"need points >= 1, got points={sample_points}")
     edge = math.comb(spec.n - 1, spec.m - 1)
     if which == "lemma53":
         if spec.k > edge:
             raise ConfigError(f"lemma53 needs k <= binom(n-1, m-1) = {edge}")
-        return None
-    if which == "lemma55":
-        k0 = spec.k - edge
-        if k0 < 1:
+    elif which == "lemma55":
+        if spec.k <= edge:
             raise ConfigError(f"lemma55 needs k > binom(n-1, m-1) = {edge}")
-        if geom.kind != "ball":
-            raise ConfigError("lemma55 verification requires curvature: ball only")
-        kappa = np.full(spec.n - 1, 1.0 / geom.radius)
-        ok, _ = mk0_convex_check(kappa, spec.m, k0)
-        if not ok:
-            raise ConfigError("boundary is not strictly convex at order (m, k0)")
-        return k0
-    raise ConfigError(f"unknown bound id {which!r}")
+    else:
+        raise ConfigError(f"unknown bound id {which!r}")
 
 
 def _field_table(u_hess, pts, spec):
@@ -274,9 +241,9 @@ def _field_table(u_hess, pts, spec):
 def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
                          which="lemma53"):
     """Check that contracting the operator gradient against the barrier
-    Hessian dominates the required multiple of (1 + trace) at collar points:
-    ``sample_points`` is either a count of collar points to generate or an
-    explicit ``(N, geom.dim)`` array of points (ValueError otherwise).
+    Hessian dominates the required multiple of (1 + trace) at the first
+    ``sample_points`` collar points of the ball ``geom`` (``collar_points``
+    at depth ``params.collar(geom)``).
 
     ``u_hess`` maps an (N, n) block of points to the (N, n, n) Hessians of
     the field under test; it is called once, on the whole block, as is every
@@ -284,20 +251,9 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
     point and records the spectral slack of its m-sum spectrum. A NaN at any
     point makes the corresponding minimum NaN, which fails the check.
     """
-    _check_lemma_range(geom, spec, which)
-    mu = params.collar(geom)
-    if isinstance(sample_points, numbers.Integral) and not isinstance(sample_points, bool):
-        pts = collar_points(geom, sample_points, mu)
-    else:
-        pts = np.asarray(sample_points, dtype=np.float64)
-        if pts.ndim != 2 or pts.shape[1] != geom.dim:
-            raise ValueError(
-                f"sample_points must be a count or an (N, {geom.dim}) array of "
-                f"points, got shape {pts.shape}"
-            )
+    _check_request(geom, spec, which, sample_points)
+    pts = collar_points(geom, sample_points, params.collar(geom))
     report = BarrierReport(which=which, K3=params.K3, k3=params.k3)
-    if len(pts) == 0:
-        return report
     k = spec.k
     Hs, s = _field_table(u_hess, pts, spec)
     margin = _kernels.cone_margin(s, k)
@@ -331,7 +287,7 @@ def search_barrier_constant(u_hess, geom, spec, sample_points=400,
     (K3, report): the report is the passing check at ``sample_points``, and
     its ``search_passes`` counts the checks the search ran.
     """
-    _check_lemma_range(geom, spec, which)
+    _check_request(geom, spec, which, sample_points)
     probe = collar_points(geom, min(sample_points, 128), geom.mu0 * 0.999)
     _, s = _field_table(u_hess, probe, spec)
     vals = s[_kernels.cone_margin(s, spec.k) > 0, spec.k]

@@ -217,16 +217,10 @@ def homotopy_data(system, t, values=None):
 
 
 def boundary_data(geom, x):
-    """Outward unit normal and principal curvatures at the boundary point
-    nearest to ``x``."""
-    x = np.asarray(x, dtype=np.float64)
-    if geom.kind == "ball":
-        rel = x - geom.center
-        nu = rel / np.linalg.norm(rel)
-        kappa = np.full(geom.dim - 1, 1.0 / geom.radius)
-        return nu, kappa
-    _, grad, _ = geometry.distance_pack(geom, x[None])
-    return -grad[0], np.zeros(geom.dim - 1)
+    """Outward unit normal and principal curvatures at the point of the
+    ball's boundary nearest to ``x``."""
+    rel = np.asarray(x, dtype=np.float64) - geom.center
+    return rel / np.linalg.norm(rel), np.full(geom.dim - 1, 1.0 / geom.radius)
 
 
 def barrier_value(geom, params, x):
@@ -261,25 +255,14 @@ def quartic_hessian_point(x, coef):
 
 
 def barrier_hessian_point(geom, params, x):
-    """Hessian of the collar barrier at one point, from the distance, its
-    gradient and its Hessian written out for that point alone."""
-    x = np.asarray(x, dtype=np.float64)
-    if geom.kind == "ball":
-        rel = x - geom.center
-        r = np.linalg.norm(rel)
-        d = geom.radius - r
-        u = rel / r
-        grad = -u
-        hess_d = -(np.eye(geom.dim) - np.outer(u, u)) / r
-    else:
-        lo = geom.center - geom.extents / 2.0
-        hi = geom.center + geom.extents / 2.0
-        dists = np.concatenate([x - lo, hi - x])
-        face = int(np.argsort(dists)[0])
-        d = dists[face]
-        grad = np.zeros(geom.dim)
-        grad[face % geom.dim] = 1.0 if face < geom.dim else -1.0
-        hess_d = np.zeros((geom.dim, geom.dim))
+    """Hessian of the collar barrier of a ball at one point, from the
+    distance, its gradient and its Hessian written out for that point alone."""
+    rel = np.asarray(x, dtype=np.float64) - geom.center
+    r = np.linalg.norm(rel)
+    d = geom.radius - r
+    u = rel / r
+    grad = -u
+    hess_d = -(np.eye(geom.dim) - np.outer(u, u)) / r
     H = 2.0 * params.K3 * np.outer(grad, grad) + (2.0 * params.K3 * d - 1.0) * hess_d
     return (H + H.T) / 2.0
 
@@ -313,27 +296,14 @@ def verify_barrier_points(u_hess, geom, params, spec, pts, which="lemma53"):
 
 
 def collar_points_scipy(geom, count, depth_max):
-    """Collar points from ``scipy.stats``: ``qmc.Halton(scramble=False)``
-    without its origin sample and ``norm.ppf``, a box filled one point and one
-    coordinate at a time: the reference for ``geometry.collar_points``."""
+    """Collar points of a ball from ``scipy.stats``:
+    ``qmc.Halton(scramble=False)`` without its origin sample and
+    ``norm.ppf``: the reference for ``geometry.collar_points``."""
     raw = qmc.Halton(d=geom.dim + 1, scramble=False).random(count + 1)[1:]
     depth = (0.02 + 0.96 * raw[:, -1]) * depth_max
-    if geom.kind == "ball":
-        gauss = norm.ppf(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
-        dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-        return geom.center + (geom.radius - depth)[:, None] * dirs
-    lo = geom.center - geom.extents / 2.0
-    hi = geom.center + geom.extents / 2.0
-    pts = np.empty((count, geom.dim))
-    for i in range(count):
-        face = i % (2 * geom.dim)
-        axis, side = face % geom.dim, face // geom.dim
-        for j in range(geom.dim):
-            if j == axis:
-                pts[i, j] = (lo[j] + depth[i]) if side == 0 else (hi[j] - depth[i])
-            else:
-                pts[i, j] = lo[j] + raw[i, j] * (hi[j] - lo[j])
-    return pts
+    gauss = norm.ppf(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
+    dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
+    return geom.center + (geom.radius - depth)[:, None] * dirs
 
 
 def write_solution_csv_rows(path, grid, state):

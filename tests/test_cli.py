@@ -585,6 +585,24 @@ def test_cone_check_row_errors_are_config_errors(tmp_path, capsys, bad_row, mess
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("case", ["config-bytes", "manifest-config-list", "input-row-bytes"])
+def test_undecodable_input_is_a_config_error(tmp_path, capsys, case):
+    rows = tmp_path / "rows.csv"
+    rows.write_bytes(b"1,2,3,4\n" + (b"1,\xff,3,4\n" if case == "input-row-bytes" else b""))
+    cfg = tmp_path / "c.cfg"
+    if case == "config-bytes":
+        cfg.write_bytes(b"\xff\xfe")
+    elif case == "manifest-config-list":
+        cfg.write_text(json.dumps({"config": [1, 2]}))
+    else:
+        cfg.write_text(f"input = {rows}\nn = 4\nm = 2\n")
+    out = tmp_path / "out"
+    rc = main(["cone-check", "--config", str(cfg), "--out-dir", str(out)])
+    assert rc == 1
+    assert capsys.readouterr().err.startswith("config error: ")
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize(
     "command, body",
     [

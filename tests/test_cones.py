@@ -122,6 +122,14 @@ def test_sum_lift_scaling():
         assert ratio == pytest.approx(c ** (spec.k - 1), rel=1e-9)
 
 
+def test_deletion_needs_three_entries():
+    # the deletion constant divides by (n - 2)(n - 1)
+    with pytest.raises(ValueError, match="need n >= 3"):
+        cones.deletion_constant(2, 0.4, 0.15)
+    with pytest.raises(ValueError, match="need n >= 3"):
+        cones.check_large_entry_deletion([[1.0, -0.2], [1.0, -0.5]], 2, delta=0.4, eps=0.15)
+
+
 def test_large_entry_deletion_example():
     res = cones.check_large_entry_deletion([[1.0, 1.0, -0.1]], 2, delta=1.0, eps=0.1)
     assert res["hypothesis"][0]

@@ -79,15 +79,6 @@ def test_distance_takes_only_point_blocks(points):
             fn(geom, points)
 
 
-def test_box_face_and_edge():
-    geom = geometry.box([2.0, 2.0, 2.0])
-    x = np.array([[0.0, 0.0, -0.9]])
-    d, grad, hess = geometry.distance_pack(geom, x)
-    assert d[0] == pytest.approx(0.1)
-    assert np.allclose(grad, [[0.0, 0.0, 1.0]])
-    assert np.allclose(hess, 0.0)
-
-
 def test_barrier_hessian_at_boundary_limit():
     geom = geometry.ball(1.0, dim=3)
     params = BarrierParams(K3=8.0)
@@ -141,17 +132,6 @@ def test_barrier_hessian_matches_finite_differences():
                 assert fd == pytest.approx(H[i, j], rel=1e-4, abs=1e-4)
 
 
-def test_mk0_convexity():
-    ok, _ = geometry.mk0_convex_check([1.0, 1.0, 1.0], 2, 3)
-    assert ok
-    ok, _ = geometry.mk0_convex_check([1.0, 1.0, -0.05], 2, 1)
-    assert ok
-    ok, _ = geometry.mk0_convex_check([1.0, 1.0, -3.0], 2, 1)
-    assert not ok
-    with pytest.raises(ValueError):
-        geometry.mk0_convex_check([1.0, 1.0], 3, 1)
-
-
 def test_collar_points_deterministic_and_inside():
     geom = geometry.ball(1.0, dim=4)
     pts1 = geometry.collar_points(geom, 64, 0.2)
@@ -170,12 +150,6 @@ def test_collar_points_match_scipy_halton_on_a_ball(dim, count):
     assert np.array_equal(pts, collar_points_scipy(geom, count, 0.3))
 
 
-def test_collar_points_match_scipy_halton_on_a_box():
-    geom = geometry.box([2.0, 3.0, 1.5], center=[0.5, 0.0, -1.0])
-    pts = geometry.collar_points(geom, 1000, 0.3)
-    assert np.array_equal(pts, collar_points_scipy(geom, 1000, 0.3))
-
-
 def test_halton_table_is_shared_and_read_only():
     # one table per (count, d) serves every later collar point set
     table = geometry._halton(64, 4)
@@ -187,15 +161,46 @@ def test_halton_table_is_shared_and_read_only():
     assert not np.array_equal(pts, geometry.collar_points(geometry.ball(1.0, dim=3), 64, 0.2))
 
 
-@pytest.mark.parametrize("kind, count, depth_max, error", [
-    ("ball", 8, math.nan, CollarError),
-    ("ball", -1, 0.2, ValueError),
-    ("box", -1, 0.2, ValueError),
-], ids=["nan-depth", "negative-count-ball", "negative-count-box"])
-def test_collar_points_reject_bad_arguments(kind, count, depth_max, error):
-    geom = geometry.ball(1.0, dim=3) if kind == "ball" else geometry.box([2.0, 2.0, 2.0])
+@pytest.mark.parametrize("count, depth_max, error", [
+    (8, math.nan, CollarError),
+    (-1, 0.2, ValueError),
+], ids=["nan-depth", "negative-count-ball"])
+def test_collar_points_reject_bad_arguments(count, depth_max, error):
     with pytest.raises(error):
-        geometry.collar_points(geom, count, depth_max)
+        geometry.collar_points(geometry.ball(1.0, dim=3), count, depth_max)
+
+
+def test_ball_only_entry_points_reject_a_box():
+    # a box has no smooth collar, so its distance and barrier are not defined
+    geom = geometry.box([2.0, 2.0, 2.0])
+    pts = np.array([[0.0, 0.0, 0.9]])
+    spec = ConeSpec(3, 2, 2)
+    calls = [
+        lambda: geometry.distance(geom, pts),
+        lambda: geometry.distance_pack(geom, pts),
+        lambda: geometry.barrier_hessian(geom, BarrierParams(K3=4.0), pts),
+        lambda: geometry.collar_points(geom, 8, 0.1),
+        lambda: geometry.verify_barrier_bound(quad_hessian(3), geom, BarrierParams(K3=64.0),
+                                              spec, sample_points=10),
+        lambda: geometry.search_barrier_constant(quad_hessian(3), geom, spec, sample_points=10),
+    ]
+    for call in calls:
+        with pytest.raises(ConfigError, match="needs a ball, got a box"):
+            call()
+
+
+@pytest.mark.parametrize("points", [0, -3, True, 2.5])
+@pytest.mark.parametrize("search", [False, True], ids=["verify", "search"])
+def test_barrier_checks_reject_a_bad_point_count(points, search):
+    geom = geometry.ball(1.0, dim=3)
+    spec = ConeSpec(3, 2, 2)
+    match = "need points >= 1" if points in (0, -3) else "must be an integer count"
+    with pytest.raises(ConfigError, match=match):
+        if search:
+            geometry.search_barrier_constant(quad_hessian(3), geom, spec, sample_points=points)
+        else:
+            geometry.verify_barrier_bound(quad_hessian(3), geom, BarrierParams(K3=64.0), spec,
+                                          sample_points=points)
 
 
 def test_barrier_checks_take_a_numpy_integer_count():
@@ -240,34 +245,30 @@ def test_verify_barrier_margin_monotone_in_k3():
 
 
 def test_verify_barrier_explicit_points():
+    # a count stands for the first collar points at the check's own depth
     geom = geometry.ball(1.0, dim=3)
     spec = ConeSpec(3, 2, 2)
     params = BarrierParams(K3=512.0)
-    pts = geometry.collar_points(geom, 32, params.collar(geom))
     rep = geometry.verify_barrier_bound(
-        quad_hessian(3), geom, params, spec, sample_points=pts, which="lemma53"
+        quad_hessian(3), geom, params, spec, sample_points=32, which="lemma53"
     )
     assert rep.passed and rep.count == 32
+    pts = geometry.collar_points(geom, 32, params.collar(geom))
+    ref = verify_barrier_points(quad_hessian(3), geom, params, spec, pts, which="lemma53")
+    assert ref["count"] == 32 and ref["skips"] == []
+    assert rep.min_margin == pytest.approx(ref["min_margin"], rel=1e-12, abs=1e-12)
 
 
 @pytest.mark.parametrize("points", [np.array([0.0, 0.0, 0.9]), True, np.zeros((4, 2))],
                          ids=["one-point-1d", "bool", "wrong-dim"])
 def test_verify_barrier_rejects_points_of_the_wrong_shape(points):
+    # the check draws its own collar points: an array of points is refused
     geom = geometry.ball(1.0, dim=3)
-    with pytest.raises(ValueError, match=r"\(N, 3\) array"):
+    with pytest.raises(ConfigError, match="must be an integer count"):
         geometry.verify_barrier_bound(
             quad_hessian(3), geom, BarrierParams(K3=512.0), ConeSpec(3, 2, 2),
             sample_points=points,
         )
-
-
-def test_verify_barrier_empty_point_block():
-    geom = geometry.ball(1.0, dim=3)
-    rep = geometry.verify_barrier_bound(
-        quad_hessian(3), geom, BarrierParams(K3=512.0), ConeSpec(3, 2, 2),
-        sample_points=np.zeros((0, 3)),
-    )
-    assert rep.count == 0 and rep.skips == [] and not rep.passed
 
 
 def test_verify_barrier_quartic_field():
@@ -275,18 +276,6 @@ def test_verify_barrier_quartic_field():
     spec = ConeSpec(4, 2, 2)
     rep = geometry.verify_barrier_bound(
         quartic_hessian(4, 0.05), geom, BarrierParams(K3=512.0), spec,
-        sample_points=200, which="lemma53",
-    )
-    assert rep.passed, rep.as_dict()
-    assert not rep.skips
-
-
-def test_verify_barrier_box_faces():
-    # flat faces: zero curvature, the normal eigenvalue carries the bound
-    geom = geometry.box([2.0, 2.0, 2.0])
-    spec = ConeSpec(3, 2, 2)
-    rep = geometry.verify_barrier_bound(
-        quad_hessian(3), geom, BarrierParams(K3=64.0), spec,
         sample_points=200, which="lemma53",
     )
     assert rep.passed, rep.as_dict()
@@ -303,6 +292,17 @@ def test_verify_barrier_lemma55():
     )
     assert rep.passed, rep.as_dict()
     assert rep.empirical_k3 > params.k3
+
+
+def test_verify_barrier_lemma55_on_a_large_ball():
+    # the m-sums of the curvatures, 4 / R = 4e-6, are positive: the ball is
+    # strictly (m, k0)-convex however large its radius
+    geom = geometry.ball(1e6, dim=9)
+    spec = ConeSpec(9, 4, 118)
+    rep = geometry.verify_barrier_bound(
+        quad_hessian(9), geom, BarrierParams(K3=4.0), spec, sample_points=50, which="lemma55"
+    )
+    assert rep.passed and rep.count == 50, rep.as_dict()
 
 
 def test_lemma_range_validation():
@@ -357,14 +357,9 @@ def test_c0_diagnostic():
     assert not rep["bound_ok"] and not rep["max_on_boundary"]
 
 
-@pytest.mark.parametrize("kind", ["ball", "box"])
-def test_barrier_hessian_block_matches_points(kind):
-    if kind == "ball":
-        geom = geometry.ball(1.0, dim=4, center=[0.5, 0.0, -0.25, 0.0])
-        pts = geometry.collar_points(geom, 300, 0.3)
-    else:
-        geom = geometry.box([2.0, 1.5, 3.0])
-        pts = geometry.collar_points(geom, 300, 0.3)
+def test_barrier_hessian_block_matches_points():
+    geom = geometry.ball(1.0, dim=4, center=[0.5, 0.0, -0.25, 0.0])
+    pts = geometry.collar_points(geom, 300, 0.3)
     params = BarrierParams(K3=6.0)
     block = geometry.barrier_hessian(geom, params, pts)
     assert block.shape == (300, geom.dim, geom.dim)
@@ -439,27 +434,22 @@ def test_search_returns_its_passing_report():
     assert rep.as_dict() == again
 
 
-@pytest.mark.parametrize("case", ["ball-lemma53", "ball-lemma55", "box-lemma53", "skips"])
+@pytest.mark.parametrize("case", ["ball-lemma53", "ball-lemma55", "skips"])
 def test_verify_barrier_bound_matches_point_loop(case):
-    if case == "box-lemma53":
-        geom, spec, which = geometry.box([2.0, 2.0, 2.0]), ConeSpec(3, 2, 2), "lemma53"
-        field = quad_hessian(3)
-        pts = geometry.collar_points(geom, 200, 0.1)
-    else:
-        geom = geometry.ball(1.0, dim=4)
-        which = "lemma55" if case == "ball-lemma55" else "lemma53"
-        spec = ConeSpec(4, 2, 4 if which == "lemma55" else 2)
-        field = quartic_hessian(4, 0.05)
-        if case == "skips":
-            # indefinite away from the first axis: some points are not admissible
-            def field(x):
-                diag = np.ones_like(x)
-                diag[:, 3] = 0.2 - 8.0 * np.abs(x[:, 0])
-                return np.eye(4) * diag[:, None, :]
-        pts = geometry.collar_points(geom, 200, 0.2)
+    geom = geometry.ball(1.0, dim=4)
+    which = "lemma55" if case == "ball-lemma55" else "lemma53"
+    spec = ConeSpec(4, 2, 4 if which == "lemma55" else 2)
+    field = quartic_hessian(4, 0.05)
+    if case == "skips":
+        # indefinite away from the first axis: some points are not admissible
+        def field(x):
+            diag = np.ones_like(x)
+            diag[:, 3] = 0.2 - 8.0 * np.abs(x[:, 0])
+            return np.eye(4) * diag[:, None, :]
     params = BarrierParams(K3=2.5, k3=0.01)
-    rep = geometry.verify_barrier_bound(field, geom, params, spec, sample_points=pts,
+    rep = geometry.verify_barrier_bound(field, geom, params, spec, sample_points=200,
                                         which=which)
+    pts = geometry.collar_points(geom, 200, params.collar(geom))
     ref = verify_barrier_points(field, geom, params, spec, pts, which=which)
     assert rep.count == ref["count"] > 0
     assert rep.skips == ref["skips"]
