@@ -13,6 +13,7 @@ Exit codes: 0 success / zero violations, 1 configuration or input error,
 import argparse
 import csv
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -176,15 +177,19 @@ def _solve_problem(cfg, mode, spec):
     if manufactured:
         if manufactured != mode:
             raise ConfigError("manufactured template must match mode")
-        kwargs = {}
-        if cfg.get("coef", cast=float) is not None:
-            kwargs["coef"] = cfg.get("coef", cast=float)
+        # each template takes its own amplitude key: coef radially, amp on a box
+        own, other = ("coef", "amp") if mode == "radial" else ("amp", "coef")
+        if other in cfg.raw:
+            raise ConfigError(
+                f"{other!r} belongs to the other manufactured template; "
+                f"the {mode} one takes {own!r}"
+            )
+        amplitude = cfg.get(own, cast=float)
+        kwargs = {} if amplitude is None else {own: amplitude}
         if mode == "radial":
             kwargs["R"] = cfg.get("radius", 1.0, float)
             return solver.radial_quartic_problem(spec, **kwargs)
         extents = cfg.float_list("extents") or [2.0] * spec.n
-        if cfg.get("amp", cast=float) is not None:
-            kwargs["amp"] = cfg.get("amp", cast=float)
         return solver.box_cosine_problem(spec, extents=extents, **kwargs)
 
     f_expr = parse_expression(cfg.require("f"))
@@ -435,7 +440,11 @@ _COMMANDS = {
 }
 
 
-def main(argv=None):
+@functools.cache
+def _parser():
+    """The argument parser, built on first use (not at import, which the
+    set-up time counts) and shared by every later ``main`` call: parsing
+    keeps its results in a fresh namespace, so no call sees another's."""
     parser = argparse.ArgumentParser(prog="sumhess", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
@@ -444,7 +453,11 @@ def main(argv=None):
         p.add_argument("--seed", type=int, default=None)
         p.add_argument("--out-dir", default="out")
         p.add_argument("--format", choices=("csv", "json"), default="json")
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None):
+    args = _parser().parse_args(argv)
 
     handler, known = _COMMANDS[args.command]
     try:
@@ -455,6 +468,8 @@ def main(argv=None):
             seed = args.seed
         elif seed is None:
             seed = cfg.get("seed", 0, int)
+        if seed < 0:
+            raise ConfigError(f"need seed >= 0, got seed={seed}")
         return handler(cfg, seed, args.out_dir, args.format)
     except (ConfigError, OSError, json.JSONDecodeError) as exc:
         print(f"config error: {exc}", file=sys.stderr)

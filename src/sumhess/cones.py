@@ -44,12 +44,17 @@ class InequalityConstants:
         size = math.comb(n, m)
         # log-space: the factorial of binom(n, m) overflows quickly
         log_delta1 = k * math.log(delta) - math.lgamma(size + 1) - k * math.log(4.0)
-        delta1 = math.exp(log_delta1)
-        theta1 = math.exp((k - 1) * log_delta1)
-        theta2 = math.exp(
-            (k - 1) * math.log(delta)
-            - (k * math.log(2.0) + (k - 1) * math.log(m) + 3 * math.log(size))
-        )
+        try:
+            delta1 = math.exp(log_delta1)
+            theta1 = math.exp((k - 1) * log_delta1)
+            theta2 = math.exp(
+                (k - 1) * math.log(delta)
+                - (k * math.log(2.0) + (k - 1) * math.log(m) + 3 * math.log(size))
+            )
+        except OverflowError as exc:
+            raise ConfigError(
+                f"delta = {delta} is too large: its constants overflow a float"
+            ) from exc
         return cls(n=n, m=m, k=k, delta=delta, theta1=theta1, theta2=theta2, delta1=delta1)
 
 
@@ -206,8 +211,13 @@ def _has_negative(block):
 
 
 def _in_band(lam_all, delta1, m, L):
-    """Rows whose m-sums all lie in [-delta1 L, m L]."""
-    return np.all(lam_all >= -delta1 * L, axis=1) & np.all(lam_all <= m * L, axis=1)
+    """Rows whose m-sums all lie in [-delta1 L, m L]: one comparison pair
+    per column."""
+    lo, hi = -delta1 * L, m * L
+    ok = (lam_all[:, 0] >= lo) & (lam_all[:, 0] <= hi)
+    for j in range(1, lam_all.shape[1]):
+        ok &= (lam_all[:, j] >= lo) & (lam_all[:, j] <= hi)
+    return ok
 
 
 def _dominant_entry(v, delta, eps):

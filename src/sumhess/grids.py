@@ -89,19 +89,17 @@ def stencil_data(grid, values):
 
 
 def radial_spectra(grid, values):
-    """Hessian eigenvalue profiles at the M equation nodes (0 .. M-1).
+    """Hessian eigenvalue profiles at the M equation nodes (0 .. M-1), (M, 2).
 
-    Row i holds [u'', u'/r * (dim-1)] from the stencil data (u'', u'); at the
-    center, where the mirror closure gives u'' = 2 (u1 - u0) / h^2, the
-    tangential ratio tends to u''(0). The profiles come back in the dtype of
-    ``as_float(values)``.
+    Row i holds [u'', u'/r] from the stencil data (u'', u'): the radial
+    eigenvalue, and the tangential one the other dim - 1 eigenvalues share.
+    At the center, where the mirror closure gives u'' = 2 (u1 - u0) / h^2,
+    the tangential ratio tends to u''(0). The profiles come back in the
+    dtype of ``as_float(values)``.
     """
-    data = stencil_data(grid, values)
-    M = grid.mesh
-    out = np.empty((M, grid.dim), dtype=data.dtype)
-    out[:, 0] = data[:, 0]
-    out[0, 1:] = data[0, 0]
-    out[1:, 1:] = (data[1:, 1] / grid.points[1:M, 0])[:, None]
+    out = stencil_data(grid, values)
+    out[0, 1] = out[0, 0]
+    out[1:, 1] /= grid.points[1 : grid.mesh, 0]
     return out
 
 

@@ -345,25 +345,28 @@ class RadialSystem(DiscreteSystem):
             raise ConfigError("radial system needs a ball centered at the origin")
         super().__init__(problem, grid)
 
-    def _spectra(self, values):
+    def _profiles(self, values):
         # q's profiles u'' and u'/r are 1 at every node
         return grids.radial_spectra(self.grid, values) + 1
 
     def _sym(self, values):
-        return lift.msum_sym(self._spectra(values), self.spec.m, self.spec.k)
+        profiles = self._profiles(values)
+        return lift.radial_sym(profiles[:, 0], profiles[:, 1], self.spec)
 
     def _data_gradient(self, values):
         grid = self.grid
-        weights = lift.msum_weights(self._spectra(values), self.spec.m, self.spec.k)
-        # back through the spectra map: u'' is the first eigenvalue and u'/r
-        # the other dim - 1; at the center u'' is all of them and u' none.
-        # Times 1/r, not over r: on power-of-two meshes the rows then equal
-        # the hand-differentiated ones in tests/oracles.py bit for bit
+        profiles = self._profiles(values)
+        d_alpha, d_beta = lift.radial_weights(profiles[:, 0], profiles[:, 1], self.spec)
+        # back through the profiles map: u'' is alpha and u'/r is beta; at
+        # the center alpha = beta = u''(0), so u'' takes both partials and u'
+        # none. The rows agree with the hand-differentiated ones in
+        # tests/oracles.py, which sum msum_weights over the tangential
+        # columns, to roundoff, not bit for bit
         M = grid.mesh
         W = np.zeros((M, 2))
-        W[:, 0] = weights[:, 0]
-        W[0, 0] = weights[0].sum()
-        W[1:, 1] = weights[1:, 1:].sum(axis=1) * (1.0 / grid.points[1:M, 0])
+        W[:, 0] = d_alpha
+        W[0, 0] += d_beta[0]
+        W[1:, 1] = d_beta[1:] * (1.0 / grid.points[1:M, 0])
         return W
 
 

@@ -12,7 +12,7 @@ import pytest
 
 import sumhess
 from oracles import quartic_hessian_point, write_solution_csv_rows
-from sumhess import cones, geometry, grids, solver
+from sumhess import cli, cones, geometry, grids, solver
 from sumhess.cli import _SOLVE_KEYS, _write_solution_csv, main
 from sumhess.expressions import parse_expression
 from sumhess.errors import ConfigError
@@ -663,6 +663,65 @@ def test_out_of_range_value_is_a_config_error(tmp_path, capsys, command, body, m
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err, err
     assert not (out / "manifest.json").exists()
+
+
+_PROP26 = "which = prop26\nn = 4\nm = 2\nk = 2\ntrials = 10\n"
+
+
+@pytest.mark.parametrize(
+    "command, body, extra, message",
+    [
+        # box_cosine_problem() got an unexpected keyword argument 'coef'
+        ("solve", _BOX_SOLVE + "manufactured = box\ncoef = 0.1\n", [],
+         "'coef' belongs to the other manufactured template; the box one takes 'amp'"),
+        # the radial template took no amp, which was dropped without a word
+        ("solve", _RADIAL_SOLVE + "amp = 0.1\n", [],
+         "'amp' belongs to the other manufactured template; the radial one takes 'coef'"),
+        # numpy's "expected non-negative integer" from default_rng
+        ("verify", _PROP26, ["--seed", "-1"], "need seed >= 0, got seed=-1"),
+        ("verify", _PROP26 + "seed = -1\n", [], "need seed >= 0, got seed=-1"),
+        ("verify", json.dumps({"config": {"which": "prop24", "n": "5", "m": "2", "k": "3",
+                                          "trials": "10"}, "seed": -1}),
+         [], "need seed >= 0, got seed=-1"),
+        # OverflowError: math range error in InequalityConstants.for_problem
+        ("verify", _PROP26.replace("trials", "delta = 1e308\ntrials"), [],
+         "delta = 1e+308 is too large"),
+    ],
+    ids=["solve-box-coef", "solve-radial-amp", "verify-seed-option", "verify-seed-key",
+         "verify-manifest-seed", "prop26-delta-overflow"],
+)
+def test_former_tracebacks_are_config_errors(tmp_path, capsys, command, body, extra, message):
+    cfg = write(tmp_path / "c.cfg", body)
+    out = tmp_path / "out"
+    rc = main([command, "--config", cfg, "--out-dir", str(out), *extra])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and message in err, err
+    assert not (out / "manifest.json").exists()
+
+
+def test_back_to_back_main_calls_leave_no_state(tmp_path):
+    # one parser serves every call; what one call parsed must not reach the
+    # next: the command, --seed present or absent, and --format
+    verify = write(tmp_path / "v.cfg", "which = prop21\nn = 3\ntrials = 5\n")
+    keyed = write(tmp_path / "k.cfg", "which = prop21\nn = 3\ntrials = 5\nseed = 4\n")
+    rows = tmp_path / "rows.csv"
+    rows.write_text("1,2,3\n")
+    cone = write(tmp_path / "c.cfg", f"input = {rows}\nn = 3\nm = 2\n")
+    runs = [
+        (["verify", "--config", verify, "--seed", "5", "--format", "csv"], 5),
+        (["cone-check", "--config", cone], 0),
+        (["verify", "--config", verify], 0),
+        (["verify", "--config", keyed, "--seed", "6"], 6),
+        (["verify", "--config", keyed], 4),
+    ]
+    for i, (argv, seed) in enumerate(runs):
+        out = tmp_path / f"o{i}"
+        assert main(argv + ["--out-dir", str(out)]) == 0
+        manifest = json.loads((out / "manifest.json").read_text())
+        assert (manifest["command"], manifest["seed"]) == (argv[0], seed)
+        assert (out / "report.csv").exists() == ("csv" in argv)
+    assert cli._parser() is cli._parser()
 
 
 @pytest.mark.parametrize(

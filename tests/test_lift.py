@@ -234,6 +234,74 @@ def test_msum_helpers_keep_longdouble():
     assert lift.msum_sym(spectra[0], 2, 3).dtype == np.longdouble
 
 
+def _two_value_rows(rng, rows, n, dtype):
+    """(alpha, beta) rows over e^-7..e^7 with random signs, the first row a
+    center row alpha = beta, and the spectra [alpha, beta x (n - 1)]."""
+    mag = np.exp(rng.uniform(-7.0, 7.0, size=(2, rows)))
+    alpha, beta = mag * rng.choice([-1.0, 1.0], size=(2, rows))
+    beta[0] = alpha[0]
+    alpha, beta = alpha.astype(dtype), beta.astype(dtype)
+    return alpha, beta, np.column_stack([alpha] + [beta] * (n - 1))
+
+
+@pytest.mark.parametrize("dtype", [np.float64, np.longdouble])
+@pytest.mark.parametrize(
+    "n, m, k", [(3, 2, 1), (3, 2, 3), (4, 2, 3), (4, 2, 6), (5, 2, 3), (6, 3, 5), (6, 3, 20)],
+)
+def test_radial_helpers_match_the_msum_helpers(n, m, k, dtype):
+    # on spectra [alpha, beta x (n - 1)] the two binomial sums give the
+    # table's S_0..S_k and its gradient summed over the beta entries; both
+    # routes round, so each is held to 64 eps of the value its terms would
+    # have in absolute value
+    spec = ConeSpec(n, m, k)
+    eps = np.finfo(dtype).eps
+    alpha, beta, spectra = _two_value_rows(np.random.default_rng(10 * n + k), 50, n, dtype)
+    s = lift.radial_sym(alpha, beta, spec)
+    d_alpha, d_beta = lift.radial_weights(alpha, beta, spec)
+    assert s.shape == (50, k + 1)
+    assert s.dtype == d_alpha.dtype == d_beta.dtype == dtype
+    assert np.all(s[:, 0] == 1.0)
+    table = lift.msum_sym(spectra, m, k)
+    weights = lift.msum_weights(spectra, m, k)
+    scale = _kernels.elem_sym_all(np.abs(lift.msums(spectra, m)), k)
+    assert np.all(np.abs(s - table) <= 64 * eps * scale)
+    p, q = math.comb(n - 1, m - 1), math.comb(n - 1, m)
+    g_scale = scale[:, k - 1]
+    assert np.all(np.abs(d_alpha - weights[:, 0]) <= 64 * eps * p * g_scale)
+    tangential = weights[:, 1:].sum(axis=1)
+    assert np.all(np.abs(d_beta - tangential) <= 64 * eps * ((m - 1) * p + m * q) * g_scale)
+    # one row of the stack is the same row alone
+    assert np.array_equal(lift.radial_sym(alpha[3], beta[3], spec), s[3])
+
+
+@pytest.mark.parametrize("n, m, k", [(3, 2, 2), (4, 2, 3), (5, 2, 4), (6, 3, 10)])
+def test_radial_helpers_against_exact_rationals(n, m, k):
+    # float64 rows over e^-7..e^7: against Fraction arithmetic on the exact
+    # m-sums a = alpha + (m - 1) beta and b = m beta of the same floats,
+    # S_k is within 8 eps of S_k(|a|, |b|) and each partial within 8 eps of
+    # its own value at |a|, |b|
+    spec = ConeSpec(n, m, k)
+    p, q = math.comb(n - 1, m - 1), math.comb(n - 1, m)
+    alpha, beta, _ = _two_value_rows(np.random.default_rng(7 * n + k), 40, n, np.float64)
+    s = lift.radial_sym(alpha, beta, spec)[:, k]
+    d_alpha, d_beta = lift.radial_weights(alpha, beta, spec)
+
+    def sym(a, b, pa, qb, j):
+        return _fraction_sym([a] * pa + [b] * qb, j)[j]
+
+    for row in range(alpha.size):
+        a = Fraction(alpha[row]) + (m - 1) * Fraction(beta[row])
+        b = m * Fraction(beta[row])
+        values = {}
+        for key, (x, y) in {"signed": (a, b), "abs": (abs(a), abs(b))}.items():
+            da = p * sym(x, y, p - 1, q, k - 1)
+            db = q * sym(x, y, p, q - 1, k - 1)
+            values[key] = (sym(x, y, p, q, k), da, (m - 1) * da + m * db)
+        for got, exact, size in zip((s[row], d_alpha[row], d_beta[row]),
+                                    values["signed"], values["abs"]):
+            assert abs(Fraction(got) - exact) <= 8 * EPS * size, (row, got, exact)
+
+
 def test_sum_spectrum_examples():
     assert np.allclose(lift.sum_spectrum(np.zeros((4, 4)), 2), np.zeros(6))
     spec = np.sort(lift.sum_spectrum(np.diag([1.0, 1.0, -1.0]), 2))

@@ -4,7 +4,7 @@ import re
 import numpy as np
 import pytest
 
-from sumhess import geometry, grids, solver
+from sumhess import _kernels, geometry, grids, lift, solver
 from sumhess.errors import (
     AdmissibilityError, ConfigError, ContinuationError, NonconvergenceError,
 )
@@ -271,8 +271,8 @@ def test_manufactured_higher_degree():
 
 
 def test_manufactured_study_on_independent_data():
-    # the template's f comes from lift.msum_sym, the function the solver
-    # calls; here f is built from the exact Hessian of u = r^2 / 2 + c r^4,
+    # the template's f comes from lift.msum_sym; here f is built from the
+    # exact Hessian of u = r^2 / 2 + c r^4,
     # (1 + 4 c |x|^2) I + 8 c x x^T, at x = r e_1, by minors alone
     spec, coef = ConeSpec(4, 2, 3), 0.05
 
@@ -286,6 +286,30 @@ def test_manufactured_study_on_independent_data():
     report = manufactured_suite("radial", spec, (64, 128), f=minors_data(hessian, spec), coef=coef)
     for row, ref in zip(report["rows"], library["rows"]):
         assert abs(row["linf"] - ref["linf"]) <= 1e-9 * ref["linf"], (row, ref)
+    assert 1.9 <= report["observed_order"] <= 2.1, report
+
+
+def test_radial_solve_runs_without_the_msum_table(monkeypatch):
+    # a radial Hessian has two eigenvalues, so the system takes S_k and its
+    # gradient from lift.radial_sym and radial_weights: with the m-sum table
+    # helpers disabled, the solve on the minors-built data still converges
+    spec, coef = ConeSpec(4, 2, 3), 0.05
+
+    def hessian(points):
+        x = np.zeros((points.shape[0], spec.n))
+        x[:, 0] = points[:, 0]
+        scale = 1.0 + 4.0 * coef * (x * x).sum(axis=1)
+        return scale[:, None, None] * np.eye(spec.n) + 8.0 * coef * x[:, :, None] * x[:, None, :]
+
+    def disabled(*args, **kwargs):
+        raise AssertionError("the radial system built the m-sum table")
+
+    for owner, name in ((lift, "msum_sym"), (lift, "msum_weights"),
+                        (_kernels, "subset_sums")):
+        monkeypatch.setattr(owner, name, disabled)
+    report = manufactured_suite("radial", spec, (32, 64), f=minors_data(hessian, spec), coef=coef)
+    for row in report["rows"]:
+        assert row["diagnostics"]["final_residual_norm"] <= 1e-10, row
     assert 1.9 <= report["observed_order"] <= 2.1, report
 
 
