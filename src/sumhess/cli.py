@@ -36,7 +36,10 @@ def _load_config(path):
         raise ConfigError(f"config file {path} is not UTF-8 text: {exc}") from exc
     stripped = text.lstrip()
     if stripped.startswith("{"):
-        payload = json.loads(text)
+        try:
+            payload = json.loads(text)
+        except RecursionError as exc:
+            raise ConfigError(f"config file {path} is nested too deeply to parse") from exc
         config = payload.get("config", payload)
         if not isinstance(config, dict):
             raise ConfigError(f"manifest config must be a key = value map, got {config!r}")
@@ -60,15 +63,15 @@ def _load_config(path):
 
 
 class _Config:
-    """Typed access to the raw string map with unknown-key detection."""
+    """Typed access to the raw string map. It records every key read, so a
+    command refuses the keys its run does not read (``refuse_unread``)."""
 
-    def __init__(self, raw, known):
+    def __init__(self, raw):
         self.raw = dict(raw)
-        unknown = set(raw) - set(known)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        self._read = set()
 
     def get(self, key, default=None, cast=str):
+        self._read.add(key)
         if key not in self.raw:
             return default
         value = self.raw[key]
@@ -89,6 +92,7 @@ class _Config:
         return self._list(key, float)
 
     def _list(self, key, cast):
+        self._read.add(key)
         value = self.raw.get(key)
         if value is None:
             return None
@@ -96,6 +100,13 @@ class _Config:
             return [cast(v) for v in value.split(",")]
         except ValueError as exc:
             raise ConfigError(f"bad value for {key!r}: {value!r}") from exc
+
+    def refuse_unread(self):
+        """ConfigError naming the keys no read has asked for: a command calls
+        it once it has read its inputs, before any work or output."""
+        unread = set(self.raw) - self._read
+        if unread:
+            raise ConfigError(f"config keys this run does not read: {sorted(unread)}")
 
 
 def _cone_spec(cfg, defaults=None):
@@ -160,36 +171,24 @@ def _solver_config(cfg):
     return SolverConfig(**kwargs)
 
 
-# the last five are the fields of solver.SolverConfig, named here so that
-# checking a config's keys loads no solver; a test pins them to the dataclass
-_SOLVE_KEYS = {
-    "mode", "n", "m", "k", "radius", "extents", "mesh", "f", "a", "b",
-    "manufactured", "coef", "amp", "seed",
-    "tol_abs", "margin_floor", "dt0", "dt_min", "dt_max",
-}
-
-
 def _solve_problem(cfg, mode, spec):
     """The ProblemSpec of a solve config and the exact solution (or None)."""
     from . import solver
 
+    if mode == "radial":
+        radius = cfg.get("radius", 1.0, float)
+    else:
+        extents = cfg.float_list("extents") or [2.0] * spec.n
     manufactured = cfg.get("manufactured")
     if manufactured:
         if manufactured != mode:
             raise ConfigError("manufactured template must match mode")
         # each template takes its own amplitude key: coef radially, amp on a box
-        own, other = ("coef", "amp") if mode == "radial" else ("amp", "coef")
-        if other in cfg.raw:
-            raise ConfigError(
-                f"{other!r} belongs to the other manufactured template; "
-                f"the {mode} one takes {own!r}"
-            )
+        own = "coef" if mode == "radial" else "amp"
         amplitude = cfg.get(own, cast=float)
         kwargs = {} if amplitude is None else {own: amplitude}
         if mode == "radial":
-            kwargs["R"] = cfg.get("radius", 1.0, float)
-            return solver.radial_quartic_problem(spec, **kwargs)
-        extents = cfg.float_list("extents") or [2.0] * spec.n
+            return solver.radial_quartic_problem(spec, R=radius, **kwargs)
         return solver.box_cosine_problem(spec, extents=extents, **kwargs)
 
     f_expr = parse_expression(cfg.require("f"))
@@ -199,11 +198,7 @@ def _solve_problem(cfg, mode, spec):
     def b_field(points, normals):
         return b_expr(points)
 
-    if mode == "radial":
-        geom = geometry.ball(cfg.get("radius", 1.0, float), dim=spec.n)
-    else:
-        extents = cfg.float_list("extents") or [2.0] * spec.n
-        geom = geometry.box(extents)
+    geom = geometry.ball(radius, dim=spec.n) if mode == "radial" else geometry.box(extents)
     return solver.ProblemSpec(spec=spec, geom=geom, f=f_expr, a=a_expr, b=b_field), None
 
 
@@ -221,14 +216,14 @@ def cmd_solve(cfg, seed, out_dir, fmt):
         problem, exact = _solve_problem(cfg, mode, spec)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
+    if mode == "radial":
+        mesh, run = cfg.get("mesh", 64, int), solver.radial_solve
+    else:
+        mesh, run = cfg.int_list("mesh") or [17] * spec.n, solver.box_solve
+    cfg.refuse_unread()
 
     start = time.perf_counter()
-    if mode == "radial":
-        mesh = cfg.get("mesh", 64, int)
-        state, grid = solver.radial_solve(problem, mesh, scfg)
-    else:
-        mesh = cfg.int_list("mesh") or [17] * spec.n
-        state, grid = solver.box_solve(problem, mesh, scfg)
+    state, grid = run(problem, mesh, scfg)
     profile = {"elapsed_s": time.perf_counter() - start, **state.profile}
 
     report = state.as_dict()
@@ -268,8 +263,6 @@ def _write_solution_csv(path, grid, state):
             fh.write(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-_VERIFY_KEYS = {"which", "n", "m", "k", "l", "trials", "delta", "eps", "L", "seed", "states"}
-
 _VERIFY_SUITES = (
     "prop21", "prop22", "prop23", "prop24", "prop25", "prop26", "prop27",
     "mixed", "euler", "spectral-lift", "jacobian",
@@ -280,25 +273,28 @@ def cmd_verify(cfg, seed, out_dir, fmt):
     which = cfg.require("which")
     if which not in _VERIFY_SUITES:
         raise ConfigError(f"which must be one of {_VERIFY_SUITES}")
-    trials = cfg.get("trials", 10_000, int)
-    states = cfg.get("states", 10, int)
-    start = time.perf_counter()
     if which == "jacobian":
         from . import solver
 
         spec = _cone_spec(cfg, defaults=(3, 2, 2))
-        report = solver.verify_jacobian_suite([spec], states=states, seed=seed)
-    elif which in ("prop21", "mixed"):
-        report = cones.run_suite(which, n=cfg.get("n", cast=int), trials=trials, seed=seed)
+        states = cfg.get("states", 10, int)
+        run = functools.partial(solver.verify_jacobian_suite, [spec], states=states)
     else:
-        spec = _cone_spec(cfg)
-        report = cones.run_suite(
-            which, spec=spec, trials=trials, seed=seed,
-            l=cfg.get("l", cast=int),
-            delta=cfg.get("delta", 0.4, float),
-            eps=cfg.get("eps", 0.15, float),
-            L=cfg.get("L", 1.0, float),
-        )
+        if which in ("prop21", "mixed"):
+            suite_args = {"n": cfg.get("n", cast=int)}
+        else:
+            suite_args = dict(
+                spec=_cone_spec(cfg),
+                l=cfg.get("l", cast=int),
+                delta=cfg.get("delta", 0.4, float),
+                eps=cfg.get("eps", 0.15, float),
+                L=cfg.get("L", 1.0, float),
+            )
+        trials = cfg.get("trials", 10_000, int)
+        run = functools.partial(cones.run_suite, which, trials=trials, **suite_args)
+    cfg.refuse_unread()
+    start = time.perf_counter()
+    report = run(seed=seed)
     profile = {"elapsed_s": time.perf_counter() - start}
     payload = report.as_dict()
     _write_manifest(out_dir, "verify", cfg.raw, seed, payload, fmt, profile)
@@ -308,9 +304,6 @@ def cmd_verify(cfg, seed, out_dir, fmt):
         f"{report.violations} violations, worst margin {payload['worst_margin']})"
     )
     return 0 if report.passed else 2
-
-
-_CONE_KEYS = {"input", "n", "m", "k", "seed"}
 
 
 def _csv_rows(path):
@@ -327,6 +320,7 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
     m = cfg.require("m", int)
     k_conf = cfg.get("k", cast=int)
     path = Path(cfg.require("input"))
+    cfg.refuse_unread()
     if not path.exists():
         raise ConfigError(f"input file {path} not found")
     try:
@@ -376,21 +370,17 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
     return 0
 
 
-_BARRIER_KEYS = {
-    "n", "m", "k", "radius", "which", "points", "K3", "k3", "field", "coef", "seed",
-}
-
-
 def cmd_barrier_check(cfg, seed, out_dir, fmt):
     spec = _cone_spec(cfg)
     radius = cfg.get("radius", 1.0, float)
     which = cfg.get("which", "lemma53")
     points = cfg.get("points", 1000, int)
-    coef = cfg.get("coef", 0.0, float)
     field = cfg.get("field", "quadratic")
     if field == "quadratic":
         u_hess = lambda x: np.broadcast_to(np.eye(spec.n), (len(x), spec.n, spec.n))
     elif field == "quartic":
+        coef = cfg.get("coef", 0.0, float)
+
         # x.x as a batched matmul and the outer product formed before the 8c
         # scaling round each row as the one-point x @ x and 8c * outer(x, x)
         # do; einsum or a row sum of x * x differs in the last bit
@@ -402,6 +392,8 @@ def cmd_barrier_check(cfg, seed, out_dir, fmt):
         raise ConfigError("field must be quadratic or quartic")
     k3 = cfg.get("k3", 0.01, float)
     auto = cfg.get("K3", "auto") == "auto"
+    K3 = None if auto else cfg.get("K3", cast=float)
+    cfg.refuse_unread()
     start = time.perf_counter()
     # ValueError here is bad input: a nonpositive or non-finite radius,
     # barrier constants out of range, or a field whose Hessians are not
@@ -414,7 +406,6 @@ def cmd_barrier_check(cfg, seed, out_dir, fmt):
                 u_hess, geom, spec, sample_points=points, which=which, k3=k3
             )
         else:
-            K3 = cfg.get("K3", cast=float)
             params = geometry.BarrierParams(K3=K3, k3=k3)
             report = geometry.verify_barrier_bound(
                 u_hess, geom, params, spec, sample_points=points, which=which
@@ -433,10 +424,10 @@ def cmd_barrier_check(cfg, seed, out_dir, fmt):
 
 
 _COMMANDS = {
-    "solve": (cmd_solve, _SOLVE_KEYS),
-    "verify": (cmd_verify, _VERIFY_KEYS),
-    "cone-check": (cmd_cone_check, _CONE_KEYS),
-    "barrier-check": (cmd_barrier_check, _BARRIER_KEYS),
+    "solve": cmd_solve,
+    "verify": cmd_verify,
+    "cone-check": cmd_cone_check,
+    "barrier-check": cmd_barrier_check,
 }
 
 
@@ -459,15 +450,17 @@ def _parser():
 def main(argv=None):
     args = _parser().parse_args(argv)
 
-    handler, known = _COMMANDS[args.command]
+    handler = _COMMANDS[args.command]
     try:
         raw, seed = _load_config(args.config)
-        cfg = _Config(raw, known)
-        # --seed, else the seed a replayed manifest ran with, else the seed key
+        cfg = _Config(raw)
+        # --seed, else the seed a replayed manifest ran with, else the seed
+        # key, which every run reads
+        key_seed = cfg.get("seed", 0, int)
         if args.seed is not None:
             seed = args.seed
         elif seed is None:
-            seed = cfg.get("seed", 0, int)
+            seed = key_seed
         if seed < 0:
             raise ConfigError(f"need seed >= 0, got seed={seed}")
         return handler(cfg, seed, args.out_dir, args.format)

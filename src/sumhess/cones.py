@@ -559,9 +559,11 @@ def _suite_mixed_decomposition(n, trials, seed, report):
         B = symfun.symmetrize(rng.normal(0.0, 1.0, size=(n, n)))
         k = int(rng.integers(1, n + 1))
         mixed = symfun.mixed_sym_all(A, B, k)
-        weights = np.array([math.comb(k, i) for i in range(k + 1)])
+        # S_k(A + tB) at t = 1/2: at t = 1, one of mixed_sym_all's nodes, the
+        # binomial sum reproduces its sample whatever the entries' degrees
+        weights = np.array([math.comb(k, i) * 0.5**i for i in range(k + 1)])
         total = float((weights * mixed).sum())
-        direct = symfun.matrix_sym(A + B, k)
+        direct = symfun.matrix_sym(A + 0.5 * B, k)
         scale = float(np.abs(weights * mixed).sum()) + abs(direct)
         samples.append(A)
         margins.append(_rel_margin(total, direct, scale))

@@ -169,7 +169,9 @@ def radial_sym(alpha, beta, spec):
     products in all instead of the C = binom(n, m) columns of the table.
     Against an exact rational reference on float64 rows over e^-7..e^7 it
     stayed within 8 eps of S_k(|a|, |b|), the value whose digits a sum of
-    positive terms would keep.
+    positive terms would keep. It forms a^i and b^(j - i) separately, so an
+    underflowing power loses its term: for (9, 4, 118) at alpha = 8, beta =
+    1e-6 it gives S_118 = 0, ``msum_sym`` 7.5e-275. Radial solves stay near O(1).
     """
     a_pows, b_pows, p, q = _two_value_terms(alpha, beta, spec)
     out = np.empty((spec.k + 1,) + a_pows[0].shape, dtype=a_pows[0].dtype)

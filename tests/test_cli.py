@@ -13,7 +13,7 @@ import pytest
 import sumhess
 from oracles import quartic_hessian_point, write_solution_csv_rows
 from sumhess import cli, cones, geometry, grids, solver
-from sumhess.cli import _SOLVE_KEYS, _write_solution_csv, main
+from sumhess.cli import _write_solution_csv, main
 from sumhess.expressions import parse_expression
 from sumhess.errors import ConfigError
 from sumhess.solver import SolverConfig
@@ -316,10 +316,20 @@ def test_each_command_loads_only_the_scipy_it_uses(tmp_path, command):
         assert "scipy.sparse.linalg" in loaded
 
 
-def test_every_solver_setting_is_a_solve_key():
+def test_solve_reads_every_solver_setting(tmp_path, capsys):
     fields = {f.name for f in dataclasses.fields(SolverConfig)}
     assert fields == {"tol_abs", "margin_floor", "dt0", "dt_min", "dt_max"}
-    assert fields <= _SOLVE_KEYS
+    settings = "tol_abs = 1e-9\nmargin_floor = 1e-12\ndt0 = 0.2\ndt_min = 1e-3\ndt_max = 1\n"
+    out = tmp_path / "ok"
+    cfg = write(tmp_path / "ok.cfg", _RADIAL_SOLVE + settings)
+    assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["report"]["steps"][1]["dt"] == 0.2
+    # a misspelt setting is refused, not left at its default
+    out = tmp_path / "typo"
+    cfg = write(tmp_path / "typo.cfg", _RADIAL_SOLVE + settings.replace("dt_min", "dt_mn"))
+    assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 1
+    assert "does not read: ['dt_mn']" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_solve_rejects_nonpositive_f(tmp_path):
@@ -357,10 +367,11 @@ b = 1
     assert not (out / "manifest.json").exists()
 
 
-def test_unknown_key_rejected(tmp_path):
-    cfg = write(tmp_path / "run.cfg", "mode = radial\nbogus = 1\n")
+def test_unknown_key_rejected(tmp_path, capsys):
+    cfg = write(tmp_path / "run.cfg", _RADIAL_SOLVE + "bogus = 1\n")
     rc = main(["solve", "--config", cfg, "--out-dir", str(tmp_path / "o")])
     assert rc == 1
+    assert "config keys this run does not read: ['bogus']" in capsys.readouterr().err
 
 
 def test_verify_commands(tmp_path):
@@ -673,10 +684,10 @@ _PROP26 = "which = prop26\nn = 4\nm = 2\nk = 2\ntrials = 10\n"
     [
         # box_cosine_problem() got an unexpected keyword argument 'coef'
         ("solve", _BOX_SOLVE + "manufactured = box\ncoef = 0.1\n", [],
-         "'coef' belongs to the other manufactured template; the box one takes 'amp'"),
+         "config keys this run does not read: ['coef']"),
         # the radial template took no amp, which was dropped without a word
         ("solve", _RADIAL_SOLVE + "amp = 0.1\n", [],
-         "'amp' belongs to the other manufactured template; the radial one takes 'coef'"),
+         "config keys this run does not read: ['amp']"),
         # numpy's "expected non-negative integer" from default_rng
         ("verify", _PROP26, ["--seed", "-1"], "need seed >= 0, got seed=-1"),
         ("verify", _PROP26 + "seed = -1\n", [], "need seed >= 0, got seed=-1"),
@@ -698,6 +709,54 @@ def test_former_tracebacks_are_config_errors(tmp_path, capsys, command, body, ex
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err, err
     assert not (out / "manifest.json").exists()
+
+
+_JACOBIAN = "which = jacobian\nn = 3\nm = 2\nk = 2\nstates = 1\n"
+_PROP23 = "which = prop23\nn = 5\nm = 2\nk = 3\ntrials = 10\n"
+_PROP21 = "which = prop21\nn = 3\ntrials = 10\n"
+_QUADRATIC_BARRIER = _BARRIER + "field = quadratic\n"
+_RADIAL_EXPR = _RADIAL_SOLVE.replace("manufactured = radial\n", _EXPR_FIELDS)
+
+
+@pytest.mark.parametrize(
+    "command, body, key, value",
+    [
+        ("solve", _RADIAL_EXPR, "coef", "0.3"),
+        ("solve", _RADIAL_EXPR, "amp", "7"),
+        ("solve", _RADIAL_SOLVE, "extents", "2,2,2"),
+        ("solve", _BOX_SOLVE + _EXPR_FIELDS, "radius", "2"),
+        ("solve", _RADIAL_SOLVE, "f", "12"),
+        ("verify", _JACOBIAN, "trials", "10"),
+        ("verify", _PROP23, "states", "3"),
+        ("verify", _PROP21, "m", "2"),
+        ("barrier-check", _QUADRATIC_BARRIER, "coef", "0.05"),
+    ],
+    ids=["expr-coef", "expr-amp", "radial-extents", "box-radius", "manufactured-f",
+         "jacobian-trials", "prop23-states", "prop21-m", "quadratic-coef"],
+)
+def test_a_key_the_run_does_not_read_is_refused(tmp_path, capsys, command, body, key, value):
+    # each of these ran and dropped the key without a word
+    cfg = write(tmp_path / "c.cfg", body + f"{key} = {value}\n")
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr()
+    assert err.err == f"config error: config keys this run does not read: [{key!r}]\n"
+    assert err.out == ""
+    assert not out.exists()
+    # the base config, without the key, runs
+    assert main([command, "--config", write(tmp_path / "ok.cfg", body),
+                 "--out-dir", str(out)]) == 0
+
+
+def test_deeply_nested_json_config_is_a_config_error(tmp_path, capsys):
+    # json.loads raised RecursionError
+    depth = 5000
+    cfg = write(tmp_path / "deep.json", '{"config": ' + "[" * depth + "]" * depth + "}")
+    out = tmp_path / "out"
+    assert main(["verify", "--config", cfg, "--out-dir", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("config error: ") and "nested too deeply" in err, err
+    assert not out.exists()
 
 
 def test_back_to_back_main_calls_leave_no_state(tmp_path):

@@ -291,6 +291,16 @@ def test_identity_suites_small_runs():
     assert report.passed, report.as_dict()
 
 
+def test_mixed_suite_fails_mixed_values_on_reversed_degrees(monkeypatch):
+    # at t = 1, one of mixed_sym_all's interpolation nodes, the binomial sum
+    # of the reversed vector still reproduces S_k(A + B); at t = 1/2 it cannot
+    correct = symfun.mixed_sym_all
+    monkeypatch.setattr(symfun, "mixed_sym_all", lambda a, b, k: correct(a, b, k)[::-1])
+    report = cones.run_suite("mixed", n=5, trials=50, seed=0)
+    assert not report.passed
+    assert report.violations == 50
+
+
 @pytest.mark.parametrize("seed", [0, 7])
 @pytest.mark.parametrize("n", [1, 5])
 def test_prop21_slices_report_as_one_block(monkeypatch, seed, n):
