@@ -263,35 +263,30 @@ def _write_solution_csv(path, grid, state):
             fh.write(row_fmt * block.shape[0] % tuple(block.ravel().tolist()))
 
 
-_VERIFY_SUITES = (
-    "prop21", "prop22", "prop23", "prop24", "prop25", "prop26", "prop27",
-    "mixed", "euler", "spectral-lift", "jacobian",
-)
-
-
 def cmd_verify(cfg, seed, out_dir, fmt):
     which = cfg.require("which")
-    if which not in _VERIFY_SUITES:
-        raise ConfigError(f"which must be one of {_VERIFY_SUITES}")
     if which == "jacobian":
         from . import solver
 
         spec = _cone_spec(cfg, defaults=(3, 2, 2))
         states = cfg.get("states", 10, int)
         run = functools.partial(solver.verify_jacobian_suite, [spec], states=states)
-    else:
+    elif which in cones.SUITES:
         if which in ("prop21", "mixed"):
             suite_args = {"n": cfg.get("n", cast=int)}
+        elif which in ("prop22", "spectral-lift"):
+            suite_args = {"n": cfg.require("n", int), "m": cfg.require("m", int)}
         else:
-            suite_args = dict(
-                spec=_cone_spec(cfg),
-                l=cfg.get("l", cast=int),
-                delta=cfg.get("delta", 0.4, float),
-                eps=cfg.get("eps", 0.15, float),
-                L=cfg.get("L", 1.0, float),
-            )
+            suite_args = {"spec": _cone_spec(cfg)}
+        # the suite's own constants, left to its defaults when unset
+        for key in cones.SUITES[which]:
+            value = cfg.get(key, cast=int if key == "l" else float)
+            if value is not None:
+                suite_args[key] = value
         trials = cfg.get("trials", 10_000, int)
         run = functools.partial(cones.run_suite, which, trials=trials, **suite_args)
+    else:
+        raise ConfigError(f"which must be one of {(*cones.SUITES, 'jacobian')}")
     cfg.refuse_unread()
     start = time.perf_counter()
     report = run(seed=seed)

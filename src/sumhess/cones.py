@@ -24,6 +24,15 @@ IDENTITY_RTOL = 1e-12
 _STARVATION_RATE = 1e-4
 _STARVATION_MIN_PROPOSALS = 200_000
 
+#: The suites ``run_suite`` runs, each with the constants it reads and their
+#: defaults. prop24's ``l`` defaults to max(1, k - 1); the sampler mode
+#: ``propNN_hypotheses`` takes suite propNN's defaults.
+SUITES = {
+    "prop21": {}, "prop22": {}, "prop23": {}, "prop24": {"l": None}, "prop25": {},
+    "prop26": {"delta": 0.4, "L": 1.0}, "prop27": {"delta": 0.4, "eps": 0.15},
+    "mixed": {}, "euler": {}, "spectral-lift": {},
+}
+
 
 @dataclass(frozen=True)
 class InequalityConstants:
@@ -370,17 +379,31 @@ def _rejection(rng, propose, accept, count, stats, rows=lambda need: 4096):
     return np.concatenate(out), kept / proposals
 
 
-def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=None):
+def _constants(suite, given):
+    """The constants of ``suite``: its defaults in ``SUITES`` (none for a
+    name not there) updated by ``given``. ConfigError for a constant the
+    suite does not read."""
+    defaults = SUITES.get(suite, {})
+    unread = sorted(given.keys() - defaults.keys())
+    if unread:
+        raise ConfigError(f"{suite} does not read {unread}")
+    return {**defaults, **given}
+
+
+def sample_cone(spec, count, mode, seed=0, stats=None, **constants):
     """Rejection-sample spectra satisfying the requested hypothesis set.
 
     Modes: ``gamma_k`` (length-n spectra in the degree-k cone),
-    ``prop25_hypotheses``, ``prop26_hypotheses``, ``prop27_hypotheses``.
+    ``prop25_hypotheses``, ``prop26_hypotheses`` (constants ``delta`` and
+    ``L``), ``prop27_hypotheses`` (``delta`` and ``eps``); a constant left
+    out takes its suite's default from ``SUITES``.
     Returns (samples, acceptance_rate); every emitted sample re-verifies its
     hypotheses. When ``stats`` is a dict, the proposal count up to the last
     sample taken goes to its ``proposals``.
     """
     rng = np.random.default_rng(seed)
     n, m, k = spec.n, spec.m, spec.k
+    constants = _constants(mode.removesuffix("_hypotheses"), constants)
     if count == 0:
         if stats is not None:
             stats["proposals"] = 0
@@ -411,6 +434,7 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
 
     elif mode == "prop26_hypotheses":
         _check_lift_degree(spec)
+        delta, L = constants["delta"], constants["L"]
         consts = InequalityConstants.for_problem(n, m, k, delta)
 
         def propose(rng, b):
@@ -428,6 +452,7 @@ def sample_cone(spec, count, mode, seed=0, delta=0.4, eps=0.15, L=1.0, stats=Non
     elif mode == "prop27_hypotheses":
         if k > n - 1:
             raise ConfigError("hypotheses need a negative entry, impossible for k = n")
+        delta, eps = constants["delta"], constants["eps"]
 
         def propose(rng, b):
             head = 0.5 + np.abs(rng.normal(1.0, 0.5, size=(b, 1)))
@@ -599,14 +624,14 @@ def _suite_euler(spec, trials, seed, report):
     )
 
 
-def _suite_spectral_lift(spec, trials, seed, report):
+def _suite_spectral_lift(n, m, trials, seed, report):
     rng = np.random.default_rng(seed)
-    table = lift.subset_table(spec.n, spec.m)
-    batch = rng.normal(0.0, 1.0, size=(trials, spec.n, spec.n))
+    table = lift.subset_table(n, m)
+    batch = rng.normal(0.0, 1.0, size=(trials, n, n))
     batch = (batch + batch.transpose(0, 2, 1)) / 2.0
     W = lift.lift_hessian_batch(batch, table)
     direct = np.sort(np.linalg.eigvalsh(W), axis=1)
-    fast = np.sort(lift.sum_spectrum(batch, spec.m), axis=1)
+    fast = np.sort(lift.sum_spectrum(batch, m), axis=1)
     devs = np.abs(direct - fast).max(axis=1)
     report.record_block(
         _all_rows({"spectral_lift": 1e-9 - devs}), batch.reshape(trials, -1)
@@ -621,53 +646,63 @@ def _suite_dim(n, spec):
     return dim
 
 
-def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
-              eps=0.15, L=1.0, n=None):
+def _suite_shape(which, spec, n, m):
+    """(n, m) of a suite that reads no degree: spec's, else ``n`` and ``m``.
+    ConfigError unless they are an operator shape (``lift.check_shape``)."""
+    if spec is not None:
+        return spec.n, spec.m
+    if n is None or m is None:
+        raise ConfigError(f"{which} needs n and m")
+    try:
+        lift.check_shape(n, m)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+    return n, m
+
+
+def run_suite(which, spec=None, trials=10_000, seed=0, n=None, m=None, **constants):
     """Run one named verification suite and return its SampleReport.
 
-    ``spec`` supplies (n, m, k) where needed; the plain-cone suites prop21
-    and mixed take ``n``, else spec.n, else 5. Each suite checks its whole
-    sample block in a few block calls. A ``trials`` below 1, an ``n`` below
-    1, an ``l`` outside 1..k-1, or a ``delta``, ``eps`` or ``L`` that is not
+    ``spec`` supplies (n, m, k) where needed. The plain-cone suites prop21
+    and mixed take ``n``, else spec.n, else 5; prop22 and spectral-lift take
+    spec's (n, m), else ``n`` and ``m``. ``constants`` are the suite's own
+    (``SUITES``), at their defaults when left out. Each suite checks its
+    whole sample block in a few block calls. A ``trials`` below 1, an ``n``
+    below 1, a shape out of range, a constant the suite does not read, an
+    ``l`` outside 1..k-1, or a ``delta``, ``eps`` or ``L`` that is not
     positive and finite raises ConfigError before any sampling.
     """
+    if which not in SUITES:
+        raise ConfigError(f"unknown suite {which!r}")
+    constants = _constants(which, constants)
     if trials < 1:
         raise ConfigError(f"need trials >= 1, got trials={trials}")
     report = SampleReport(suite=which)
-    if which == "prop21":
-        _suite_partition_identities(_suite_dim(n, spec), trials, seed, report)
+    if which in ("prop21", "mixed"):
+        run = _suite_partition_identities if which == "prop21" else _suite_mixed_decomposition
+        run(_suite_dim(n, spec), trials, seed, report)
         return report
-    if which == "prop22":
-        if spec is None:
-            raise ConfigError("prop22 needs a ConeSpec")
-        _suite_diagonal_gradient(spec.n, spec.m, trials, seed, report)
-        return report
-    if which == "mixed":
-        _suite_mixed_decomposition(_suite_dim(n, spec), trials, seed, report)
-        return report
-    if which == "euler":
-        if spec is None:
-            raise ConfigError("euler needs a ConeSpec")
-        _suite_euler(spec, trials, seed, report)
-        return report
-    if which == "spectral-lift":
-        if spec is None:
-            raise ConfigError("spectral-lift needs a ConeSpec")
-        _suite_spectral_lift(spec, trials, seed, report)
+    if which in ("prop22", "spectral-lift"):
+        n, m = _suite_shape(which, spec, n, m)
+        run = _suite_diagonal_gradient if which == "prop22" else _suite_spectral_lift
+        run(n, m, trials, seed, report)
         return report
 
     if spec is None:
         raise ConfigError(f"suite {which!r} needs a ConeSpec")
+    if which == "euler":
+        _suite_euler(spec, trials, seed, report)
+        return report
     dim, k = spec.n, spec.k
-    for key, value in (("delta", delta), ("eps", eps), ("L", L)):
+    for key in ("delta", "eps", "L"):
         # NaN fails every comparison, so the chain rejects it too
-        if not 0 < value < math.inf:
-            raise ConfigError(f"need finite {key} > 0, got {key}={value}")
+        if key in constants and not 0 < constants[key] < math.inf:
+            raise ConfigError(f"need finite {key} > 0, got {key}={constants[key]}")
     stats = {}
 
-    def sample(count, mode, **kwargs):
+    def sample(count, mode, **given):
         samples, report.acceptance_rate = sample_cone(
-            spec, count, mode, seed=seed, stats=stats, **kwargs
+            spec, count, mode, seed=seed, stats=stats, **given
         )
         report.proposals = stats["proposals"]
         return samples
@@ -681,8 +716,7 @@ def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
         return report
 
     if which == "prop24":
-        if l is None:
-            l = max(1, k - 1)
+        l = max(1, k - 1) if constants["l"] is None else constants["l"]
         if not 1 <= l < k:
             raise ConfigError(f"prop24 needs 1 <= l < k, got l={l}, k={k}")
         samples = _normalized_desc(sample(trials, "gamma_k"))
@@ -697,16 +731,15 @@ def run_suite(which, spec=None, trials=10_000, seed=0, l=None, delta=0.4,
         return report
 
     if which == "prop26":
-        samples = sample(trials, "prop26_hypotheses", delta=delta, L=L)
+        delta, L = constants["delta"], constants["L"]
+        samples = sample(trials, "prop26_hypotheses", **constants)
         _record_blocks(report, samples, lambda rows: check_sum_lift_gradient_bounds(
             samples[rows], spec, delta, L))
         return report
 
-    if which == "prop27":
-        samples = sample(trials, "prop27_hypotheses", delta=delta, eps=eps)
-        samples = samples / np.abs(samples).max(axis=1, keepdims=True)
-        _record_blocks(report, samples, lambda rows: check_large_entry_deletion(
-            samples[rows], k, delta, eps))
-        return report
-
-    raise ConfigError(f"unknown suite {which!r}")
+    delta, eps = constants["delta"], constants["eps"]
+    samples = sample(trials, "prop27_hypotheses", **constants)
+    samples = samples / np.abs(samples).max(axis=1, keepdims=True)
+    _record_blocks(report, samples, lambda rows: check_large_entry_deletion(
+        samples[rows], k, delta, eps))
+    return report

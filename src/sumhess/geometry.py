@@ -1,7 +1,7 @@
-"""Domain geometry: ball and box domains, and on a ball the distance to the
-boundary, the quadratic distance barrier on a boundary collar, numeric
-verification that the linearized operator dominates the barrier, and
-post-solve diagnostics.
+"""Domain geometry: ball and box domains, and on a ball the quadratic
+distance barrier on a boundary collar in the eigen form of its Hessian,
+numeric verification that the linearized operator dominates the barrier,
+and post-solve diagnostics.
 """
 
 import functools
@@ -18,8 +18,8 @@ from .errors import CollarError, ConfigError
 class DomainGeometry:
     """A ball (``kind`` "ball") or an axis-aligned box ("box"). Both are
     solve domains; a radial solve takes a ball centered at the origin
-    through its 1-D profiles. The distance and the collar barrier need a
-    boundary that is smooth on a collar, so they run on a ball only.
+    through its 1-D profiles. The collar barrier needs a boundary whose
+    distance is smooth on a collar, so it runs on a ball only.
     """
 
     kind: str
@@ -71,35 +71,6 @@ def _check_ball(geom):
         raise ConfigError(f"the collar barrier needs a ball, got a {geom.kind}")
 
 
-def distance(geom, x):
-    """Signed-inward distance to the boundary of a ball (positive inside) of
-    each row of an (N, dim) block of points."""
-    _check_ball(geom)
-    x = np.asarray(x, dtype=np.float64)
-    return geom.radius - np.linalg.norm(x - geom.center, axis=1)
-
-
-def distance_pack(geom, x):
-    """Distance to the boundary of a ball, its gradient and its Hessian at
-    each row of an (N, dim) block of collar points: arrays of shape (N,),
-    (N, dim), (N, dim, dim).
-
-    Raises CollarError outside the smooth collar (0, mu0).
-    """
-    pts = np.asarray(x, dtype=np.float64)
-    d = distance(geom, pts)
-    outside = (d <= 0) | (d >= geom.mu0)
-    if outside.any():
-        bad = d[np.argmax(outside)]
-        raise CollarError(f"point at distance {bad:g} outside collar (0, {geom.mu0:g})")
-    rel = pts - geom.center
-    r = np.linalg.norm(rel, axis=1)[:, None]
-    u = rel / r
-    outer = u[:, :, None] * u[:, None, :]
-    hess = -(np.eye(geom.dim) - outer) / r[:, :, None]
-    return d, -u, hess
-
-
 @dataclass(frozen=True)
 class BarrierParams:
     """Constants of the collar barrier -d + K3 d^2."""
@@ -116,15 +87,28 @@ class BarrierParams:
 
 
 def barrier_hessian(geom, params, x):
-    """Hessians of the barrier -d + K3 d^2 at each row of an (N, dim) block
-    of points in a ball of radius R, shape (N, dim, dim): the eigenvalues are
-    (1 - 2 K3 d) / (R - d) tangentially and 2 K3 along the normal. Valid on
-    the smoothness collar (0, mu0)."""
-    d, grad, hess_d = distance_pack(geom, x)
-    d = d[:, None, None]
-    outer = grad[:, :, None] * grad[:, None, :]
-    H = 2.0 * params.K3 * outer + (2.0 * params.K3 * d - 1.0) * hess_d
-    return symfun.symmetrize(H)
+    """The Hessian of the barrier -d + K3 d^2 at each row of an (N, dim)
+    block of points in a ball of radius R, in its eigen form (nu, alpha,
+    beta): the outward unit normals nu, shape (N, dim), the eigenvalue
+    alpha = 2 K3 along them, and beta = (1 - 2 K3 d) / (R - d), shape (N,),
+    on the dim - 1 tangent directions. The Hessian is
+    beta I + (alpha - beta) nu nu^T; no matrix is formed.
+
+    The offsets are scaled by R before their norm is taken, so a tiny ball's
+    points do not underflow to its center. Raises CollarError outside the
+    smooth collar (0, mu0).
+    """
+    _check_ball(geom)
+    rel = (np.asarray(x, dtype=np.float64) - geom.center) / geom.radius
+    norm = np.linalg.norm(rel, axis=1)
+    r = geom.radius * norm
+    d = geom.radius - r
+    outside = (d <= 0) | (d >= geom.mu0)
+    if outside.any():
+        bad = d[np.argmax(outside)]
+        raise CollarError(f"point at distance {bad:g} outside collar (0, {geom.mu0:g})")
+    alpha = 2.0 * params.K3
+    return rel / norm[:, None], alpha, (1.0 - alpha * d) / r
 
 
 @functools.lru_cache(maxsize=8)
@@ -263,11 +247,14 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
     if not report.count:
         return report
     F, trace = lift.gradient_batch(Hs[ok], spec)
-    Dh = barrier_hessian(geom, params, pts[ok])
-    value = (F * Dh).sum(axis=(1, 2))
+    nu, alpha, beta = barrier_hessian(geom, params, pts[ok])
+    # F : (beta I + (alpha - beta) nu nu^T)
+    value = beta * trace + (alpha - beta) * np.einsum("ni,nij,nj->n", nu, F, nu)
     scale = math.sqrt(params.K3) if which == "lemma53" else params.k3
     bound = scale * (1.0 + trace)
-    lam = np.sort(lift.sum_spectrum(Dh, spec.m), axis=1)[:, ::-1]
+    spectra = np.repeat(beta[:, None], spec.n, axis=1)
+    spectra[:, 0] = alpha
+    lam = np.sort(lift.msums(spectra, spec.m), axis=1)[:, ::-1]
     s_h = _kernels.elem_sym_all(lam, k)
     powers = np.array([params.K3**l for l in range(1, k + 1)])
     report.min_margin = float((value - bound).min())

@@ -28,6 +28,18 @@ from . import _kernels, symfun
 MAX_LIFT_SIZE = 252
 
 
+def check_shape(n, m):
+    """ValueError unless (n, m) is an operator shape: n >= 3,
+    2 <= m <= n - 1 and binom(n, m) within ``MAX_LIFT_SIZE``."""
+    if n < 3:
+        raise ValueError("need n >= 3")
+    if not 2 <= m <= n - 1:
+        raise ValueError(f"need 2 <= m <= n-1, got m={m}, n={n}")
+    size = math.comb(n, m)
+    if size > MAX_LIFT_SIZE:
+        raise ValueError(f"binom(n, m) = {size} exceeds cap {MAX_LIFT_SIZE}")
+
+
 @dataclass(frozen=True)
 class ConeSpec:
     """Dimensions of the operator: ambient n, sum order m, degree k."""
@@ -37,15 +49,9 @@ class ConeSpec:
     k: int
 
     def __post_init__(self):
-        if self.n < 3:
-            raise ValueError("need n >= 3")
-        if not 2 <= self.m <= self.n - 1:
-            raise ValueError(f"need 2 <= m <= n-1, got m={self.m}, n={self.n}")
-        size = math.comb(self.n, self.m)
-        if size > MAX_LIFT_SIZE:
-            raise ValueError(f"binom(n, m) = {size} exceeds cap {MAX_LIFT_SIZE}")
-        if not 1 <= self.k <= size:
-            raise ValueError(f"need 1 <= k <= {size}, got k={self.k}")
+        check_shape(self.n, self.m)
+        if not 1 <= self.k <= self.size:
+            raise ValueError(f"need 1 <= k <= {self.size}, got k={self.k}")
 
     @property
     def size(self):

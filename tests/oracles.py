@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.stats import norm, qmc
 
-from sumhess import _kernels, cones, geometry, lift, symfun
+from sumhess import _kernels, cones, lift, symfun
 from sumhess.cones import MARGIN_FLOOR
 from sumhess.errors import ConfigError
 from sumhess.solver import box_cosine_problem, box_solve, radial_quartic_problem, radial_solve
@@ -225,7 +225,7 @@ def boundary_data(geom, x):
 
 def barrier_value(geom, params, x):
     """The collar barrier -d + K3 d^2 at one point."""
-    d = geometry.distance(geom, x[None])[0]
+    d = geom.radius - np.linalg.norm(np.asarray(x, dtype=np.float64) - geom.center)
     return -d + params.K3 * d * d
 
 

@@ -386,7 +386,7 @@ def test_verify_commands(tmp_path):
     rc = main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o2")])
     assert rc == 1  # no valid degree for that shape
 
-    cfg = write(tmp_path / "vsl.cfg", "which = spectral-lift\nn = 5\nm = 2\nk = 3\ntrials = 300\n")
+    cfg = write(tmp_path / "vsl.cfg", "which = spectral-lift\nn = 5\nm = 2\ntrials = 300\n")
     rc = main(["verify", "--config", cfg, "--out-dir", str(tmp_path / "o3")])
     assert rc == 0
 
@@ -395,7 +395,7 @@ def test_verify_commands(tmp_path):
     "body",
     [
         "which = prop21\nn = 5\ntrials = 100\n",
-        "which = prop22\nn = 4\nm = 2\nk = 2\ntrials = 50\n",
+        "which = prop22\nn = 4\nm = 2\ntrials = 50\n",
         "which = prop23\nn = 5\nm = 2\nk = 3\ntrials = 100\n",
         "which = prop27\nn = 5\nm = 2\nk = 3\ntrials = 100\ndelta = 0.5\neps = 0.15\n",
         "which = mixed\nn = 4\ntrials = 30\n",
@@ -714,6 +714,11 @@ def test_former_tracebacks_are_config_errors(tmp_path, capsys, command, body, ex
 _JACOBIAN = "which = jacobian\nn = 3\nm = 2\nk = 2\nstates = 1\n"
 _PROP23 = "which = prop23\nn = 5\nm = 2\nk = 3\ntrials = 10\n"
 _PROP21 = "which = prop21\nn = 3\ntrials = 10\n"
+_PROP22 = "which = prop22\nn = 4\nm = 2\ntrials = 10\n"
+_PROP24 = "which = prop24\nn = 5\nm = 2\nk = 3\ntrials = 10\n"
+_PROP27 = "which = prop27\nn = 5\nm = 2\nk = 3\ntrials = 10\ndelta = 0.5\neps = 0.15\n"
+_EULER = "which = euler\nn = 4\nm = 2\nk = 3\ntrials = 10\n"
+_SPECTRAL_LIFT = "which = spectral-lift\nn = 5\nm = 2\ntrials = 10\n"
 _QUADRATIC_BARRIER = _BARRIER + "field = quadratic\n"
 _RADIAL_EXPR = _RADIAL_SOLVE.replace("manufactured = radial\n", _EXPR_FIELDS)
 
@@ -729,10 +734,23 @@ _RADIAL_EXPR = _RADIAL_SOLVE.replace("manufactured = radial\n", _EXPR_FIELDS)
         ("verify", _JACOBIAN, "trials", "10"),
         ("verify", _PROP23, "states", "3"),
         ("verify", _PROP21, "m", "2"),
+        ("verify", _PROP23, "l", "7"),
+        ("verify", _PROP23, "L", "3"),
+        ("verify", _PROP24, "delta", "-1"),
+        ("verify", _PROP26, "eps", "0.15"),
+        ("verify", _PROP27, "L", "2"),
+        ("verify", _EULER, "delta", "nan"),
+        ("verify", _EULER, "eps", "-3"),
+        ("verify", _EULER, "L", "0"),
+        ("verify", _EULER, "l", "99"),
+        ("verify", _PROP22, "k", "3"),
+        ("verify", _SPECTRAL_LIFT, "k", "3"),
         ("barrier-check", _QUADRATIC_BARRIER, "coef", "0.05"),
     ],
     ids=["expr-coef", "expr-amp", "radial-extents", "box-radius", "manufactured-f",
-         "jacobian-trials", "prop23-states", "prop21-m", "quadratic-coef"],
+         "jacobian-trials", "prop23-states", "prop21-m", "prop23-l", "prop23-L",
+         "prop24-delta", "prop26-eps", "prop27-L", "euler-delta", "euler-eps", "euler-L",
+         "euler-l", "prop22-k", "spectral-lift-k", "quadratic-coef"],
 )
 def test_a_key_the_run_does_not_read_is_refused(tmp_path, capsys, command, body, key, value):
     # each of these ran and dropped the key without a word

@@ -55,10 +55,12 @@ BASES = (
     Base("solve", (("mode", "box"), *_SPEC3, ("mesh", "7,7,7"), *_FIELDS),
          ("extents", *SOLVER_SETTINGS), ("coef", "amp", "radius", "points")),
     Base("verify", (("which", "prop23"), ("n", "5"), ("m", "2"), ("k", "3"), ("trials", "20")),
-         ("l", "delta", "eps", "L"), ("states", "coef", "mode", "dt0")),
+         (), ("l", "delta", "eps", "L", "states", "coef", "mode", "dt0")),
     Base("verify", (("which", "prop26"), ("n", "4"), ("m", "2"), ("k", "2"), ("trials", "20"),
                     ("delta", "0.4")),
-         ("l", "eps", "L"), ("states", "field", "input")),
+         ("L",), ("l", "eps", "states", "field", "input")),
+    Base("verify", (("which", "prop22"), ("n", "4"), ("m", "2"), ("trials", "20")),
+         (), ("k", "l", "delta", "states")),
     Base("verify", (("which", "prop21"), ("n", "3"), ("trials", "20")),
          (), ("m", "k", "states", "delta")),
     Base("verify", (("which", "jacobian"), *_SPEC3, ("states", "1")),

@@ -36,55 +36,62 @@ def quartic_hessian(dim, coef):
     return hess
 
 
-def test_ball_distance_pack():
+def hessian_from_eigen_form(nu, alpha, beta):
+    """The (N, dim, dim) matrices beta I + (alpha - beta) nu nu^T."""
+    dim = nu.shape[1]
+    return (beta[:, None, None] * np.eye(dim)
+            + (alpha - beta)[:, None, None] * nu[:, :, None] * nu[:, None, :])
+
+
+def test_ball_barrier_eigen_form():
+    # at depth d in the unit ball: the normal is the point's direction, and
+    # the tangential eigenvalue is (1 - 2 K3 d) / (1 - d)
     geom = geometry.ball(1.0, dim=3)
+    params = BarrierParams(K3=3.0)
     rng = np.random.default_rng(1)
-    us, depths = [], []
-    for _ in range(1000):
-        u = rng.normal(size=3)
-        us.append(u / np.linalg.norm(u))
-        depths.append(rng.uniform(0.01, 0.49))
-    u, depth = np.array(us), np.array(depths)
-    d, grad, hess = geometry.distance_pack(geom, (1.0 - depth)[:, None] * u)
-    assert np.allclose(d, depth, rtol=0, atol=1e-12)
-    assert np.allclose(grad, -u, atol=1e-12)
-    eig = np.linalg.eigvalsh(hess)  # ascending
-    assert np.all(np.abs(eig[:, -1]) < 1e-10)
-    assert np.allclose(eig[:, :-1], (-1.0 / (1.0 - depth))[:, None], atol=1e-10)
+    u = rng.normal(size=(1000, 3))
+    u /= np.linalg.norm(u, axis=1, keepdims=True)
+    depth = rng.uniform(0.01, 0.49, size=1000)
+    nu, alpha, beta = geometry.barrier_hessian(geom, params, (1.0 - depth)[:, None] * u)
+    assert np.allclose(nu, u, atol=1e-12)
+    assert alpha == 6.0
+    assert np.allclose(beta, (1.0 - 6.0 * depth) / (1.0 - depth), rtol=1e-12, atol=1e-12)
 
 
 def test_gradient_is_minus_normal():
+    # the barrier's normal is the outward normal at the nearest boundary point
     geom = geometry.ball(2.0, dim=4, center=[1.0, 0.0, 0.0, 0.0])
     x = np.array([[1.0, 0.0, 0.0, 1.9]])
-    _, grad, _ = geometry.distance_pack(geom, x)
-    nu, kappa = boundary_data(geom, x[0])
-    assert np.allclose(grad[0], -nu)
+    nu, _, _ = geometry.barrier_hessian(geom, BarrierParams(K3=1.0), x)
+    normal, kappa = boundary_data(geom, x[0])
+    assert np.allclose(nu[0], normal)
     assert np.allclose(kappa, 0.5)
 
 
 def test_collar_errors():
     geom = geometry.ball(1.0, dim=3)
+    params = BarrierParams(K3=1.0)
     with pytest.raises(CollarError):
-        geometry.distance_pack(geom, np.zeros((1, 3)))  # center: d = 1 >= mu0
+        geometry.barrier_hessian(geom, params, np.zeros((1, 3)))  # center: d = 1 >= mu0
     with pytest.raises(CollarError):
-        geometry.distance_pack(geom, np.array([[1.5, 0.0, 0.0]]))  # outside
+        geometry.barrier_hessian(geom, params, np.array([[1.5, 0.0, 0.0]]))  # outside
 
 
 @pytest.mark.parametrize("points", [np.array([0.0, 0.0, 0.9]), np.zeros((4, 2))],
                          ids=["one-point-1d", "wrong-dim"])
 def test_distance_takes_only_point_blocks(points):
     geom = geometry.ball(1.0, dim=3)
-    for fn in (geometry.distance, geometry.distance_pack):
-        with pytest.raises(ValueError):
-            fn(geom, points)
+    with pytest.raises(ValueError):
+        geometry.barrier_hessian(geom, BarrierParams(K3=1.0), points)
 
 
 def test_barrier_hessian_at_boundary_limit():
     geom = geometry.ball(1.0, dim=3)
     params = BarrierParams(K3=8.0)
     x = np.array([[0.0, 0.0, 1.0 - 1e-9]])
-    eig = np.sort(np.linalg.eigvalsh(geometry.barrier_hessian(geom, params, x)[0]))
-    assert np.allclose(eig, [1.0, 1.0, 16.0], atol=1e-6)
+    _, alpha, beta = geometry.barrier_hessian(geom, params, x)
+    assert alpha == 16.0
+    assert beta[0] == pytest.approx(1.0, abs=1e-6)
 
 
 def test_barrier_tangential_zero_crossing():
@@ -92,19 +99,38 @@ def test_barrier_tangential_zero_crossing():
     geom = geometry.ball(1.0, dim=3)
     params = BarrierParams(K3=2.5)
     x = np.array([[0.0, 0.0, 1.0 - 0.2]])  # d = 1 / (2 K3)
-    eig = np.sort(np.linalg.eigvalsh(geometry.barrier_hessian(geom, params, x)[0]))
-    assert np.allclose(eig[:2], 0.0, atol=1e-12)
-    assert eig[2] == pytest.approx(5.0)
+    _, alpha, beta = geometry.barrier_hessian(geom, params, x)
+    assert abs(beta[0]) <= 1e-12
+    assert alpha == pytest.approx(5.0)
 
 
 def test_barrier_sum_spectrum_at_boundary():
     geom = geometry.ball(1.0, dim=4)
     params = BarrierParams(K3=16.0)
     x = np.array([[0.0, 0.0, 0.0, 1.0 - 1e-10]])
-    Dh = geometry.barrier_hessian(geom, params, x)[0]
-    spec = np.sort(lift.sum_spectrum(Dh, 2))
+    _, alpha, beta = geometry.barrier_hessian(geom, params, x)
+    spec = np.sort(lift.msums(np.array([alpha, beta[0], beta[0], beta[0]]), 2))
     expected = np.sort([2.0, 2.0, 2.0, 33.0, 33.0, 33.0])
     assert np.allclose(spec, expected, atol=1e-6)
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # S_2 of m-sums near 1e400
+@pytest.mark.parametrize("radius", [1e-200, 1e-300])
+def test_tiny_ball_collar_points_are_inside_it(radius):
+    # the norm of offsets of about 1e-200 underflowed to 0, which put every
+    # collar point at the center, outside the collar
+    geom = geometry.ball(radius, dim=4)
+    params = BarrierParams(K3=1.0)
+    pts = geometry.collar_points(geom, 50, params.collar(geom))
+    _, _, beta = geometry.barrier_hessian(geom, params, pts)
+    depth = 1.0 - np.linalg.norm(pts / radius, axis=1)  # in units of the radius
+    assert np.all((0 < depth) & (depth < 0.5))
+    assert np.allclose(beta * radius, 1.0 / (1.0 - depth), rtol=1e-12)
+    for which, spec in (("lemma53", ConeSpec(4, 2, 2)), ("lemma55", ConeSpec(4, 2, 4))):
+        _, rep = geometry.search_barrier_constant(
+            quartic_hessian(4, 0.05), geom, spec, sample_points=50, which=which
+        )
+        assert rep.passed and rep.count == 50, rep.as_dict()
 
 
 def test_barrier_hessian_matches_finite_differences():
@@ -116,7 +142,7 @@ def test_barrier_hessian_matches_finite_differences():
         u = rng.normal(size=3)
         u /= np.linalg.norm(u)
         x = (1.0 - rng.uniform(0.05, 0.4)) * u
-        H = geometry.barrier_hessian(geom, params, x[None])[0]
+        H = hessian_from_eigen_form(*geometry.barrier_hessian(geom, params, x[None]))[0]
         for i in range(3):
             for j in range(3):
                 ei = np.zeros(3)
@@ -137,7 +163,7 @@ def test_collar_points_deterministic_and_inside():
     pts1 = geometry.collar_points(geom, 64, 0.2)
     pts2 = geometry.collar_points(geom, 64, 0.2)
     assert np.array_equal(pts1, pts2)
-    d = geometry.distance(geom, pts1)
+    d = geom.radius - np.linalg.norm(pts1 - geom.center, axis=1)
     assert np.all((0 < d) & (d < 0.2))
     assert geometry.collar_points(geom, 0, 0.2).shape == (0, 4)
 
@@ -171,13 +197,11 @@ def test_collar_points_reject_bad_arguments(count, depth_max, error):
 
 
 def test_ball_only_entry_points_reject_a_box():
-    # a box has no smooth collar, so its distance and barrier are not defined
+    # a box has no smooth collar, so its barrier is not defined
     geom = geometry.box([2.0, 2.0, 2.0])
     pts = np.array([[0.0, 0.0, 0.9]])
     spec = ConeSpec(3, 2, 2)
     calls = [
-        lambda: geometry.distance(geom, pts),
-        lambda: geometry.distance_pack(geom, pts),
         lambda: geometry.barrier_hessian(geom, BarrierParams(K3=4.0), pts),
         lambda: geometry.collar_points(geom, 8, 0.1),
         lambda: geometry.verify_barrier_bound(quad_hessian(3), geom, BarrierParams(K3=64.0),
@@ -361,16 +385,16 @@ def test_barrier_hessian_block_matches_points():
     geom = geometry.ball(1.0, dim=4, center=[0.5, 0.0, -0.25, 0.0])
     pts = geometry.collar_points(geom, 300, 0.3)
     params = BarrierParams(K3=6.0)
-    block = geometry.barrier_hessian(geom, params, pts)
-    assert block.shape == (300, geom.dim, geom.dim)
-    for x, H in zip(pts, block):
+    nu, alpha, beta = geometry.barrier_hessian(geom, params, pts)
+    assert nu.shape == (300, geom.dim) and beta.shape == (300,)
+    assert np.allclose(np.linalg.norm(nu, axis=1), 1.0)
+    block = hessian_from_eigen_form(nu, alpha, beta)
+    for x, H, row in zip(pts, block, zip(nu, beta)):
         ref = barrier_hessian_point(geom, params, x)
         assert np.allclose(H, ref, rtol=1e-13, atol=1e-13)
-        assert np.array_equal(geometry.barrier_hessian(geom, params, x[None])[0], H)
-    d, grad, _ = geometry.distance_pack(geom, pts)
-    assert np.allclose(d, [geometry.distance(geom, x[None])[0] for x in pts],
-                       rtol=0, atol=1e-15)
-    assert np.allclose(np.linalg.norm(grad, axis=1), 1.0)
+        nu1, alpha1, beta1 = geometry.barrier_hessian(geom, params, x[None])
+        assert alpha1 == alpha
+        assert np.array_equal(nu1[0], row[0]) and beta1[0] == row[1]
 
 
 def test_barrier_block_rejects_point_outside_collar():
