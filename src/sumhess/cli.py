@@ -272,14 +272,14 @@ def cmd_verify(cfg, seed, out_dir, fmt):
         states = cfg.get("states", 10, int)
         run = functools.partial(solver.verify_jacobian_suite, [spec], states=states)
     elif which in cones.SUITES:
-        if which in ("prop21", "mixed"):
-            suite_args = {"n": cfg.get("n", cast=int)}
-        elif which in ("prop22", "spectral-lift"):
-            suite_args = {"n": cfg.require("n", int), "m": cfg.require("m", int)}
-        else:
+        suite = cones.SUITES[which]
+        if "k" in suite.shape:
             suite_args = {"spec": _cone_spec(cfg)}
+        else:
+            # run_suite defaults a missing n to 5 and refuses a missing (n, m)
+            suite_args = {key: cfg.get(key, cast=int) for key in suite.shape}
         # the suite's own constants, left to its defaults when unset
-        for key in cones.SUITES[which]:
+        for key in suite.constants:
             value = cfg.get(key, cast=int if key == "l" else float)
             if value is not None:
                 suite_args[key] = value

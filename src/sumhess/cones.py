@@ -9,6 +9,7 @@ suites store ``tolerance - relative_error`` so the same convention applies.
 
 import math
 from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -24,13 +25,24 @@ IDENTITY_RTOL = 1e-12
 _STARVATION_RATE = 1e-4
 _STARVATION_MIN_PROPOSALS = 200_000
 
-#: The suites ``run_suite`` runs, each with the constants it reads and their
-#: defaults. prop24's ``l`` defaults to max(1, k - 1); the sampler mode
-#: ``propNN_hypotheses`` takes suite propNN's defaults.
+class Suite(NamedTuple):
+    """A verification suite: the shape keys it reads, ``("n",)``,
+    ``("n", "m")`` or ``("n", "m", "k")`` (a ConeSpec), and its constants
+    with their defaults."""
+
+    shape: tuple
+    constants: dict = {}
+
+
+_SPEC = ("n", "m", "k")
+#: The suites ``run_suite`` runs. prop24's ``l`` defaults to max(1, k - 1);
+#: the sampler mode ``propNN_hypotheses`` takes suite propNN's defaults.
 SUITES = {
-    "prop21": {}, "prop22": {}, "prop23": {}, "prop24": {"l": None}, "prop25": {},
-    "prop26": {"delta": 0.4, "L": 1.0}, "prop27": {"delta": 0.4, "eps": 0.15},
-    "mixed": {}, "euler": {}, "spectral-lift": {},
+    "prop21": Suite(("n",)), "prop22": Suite(("n", "m")), "prop23": Suite(_SPEC),
+    "prop24": Suite(_SPEC, {"l": None}), "prop25": Suite(_SPEC),
+    "prop26": Suite(_SPEC, {"delta": 0.4, "L": 1.0}),
+    "prop27": Suite(_SPEC, {"delta": 0.4, "eps": 0.15}),
+    "mixed": Suite(("n",)), "euler": Suite(_SPEC), "spectral-lift": Suite(("n", "m")),
 }
 
 
@@ -383,7 +395,7 @@ def _constants(suite, given):
     """The constants of ``suite``: its defaults in ``SUITES`` (none for a
     name not there) updated by ``given``. ConfigError for a constant the
     suite does not read."""
-    defaults = SUITES.get(suite, {})
+    defaults = SUITES[suite].constants if suite in SUITES else {}
     unread = sorted(given.keys() - defaults.keys())
     if unread:
         raise ConfigError(f"{suite} does not read {unread}")
@@ -663,9 +675,10 @@ def _suite_shape(which, spec, n, m):
 def run_suite(which, spec=None, trials=10_000, seed=0, n=None, m=None, **constants):
     """Run one named verification suite and return its SampleReport.
 
-    ``spec`` supplies (n, m, k) where needed. The plain-cone suites prop21
-    and mixed take ``n``, else spec.n, else 5; prop22 and spectral-lift take
-    spec's (n, m), else ``n`` and ``m``. ``constants`` are the suite's own
+    The suite's ``SUITES`` shape says what it reads: a suite of shape
+    ``n`` (prop21, mixed) takes ``n``, else spec.n, else 5; one of shape
+    ``n, m`` (prop22, spectral-lift) takes spec's (n, m), else ``n`` and
+    ``m``; the others take ``spec``. ``constants`` are the suite's own
     (``SUITES``), at their defaults when left out. Each suite checks its
     whole sample block in a few block calls. A ``trials`` below 1, an ``n``
     below 1, a shape out of range, a constant the suite does not read, an
@@ -678,11 +691,12 @@ def run_suite(which, spec=None, trials=10_000, seed=0, n=None, m=None, **constan
     if trials < 1:
         raise ConfigError(f"need trials >= 1, got trials={trials}")
     report = SampleReport(suite=which)
-    if which in ("prop21", "mixed"):
+    shape = SUITES[which].shape
+    if shape == ("n",):
         run = _suite_partition_identities if which == "prop21" else _suite_mixed_decomposition
         run(_suite_dim(n, spec), trials, seed, report)
         return report
-    if which in ("prop22", "spectral-lift"):
+    if shape == ("n", "m"):
         n, m = _suite_shape(which, spec, n, m)
         run = _suite_diagonal_gradient if which == "prop22" else _suite_spectral_lift
         run(n, m, trials, seed, report)

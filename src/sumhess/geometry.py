@@ -255,7 +255,11 @@ def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
     spectra = np.repeat(beta[:, None], spec.n, axis=1)
     spectra[:, 0] = alpha
     lam = np.sort(lift.msums(spectra, spec.m), axis=1)[:, ::-1]
-    s_h = _kernels.elem_sym_all(lam, k)
+    # on a tiny ball beta is about 1 / R, and S_l (l >= 2) of the m-sums
+    # overflows to +inf at R = 1e-200; harmlessly, since the finite S_1 enters
+    # both minima taken over l below, the cone margin and S_l / K3^l
+    with np.errstate(over="ignore"):
+        s_h = _kernels.elem_sym_all(lam, k)
     powers = np.array([params.K3**l for l in range(1, k + 1)])
     report.min_margin = float((value - bound).min())
     report.empirical_k3 = float((value / (1.0 + trace)).min())

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 import scipy.sparse.linalg as spla
+from scipy.linalg import lapack
 
 from . import _kernels, geometry, grids, lift
 from .cones import SampleReport
@@ -70,10 +71,10 @@ GROW = (4.0, 2.0, 1.0)
 # residual ratio
 FORCING_MAX = 1e-2
 FORCING_GAMMA = 0.9
-# largest system sent to sparse LU: per linear solve at forcing 1e-2, V-cycle
-# build included, LU and V-cycle-preconditioned lgmres break even between 7^3
-# (343) and 9^3 (729) box unknowns; LU fill-in then grows far faster than the
-# multigrid cost
+# largest box system sent to sparse LU: per linear solve at forcing 1e-2,
+# V-cycle build included, LU and V-cycle-preconditioned lgmres break even
+# between 7^3 (343) and 9^3 (729) box unknowns; LU fill-in then grows far
+# faster than the multigrid cost. Radial systems take banded LU at every size
 DIRECT_LIMIT = 500
 # the radial Newton state's dtype. In float64 one ulp per node moves the
 # radial residual by up to 2.7e-8, above its 1e-10 tolerance, and a float64
@@ -484,12 +485,22 @@ def forcing(norm, prev_norm, tol):
     return min(FORCING_MAX, max(eta, 0.5 * tol / norm))
 
 
+def _linear_route(shape):
+    """The route ``_linear_solve`` takes on a grid of node ``shape``:
+    ``"banded"`` for a radial grid, ``"lu"`` for a box of at most
+    ``DIRECT_LIMIT`` nodes, ``"vcycle"`` for a larger box."""
+    if len(shape) == 1:
+        return "banded"
+    return "lu" if math.prod(shape) <= DIRECT_LIMIT else "vcycle"
+
+
 def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     """Solve J x = rhs on a grid of the given node shape.
 
-    Returns (x, Krylov iterations). Radial systems, whose Jacobian is
-    banded, and systems with at most ``DIRECT_LIMIT`` unknowns go to sparse
-    LU (0 iterations); among cubes these are 5^3 to 7^3, the ones a
+    Returns (x, Krylov iterations, ``_linear_route(shape)``). A radial
+    Jacobian, banded at every mesh, goes to ``_banded_solve`` (0
+    iterations). A box one with at most ``DIRECT_LIMIT`` unknowns goes to
+    sparse LU (0 iterations); among cubes these are 5^3 to 7^3, the ones a
     sequenced ``box_solve`` follows its path on. Larger box ones are
     scaled to unit diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres to
     relative tolerance ``rtol``, preconditioned with a V-cycle; D^-1 J
@@ -501,8 +512,11 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     D^-1 J and stored there, and the build's wall seconds are added to
     ``timing["hierarchy_s"]``.
     """
-    if J.shape[0] <= DIRECT_LIMIT or len(shape) == 1:
-        return spla.spsolve(J.tocsc(), rhs), 0
+    route = _linear_route(shape)
+    if route == "banded":
+        return _banded_solve(J, rhs), 0, route
+    if route == "lu":
+        return spla.spsolve(J.tocsc(), rhs), 0, route
     inv_diag = _inv_diagonal(J)
     A = sp.csr_matrix(
         (J.data * np.repeat(inv_diag, np.diff(J.indptr)), J.indices, J.indptr),
@@ -524,7 +538,29 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
             f"iterative linear solve failed (info={info}, rtol={rtol:.3g}, "
             f"{cycles} V-cycles)"
         )
-    return sol, cycles
+    return sol, cycles, route
+
+
+def _banded_solve(J, rhs):
+    """Solve J x = rhs by LAPACK's banded LU with partial pivoting, ``dgbsv``
+    (Golub & Van Loan, Matrix Computations, 4.3). J is CSR without repeated
+    entries; its lower and upper bandwidths kl and ku are read from its
+    pattern (a radial Jacobian has kl = 2, from the rim's one-sided row, and
+    ku = 1). The band array has 2 kl + ku + 1 rows; its top kl rows take
+    the fill-in of the row interchanges. NonconvergenceError on an exactly
+    zero pivot, or on a non-finite solution, which a NaN in J gives."""
+    below = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)) - J.indices
+    kl, ku = int(below.max()), int(-below.min())
+    band = np.zeros((2 * kl + ku + 1, J.shape[0]), order="F")
+    band[kl + ku + below, J.indices] = J.data
+    _, _, x, info = lapack.dgbsv(kl, ku, band, rhs, overwrite_ab=True)
+    if info > 0:
+        raise NonconvergenceError(
+            f"banded LU: zero pivot U[{info - 1}, {info - 1}], the Jacobian is singular"
+        )
+    if not np.all(np.isfinite(x)):
+        raise NonconvergenceError("banded LU: non-finite solution")
+    return x
 
 
 def _timed(timing, key, fn, *args):
@@ -550,7 +586,8 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
     ``linear_solve_s`` that built hierarchies as ``hierarchy_s``, also when
     the solve fails. The state and residuals are in ``system.state_dtype``;
     the Jacobian, the linear solve and its update are float64. The returned
-    stats keep the |res| Newton started from as ``start_residual_norm``."""
+    stats keep the |res| Newton started from as ``start_residual_norm`` and
+    the route of the system's linear solves as ``linear_route``."""
     cfg = cfg or SolverConfig()
     tol = system.default_tol if cfg.tol_abs is None else cfg.tol_abs
     w = np.array(values, dtype=system.state_dtype)
@@ -571,6 +608,8 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
     stats = {
         "iters": 0, "linear_iters": 0, "start_residual_norm": norm,
         "residual_norm": norm, "min_margin": margin,
+        # a solve that needs no iteration still records its system's route
+        "linear_route": _linear_route(system.grid.shape),
     }
     prev_norm = None
     cache = {}  # this solve's V-cycle hierarchy, built by its first Krylov solve
@@ -582,7 +621,7 @@ def newton_solve(system, values, t, cfg=None, start=None, *, timing):
             )
         eta = forcing(norm, prev_norm, tol)
         J = _timed(timing, "jacobian_s", system.jacobian, w, t)
-        delta, linear_iters = _timed(
+        delta, linear_iters, stats["linear_route"] = _timed(
             timing, "linear_solve_s", _linear_solve, J,
             -res.astype(np.float64), system.grid.shape, eta, cache, timing
         )
@@ -686,6 +725,7 @@ def _step(system, t, dt, predicted, stats):
         "predicted": predicted,
         "newton_iters": stats["iters"],
         "linear_iters": stats["linear_iters"],
+        "linear_route": stats["linear_route"],
         "start_residual_norm": stats["start_residual_norm"],
         "residual_norm": stats["residual_norm"],
         "min_margin": stats["min_margin"],

@@ -258,6 +258,25 @@ dt_min = 0.01
     assert "failed: line search stalled at t=" in err
 
 
+def test_solve_nan_jacobian_exits_2(tmp_path, capsys, monkeypatch):
+    # a NaN Jacobian entry makes every banded solve fail as non-finite: the
+    # path underflows dt (exit 2), it never ends at t = 1 with exit 0
+    jacobian = solver.RadialSystem.jacobian
+
+    def poisoned(self, values, t):
+        J = jacobian(self, values, t)
+        J.data[3] = math.nan
+        return J
+
+    monkeypatch.setattr(solver.RadialSystem, "jacobian", poisoned)
+    cfg = write(tmp_path / "run.cfg",
+                "mode = radial\nn = 3\nm = 2\nk = 2\nmanufactured = radial\nmesh = 32\n")
+    assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("solver failed: step size underflow at t=0")
+    assert "banded LU: non-finite solution" in err
+
+
 def _fresh_interpreter(probe, *args):
     """stdout of ``probe`` run by a fresh interpreter on this checkout's
     sumhess: the test oracles have loaded scipy into this one."""
@@ -986,6 +1005,22 @@ K3 = 64
     report = json.loads((out / "manifest.json").read_text())["report"]
     assert math.isnan(report["min_margin"]) and not report["passed"]
     assert report["search_passes"] == 0
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("which, k", [("lemma53", 2), ("lemma55", 4)])
+def test_barrier_check_tiny_radius_warns_nothing(tmp_path, capsys, which, k):
+    # S_l (l >= 2) of the barrier m-sums overflows at radius 1e-200; the run
+    # must neither warn nor report a non-finite minimum, all of which come
+    # from the finite S_1
+    cfg = write(tmp_path / "b.cfg", f"which = {which}\nn = 4\nm = 2\nk = {k}\n"
+                "field = quartic\ncoef = 0.05\npoints = 100\nradius = 1e-200\n")
+    out = tmp_path / "out"
+    assert main(["barrier-check", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    report = json.loads((out / "manifest.json").read_text())["report"]
+    minima = [key for key in report if key.startswith("min_")] + ["empirical_k3"]
+    assert len(minima) == 5 and all(math.isfinite(report[key]) for key in minima), report
 
 
 @pytest.mark.parametrize("which", ["prop21", "mixed"])

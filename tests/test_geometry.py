@@ -114,7 +114,7 @@ def test_barrier_sum_spectrum_at_boundary():
     assert np.allclose(spec, expected, atol=1e-6)
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")  # S_2 of m-sums near 1e400
+@pytest.mark.filterwarnings("error")  # S_2 of the barrier m-sums overflows, unwarned
 @pytest.mark.parametrize("radius", [1e-200, 1e-300])
 def test_tiny_ball_collar_points_are_inside_it(radius):
     # the norm of offsets of about 1e-200 underflowed to 0, which put every

@@ -402,8 +402,8 @@ def test_multigrid_solve_matches_direct(spec, nodes, extents):
     # each fine system is past the direct limit, so it takes the V-cycle route
     J, grid = manufactured_jacobian(spec, nodes, extents)
     rhs = np.random.default_rng(5).normal(size=J.shape[0])
-    x, iters = solver._linear_solve(J, rhs, grid.shape)
-    assert iters > 0
+    x, iters, route = solver._linear_solve(J, rhs, grid.shape)
+    assert iters > 0 and route == "vcycle"
     ref = spla.spsolve(J.tocsc(), rhs)
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -414,27 +414,24 @@ def test_multigrid_iterations_do_not_grow_with_mesh():
         J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), nodes)
         assert J.shape[0] > solver.DIRECT_LIMIT
         rhs = np.random.default_rng(7).normal(size=J.shape[0])
-        _, iters[nodes] = solver._linear_solve(J, rhs, grid.shape)
+        _, iters[nodes], _ = solver._linear_solve(J, rhs, grid.shape)
     for coarse, fine in ((17, 33), (16, 32)):
         assert 0 < iters[fine] <= 1.5 * iters[coarse], iters
 
 
 def test_radial_jacobian_goes_to_direct_solve(monkeypatch):
-    routes = []
-    direct = spla.spsolve
+    # every radial step takes banded LU, and neither sparse LU nor lgmres runs
+    def refused(name):
+        def solve(*args, **kwargs):
+            raise AssertionError(f"radial system sent to {name}")
+        return solve
 
-    def spsolve(*args, **kwargs):
-        routes.append("spsolve")
-        return direct(*args, **kwargs)
-
-    def lgmres(*args, **kwargs):
-        raise AssertionError("radial system sent to lgmres")
-
-    monkeypatch.setattr(spla, "spsolve", spsolve)
-    monkeypatch.setattr(spla, "lgmres", lgmres)
+    monkeypatch.setattr(spla, "spsolve", refused("spsolve"))
+    monkeypatch.setattr(spla, "lgmres", refused("lgmres"))
     problem, _ = solver.radial_quartic_problem(ConeSpec(3, 2, 2))
     state, _ = solver.radial_solve(problem, 256)
-    assert routes
+    assert state.t == 1.0 and sum(s["newton_iters"] for s in state.steps) > 0
+    assert all(s["linear_route"] == "banded" for s in state.steps)
     assert all(s["linear_iters"] == 0 for s in state.steps)
 
 
@@ -447,10 +444,12 @@ def test_box_steps_record_krylov_iterations():
     assert np.abs(state.values - exact(grid.points)).max() < 5e-3
     krylov = [s for s in state.steps if np.prod(s["mesh"]) > solver.DIRECT_LIMIT]
     assert krylov and all(s["mesh"] == [13, 13, 13] for s in krylov)
+    assert {s["linear_route"] for s in krylov} == {"vcycle"}
     for step in state.steps:
         if step in krylov:
             assert (step["linear_iters"] > 0) == (step["newton_iters"] > 0), step
         else:
+            assert step["mesh"] == [7, 7, 7] and step["linear_route"] == "lu", step
             assert step["linear_iters"] == 0, step
 
 

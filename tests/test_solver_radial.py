@@ -249,7 +249,7 @@ def test_radial_expression_fields_self_converge_at_second_order():
 
 
 def test_radial_meshes_past_the_direct_limit_take_sparse_lu():
-    # the radial Jacobian is banded, so sparse LU serves every mesh; on
+    # the radial Jacobian is banded, so banded LU serves every mesh; on
     # V-cycle lgmres M = 2048 stalled at t = 0, and the odd M = 1001, which
     # has no coarse level, took minutes
     problem, exact = solver.radial_quartic_problem(ConeSpec(3, 2, 2))
@@ -259,8 +259,62 @@ def test_radial_meshes_past_the_direct_limit_take_sparse_lu():
         assert grid.npoints > solver.DIRECT_LIMIT
         assert state.t == 1.0
         assert all(s["linear_iters"] == 0 for s in state.steps)
+        assert all(s["linear_route"] == "banded" for s in state.steps)
         errors[mesh] = np.abs(state.values - exact(grid.points)).max()
     assert 3.8 <= errors[1024] / errors[2048] <= 4.2, errors
+
+
+@pytest.mark.parametrize("nmk", [(3, 2, 2), (4, 2, 3), (5, 2, 3)], ids=str)
+@pytest.mark.parametrize("mesh", [16, 256, 2048])
+def test_radial_linear_solve_matches_dense_solve(nmk, mesh):
+    # V-cycle lgmres stalled at M = 2048; banded LU must hold every mesh to
+    # the dense LU of the same Jacobian, at t = 0, 1/2 and 1 on the
+    # manufactured state
+    problem, exact = solver.radial_quartic_problem(ConeSpec(*nmk))
+    grid = grids.radial_grid(1.0, mesh, nmk[0])
+    system = RadialSystem(problem, grid)
+    w = exact(grid.points) - system.q
+    rhs = np.random.default_rng(mesh).normal(size=grid.npoints)
+    for t in (0.0, 0.5, 1.0):
+        J = system.jacobian(w, t)
+        x, iters, route = solver._linear_solve(J, rhs, grid.shape)
+        ref = np.linalg.solve(J.toarray(), rhs)
+        assert (iters, route) == (0, "banded")
+        assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max(), t
+
+
+def test_singular_radial_jacobian_raises():
+    problem, exact = solver.radial_quartic_problem(ConeSpec(3, 2, 2))
+    grid = grids.radial_grid(1.0, 32, 3)
+    system = RadialSystem(problem, grid)
+    J = system.jacobian(exact(grid.points) - system.q, 1.0)
+    J.data[J.indptr[10]:J.indptr[11]] = 0.0  # interior row 10
+    with pytest.raises(NonconvergenceError, match=r"zero pivot U\[\d+, \d+\], the Jacobian is singular"):
+        solver._linear_solve(J, np.ones(grid.npoints), grid.shape)
+
+
+def test_nan_jacobian_entry_ends_in_nonconvergence():
+    # f_u = NaN at one node passes the f_u <= 0 check and poisons one
+    # Jacobian entry; Newton must fail on its first solve, not exit at t = 1
+    spec = ConeSpec(3, 2, 2)
+    problem, exact = solver.radial_quartic_problem(spec)
+    base_f = problem.f
+
+    def f_u(points, u):
+        out = -np.ones(points.shape[0])
+        out[5] = np.nan
+        return out
+
+    problem.f = lambda points, u: base_f(points) + (exact(points) - u)
+    problem.f_u = f_u
+    grid = grids.radial_grid(1.0, 32, 3)
+    system = RadialSystem(problem, grid)
+    w = exact(grid.points) - system.q + 1e-3 * np.sin(grid.points[:, 0])
+    with pytest.raises(NonconvergenceError, match="banded LU: non-finite solution"):
+        solver.newton_solve(system, w, 1.0, timing={})
+    with pytest.raises(ContinuationError, match="non-finite solution") as info:
+        solver.continuation_solve(system)
+    assert info.value.last_t == 0.0
 
 
 def test_manufactured_higher_degree():
