@@ -95,15 +95,19 @@ def growth(newton_iters):
 
 @dataclass
 class SolverConfig:
-    """The settings a ``solve`` config may set: the CLI reads its fields."""
+    """The settings a ``solve`` config may set: the CLI reads its fields.
+    An unset ``dt0``, the first continuation step, is ``dt_max``; under the
+    default dt_max = 1 it spans the whole path (``continuation_solve``)."""
 
     tol_abs: float = None  # the system's ``default_tol`` when None
     margin_floor: float = 1e-12
-    dt0: float = 0.1
+    dt0: float = None  # dt_max when None
     dt_min: float = 1e-4
     dt_max: float = 1.0
 
     def __post_init__(self):
+        if self.dt0 is None:
+            self.dt0 = self.dt_max
         # a NaN or zero step never advances t and never underflows dt_min;
         # every comparison with NaN is false, so the chains reject it
         if not 0 < self.dt_min <= self.dt0 <= self.dt_max < math.inf:
@@ -500,7 +504,7 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     Returns (x, Krylov iterations, ``_linear_route(shape)``). A radial
     Jacobian, banded at every mesh, goes to ``_banded_solve`` (0
     iterations). A box one with at most ``DIRECT_LIMIT`` unknowns goes to
-    sparse LU (0 iterations); among cubes these are 5^3 to 7^3, the ones a
+    ``_lu_solve`` (0 iterations); among cubes these are 5^3 to 7^3, the ones a
     sequenced ``box_solve`` follows its path on. Larger box ones are
     scaled to unit diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres to
     relative tolerance ``rtol``, preconditioned with a V-cycle; D^-1 J
@@ -516,7 +520,7 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     if route == "banded":
         return _banded_solve(J, rhs), 0, route
     if route == "lu":
-        return spla.spsolve(J.tocsc(), rhs), 0, route
+        return _lu_solve(J, rhs), 0, route
     inv_diag = _inv_diagonal(J)
     A = sp.csr_matrix(
         (J.data * np.repeat(inv_diag, np.diff(J.indptr)), J.indices, J.indptr),
@@ -560,6 +564,21 @@ def _banded_solve(J, rhs):
         )
     if not np.all(np.isfinite(x)):
         raise NonconvergenceError("banded LU: non-finite solution")
+    return x
+
+
+def _lu_solve(J, rhs):
+    """Solve J x = rhs by SuperLU's sparse LU (``splu``, the factorization
+    ``spsolve`` runs, with the same bits). NonconvergenceError on an exactly
+    singular J, which a zero row or a NaN entry gives, or on a non-finite
+    solution: ``spsolve`` would only warn and return NaN."""
+    try:
+        lu = spla.splu(J.tocsc())
+    except RuntimeError as exc:  # "Factor is exactly singular"
+        raise NonconvergenceError(f"sparse LU: {exc}") from None
+    x = lu.solve(rhs)
+    if not np.all(np.isfinite(x)):
+        raise NonconvergenceError("sparse LU: non-finite solution")
     return x
 
 
@@ -654,6 +673,10 @@ def continuation_solve(system, cfg=None):
     """Follow the homotopy path from the exact t = 0 quadratic (w = 0) to
     t = 1.
 
+    The first attempt spans ``cfg.dt0``, which defaults to dt_max and so to
+    the whole path: a step is as long as Newton's convergence allows
+    (Deuflhard, Newton Methods for Nonlinear Problems, 2004), and path
+    following starts only where that Newton solve fails.
     Predictor-corrector (Allgower & Georg, Introduction to Numerical
     Continuation Methods): once two states are accepted, each step's Newton
     starts from the secant prediction w_k + dt / dt_prev (w_k - w_{k-1}) when

@@ -212,6 +212,7 @@ k = 2
 manufactured = box
 mesh = 9,9,9
 amp = 0.05
+dt0 = 0.1
 """)
     out = tmp_path / "out"
     rc = main(["solve", "--config", cfg, "--out-dir", str(out)])
@@ -222,7 +223,9 @@ amp = 0.05
     assert manifest["report"]["diagnostics"]["state_dtype"] == "float64"
     assert manifest["report"]["diagnostics"]["state_eps"] == float(np.finfo(np.float64).eps)
     # 9^3 halves to 5^3: the path runs there on LU (125 unknowns, at or
-    # below direct_limit), then 9^3 takes one Newton solve at t = 1 on Krylov
+    # below direct_limit), then 9^3 takes one Newton solve at t = 1 on
+    # Krylov. A first step of 0.1 makes the 5^3 path take several steps, so
+    # that the last one is predicted
     *path, last = manifest["report"]["steps"]
     assert all(s["mesh"] == [5, 5, 5] and s["linear_iters"] == 0 for s in path)
     assert path[-1]["t"] == 1.0 and path[-1]["predicted"]
@@ -349,6 +352,15 @@ def test_solve_reads_every_solver_setting(tmp_path, capsys):
     assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 1
     assert "does not read: ['dt_mn']" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_solve_with_only_dt_max_takes_it_as_first_step(tmp_path):
+    # dt0 defaults to dt_max, so a config that lowers dt_max alone is valid
+    out = tmp_path / "out"
+    cfg = write(tmp_path / "run.cfg", _RADIAL_SOLVE + "dt_max = 0.5\n")
+    assert main(["solve", "--config", cfg, "--out-dir", str(out)]) == 0
+    steps = json.loads((out / "manifest.json").read_text())["report"]["steps"]
+    assert [(s["t"], s["dt"]) for s in steps] == [(0.0, 0.0), (0.5, 0.5), (1.0, 0.5)]
 
 
 def test_solve_rejects_nonpositive_f(tmp_path):

@@ -594,6 +594,22 @@ def test_lgmres_failure_names_rtol_and_cycles(monkeypatch):
         solver._linear_solve(J, np.ones(J.shape[0]), grid.shape)
 
 
+@pytest.mark.filterwarnings("error")
+def test_singular_box_jacobian_raises_on_the_lu_route():
+    # spsolve only warns on a singular matrix and returns NaN, which Newton
+    # met only after backtracking to STEP_MIN; the LU route fails at once,
+    # and on a regular J gives spsolve's bits
+    J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), 5)
+    rhs = np.random.default_rng(3).normal(size=J.shape[0])
+    x, iters, route = solver._linear_solve(J, rhs, grid.shape)
+    assert (iters, route) == (0, "lu")
+    assert np.array_equal(x, spla.spsolve(J.tocsc(), rhs))
+    row = int(grid.interior_flat[10])
+    J.data[J.indptr[row]:J.indptr[row + 1]] = 0.0
+    with pytest.raises(NonconvergenceError, match="sparse LU: Factor is exactly singular"):
+        solver._linear_solve(J, np.ones(J.shape[0]), grid.shape)
+
+
 def test_lgmres_failure_rejects_the_step_and_halves_dt(monkeypatch):
     lgmres, calls = spla.lgmres, []
 
@@ -646,9 +662,11 @@ def test_system_rejects_grid_of_other_dimension():
 
 def test_box_manufactured_17_takes_three_predicted_steps():
     # 17 -> 9 -> 5: the path runs on 5^3, then 9^3 and 17^3 each take one
-    # Newton solve at t = 1
+    # Newton solve at t = 1. From a first step of 0.1 the 5^3 path takes
+    # three steps, the last two predicted
     problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
-    state, grid = solver.box_solve(problem, 17)
+    cfg = solver.SolverConfig(dt0=0.1)
+    state, grid = solver.box_solve(problem, 17, cfg)
     *path, nine, last = state.steps
     steps = path[1:]
     assert all(s["mesh"] == [5, 5, 5] for s in path) and not state.rejected_steps
@@ -661,14 +679,30 @@ def test_box_manufactured_17_takes_three_predicted_steps():
     assert state.diagnostics["final_residual_norm"] <= 1e-8
     error = np.abs(state.values - exact(grid.points)).max()
     assert error < 8e-4
-    full = _full_continuation(problem, 17)
+    full = _full_continuation(problem, 17, cfg)
     full_error = np.abs(full.values - exact(grid.points)).max()
     assert abs(error - full_error) <= 1e-6 * full_error
 
 
-def _full_continuation(problem, nodes):
+def test_box_manufactured_17_follows_its_half_path_in_one_step():
+    # under the default dt0 = dt_max the 5^3 path is one Newton solve from
+    # t = 0 to t = 1, and the error is that of the path from dt0 = 0.1
+    problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    state, grid = solver.box_solve(problem, 17)
+    path = [s for s in state.steps if s["mesh"] == [5, 5, 5]]
+    assert [(s["t"], s["dt"], s["predicted"]) for s in path] == [
+        (0.0, 0.0, False), (1.0, 1.0, False)
+    ]
+    assert len(state.steps) == 4 and not state.rejected_steps
+    error = np.abs(state.values - exact(grid.points)).max()
+    stepped, _ = solver.box_solve(problem, 17, solver.SolverConfig(dt0=0.1))
+    stepped_error = np.abs(stepped.values - exact(grid.points)).max()
+    assert abs(error - stepped_error) <= 1e-9 * stepped_error
+
+
+def _full_continuation(problem, nodes, cfg=None):
     grid = grids.box_grid(problem.geom.extents, nodes)
-    return solver.continuation_solve(BoxSystem(problem, grid))
+    return solver.continuation_solve(BoxSystem(problem, grid), cfg)
 
 
 def test_half_mesh_is_the_coarse_box_mesh():

@@ -398,10 +398,41 @@ def test_stress_bump_adapts():
 
     problem.f = bumpy
     grid = grids.radial_grid(1.0, 64, 3)
-    state = solver.continuation_solve(RadialSystem(problem, grid))
+    # from a first step of 0.1 the bump makes the path take several steps
+    cfg = solver.SolverConfig(dt0=0.1)
+    state = solver.continuation_solve(RadialSystem(problem, grid), cfg)
     assert state.t == 1.0
     assert len(state.steps) >= 5
     assert state.min_margin > 0
+
+
+# the manufactured radial solves of the radial-collar benchmark workload
+MANUFACTURED_RADIAL = [
+    (nmk, M) for nmk in ((3, 2, 2), (4, 2, 2), (4, 2, 3), (5, 2, 3)) for M in (64, 128, 256)
+]
+
+
+def _manufactured_radial(nmk, M, cfg=None):
+    problem, exact = solver.radial_quartic_problem(ConeSpec(*nmk))
+    state, grid = solver.radial_solve(problem, M, cfg)
+    return state, float(np.abs(state.values - exact(grid.points)).max())
+
+
+@pytest.mark.parametrize(
+    "nmk, M", MANUFACTURED_RADIAL,
+    ids=[f"{'-'.join(map(str, nmk))}-{M}" for nmk, M in MANUFACTURED_RADIAL],
+)
+def test_default_first_step_reaches_t1(nmk, M):
+    # the default first step is dt_max = 1: Newton goes from the t = 0
+    # quadratic straight to t = 1, to the error the path from dt0 = 0.1 reaches;
+    # its Newton iterations guard the solver path's work without a clock (4 or
+    # 5 per solve, 54 over the twelve, against 168 from dt0 = 0.1)
+    state, error = _manufactured_radial(nmk, M)
+    assert [s["t"] for s in state.steps] == [0.0, 1.0]
+    assert state.steps[1]["dt"] == 1.0 and not state.rejected_steps
+    assert sum(s["newton_iters"] for s in state.steps) <= 5
+    _, path_error = _manufactured_radial(nmk, M, solver.SolverConfig(dt0=0.1))
+    assert abs(error - path_error) <= 1e-9 * path_error
 
 
 def test_radial_system_accepts_ball_geometry():
@@ -463,10 +494,16 @@ def test_growth_table():
     assert [solver.growth(iters) for iters in range(7)] == [4, 4, 4, 2, 1, 1, 1]
 
 
+def test_first_step_defaults_to_dt_max():
+    assert solver.SolverConfig().dt0 == 1.0
+    assert solver.SolverConfig(dt_max=0.5).dt0 == 0.5
+    assert solver.SolverConfig(dt0=0.1, dt_max=0.5).dt0 == 0.1
+
+
 @pytest.mark.parametrize(
     "kwargs",
     [
-        {"dt0": np.nan}, {"dt0": 0.0}, {"dt_min": 0.2}, {"dt_max": np.inf},
+        {"dt0": np.nan}, {"dt0": 0.0}, {"dt_min": 0.2, "dt0": 0.1}, {"dt_max": np.inf},
         {"dt0": 2.0}, {"margin_floor": -1e-12},
         {"margin_floor": np.nan}, {"tol_abs": 0.0},
     ],
@@ -547,9 +584,12 @@ def test_secant_prediction_and_its_fallback(monkeypatch, poison):
     spec = ConeSpec(3, 2, 2)
     problem, exact = solver.radial_quartic_problem(spec)
     grid = grids.radial_grid(1.0, 64, 3)
-    state = solver.continuation_solve(Fenced(problem, grid))
+    # the default first step reaches t = 1 at once; from 0.1 the path takes
+    # several steps, and each after the second is predicted
+    cfg = solver.SolverConfig(dt0=0.1)
+    state = solver.continuation_solve(Fenced(problem, grid), cfg)
     assert state.t == 1.0 and not state.rejected_steps
-    assert hits == [s["t"] for s in state.steps[2:]]
+    assert hits and hits == [s["t"] for s in state.steps[2:]]
     assert [s["predicted"] for s in state.steps] == [False, False] + [not poison] * len(hits)
     assert np.abs(state.values - exact(grid.points)).max() < 2e-4
 
