@@ -349,7 +349,12 @@ def cmd_cone_check(cfg, seed, out_dir, fmt):
             raise ConfigError(
                 f"row {rowno} has {values.size} entries, expected {n} or {n * n}"
             )
-        s = msum_sym(mu, m, table.size)
+        # an S table that overflows would reach the manifest as Infinity,
+        # which is not JSON: the row is refused instead
+        with np.errstate(all="ignore"):
+            s = msum_sym(mu, m, table.size)
+        if not np.isfinite(s).all():
+            raise ConfigError(f"row {rowno} malformed: its S_1..S_{table.size} are not all finite")
         positive = s[1:] > 0
         largest = int(np.argmax(~positive)) if not positive.all() else table.size
         entry = {"row": rowno, "largest_admissible_k": largest}

@@ -650,54 +650,44 @@ def _suite_spectral_lift(n, m, trials, seed, report):
     )
 
 
-def _suite_dim(n, spec):
-    """Spectrum length of a plain-cone suite: ``n``, else spec.n, else 5."""
-    dim = n if n is not None else spec.n if spec else 5
-    if dim < 1:
-        raise ConfigError(f"need n >= 1, got n={dim}")
-    return dim
-
-
-def _suite_shape(which, spec, n, m):
-    """(n, m) of a suite that reads no degree: spec's, else ``n`` and ``m``.
-    ConfigError unless they are an operator shape (``lift.check_shape``)."""
-    if spec is not None:
-        return spec.n, spec.m
-    if n is None or m is None:
-        raise ConfigError(f"{which} needs n and m")
-    try:
-        lift.check_shape(n, m)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
-    return n, m
-
-
 def run_suite(which, spec=None, trials=10_000, seed=0, n=None, m=None, **constants):
     """Run one named verification suite and return its SampleReport.
 
     The suite's ``SUITES`` shape says what it reads: a suite of shape
-    ``n`` (prop21, mixed) takes ``n``, else spec.n, else 5; one of shape
-    ``n, m`` (prop22, spectral-lift) takes spec's (n, m), else ``n`` and
-    ``m``; the others take ``spec``. ``constants`` are the suite's own
-    (``SUITES``), at their defaults when left out. Each suite checks its
-    whole sample block in a few block calls. A ``trials`` below 1, an ``n``
-    below 1, a shape out of range, a constant the suite does not read, an
-    ``l`` outside 1..k-1, or a ``delta``, ``eps`` or ``L`` that is not
-    positive and finite raises ConfigError before any sampling.
+    ``n`` (prop21, mixed) takes ``n``, 5 when it is left out; one of shape
+    ``n, m`` (prop22, spectral-lift) takes ``n`` and ``m``; the others take
+    ``spec`` alone. ``constants`` are the suite's own (``SUITES``), at their
+    defaults when left out. Each suite checks its whole sample block in a
+    few block calls. A shape argument or constant the suite does not read,
+    a ``trials`` below 1, an ``n`` below 1, a shape out of range, an ``l``
+    outside 1..k-1, or a ``delta``, ``eps`` or ``L`` that is not positive
+    and finite raises ConfigError before any sampling.
     """
     if which not in SUITES:
         raise ConfigError(f"unknown suite {which!r}")
     constants = _constants(which, constants)
+    shape = SUITES[which].shape
+    given = {key for key, value in (("spec", spec), ("n", n), ("m", m)) if value is not None}
+    unread = sorted(given - ({"spec"} if shape == _SPEC else set(shape)))
+    if unread:
+        raise ConfigError(f"{which} does not read {unread}")
     if trials < 1:
         raise ConfigError(f"need trials >= 1, got trials={trials}")
     report = SampleReport(suite=which)
-    shape = SUITES[which].shape
     if shape == ("n",):
+        n = 5 if n is None else n
+        if n < 1:
+            raise ConfigError(f"need n >= 1, got n={n}")
         run = _suite_partition_identities if which == "prop21" else _suite_mixed_decomposition
-        run(_suite_dim(n, spec), trials, seed, report)
+        run(n, trials, seed, report)
         return report
     if shape == ("n", "m"):
-        n, m = _suite_shape(which, spec, n, m)
+        if n is None or m is None:
+            raise ConfigError(f"{which} needs n and m")
+        try:
+            lift.check_shape(n, m)
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
         run = _suite_diagonal_gradient if which == "prop22" else _suite_spectral_lift
         run(n, m, trials, seed, report)
         return report

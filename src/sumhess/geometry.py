@@ -16,16 +16,16 @@ from .errors import CollarError, ConfigError
 
 @dataclass(frozen=True)
 class DomainGeometry:
-    """A ball (``kind`` "ball") or an axis-aligned box ("box"). Both are
-    solve domains; a radial solve takes a ball centered at the origin
-    through its 1-D profiles. The collar barrier needs a boundary whose
-    distance is smooth on a collar, so it runs on a ball only.
+    """A ball (``kind`` "ball") or an axis-aligned box ("box"), each
+    centered at the origin: the problem does not change when its domain
+    moves. Both are solve domains; a radial solve takes a ball through its
+    1-D profiles. The collar barrier needs a boundary whose distance is
+    smooth on a collar, so it runs on a ball only.
     """
 
     kind: str
     dim: int
     radius: float = 0.0
-    center: np.ndarray = field(default=None, repr=False)
     extents: np.ndarray = field(default=None, repr=False)
 
     @property
@@ -41,28 +41,16 @@ def _check_radius(radius):
         raise ValueError(f"radius must be positive and finite, got {radius}")
 
 
-def _check_center(center, dim):
-    center = np.zeros(dim) if center is None else np.asarray(center, dtype=np.float64)
-    if center.shape != (dim,):
-        raise ValueError("center must have length dim")
-    if not np.all(np.isfinite(center)):
-        raise ValueError(f"center must be finite, got {center.tolist()}")
-    return center
-
-
-def ball(radius, dim=3, center=None):
+def ball(radius, dim=3):
     _check_radius(radius)
-    center = _check_center(center, dim)
-    return DomainGeometry(kind="ball", dim=dim, radius=float(radius), center=center)
+    return DomainGeometry(kind="ball", dim=dim, radius=float(radius))
 
 
-def box(extents, center=None):
+def box(extents):
     extents = np.asarray(extents, dtype=np.float64)
     if extents.ndim != 1 or not np.all((extents > 0) & (extents < math.inf)):
         raise ValueError(f"extents must be positive and finite, got {extents.tolist()}")
-    dim = extents.size
-    center = _check_center(center, dim)
-    return DomainGeometry(kind="box", dim=dim, extents=extents, center=center)
+    return DomainGeometry(kind="box", dim=extents.size, extents=extents)
 
 
 def _check_ball(geom):
@@ -94,12 +82,15 @@ def barrier_hessian(geom, params, x):
     on the dim - 1 tangent directions. The Hessian is
     beta I + (alpha - beta) nu nu^T; no matrix is formed.
 
-    The offsets are scaled by R before their norm is taken, so a tiny ball's
+    The points are scaled by R before their norm is taken, so a tiny ball's
     points do not underflow to its center. Raises CollarError outside the
-    smooth collar (0, mu0).
+    smooth collar (0, mu0), ValueError unless ``x`` is an (N, dim) block.
     """
     _check_ball(geom)
-    rel = (np.asarray(x, dtype=np.float64) - geom.center) / geom.radius
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 2 or x.shape[1] != geom.dim:
+        raise ValueError(f"points must be an (N, {geom.dim}) block, got shape {x.shape}")
+    rel = x / geom.radius
     norm = np.linalg.norm(rel, axis=1)
     r = geom.radius * norm
     d = geom.radius - r
@@ -156,7 +147,7 @@ def collar_points(geom, count, depth_max):
     depth = (0.02 + 0.96 * raw[:, -1]) * depth_max
     gauss = ndtri(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
     dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-    return geom.center + (geom.radius - depth)[:, None] * dirs
+    return (geom.radius - depth)[:, None] * dirs
 
 
 @dataclass
@@ -212,14 +203,18 @@ def _check_request(geom, spec, which, sample_points):
 def _field_table(u_hess, pts, spec):
     """The caller's Hessians at the (N, n) block ``pts``, from one call of
     ``u_hess``, symmetrized, with the elementary symmetric table S_0..S_k of
-    their m-sum spectra. ValueError unless the call returns (N, n, n)."""
+    their m-sum spectra. ValueError unless the call returns (N, n, n). An
+    S_l that overflows to +inf is not warned of: the cone margin, min(S_1..S_k),
+    still reads the finite lower degrees, and ``search_barrier_constant``
+    refuses an infinite S_k."""
     Hs = np.asarray(u_hess(pts), dtype=np.float64)
     expected = (len(pts), spec.n, spec.n)
     if Hs.shape != expected:
         raise ValueError(f"u_hess must map the (N, {spec.n}) block of points to "
                          f"Hessians of shape {expected}, got {Hs.shape}")
     Hs = symfun.as_symmetric(symfun.symmetrize(Hs))
-    return Hs, lift.msum_sym(np.linalg.eigvalsh(Hs), spec.m, spec.k)
+    with np.errstate(over="ignore"):
+        return Hs, lift.msum_sym(np.linalg.eigvalsh(Hs), spec.m, spec.k)
 
 
 def verify_barrier_bound(u_hess, geom, params, spec, sample_points=1000,
@@ -276,7 +271,8 @@ def search_barrier_constant(u_hess, geom, spec, sample_points=400,
     The starting guess follows the square of (4 n max(S_k)^(1/k)) over
     (k min(S_k)) evaluated on collar samples of the field itself. Returns
     (K3, report): the report is the passing check at ``sample_points``, and
-    its ``search_passes`` counts the checks the search ran.
+    its ``search_passes`` counts the checks the search ran. ConfigError when
+    S_k is not finite at an admissible probe point: no guess follows from it.
     """
     _check_request(geom, spec, which, sample_points)
     probe = collar_points(geom, min(sample_points, 128), geom.mu0 * 0.999)
@@ -284,6 +280,11 @@ def search_barrier_constant(u_hess, geom, spec, sample_points=400,
     vals = s[_kernels.cone_margin(s, spec.k) > 0, spec.k]
     if not vals.size:
         raise ConfigError("field is nowhere admissible on the collar")
+    if not np.all(np.isfinite(vals)):
+        raise ConfigError(
+            f"S_{spec.k} of the field is not finite on the collar, so K3 = auto "
+            "has no starting guess; set K3"
+        )
     guess = (4.0 * spec.n * vals.max() ** (1.0 / spec.k) / (spec.k * vals.min())) ** 2
     exponent = max(0, math.ceil(math.log2(max(guess, 1.0))))
     reports = {}

@@ -103,8 +103,9 @@ def radial_spectra(grid, values):
     return out
 
 
-def box_grid(extents, nodes, center=None):
-    """Uniform lattice on an axis-aligned box, nodes per axis >= 5."""
+def box_grid(extents, nodes):
+    """Uniform lattice on an axis-aligned box centered at the origin, nodes
+    per axis >= 5."""
     extents = np.asarray(extents, dtype=np.float64)
     dim = extents.size
     if np.isscalar(nodes):
@@ -114,8 +115,7 @@ def box_grid(extents, nodes, center=None):
         raise ConfigError(f"extents has {dim} axes but mesh has {len(shape)}")
     if min(shape) < 5:
         raise ConfigError(f"box mesh needs at least 5 nodes per axis, got {shape}")
-    center = np.zeros(dim) if center is None else np.asarray(center, dtype=np.float64)
-    lo = center - extents / 2.0
+    lo = -extents / 2.0
     spacings = extents / (np.array(shape) - 1.0)
     axes = [lo[c] + spacings[c] * np.arange(shape[c]) for c in range(dim)]
     mesh = np.meshgrid(*axes, indexing="ij")
@@ -169,6 +169,10 @@ def box_grid(extents, nodes, center=None):
     )
 
 
+# a spacing whose square overflows gets weight 0 without a warning: |x|^2 / 2
+# overflows at that lattice's nodes too, so its system's boundary data is not
+# finite and no solve on it goes on
+@np.errstate(over="ignore")
 def _hessian_stencil(strides, spacings):
     """The centered Hessian's slots: their offsets in the C-order node
     numbering, (S,), and their weights on the flattened n x n entries of H,

@@ -219,13 +219,13 @@ def homotopy_data(system, t, values=None):
 def boundary_data(geom, x):
     """Outward unit normal and principal curvatures at the point of the
     ball's boundary nearest to ``x``."""
-    rel = np.asarray(x, dtype=np.float64) - geom.center
+    rel = np.asarray(x, dtype=np.float64)
     return rel / np.linalg.norm(rel), np.full(geom.dim - 1, 1.0 / geom.radius)
 
 
 def barrier_value(geom, params, x):
     """The collar barrier -d + K3 d^2 at one point."""
-    d = geom.radius - np.linalg.norm(np.asarray(x, dtype=np.float64) - geom.center)
+    d = geom.radius - np.linalg.norm(np.asarray(x, dtype=np.float64))
     return -d + params.K3 * d * d
 
 
@@ -257,7 +257,7 @@ def quartic_hessian_point(x, coef):
 def barrier_hessian_point(geom, params, x):
     """Hessian of the collar barrier of a ball at one point, from the
     distance, its gradient and its Hessian written out for that point alone."""
-    rel = np.asarray(x, dtype=np.float64) - geom.center
+    rel = np.asarray(x, dtype=np.float64)
     r = np.linalg.norm(rel)
     d = geom.radius - r
     u = rel / r
@@ -303,7 +303,7 @@ def collar_points_scipy(geom, count, depth_max):
     depth = (0.02 + 0.96 * raw[:, -1]) * depth_max
     gauss = norm.ppf(np.clip(raw[:, : geom.dim], 1e-12, 1 - 1e-12))
     dirs = gauss / np.linalg.norm(gauss, axis=1, keepdims=True)
-    return geom.center + (geom.radius - depth)[:, None] * dirs
+    return (geom.radius - depth)[:, None] * dirs
 
 
 def write_solution_csv_rows(path, grid, state):

@@ -193,8 +193,8 @@ def test_acceptance_4_euler_and_jacobian():
     v = rng.normal(size=grid.npoints)
     eps = 1e-6
     fd = (
-        system.residual(u + eps * v, 1.0, require_admissible=False)
-        - system.residual(u - eps * v, 1.0, require_admissible=False)
+        system.residual_and_margin(u + eps * v, 1.0)[0]
+        - system.residual_and_margin(u - eps * v, 1.0)[0]
     ) / (2 * eps)
     Jv = J @ v
     rel_box = float(np.abs(Jv - fd).max() / np.abs(Jv).max())
@@ -238,11 +238,13 @@ def test_acceptance_5_path_anchor():
     t0 = time.perf_counter()
     spec = ConeSpec(3, 2, 2)
     system = RadialSystem(_weird_radial_problem(spec), grids.radial_grid(1.0, 64, 3))
-    res_r = system.residual(system.initial_values(), 0.0)
+    res_r, margins = system.residual_and_margin(system.initial_values(), 0.0)
+    system.check_admissible(margins)
     assert np.abs(res_r).max() <= 1e-12
 
     system = BoxSystem(_weird_box_problem(spec), grids.box_grid([2.0] * 3, 17))
-    res_b = system.residual(system.initial_values(), 0.0)
+    res_b, margins = system.residual_and_margin(system.initial_values(), 0.0)
+    system.check_admissible(margins)
     assert np.abs(res_b).max() <= 1e-12
     elapsed = time.perf_counter() - t0
     _report(5, "path anchor at t=0", elapsed,

@@ -391,8 +391,7 @@ a = 1
 b = 1
 """)
     out = tmp_path / "o"
-    with np.errstate(invalid="ignore"):
-        rc = main(["solve", "--config", cfg, "--out-dir", str(out)])
+    rc = main(["solve", "--config", cfg, "--out-dir", str(out)])
     assert rc == 1
     assert "f must be finite" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
@@ -705,6 +704,60 @@ def test_out_of_range_value_is_a_config_error(tmp_path, capsys, command, body, m
     err = capsys.readouterr().err
     assert err.startswith("config error: ") and message in err, err
     assert not (out / "manifest.json").exists()
+
+
+_RADIAL_FIELDS = _RADIAL_SOLVE.replace("manufactured = radial\n", "")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    "command, body, message",
+    [
+        ("solve", _RADIAL_FIELDS + "f = exp(1000)\na = 1\nb = 1\n",
+         "f must be finite on the closed domain"),
+        ("solve", _RADIAL_FIELDS + "f = 1/(x1-x1)\na = 1\nb = 1\n",
+         "f must be finite on the closed domain"),
+        ("solve", _RADIAL_FIELDS + "f = 1\na = 1\nb = 1e308*10\n",
+         "b must be finite on the closed domain"),
+        ("solve", _RADIAL_SOLVE + "radius = 1e100\n", "f must be finite on the closed domain"),
+        ("solve", _RADIAL_SOLVE + "coef = 1e200\n", "f must be finite on the closed domain"),
+        ("solve", _BOX_SOLVE + "manufactured = box\nextents = 1e200,1,1\n",
+         "b must be finite on the closed domain"),
+        ("solve", _BOX_SOLVE + "manufactured = box\namp = 1e300\n",
+         "f must be finite on the closed domain"),
+        # S_k is inf at every probe point, so the K3 guess was inf / inf
+        ("barrier-check", "n = 4\nm = 2\nk = 2\nfield = quartic\ncoef = 1e300\npoints = 50\n",
+         "S_2 of the field is not finite on the collar"),
+        # margin_at_k was written as Infinity, which strict JSON refuses
+        ("cone-check", "n = 3\nm = 2\nk = 2\ninput = {rows}\n",
+         "row 1 malformed: its S_1..S_3 are not all finite"),
+    ],
+    ids=["expr-f-overflow", "expr-f-divide", "expr-b-overflow", "radial-radius",
+         "radial-coef", "box-extents", "box-amp", "barrier-auto-K3", "cone-check-row"],
+)
+def test_overflowing_data_is_refused_in_one_line(tmp_path, capsys, command, body, message):
+    # each of these printed numpy RuntimeWarnings first; the cone-check run
+    # then exited 0 with a manifest, and the barrier-check one refused with
+    # "cannot convert float NaN to integer"
+    rows = tmp_path / "rows.csv"
+    rows.write_text("1e308,1e308,1e308\n1,2,3\n")
+    cfg = write(tmp_path / "c.cfg", body.format(rows=rows))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg, "--out-dir", str(out)]) == 1
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith(f"config error: {message}"), lines
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.filterwarnings("error")
+def test_barrier_check_with_set_K3_on_an_overflowing_field_warns_nothing(tmp_path, capsys):
+    # S_2 overflows at every collar point; the cone margin reads the finite S_1
+    cfg = write(tmp_path / "b.cfg", "n = 4\nm = 2\nk = 2\nfield = quartic\ncoef = 1e300\n"
+                "points = 50\nK3 = 4\n")
+    out = tmp_path / "out"
+    assert main(["barrier-check", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads((out / "manifest.json").read_text())["report"]["passed"]
 
 
 _PROP26 = "which = prop26\nn = 4\nm = 2\nk = 2\ntrials = 10\n"

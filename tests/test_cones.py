@@ -1,6 +1,7 @@
 import itertools
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -285,7 +286,7 @@ def test_suite_sweep_across_shapes():
 def test_identity_suites_small_runs():
     report = cones.run_suite("prop21", n=6, trials=200, seed=1)
     assert report.passed, report.as_dict()
-    report = cones.run_suite("prop22", spec=ConeSpec(5, 2, 3), trials=100, seed=2)
+    report = cones.run_suite("prop22", n=5, m=2, trials=100, seed=2)
     assert report.passed, report.as_dict()
     report = cones.run_suite("mixed", n=4, trials=50, seed=3)
     assert report.passed, report.as_dict()
@@ -327,9 +328,7 @@ def test_euler_and_spectral_lift_suites():
     report = cones.run_suite("euler", spec=ConeSpec(4, 2, 3), trials=2000, seed=0)
     assert report.proposals == 2238
     assert report.acceptance_rate == 0.8936550491510277
-    report = cones.run_suite(
-        "spectral-lift", spec=ConeSpec(5, 2, 3), trials=200, seed=5
-    )
+    report = cones.run_suite("spectral-lift", n=5, m=2, trials=200, seed=5)
     assert report.passed, report.as_dict()
 
 
@@ -350,8 +349,28 @@ def test_euler_and_spectral_lift_suites():
     ],
 )
 def test_suites_reject_fewer_than_one_trial(which, spec, kwargs, trials):
+    if spec is not None and "k" not in cones.SUITES[which].shape:
+        # a suite that reads no degree takes the spec's n and m
+        spec, kwargs = None, {"n": spec.n, "m": spec.m}
     with pytest.raises(ConfigError, match=f"need trials >= 1, got trials={trials}"):
         cones.run_suite(which, spec=spec, trials=trials, seed=1, **kwargs)
+
+
+@pytest.mark.parametrize(
+    "which, spec, shape, unread",
+    [
+        ("prop22", ConeSpec(5, 2, 3), {"n": 7, "m": 3}, ["spec"]),
+        ("spectral-lift", ConeSpec(5, 2, 3), {}, ["spec"]),
+        ("prop21", ConeSpec(5, 2, 3), {}, ["spec"]),
+        ("mixed", None, {"n": 4, "m": 2}, ["m"]),
+        ("prop23", ConeSpec(5, 2, 3), {"n": 9, "m": 4}, ["m", "n"]),
+        ("euler", ConeSpec(4, 2, 3), {"n": 4}, ["n"]),
+    ],
+)
+def test_suites_refuse_shape_arguments_they_do_not_read(which, spec, shape, unread):
+    # prop22 ran at the spec's (5, 2) and prop23 dropped n and m without a word
+    with pytest.raises(ConfigError, match=re.escape(f"{which} does not read {unread}")):
+        cones.run_suite(which, spec=spec, trials=10, seed=0, **shape)
 
 
 def test_report_flags_violations_with_witness():

@@ -4,7 +4,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from sumhess import geometry, lift
+from sumhess import geometry, grids, lift
 from sumhess.errors import CollarError, ConfigError
 from sumhess.geometry import BarrierParams
 from sumhess.lift import ConeSpec
@@ -60,12 +60,24 @@ def test_ball_barrier_eigen_form():
 
 def test_gradient_is_minus_normal():
     # the barrier's normal is the outward normal at the nearest boundary point
-    geom = geometry.ball(2.0, dim=4, center=[1.0, 0.0, 0.0, 0.0])
-    x = np.array([[1.0, 0.0, 0.0, 1.9]])
+    geom = geometry.ball(2.0, dim=4)
+    x = np.array([[0.0, 0.0, 0.0, 1.9]])
     nu, _, _ = geometry.barrier_hessian(geom, BarrierParams(K3=1.0), x)
     normal, kappa = boundary_data(geom, x[0])
     assert np.allclose(nu[0], normal)
     assert np.allclose(kappa, 0.5)
+
+
+def test_domains_sit_at_the_origin():
+    # the problem does not change when its domain moves, so none takes a center
+    with pytest.raises(TypeError):
+        geometry.ball(1.0, dim=3, center=[5.0, 0.0, 0.0])
+    with pytest.raises(TypeError):
+        geometry.box([2.0, 1.0], center=[1.0, 0.0])
+    with pytest.raises(TypeError):
+        grids.box_grid([2.0, 1.0], 5, center=[1.0, 0.0])
+    points = grids.box_grid([2.0, 1.0], 5).points
+    assert np.array_equal(points.min(axis=0), -points.max(axis=0))
 
 
 def test_collar_errors():
@@ -163,7 +175,7 @@ def test_collar_points_deterministic_and_inside():
     pts1 = geometry.collar_points(geom, 64, 0.2)
     pts2 = geometry.collar_points(geom, 64, 0.2)
     assert np.array_equal(pts1, pts2)
-    d = geom.radius - np.linalg.norm(pts1 - geom.center, axis=1)
+    d = geom.radius - np.linalg.norm(pts1, axis=1)
     assert np.all((0 < d) & (d < 0.2))
     assert geometry.collar_points(geom, 0, 0.2).shape == (0, 4)
 
@@ -171,7 +183,7 @@ def test_collar_points_deterministic_and_inside():
 @pytest.mark.parametrize("dim", [3, 252])  # Halton dimension 4 and the largest, 253
 @pytest.mark.parametrize("count", [1, 1000])
 def test_collar_points_match_scipy_halton_on_a_ball(dim, count):
-    geom = geometry.ball(1.0, dim=dim, center=np.full(dim, 0.25))
+    geom = geometry.ball(1.0, dim=dim)
     pts = geometry.collar_points(geom, count, 0.3)
     assert np.array_equal(pts, collar_points_scipy(geom, count, 0.3))
 
@@ -382,7 +394,7 @@ def test_c0_diagnostic():
 
 
 def test_barrier_hessian_block_matches_points():
-    geom = geometry.ball(1.0, dim=4, center=[0.5, 0.0, -0.25, 0.0])
+    geom = geometry.ball(1.0, dim=4)
     pts = geometry.collar_points(geom, 300, 0.3)
     params = BarrierParams(K3=6.0)
     nu, alpha, beta = geometry.barrier_hessian(geom, params, pts)

@@ -115,7 +115,8 @@ def test_t0_anchor_residual_zero_box():
     grid = grids.box_grid(problem.geom.extents, 17)
     system = BoxSystem(problem, grid)
     # w = 0: q's exact data and no boundary term, so no rounding is left
-    res = system.residual(system.initial_values(), 0.0)
+    res, margins = system.residual_and_margin(system.initial_values(), 0.0)
+    system.check_admissible(margins)
     assert np.all(res == 0.0)
 
 
@@ -143,14 +144,14 @@ def test_box_jacobian_matches_finite_differences(spec, extents, nodes, f_of_u):
     system = BoxSystem(problem, grid)
     rng = np.random.default_rng(11)
     u = system.initial_values() + 1e-3 * rng.normal(size=grid.npoints)
-    assert system.min_margin(u) > 0
+    assert system.residual_and_margin(u, 0.4)[1].min() > 0
     for t in (0.4, 1.0):
         J = system.jacobian(u, t)
         v = rng.normal(size=grid.npoints)
         eps = 1e-6
         fd = (
-            system.residual(u + eps * v, t, require_admissible=False)
-            - system.residual(u - eps * v, t, require_admissible=False)
+            system.residual_and_margin(u + eps * v, t)[0]
+            - system.residual_and_margin(u - eps * v, t)[0]
         ) / (2 * eps)
         Jv = J @ v
         assert np.abs(Jv - fd).max() / np.abs(Jv).max() < 1e-5
@@ -402,8 +403,8 @@ def test_multigrid_solve_matches_direct(spec, nodes, extents):
     # each fine system is past the direct limit, so it takes the V-cycle route
     J, grid = manufactured_jacobian(spec, nodes, extents)
     rhs = np.random.default_rng(5).normal(size=J.shape[0])
-    x, iters, route = solver._linear_solve(J, rhs, grid.shape)
-    assert iters > 0 and route == "vcycle"
+    x, iters = solver._linear_solve(J, rhs, grid.shape)
+    assert iters > 0 and solver._linear_route(grid.shape) == "vcycle"
     ref = spla.spsolve(J.tocsc(), rhs)
     assert np.abs(x - ref).max() <= 1e-10 * np.abs(ref).max()
 
@@ -414,7 +415,7 @@ def test_multigrid_iterations_do_not_grow_with_mesh():
         J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), nodes)
         assert J.shape[0] > solver.DIRECT_LIMIT
         rhs = np.random.default_rng(7).normal(size=J.shape[0])
-        _, iters[nodes], _ = solver._linear_solve(J, rhs, grid.shape)
+        _, iters[nodes] = solver._linear_solve(J, rhs, grid.shape)
     for coarse, fine in ((17, 33), (16, 32)):
         assert 0 < iters[fine] <= 1.5 * iters[coarse], iters
 
@@ -601,8 +602,8 @@ def test_singular_box_jacobian_raises_on_the_lu_route():
     # and on a regular J gives spsolve's bits
     J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), 5)
     rhs = np.random.default_rng(3).normal(size=J.shape[0])
-    x, iters, route = solver._linear_solve(J, rhs, grid.shape)
-    assert (iters, route) == (0, "lu")
+    x, iters = solver._linear_solve(J, rhs, grid.shape)
+    assert (iters, solver._linear_route(grid.shape)) == (0, "lu")
     assert np.array_equal(x, spla.spsolve(J.tocsc(), rhs))
     row = int(grid.interior_flat[10])
     J.data[J.indptr[row]:J.indptr[row + 1]] = 0.0
@@ -912,6 +913,6 @@ def test_rhs_blends_f_and_the_t0_constant(f_of_u):
     fvals = field(system.interior_points, *interior_u)
     for t in (0.0, 0.3, 1.0):
         np.testing.assert_array_equal(system.rhs(t, w), t * fvals + (1.0 - t) * system.K0)
-        system.residual(w, t)
+        system.check_admissible(system.residual_and_margin(w, t)[1])
     # f(x): once, when the system is built; f(x, u): on every rhs
     assert len(calls) == (6 if f_of_u else 1)
