@@ -71,10 +71,10 @@ GROW = (4.0, 2.0, 1.0)
 # residual ratio
 FORCING_MAX = 1e-2
 FORCING_GAMMA = 0.9
-# largest box system sent to sparse LU: per linear solve at forcing 1e-2,
-# V-cycle build included, LU and V-cycle-preconditioned lgmres break even
-# between 7^3 (343) and 9^3 (729) box unknowns; LU fill-in then grows far
-# faster than the multigrid cost. Radial systems take banded LU at every size
+# largest box system sent to banded LU: per linear solve against a V-cycle
+# build plus lgmres at forcing 1e-2, 7^3 takes 0.53 against 1.71 ms, 9^3
+# 2.28 against 3.00 ms and 11^3 7.32 against 3.48 ms; the band's work grows
+# as n^7/3 and the multigrid's as n. Radial systems take banded LU at every size
 DIRECT_LIMIT = 500
 # the radial Newton state's dtype. In float64 one ulp per node moves the
 # radial residual by up to 2.7e-8, above its 1e-10 tolerance, and a float64
@@ -398,9 +398,9 @@ class VCycle:
     Built from one fine operator A, it keeps only what lies below it: levels
     that halve every axis to n // 2 + 1 nodes with ``grids.box_prolongation``
     until some axis has 3 or 4, their restrictions, the Galerkin operators
-    P^T A P, and the LU of the coarsest of them. Every box lattice has at
-    least one coarse level. Each level above the coarsest smooths with
-    damped Jacobi, pre-smoothing from x = 0 (``_presmooth``).
+    P^T A P, and the banded LU of the coarsest of them. Every box lattice
+    has at least one coarse level. Each level above the coarsest smooths
+    with damped Jacobi, pre-smoothing from x = 0 (``_presmooth``).
     ``preconditioner(A)`` runs the cycle under a current fine operator, so one
     hierarchy serves the later Jacobians of a Newton solve and holds no
     reference to any of them. ``applications`` counts the cycles run.
@@ -419,7 +419,7 @@ class VCycle:
             self.restrict.append(R)
             self.ops.append(op)
         self.inv_diag = [_inv_diagonal(op) for op in self.ops[:-1]]
-        self.lu = spla.splu(self.ops[-1].tocsc())
+        self.lu = _BandedLU(self.ops[-1], shape)
         self.applications = 0
 
     def preconditioner(self, A):
@@ -481,23 +481,23 @@ def forcing(norm, prev_norm, tol):
 
 def _linear_route(shape):
     """The route ``_linear_solve`` takes on a grid of node ``shape``:
-    ``"banded"`` for a radial grid, ``"lu"`` for a box of at most
-    ``DIRECT_LIMIT`` nodes, ``"vcycle"`` for a larger box."""
-    if len(shape) == 1:
+    ``"banded"`` for a radial grid and for a box of at most ``DIRECT_LIMIT``
+    nodes, ``"vcycle"`` for a larger box."""
+    if len(shape) == 1 or math.prod(shape) <= DIRECT_LIMIT:
         return "banded"
-    return "lu" if math.prod(shape) <= DIRECT_LIMIT else "vcycle"
+    return "vcycle"
 
 
 def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     """Solve J x = rhs on a grid of the given node shape.
 
     Returns (x, Krylov iterations); the route is ``_linear_route(shape)``,
-    which ``newton_solve`` records once. A radial Jacobian, banded at every
-    mesh, goes to ``_banded_solve`` (0 iterations). A box one with at most
-    ``DIRECT_LIMIT`` unknowns goes to ``_lu_solve`` (0 iterations); among
-    cubes these are 5^3 to 7^3, the ones a sequenced ``box_solve`` follows
-    its path on. Larger box ones are
-    scaled to unit diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres to
+    which ``newton_solve`` records once. NonconvergenceError, before any
+    route, on a J with a non-finite entry. A radial Jacobian, banded at every
+    mesh, and a box one with at most ``DIRECT_LIMIT`` unknowns go to
+    ``_BandedLU`` (0 iterations); among cubes these boxes are 5^3 to 7^3,
+    the ones a sequenced ``box_solve`` follows its path on. Larger box ones
+    are scaled to unit diagonal, D^-1 J x = D^-1 rhs, and solved by lgmres to
     relative tolerance ``rtol``, preconditioned with a V-cycle; D^-1 J
     shares J's ``indices`` and ``indptr`` and scales a copy of its data, so
     J itself must be CSR and is left unchanged. The count is the
@@ -507,11 +507,10 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     D^-1 J and stored there, and the build's wall seconds are added to
     ``timing["hierarchy_s"]``.
     """
-    route = _linear_route(shape)
-    if route == "banded":
-        return _banded_solve(J, rhs), 0
-    if route == "lu":
-        return _lu_solve(J, rhs), 0
+    if not np.all(np.isfinite(J.data)):
+        raise NonconvergenceError("linear solve: non-finite Jacobian entry")
+    if _linear_route(shape) == "banded":
+        return _BandedLU(J, shape).solve(rhs), 0
     inv_diag = _inv_diagonal(J)
     A = sp.csr_matrix(
         (J.data * np.repeat(inv_diag, np.diff(J.indptr)), J.indices, J.indptr),
@@ -536,41 +535,39 @@ def _linear_solve(J, rhs, shape, rtol=1e-12, cache=None, timing=None):
     return sol, cycles
 
 
-def _banded_solve(J, rhs):
-    """Solve J x = rhs by LAPACK's banded LU with partial pivoting, ``dgbsv``
-    (Golub & Van Loan, Matrix Computations, 4.3). J is CSR without repeated
-    entries; its lower and upper bandwidths kl and ku are read from its
-    pattern (a radial Jacobian has kl = 2, from the rim's one-sided row, and
-    ku = 1). The band array has 2 kl + ku + 1 rows; its top kl rows take
-    the fill-in of the row interchanges. NonconvergenceError on an exactly
-    zero pivot, or on a non-finite solution, which a NaN in J gives."""
-    below = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)) - J.indices
-    kl, ku = int(below.max()), int(-below.min())
-    band = np.zeros((2 * kl + ku + 1, J.shape[0]), order="F")
-    band[kl + ku + below, J.indices] = J.data
-    _, _, x, info = lapack.dgbsv(kl, ku, band, rhs, overwrite_ab=True)
-    if info > 0:
-        raise NonconvergenceError(
-            f"banded LU: zero pivot U[{info - 1}, {info - 1}], the Jacobian is singular"
-        )
-    if not np.all(np.isfinite(x)):
-        raise NonconvergenceError("banded LU: non-finite solution")
-    return x
+class _BandedLU:
+    """LU factors of J by LAPACK's banded LU with partial pivoting (Golub &
+    Van Loan, Matrix Computations, 4.3): ``dgbtrf`` once here, ``dgbtrs`` per
+    ``solve``, the two halves of ``dgbsv``. J is CSR without repeated
+    entries on the C-order nodes of a lattice of node ``shape``, renumbered
+    longest axis first, so that the band spans the two shortest axes. kl
+    and ku are read from that pattern: 2 and 1 on a radial grid, twice the
+    first axis's stride for a box Jacobian or a Galerkin operator of one.
+    The band array has 2 kl + ku + 1 rows; its top kl rows take the fill-in
+    of the row interchanges. NonconvergenceError on an exactly zero pivot,
+    and from ``solve`` on a non-finite solution, which overflow gives."""
 
+    def __init__(self, J, shape):
+        axes = sorted(range(len(shape)), key=lambda axis: -shape[axis])
+        self.order = np.arange(J.shape[0]).reshape(shape).transpose(axes).ravel()
+        if axes != sorted(axes):
+            J = J[self.order][:, self.order]
+        below = np.repeat(np.arange(J.shape[0]), np.diff(J.indptr)) - J.indices
+        self.kl, self.ku = int(below.max(initial=0)), int(-below.min(initial=0))
+        band = np.zeros((2 * self.kl + self.ku + 1, J.shape[0]), order="F")
+        band[self.kl + self.ku + below, J.indices] = J.data
+        self.band, self.pivots, info = lapack.dgbtrf(band, self.kl, self.ku, overwrite_ab=True)
+        if info > 0:
+            raise NonconvergenceError(
+                f"banded LU: zero pivot U[{info - 1}, {info - 1}], the matrix is singular"
+            )
 
-def _lu_solve(J, rhs):
-    """Solve J x = rhs by SuperLU's sparse LU (``splu``, the factorization
-    ``spsolve`` runs, with the same bits). NonconvergenceError on an exactly
-    singular J, which a zero row or a NaN entry gives, or on a non-finite
-    solution: ``spsolve`` would only warn and return NaN."""
-    try:
-        lu = spla.splu(J.tocsc())
-    except RuntimeError as exc:  # "Factor is exactly singular"
-        raise NonconvergenceError(f"sparse LU: {exc}") from None
-    x = lu.solve(rhs)
-    if not np.all(np.isfinite(x)):
-        raise NonconvergenceError("sparse LU: non-finite solution")
-    return x
+    def solve(self, rhs):
+        x, _ = lapack.dgbtrs(self.band, self.kl, self.ku, rhs[self.order], self.pivots)
+        if not np.all(np.isfinite(x)):
+            raise NonconvergenceError("banded LU: non-finite solution")
+        x[self.order] = x.copy()
+        return x
 
 
 def _timed(timing, key, fn, *args):

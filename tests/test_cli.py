@@ -262,8 +262,8 @@ dt_min = 0.01
 
 
 def test_solve_nan_jacobian_exits_2(tmp_path, capsys, monkeypatch):
-    # a NaN Jacobian entry makes every banded solve fail as non-finite: the
-    # path underflows dt (exit 2), it never ends at t = 1 with exit 0
+    # a NaN Jacobian entry makes every linear solve refuse it: the path
+    # underflows dt (exit 2), it never ends at t = 1 with exit 0
     jacobian = solver.RadialSystem.jacobian
 
     def poisoned(self, values, t):
@@ -277,7 +277,7 @@ def test_solve_nan_jacobian_exits_2(tmp_path, capsys, monkeypatch):
     assert main(["solve", "--config", cfg, "--out-dir", str(tmp_path / "o")]) == 2
     err = capsys.readouterr().err
     assert err.startswith("solver failed: step size underflow at t=0")
-    assert "banded LU: non-finite solution" in err
+    assert "linear solve: non-finite Jacobian entry" in err
 
 
 def _fresh_interpreter(probe, *args):

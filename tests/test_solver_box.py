@@ -1,5 +1,6 @@
 import dataclasses
 import gc
+import math
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ import scipy.sparse as sp
 import scipy.sparse.linalg as spla
 
 from sumhess import geometry, grids, solver
-from sumhess.errors import ConfigError, NonconvergenceError
+from sumhess.errors import ConfigError, ContinuationError, NonconvergenceError
 from sumhess.lift import ConeSpec
 from sumhess.solver import BoxSystem, ProblemSpec, RadialSystem
 from oracles import (
@@ -437,7 +438,7 @@ def test_radial_jacobian_goes_to_direct_solve(monkeypatch):
 
 
 def test_box_steps_record_krylov_iterations():
-    # 13^3 follows the path on its half mesh 7^3 (343 unknowns, LU) and
+    # 13^3 follows the path on its half mesh 7^3 (343 unknowns, banded LU) and
     # takes its own t = 1 solve on the Krylov route
     problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
     state, grid = solver.box_solve(problem, 13)
@@ -450,7 +451,7 @@ def test_box_steps_record_krylov_iterations():
         if step in krylov:
             assert (step["linear_iters"] > 0) == (step["newton_iters"] > 0), step
         else:
-            assert step["mesh"] == [7, 7, 7] and step["linear_route"] == "lu", step
+            assert step["mesh"] == [7, 7, 7] and step["linear_route"] == "banded", step
             assert step["linear_iters"] == 0, step
 
 
@@ -472,7 +473,7 @@ def test_one_vcycle_hierarchy_per_newton_solve(monkeypatch):
     problem, _ = solver.box_cosine_problem(ConeSpec(3, 2, 2))
     state, _ = solver.box_solve(problem, 17)
     assert not state.rejected_steps
-    # the 5^3 path is on the LU route; 9^3 and 17^3 each take one Krylov
+    # the 5^3 path is on the banded route; 9^3 and 17^3 each take one Krylov
     # Newton solve at t = 1
     krylov = [(shape, iters) for shape, iters in solves
               if iters > 0 and np.prod(shape) > solver.DIRECT_LIMIT]
@@ -596,19 +597,84 @@ def test_lgmres_failure_names_rtol_and_cycles(monkeypatch):
 
 
 @pytest.mark.filterwarnings("error")
-def test_singular_box_jacobian_raises_on_the_lu_route():
+def test_singular_box_jacobian_raises_on_the_banded_route():
     # spsolve only warns on a singular matrix and returns NaN, which Newton
-    # met only after backtracking to STEP_MIN; the LU route fails at once,
-    # and on a regular J gives spsolve's bits
+    # met only after backtracking to STEP_MIN; the banded route fails at
+    # once, and on a regular J agrees with spsolve
     J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), 5)
     rhs = np.random.default_rng(3).normal(size=J.shape[0])
     x, iters = solver._linear_solve(J, rhs, grid.shape)
-    assert (iters, solver._linear_route(grid.shape)) == (0, "lu")
-    assert np.array_equal(x, spla.spsolve(J.tocsc(), rhs))
+    assert (iters, solver._linear_route(grid.shape)) == (0, "banded")
+    ref = spla.spsolve(J.tocsc(), rhs)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
     row = int(grid.interior_flat[10])
     J.data[J.indptr[row]:J.indptr[row + 1]] = 0.0
-    with pytest.raises(NonconvergenceError, match="sparse LU: Factor is exactly singular"):
+    with pytest.raises(NonconvergenceError, match=r"banded LU: zero pivot U\[\d+, \d+\]"):
         solver._linear_solve(J, np.ones(J.shape[0]), grid.shape)
+
+
+@pytest.mark.parametrize("nodes", [7, (5, 5, 19), (19, 5, 5), (5, 9, 11)], ids=str)
+def test_banded_route_matches_spsolve(nodes):
+    # the unknowns run longest axis first, so the band is twice the product
+    # of the two shortest axes: (5, 5, 19) has kl = 50 as (19, 5, 5) does,
+    # not the 190 of its own C order
+    J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), nodes)
+    rhs = np.random.default_rng(11).normal(size=J.shape[0])
+    x, iters = solver._linear_solve(J, rhs, grid.shape)
+    assert (iters, solver._linear_route(grid.shape)) == (0, "banded")
+    ref = spla.spsolve(J.tocsc(), rhs)
+    assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+    lu = solver._BandedLU(J, grid.shape)
+    assert lu.kl == lu.ku == 2 * math.prod(grid.shape) // max(grid.shape)
+
+
+def test_coarse_band_of_a_short_first_axis_spans_the_short_axes():
+    # (5, 17, 17) coarsens once, to (3, 9, 9): in its own C order the band
+    # would be at least one first-axis stride, 81, and under (5, 129, 129)
+    # 4,225 wide on 12,675 unknowns
+    J, grid = manufactured_jacobian(ConeSpec(3, 2, 2), (5, 17, 17))
+    vc = solver.VCycle(J, grid.shape)
+    coarse = vc.ops[-1]
+    assert coarse.shape == (243, 243) and len(vc.ops) == 1
+    assert vc.lu.kl < 81 and vc.lu.ku < 81
+    rhs = np.random.default_rng(12).normal(size=243)
+    ref = spla.spsolve(coarse.tocsc(), rhs)
+    assert np.abs(vc.lu.solve(rhs) - ref).max() <= 1e-11 * np.abs(ref).max()
+
+
+def test_banded_lu_refuses_an_overflowing_solution():
+    lu = solver._BandedLU(sp.csr_matrix(np.diag([1e-300, 1.0])), (2,))
+    with pytest.raises(NonconvergenceError, match="banded LU: non-finite solution"):
+        lu.solve(np.array([1e300, 1.0]))
+
+
+def test_singular_coarse_operator_raises_nonconvergence():
+    with pytest.raises(NonconvergenceError, match="zero pivot"):
+        solver.VCycle(sp.csr_matrix((125, 125)), (5, 5, 5))
+
+
+def test_nan_box_jacobian_fails_typed_on_the_vcycle_route():
+    # f_u = NaN at one node passes the f_u <= 0 check and poisons one
+    # Jacobian entry; at 9^3 the V-cycle route must refuse it, not fail in
+    # its coarse factorization or in lgmres with an untyped error
+    problem, exact = solver.box_cosine_problem(ConeSpec(3, 2, 2))
+    base_f = problem.f
+
+    def f_u(points, u):
+        out = -np.ones(points.shape[0])
+        out[5] = np.nan
+        return out
+
+    problem.f = lambda points, u: base_f(points) + (exact(points) - u)
+    problem.f_u = f_u
+    grid = grids.box_grid(problem.geom.extents, 9)
+    assert solver._linear_route(grid.shape) == "vcycle"
+    system = BoxSystem(problem, grid)
+    w = exact(grid.points) - system.q + 1e-3
+    with pytest.raises(NonconvergenceError, match="non-finite Jacobian entry"):
+        solver.newton_solve(system, w, 1.0, timing={})
+    with pytest.raises(ContinuationError, match="non-finite Jacobian entry"):
+        solver.box_solve(problem, 9)
 
 
 def test_lgmres_failure_rejects_the_step_and_halves_dt(monkeypatch):
